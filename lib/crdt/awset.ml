@@ -78,6 +78,10 @@ let elements (s : t) : string list =
 let size (s : t) : int =
   EM.fold (fun _ en acc -> if DS.is_empty en.dots then acc else acc + 1) s 0
 
+(** Fold over the members, in no particular order. *)
+let fold_members (f : string -> 'a -> 'a) (s : t) (acc : 'a) : 'a =
+  EM.fold (fun e en acc -> if DS.is_empty en.dots then acc else f e acc) s acc
+
 (* ------------------------------------------------------------------ *)
 (* Prepare (at the source replica)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -141,6 +145,13 @@ let apply (s : t) (o : op) : t =
             s)
         s observed
 
+(** The elements an op names, each once — the only ones whose
+    membership applying it can change. *)
+let touched (o : op) : string list =
+  match o with
+  | Add { elt; _ } | Touch { elt; _ } | Remove { elt; _ } -> [ elt ]
+  | Remove_where { observed; _ } -> List.map fst observed
+
 (* ------------------------------------------------------------------ *)
 (* Delta-state view (optimized OR-set join, Bieniusa et al.)           *)
 (* ------------------------------------------------------------------ *)
@@ -180,6 +191,10 @@ let delta_of_op (o : op) : t =
         (fun s (elt, dots) ->
           EM.add elt { dots = DS.empty; cc = dots; pl = None } s)
         EM.empty observed
+
+(** The elements a state fragment holds entries for — the only ones
+    whose membership merging it into another state can change. *)
+let keys (s : t) : string list = EM.fold (fun e _ acc -> e :: acc) s []
 
 let pp ppf (s : t) =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") string) (elements s)

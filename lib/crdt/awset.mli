@@ -39,6 +39,9 @@ val elements : t -> string list
 
 val size : t -> int
 
+(** Fold over the members, in no particular order. *)
+val fold_members : (string -> 'a -> 'a) -> t -> 'a -> 'a
+
 (** {1 Prepare (at the source replica)} *)
 
 val prepare_add : ?payload:string -> t -> dot:Vclock.dot -> string -> op
@@ -55,6 +58,10 @@ val prepare_remove_where : t -> selector -> op
 (** {1 Effect (at every replica)} *)
 
 val apply : t -> op -> t
+
+(** The elements an op names, each once — the only ones whose
+    membership applying it can change. *)
+val touched : op -> string list
 
 (** {1 Delta-state view}
 
@@ -73,6 +80,10 @@ val merge : t -> t -> t
     [apply s o = merge s (delta_of_op o)] for any [s] that has not yet
     observed the op. *)
 val delta_of_op : op -> t
+
+(** The elements a state fragment holds entries for — the only ones
+    whose membership merging it into another state can change. *)
+val keys : t -> string list
 
 (** {1 Maintenance} *)
 

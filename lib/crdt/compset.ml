@@ -36,6 +36,14 @@ let op_bound (Set_op { bound; _ } : op) : int = bound
 let size (c : t) : int = Awset.size c.set
 let mem e (c : t) : bool = Awset.mem e c.set
 
+(** Fold over the raw members, in no particular order. *)
+let fold_members (f : string -> 'a -> 'a) (c : t) (acc : 'a) : 'a =
+  Awset.fold_members f c.set acc
+
+(** The elements an op names, each once — the only ones whose
+    membership applying it can change. *)
+let touched (Set_op { o; _ } : op) : string list = Awset.touched o
+
 (** Raw elements, possibly over the bound (diagnostics only). *)
 let raw_elements (c : t) : string list = Awset.elements c.set
 

@@ -23,6 +23,13 @@ val size : t -> int
 
 val mem : string -> t -> bool
 
+(** Fold over the raw members, in no particular order. *)
+val fold_members : (string -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** The elements an op names, each once — the only ones whose
+    membership applying it can change. *)
+val touched : op -> string list
+
 (** Raw members, possibly over the bound (diagnostics only). *)
 val raw_elements : t -> string list
 

@@ -70,6 +70,10 @@ let elements (s : t) : string list =
 
 let size (s : t) : int = List.length (elements s)
 
+(** Fold over the members, in no particular order. *)
+let fold_members (f : string -> 'a -> 'a) (s : t) (acc : 'a) : 'a =
+  EM.fold (fun e _ acc -> if mem e s then f e acc else acc) s.entries acc
+
 (* ------------------------------------------------------------------ *)
 (* Prepare                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -117,6 +121,14 @@ let apply (s : t) (o : op) : t =
         entries = EM.add elt { en with removes = vv :: en.removes } s.entries;
       }
   | Remove_where { sel; vv } -> { s with wild = (sel, vv) :: s.wild }
+
+(** The element an op names — the only one whose membership applying
+    it can change — or [None] for a wildcard remove, whose barrier can
+    hide any element. *)
+let touched (o : op) : string list option =
+  match o with
+  | Add { elt; _ } | Remove { elt; _ } -> Some [ elt ]
+  | Remove_where _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Delta-state view                                                    *)
@@ -184,6 +196,13 @@ let delta_of_op (o : op) : t =
         wild = [];
       }
   | Remove_where { sel; vv } -> { entries = EM.empty; wild = [ (sel, vv) ] }
+
+(** The elements a state fragment holds entries for — the only ones
+    whose membership merging it can change — or [None] when it carries
+    a wildcard barrier. *)
+let keys (s : t) : string list option =
+  if s.wild <> [] then None
+  else Some (EM.fold (fun e _ acc -> e :: acc) s.entries [])
 
 let pp ppf (s : t) =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any "; ") string) (elements s)

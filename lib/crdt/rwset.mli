@@ -20,6 +20,9 @@ val payload : string -> t -> string option
 val elements : t -> string list
 val size : t -> int
 
+(** Fold over the members, in no particular order. *)
+val fold_members : (string -> 'a -> 'a) -> t -> 'a -> 'a
+
 (** {1 Prepare}
 
     [vv] must be the source replica's clock {e including} the prepared
@@ -35,6 +38,11 @@ val prepare_remove_where : t -> vv:Vclock.t -> selector -> op
 
 val apply : t -> op -> t
 
+(** The element an op names — the only one whose membership applying
+    it can change — or [None] for a wildcard remove, whose barrier can
+    hide any element. *)
+val touched : op -> string list option
+
 (** {1 Delta-state view}
 
     The state already carries full causal metadata (per-add source
@@ -48,6 +56,11 @@ val merge : t -> t -> t
     [apply s o = merge s (delta_of_op o)] for any [s] that has not yet
     observed the op. *)
 val delta_of_op : op -> t
+
+(** The elements a state fragment holds entries for — the only ones
+    whose membership merging it can change — or [None] when it carries
+    a wildcard barrier. *)
+val keys : t -> string list option
 
 (** {1 Maintenance} *)
 

@@ -56,12 +56,26 @@ type origin_log = {
     needs for the value anyway.  [c_h = 0] means "not contributing to
     the digest" (observable state indistinguishable from empty — or the
     astronomically unlikely honest hash 0, which both sides of any
-    comparison compute identically). *)
-type cell = { c_kid : int; mutable c_obj : Obj.t; mutable c_h : int }
+    comparison compute identically).
+
+    Set keys (add-wins, remove-wins, compensation) also keep their
+    members' hash sum and count, updated as ops and deltas change the
+    membership of the elements they name; [c_n < 0] marks the pair
+    stale, to be refolded from the members by the next refresh. *)
+type cell = {
+  c_kid : int;
+  mutable c_obj : Obj.t;
+  mutable c_h : int;
+  mutable c_sum : int;  (** set keys: wrapping sum of member hashes *)
+  mutable c_n : int;  (** set keys: member count; negative = stale *)
+  mutable c_dirty : bool;  (** queued in the shard's dirty vector *)
+}
+
+let new_cell ?(n = 0) (kid : int) (o : Obj.t) : cell =
+  { c_kid = kid; c_obj = o; c_h = 0; c_sum = 0; c_n = n; c_dirty = false }
 
 (* growth filler for the dirty vectors; never part of a live prefix *)
-let dummy_cell : cell =
-  { c_kid = -1; c_obj = Obj.O_pncounter Pncounter.empty; c_h = 0 }
+let dummy_cell : cell = new_cell (-1) (Obj.O_pncounter Pncounter.empty)
 
 (** One keyspace partition: objects, types, dirty vector and a rolling
     digest, all keyed by interned key id (dense ints hash and compare
@@ -71,13 +85,12 @@ type shard = {
   sh_types : (int, Obj.otype) Hashtbl.t;
   mutable sh_dirty : cell array;
       (** cells updated since this shard's digest was refreshed — a
-          plain push vector (first [sh_dirty_n] slots), {e not} a set:
-          duplicate entries are tolerated because the refresh recomputes
-          each entry's hash from the current state, which makes a second
-          visit a no-op.  Pushing the cell pointer is several times
-          cheaper than a hash-set insert (the apply path pays it per
-          update), and the refresh walks the cells with no table
-          lookups at all *)
+          push vector (first [sh_dirty_n] slots) holding each cell at
+          most once: a cell's [c_dirty] flag is set when it is pushed
+          and cleared by the refresh, so a hot key updated many times
+          between two polls is re-hashed once.  Pushing the cell pointer
+          is several times cheaper than a hash-set insert, and the
+          refresh walks the cells with no table lookups at all *)
   mutable sh_dirty_n : int;  (** live prefix length of [sh_dirty] *)
   mutable sh_xor : int;  (** rolling digest: XOR of the cached hashes *)
   mutable sh_sum : int;
@@ -228,7 +241,7 @@ let get_kid (r : t) (kid : int) (ty : Obj.otype) : Obj.t =
   | Some c -> c.c_obj
   | None ->
       let o = Obj.init ty in
-      Hashtbl.replace sh.sh_data kid { c_kid = kid; c_obj = o; c_h = 0 };
+      Hashtbl.replace sh.sh_data kid (new_cell kid o);
       Hashtbl.replace sh.sh_types kid ty;
       o
 
@@ -265,32 +278,91 @@ let fold_data (r : t) (f : string -> Obj.t -> 'a -> 'a) (acc : 'a) : 'a =
 let obj_count (r : t) : int =
   Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.sh_data) 0 r.shards
 
+(* push [c] onto the shard's dirty vector unless it is already queued
+   (amortized O(1) — see the [sh_dirty] doc) *)
+let mark_dirty (sh : shard) (c : cell) : unit =
+  if not c.c_dirty then begin
+    c.c_dirty <- true;
+    let n = sh.sh_dirty_n in
+    if n = Array.length sh.sh_dirty then begin
+      let nb = Array.make (2 * n) dummy_cell in
+      Array.blit sh.sh_dirty 0 nb 0 n;
+      sh.sh_dirty <- nb
+    end;
+    sh.sh_dirty.(n) <- c;
+    sh.sh_dirty_n <- n + 1
+  end
+
+(* 63-bit finalizing mixer (splitmix-style): spreads the structured
+   (key id, tag, value) inputs over the whole int range so the XOR/sum
+   combinations below behave like combinations of random words *)
+let mix (h : int) : int =
+  let h = h lxor (h lsr 30) in
+  let h = h * 0xbf58476d1ce4e5b in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x94d049bb133111e in
+  h lxor (h lsr 31)
+
+(* FNV-1a over a string *)
+let fnv_string (s : string) : int =
+  let h = ref 0x10be64c5701f3d3 in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h
+
+(* one set member's contribution to its key's [c_sum] *)
+let elt_hash (e : string) : int = mix (fnv_string e)
+
+let set_mem (o : Obj.t) (e : string) : bool =
+  match o with
+  | Obj.O_awset s -> Awset.mem e s
+  | Obj.O_rwset s -> Rwset.mem e s
+  | Obj.O_compset s -> Compset.mem e s
+  | _ -> false
+
+(* fold the membership changes of [elts] (each named once) between
+   [before] and the cell's current value into its member sum and
+   count; [None] — the change may reach any element — marks them stale *)
+let track (c : cell) (before : Obj.t) (elts : string list option) : unit =
+  if c.c_n >= 0 then
+    match elts with
+    | None -> c.c_n <- -1
+    | Some elts ->
+        List.iter
+          (fun e ->
+            match (set_mem before e, set_mem c.c_obj e) with
+            | false, true ->
+                c.c_sum <- c.c_sum + elt_hash e;
+                c.c_n <- c.c_n + 1
+            | true, false ->
+                c.c_sum <- c.c_sum - elt_hash e;
+                c.c_n <- c.c_n - 1
+            | _ -> ())
+          elts
+
+let apply_cell (sh : shard) (c : cell) (op : Obj.op) : unit =
+  let before = c.c_obj in
+  c.c_obj <- Obj.apply before op;
+  (match op with
+  | Obj.Op_awset o -> track c before (Some (Awset.touched o))
+  | Obj.Op_compset o -> track c before (Some (Compset.touched o))
+  | Obj.Op_rwset o -> track c before (Rwset.touched o)
+  | _ -> ());
+  mark_dirty sh c
+
 (** Apply a single update effect, creating the object if the effect
     arrives before any local access.  Compensation objects carry their
     bounds in every op, so remote-first creation uses the {e real}
     bounds instead of a sentinel that would silently weaken the
-    invariant until the first local access.  The key is marked dirty in
-    its shard; re-rendering is deferred to the next digest refresh, so a
-    batch of updates pays one cheap int-table write per key here and the
-    rendering cost only when a digest is actually demanded. *)
-(* push [c] onto the shard's dirty vector (amortized O(1), duplicates
-   allowed — see the [sh_dirty] doc) *)
-let mark_dirty (sh : shard) (c : cell) : unit =
-  let n = sh.sh_dirty_n in
-  if n = Array.length sh.sh_dirty then begin
-    let nb = Array.make (2 * n) dummy_cell in
-    Array.blit sh.sh_dirty 0 nb 0 n;
-    sh.sh_dirty <- nb
-  end;
-  sh.sh_dirty.(n) <- c;
-  sh.sh_dirty_n <- n + 1
-
+    invariant until the first local access.  A set key's member sum and
+    count absorb the op's membership changes here; the key is marked
+    dirty in its shard, and its hash is recomputed once at the next
+    digest refresh, however many updates it received since the last. *)
 let apply_update_kid (r : t) (kid : int) (op : Obj.op) : unit =
   let sh = r.shards.(shard_of_id (Array.length r.shards) kid) in
   match Hashtbl.find_opt sh.sh_data kid with
-  | Some c ->
-      c.c_obj <- Obj.apply c.c_obj op;
-      mark_dirty sh c
+  | Some c -> apply_cell sh c op
   | None ->
       (* effects can arrive before any local access: infer the object
          type from the op *)
@@ -307,9 +379,9 @@ let apply_update_kid (r : t) (kid : int) (op : Obj.op) : unit =
             Obj.T_compcounter { min_value = Compcounter.op_bound o }
       in
       Hashtbl.replace sh.sh_types kid ty;
-      let c = { c_kid = kid; c_obj = Obj.apply (Obj.init ty) op; c_h = 0 } in
+      let c = new_cell kid (Obj.init ty) in
       Hashtbl.replace sh.sh_data kid c;
-      mark_dirty sh c
+      apply_cell sh c op
 
 let apply_update (r : t) ((key, op) : string * Obj.op) : unit =
   apply_update_kid r (Intern.id key) op
@@ -523,8 +595,9 @@ let pending_keys (r : t) : (string * int) list =
    converged must render identically regardless of internal metadata or
    the order effects arrived in *)
 let obs_string (o : Obj.t) : string option =
+  (* every list below is already sorted *)
   let set tag l =
-    match List.sort compare l with
+    match l with
     | [] -> None
     | l -> Some (tag ^ "{" ^ String.concat ";" l ^ "}")
   in
@@ -561,48 +634,63 @@ let state_digest_scratch (r : t) : string =
   Digest.to_hex
     (Digest.string (String.concat "\n" (List.sort compare entries)))
 
-(* 63-bit finalizing mixer (splitmix-style): spreads the structured
-   (key id, tag, value) inputs over the whole int range so the XOR/sum
-   combinations below behave like combinations of random words *)
-let mix (h : int) : int =
-  let h = h lxor (h lsr 30) in
-  let h = h * 0xbf58476d1ce4e5b in
-  let h = h lxor (h lsr 27) in
-  let h = h * 0x94d049bb133111e in
-  h lxor (h lsr 31)
+(* the key part of a key's hash: its id and a per-type tag, so equal
+   values of different types stay distinct, as [obs_string]'s prefixes
+   do *)
+let key_hash (kid : int) (tag : int) : int = mix ((kid * 8) + tag)
 
-(* FNV-1a over a string, for the observable states that are not plain
-   integers (sets, registers) *)
-let fnv_string (s : string) : int =
-  let h = ref 0x10be64c5701f3d3 in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
-  done;
-  !h
+(* a member collection's hash from its members' hash sum and count —
+   order-independent, 0 (not contributing) when empty *)
+let members_hash (kid : int) (tag : int) (sum : int) (n : int) : int =
+  if n = 0 then 0 else mix (mix (sum + n) lxor key_hash kid tag)
 
-(* hash of one key's observable state, [None] when indistinguishable
-   from the empty object (matching [obs_string]'s cases exactly).  A
-   pure function of (key id, observable value): counters hash their
-   value directly — no string rendering on the digest-refresh hot path —
-   everything else hashes its canonical [obs_string] rendering.  The
-   per-type tags keep equal numbers in different counter types
-   distinct, as the "pn:"/"bc:"/"cc:" prefixes do for the renderer *)
-let obs_hash (kid : int) (o : Obj.t) : int option =
-  let num tag v =
-    if v = 0 then None else Some (mix ((mix ((kid * 8) + tag)) lxor v))
-  in
+let add_member (e : string) ((sum, n) : int * int) : int * int =
+  (sum + elt_hash e, n + 1)
+
+(* a set object's member hash sum and count, by one unsorted fold *)
+let fold_set (o : Obj.t) : int * int =
   match o with
-  | Obj.O_pncounter c -> num 1 (Pncounter.quick_value c)
-  | Obj.O_bcounter c -> num 2 (Bcounter.quick_value c)
-  | Obj.O_compcounter c -> num 3 (Compcounter.quick_raw_value c)
-  | o -> (
-      match obs_string o with
-      | None -> None
-      | Some s -> Some (mix (fnv_string s lxor mix ((kid * 8) + 7))))
+  | Obj.O_awset s -> Awset.fold_members add_member s (0, 0)
+  | Obj.O_rwset s -> Rwset.fold_members add_member s (0, 0)
+  | Obj.O_compset s -> Compset.fold_members add_member s (0, 0)
+  | _ -> (0, 0)
+
+(* a set cell's hash from its kept sum and count, refolded first when
+   stale *)
+let set_hash (c : cell) (tag : int) : int =
+  if c.c_n < 0 then begin
+    let sum, n = fold_set c.c_obj in
+    c.c_sum <- sum;
+    c.c_n <- n
+  end;
+  members_hash c.c_kid tag c.c_sum c.c_n
+
+(* hash of one key's observable state, 0 when indistinguishable from
+   the empty object (matching [obs_string]'s [None] cases exactly).  A
+   pure function of (key id, observable value): counters hash their
+   value, sets and multi-value registers their members.  No string is
+   rendered *)
+let obs_hash (c : cell) : int =
+  let kid = c.c_kid in
+  let num tag v = if v = 0 then 0 else mix (key_hash kid tag lxor v) in
+  match c.c_obj with
+  | Obj.O_pncounter x -> num 1 (Pncounter.quick_value x)
+  | Obj.O_bcounter x -> num 2 (Bcounter.quick_value x)
+  | Obj.O_compcounter x -> num 3 (Compcounter.quick_raw_value x)
+  | Obj.O_awset _ -> set_hash c 4
+  | Obj.O_rwset _ -> set_hash c 5
+  | Obj.O_compset _ -> set_hash c 6
+  | Obj.O_lww l -> (
+      match Lww.value l with
+      | None -> 0
+      | Some v -> mix (key_hash kid 0 lxor elt_hash v))
+  | Obj.O_mvreg m ->
+      let sum, n = List.fold_right add_member (Mvreg.values m) (0, 0) in
+      members_hash kid 7 sum n
 
 (* recompute the observable-state hash of every dirty key of one shard,
    updating the per-key cache and the rolling digest — O(changed keys
-   in the shard), allocation-free for counter objects *)
+   in the shard) *)
 let refresh_shard_s (sh : shard) : unit =
   if sh.sh_dirty_n > 0 then begin
     let subs = Array.length sh.sh_sub_xor in
@@ -611,9 +699,7 @@ let refresh_shard_s (sh : shard) : unit =
       let sb = sub_of_id subs c.c_kid in
       if c.c_h <> 0 then begin
         (* XOR is its own inverse and the sum wraps: the same hash
-           subtracts a previous contribution back out.  A duplicate
-           dirty entry removes and re-adds the same fresh hash — a
-           net no-op, which is what makes the vector safe *)
+           subtracts a previous contribution back out *)
         sh.sh_xor <- sh.sh_xor lxor c.c_h;
         sh.sh_sum <- sh.sh_sum - c.c_h;
         sh.sh_entries <- sh.sh_entries - 1;
@@ -621,24 +707,25 @@ let refresh_shard_s (sh : shard) : unit =
         sh.sh_sub_sum.(sb) <- sh.sh_sub_sum.(sb) - c.c_h;
         sh.sh_sub_entries.(sb) <- sh.sh_sub_entries.(sb) - 1
       end;
-      match obs_hash c.c_kid c.c_obj with
-      | Some h when h <> 0 ->
-          (* an honest hash of exactly 0 (probability 2⁻⁶³) is treated
-             as empty — deterministically, on every replica — because 0
-             is the cell's "not contributing" marker *)
-          sh.sh_xor <- sh.sh_xor lxor h;
-          sh.sh_sum <- sh.sh_sum + h;
-          sh.sh_entries <- sh.sh_entries + 1;
-          sh.sh_sub_xor.(sb) <- sh.sh_sub_xor.(sb) lxor h;
-          sh.sh_sub_sum.(sb) <- sh.sh_sub_sum.(sb) + h;
-          sh.sh_sub_entries.(sb) <- sh.sh_sub_entries.(sb) + 1;
-          c.c_h <- h
-      | _ -> c.c_h <- 0
+      c.c_dirty <- false;
+      let h = obs_hash c in
+      (* an honest hash of exactly 0 (probability 2⁻⁶³) is treated as
+         empty — deterministically, on every replica — because 0 is the
+         cell's "not contributing" marker *)
+      if h <> 0 then begin
+        sh.sh_xor <- sh.sh_xor lxor h;
+        sh.sh_sum <- sh.sh_sum + h;
+        sh.sh_entries <- sh.sh_entries + 1;
+        sh.sh_sub_xor.(sb) <- sh.sh_sub_xor.(sb) lxor h;
+        sh.sh_sub_sum.(sb) <- sh.sh_sub_sum.(sb) + h;
+        sh.sh_sub_entries.(sb) <- sh.sh_sub_entries.(sb) + 1
+      end;
+      c.c_h <- h
     done;
     sh.sh_dirty_n <- 0
   end
 
-(** Refresh one shard's digest caches (re-rendering its dirty keys). *)
+(** Refresh one shard's digest caches (re-hashing its dirty keys). *)
 let refresh_shard (r : t) (i : int) : unit = refresh_shard_s r.shards.(i)
 
 let refresh_digest (r : t) : unit = Array.iter refresh_shard_s r.shards
@@ -848,10 +935,11 @@ let refill (dst : ('a, 'b) Hashtbl.t) (src : ('a, 'b) Hashtbl.t) : unit =
   Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
 
 (** Reset the replica to a previously captured snapshot.  The digest
-    caches are rebuilt lazily: every restored key is marked dirty, so the
-    next digest call re-renders exactly the restored state (and restored
-    digests stay bit-identical to a from-scratch run — the property the
-    shrinker's re-execution relies on). *)
+    caches are rebuilt lazily: every restored key is marked dirty (set
+    keys stale), so the next digest call re-hashes exactly the restored
+    state from scratch (and restored digests stay bit-identical to a
+    from-scratch run — the property the shrinker's re-execution relies
+    on). *)
 let restore (r : t) (s : snapshot) : unit =
   if Array.length s.s_shards <> Array.length r.shards then
     invalid_arg "Replica.restore: snapshot has a different shard count";
@@ -865,13 +953,12 @@ let restore (r : t) (s : snapshot) : unit =
          live replica's mutable cells *)
       Hashtbl.reset sh.sh_data;
       Hashtbl.iter
-        (fun kid o ->
-          Hashtbl.replace sh.sh_data kid { c_kid = kid; c_obj = o; c_h = 0 })
+        (fun kid o -> Hashtbl.replace sh.sh_data kid (new_cell ~n:(-1) kid o))
         data;
       refill sh.sh_types types;
       (* invalidate the incremental digest state wholesale: previously
          cached contributions are forgotten and every restored key is
-         re-rendered on the next digest call *)
+         re-hashed on the next digest call *)
       sh.sh_dirty_n <- 0;
       sh.sh_xor <- 0;
       sh.sh_sum <- 0;
@@ -1098,18 +1185,23 @@ let delta_group_of (r : t) ~(origin : string) ~(known : int) :
    fragment arrives before any local access *)
 let join_delta_kid (r : t) (kid : int) (d : Obj.delta) : unit =
   let sh = r.shards.(shard_of_id (Array.length r.shards) kid) in
-  match Hashtbl.find_opt sh.sh_data kid with
-  | Some c ->
-      c.c_obj <- Obj.join_delta c.c_obj d;
-      mark_dirty sh c
-  | None ->
-      let ty = Obj.delta_otype d in
-      Hashtbl.replace sh.sh_types kid ty;
-      let c =
-        { c_kid = kid; c_obj = Obj.join_delta (Obj.init ty) d; c_h = 0 }
-      in
-      Hashtbl.replace sh.sh_data kid c;
-      mark_dirty sh c
+  let c =
+    match Hashtbl.find_opt sh.sh_data kid with
+    | Some c -> c
+    | None ->
+        let ty = Obj.delta_otype d in
+        Hashtbl.replace sh.sh_types kid ty;
+        let c = new_cell kid (Obj.init ty) in
+        Hashtbl.replace sh.sh_data kid c;
+        c
+  in
+  let before = c.c_obj in
+  c.c_obj <- Obj.join_delta before d;
+  (match d with
+  | Obj.D_awset f -> track c before (Some (Awset.keys f))
+  | Obj.D_rwset f -> track c before (Rwset.keys f)
+  | Obj.D_pncounter _ -> ());
+  mark_dirty sh c
 
 (** Join a delta fragment into a key's object (creating it if
     absent). *)

@@ -41,8 +41,19 @@ type origin_log = {
 
 (** One key's slot in a shard: the CRDT value plus the cached hash of
     its observable state (a pure function of key and observable value;
-    [c_h = 0] means "not contributing to the digest"). *)
-type cell = { c_kid : int; mutable c_obj : Obj.t; mutable c_h : int }
+    [c_h = 0] means "not contributing to the digest").  Set keys also
+    keep the wrapping sum and count of their members' hashes, updated
+    by every op or delta for just the elements it names; a negative
+    count marks them stale (after a wildcard barrier or a restore), to
+    be refolded from the members by the next refresh. *)
+type cell = {
+  c_kid : int;
+  mutable c_obj : Obj.t;
+  mutable c_h : int;
+  mutable c_sum : int;  (** set keys: wrapping sum of member hashes *)
+  mutable c_n : int;  (** set keys: member count; negative = stale *)
+  mutable c_dirty : bool;  (** queued in the shard's dirty vector *)
+}
 
 (** One keyspace partition, keyed by interned key id. *)
 type shard = {
@@ -51,7 +62,8 @@ type shard = {
   mutable sh_dirty : cell array;
       (** cells updated since this shard's digest was refreshed — a
           push vector of which the first [sh_dirty_n] slots are live;
-          duplicates are tolerated (refresh is idempotent per key) *)
+          each cell appears at most once (its [c_dirty] flag is set
+          while queued and cleared by the refresh) *)
   mutable sh_dirty_n : int;  (** live prefix length of [sh_dirty] *)
   mutable sh_xor : int;  (** rolling digest: XOR of the cached hashes *)
   mutable sh_sum : int;  (** rolling digest: wrapping sum of the hashes *)
@@ -151,8 +163,8 @@ val next_lamport : t -> int
 
 (** Apply a single update effect, creating the object (with the op's
     carried bounds, for compensation objects) if the effect arrives
-    before any local access; marks the key dirty in its shard (the
-    re-render is deferred to the next digest refresh). *)
+    before any local access; marks the key dirty in its shard (its hash
+    is recomputed at the next digest refresh). *)
 val apply_update : t -> string * Obj.op -> unit
 
 (** Commit a transaction's updates: apply locally, log the batch and
@@ -204,7 +216,7 @@ val quick_digest : t -> string
     the allocation-free comparison convergence polls use. *)
 val digest_equal : t -> t -> bool
 
-(** Refresh one shard's digest caches (re-rendering its dirty keys). *)
+(** Refresh one shard's digest caches (re-hashing its dirty keys). *)
 val refresh_shard : t -> int -> unit
 
 (** One shard's rolling digest as an (entries, xor, sum) triple — the

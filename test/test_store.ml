@@ -1580,6 +1580,295 @@ let prop_weak_converges_at_quiescence =
              read_counter w.Read.value = strong && not w.Read.escalated)
            c.Cluster.replicas)
 
+(* ------------------------------------------------------------------ *)
+(* Incremental set digests                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: a set key's member hash sum and count recomputed from its
+   sorted elements with this file's own copy of the element hash, and
+   the key hash those give.  It shares no code with the replica's
+   incremental bookkeeping. *)
+let oracle_mix (h : int) : int =
+  let h = h lxor (h lsr 30) in
+  let h = h * 0xbf58476d1ce4e5b in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x94d049bb133111e in
+  h lxor (h lsr 31)
+
+let oracle_elt_hash (e : string) : int =
+  let h = ref 0x10be64c5701f3d3 in
+  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x100000001b3) e;
+  oracle_mix !h
+
+(* (type tag, members) of a set object; [None] for other types *)
+let oracle_members (o : Obj.t) : (int * string list) option =
+  match o with
+  | Obj.O_awset s -> Some (4, Awset.elements s)
+  | Obj.O_rwset s -> Some (5, Rwset.elements s)
+  | Obj.O_compset s -> Some (6, Compset.raw_elements s)
+  | _ -> None
+
+(* [Ok ()] when every set cell of [r] agrees with the oracle: a cell
+   whose count is not stale must hold the exact member sum and count;
+   with [refreshed], every set cell must also be clean and carry the
+   oracle's key hash *)
+let check_set_cells ~(refreshed : bool) (r : Replica.t) :
+    (unit, string) result =
+  let bad = ref None in
+  Array.iter
+    (fun (sh : Replica.shard) ->
+      Hashtbl.iter
+        (fun kid (c : Replica.cell) ->
+          match oracle_members c.Replica.c_obj with
+          | None -> ()
+          | Some (tag, elts) ->
+              let n = List.length elts in
+              let sum =
+                List.fold_left (fun acc e -> acc + oracle_elt_hash e) 0 elts
+              in
+              let h =
+                if n = 0 then 0
+                else
+                  oracle_mix
+                    (oracle_mix (sum + n)
+                    lxor oracle_mix ((kid * 8) + tag))
+              in
+              let fail what =
+                bad :=
+                  Some
+                    (Fmt.str "%s key %s: %s" r.Replica.id (Intern.name kid)
+                       what)
+              in
+              if c.Replica.c_n >= 0 && (c.Replica.c_n <> n || c.Replica.c_sum <> sum)
+              then fail (Fmt.str "count %d / %d, sum differs" c.Replica.c_n n)
+              else if refreshed && c.Replica.c_dirty then fail "still dirty"
+              else if refreshed && c.Replica.c_h <> h then fail "key hash")
+        sh.Replica.sh_data)
+    r.Replica.shards;
+  match !bad with None -> Ok () | Some m -> Error m
+
+let rw_remove_where (rep : Replica.t) (key : string) sel : Replica.batch =
+  let tx = Txn.begin_ rep in
+  let s = Obj.as_rwset (Txn.get tx key Obj.T_rwset) in
+  Txn.update tx key
+    (Obj.Op_rwset (Rwset.prepare_remove_where s ~vv:(Txn.fresh_vv tx) sel));
+  Option.get (Txn.commit tx)
+
+let aw_op (rep : Replica.t) (key : string) prep : Replica.batch =
+  let tx = Txn.begin_ rep in
+  let s = Obj.as_awset (Txn.get tx key Obj.T_awset) in
+  Txn.update tx key (Obj.Op_awset (prep tx s));
+  Option.get (Txn.commit tx)
+
+let cs_op (rep : Replica.t) (key : string) prep : Replica.batch =
+  let tx = Txn.begin_ rep in
+  let s = Obj.as_compset (Txn.get tx key (Obj.T_compset { max_size = 2 })) in
+  Txn.update tx key (Obj.Op_compset (prep tx s));
+  Option.get (Txn.commit tx)
+
+let low_elts = Awset.Matching (fun e -> e <= "b")
+
+(* one scripted commit at [rep]: kind × element over the three set
+   types, wildcard removes included *)
+let set_commit (rep : Replica.t) (kind : int) (e : string) : Replica.batch =
+  match kind with
+  | 0 ->
+      aw_op rep "aw" (fun tx s ->
+          Awset.prepare_add ~payload:e s ~dot:(Txn.fresh_dot tx) e)
+  | 1 -> aw_op rep "aw" (fun tx s -> Awset.prepare_touch s ~dot:(Txn.fresh_dot tx) e)
+  | 2 -> aw_op rep "aw" (fun _ s -> Awset.prepare_remove s e)
+  | 3 ->
+      aw_op rep "aw" (fun _ s ->
+          Awset.prepare_remove_where s (if e = "a" then Awset.All else low_elts))
+  | 4 -> rw_add rep "rw" e
+  | 5 -> rw_remove rep "rw" e
+  | 6 ->
+      rw_remove_where rep "rw"
+        (if e = "a" then Rwset.All else Rwset.Matching (fun x -> x <= "b"))
+  | 7 -> cs_op rep "cs" (fun tx s -> Compset.prepare_add s ~dot:(Txn.fresh_dot tx) e)
+  | 8 -> cs_op rep "cs" (fun tx s -> Compset.prepare_touch s ~dot:(Txn.fresh_dot tx) e)
+  | _ -> cs_op rep "cs" (fun _ s -> Compset.prepare_remove s e)
+
+(* a script step: (action, replica, element, aux) — actions 0..9 commit
+   (aux picks the delivery: everywhere, withheld from one peer,
+   duplicated, withheld from all), 10 delivers the withheld batches
+   (newest first when aux is odd), 11 delta-repairs a peer from the
+   replica, 12 runs gc, 13 snapshots the cluster, 14 restores the last
+   snapshot, 15 crashes the replica and recovers it from its WAL *)
+let set_script_gen =
+  QCheck.(
+    make
+      Gen.(
+        list_size (int_range 1 30)
+          (quad (int_bound 15) (int_bound 2)
+             (oneofl [ "a"; "b"; "c"; "d" ])
+             (int_bound 3))))
+
+let run_set_script (c : Cluster.t) (ws : Wal.t array) script :
+    (unit, string) result =
+  let reps = Array.of_list c.Cluster.replicas in
+  let sync = Sync.create ~base_backoff_ms:1.0 c in
+  let withheld = ref [] in
+  let saved = ref None in
+  (* a crash must not lose state that only delta groups or a rollback
+     installed — neither is in the WAL — so both checkpoint first *)
+  let checkpoint i = Wal.checkpoint ~gc:false ws.(i) reps.(i) in
+  let step (act, ri, e, aux) =
+    let rep = reps.(ri) in
+    if act <= 9 then begin
+      let b = set_commit rep act e in
+      Array.iteri
+        (fun j (r : Replica.t) ->
+          if j <> ri then
+            match aux with
+            | 0 -> Replica.receive r b
+            | 1 when j = (ri + 1) mod 3 -> withheld := (j, b) :: !withheld
+            | 1 -> Replica.receive r b
+            | 2 ->
+                Replica.receive r b;
+                Replica.receive r b
+            | _ -> withheld := (j, b) :: !withheld)
+        reps
+    end
+    else
+      match act with
+      | 10 ->
+          let l = if aux land 1 = 1 then !withheld else List.rev !withheld in
+          withheld := [];
+          List.iter (fun (j, b) -> Replica.receive reps.(j) b) l
+      | 11 ->
+          let j = (ri + 1 + (aux land 1)) mod 3 in
+          ignore (Sync.repair sync ~mode:Sync.Deltas ~src:rep ~dst:reps.(j));
+          checkpoint j
+      | 12 -> ignore (Replica.gc rep)
+      | 13 -> saved := Some (Cluster.snapshot c, !withheld)
+      | 14 -> (
+          match !saved with
+          | None -> ()
+          | Some (snap, w) ->
+              Cluster.restore c snap;
+              withheld := w;
+              Array.iteri (fun i _ -> checkpoint i) reps)
+      | _ ->
+          Wal.crash ws.(ri);
+          ignore (Wal.recover ws.(ri) rep)
+  in
+  let check () =
+    let all f =
+      Array.fold_left
+        (fun acc r -> Result.bind acc (fun () -> f r))
+        (Ok ()) reps
+    in
+    let ( let* ) = Result.bind in
+    let* () = all (check_set_cells ~refreshed:false) in
+    let vv0 = reps.(0).Replica.vv in
+    let clocks_match =
+      Array.for_all (fun (r : Replica.t) -> Vclock.equal r.Replica.vv vv0) reps
+    in
+    let q = Cluster.quiescent c in
+    Array.iter (fun r -> ignore (Replica.quick_digest r)) reps;
+    let* () = all (check_set_cells ~refreshed:true) in
+    let ds = Array.map Replica.state_digest reps in
+    let same = Array.for_all (String.equal ds.(0)) ds in
+    (* pairwise, whatever the clocks: the rolling digests agree exactly
+       when the exact digests do *)
+    let pairs_agree =
+      List.for_all
+        (fun (i, j) ->
+          Replica.digest_equal reps.(i) reps.(j) = String.equal ds.(i) ds.(j))
+        [ (0, 1); (0, 2); (1, 2) ]
+    in
+    if clocks_match && q <> same then
+      Error (Fmt.str "clocks match but quiescent=%b, digests equal=%b" q same)
+    else if not pairs_agree then Error "digest_equal disagrees with state_digest"
+    else Ok ()
+  in
+  let rec go = function
+    | [] -> check ()
+    | s :: rest -> Result.bind (check ()) (fun () -> step s; go rest)
+  in
+  let ( let* ) = Result.bind in
+  let* () = go script in
+  (* heal: deliver everything withheld, then anti-entropy to quiescence *)
+  step (10, 0, "a", 0);
+  let now = ref 0.0 and rounds = ref 0 in
+  while (not (Cluster.quiescent c)) && !rounds < 50 do
+    ignore (Sync.round sync ~now:!now ~send:Testutil.direct_send);
+    now := !now +. 1000.0;
+    incr rounds
+  done;
+  let* () = check () in
+  if Cluster.quiescent c then Ok () else Error "did not re-converge"
+
+let prop_incremental_set_hash =
+  QCheck.Test.make
+    ~name:"incremental set hashes match a from-scratch oracle" ~count:200
+    set_script_gen (fun script ->
+      let result = ref (Ok ()) in
+      with_walled_cluster ~group_commit:1 (fun c ws ->
+          result := run_set_script c ws script);
+      match !result with
+      | Ok () -> true
+      | Error m -> QCheck.Test.fail_report m)
+
+(* the cell of [key] at [r] *)
+let cell_of (r : Replica.t) (key : string) : Replica.cell =
+  Hashtbl.find
+    r.Replica.shards.(Replica.shard_of_key r key).Replica.sh_data
+    (Intern.id key)
+
+let dirty_entries (r : Replica.t) : int =
+  Array.fold_left
+    (fun acc (sh : Replica.shard) -> acc + sh.Replica.sh_dirty_n)
+    0 r.Replica.shards
+
+let test_hot_key_dirty_once () =
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  ignore (Replica.quick_digest east);
+  for i = 1 to 1000 do
+    ignore (add_to east "hot" (string_of_int (i mod 37)))
+  done;
+  Alcotest.(check int) "one dirty entry for 1000 updates" 1
+    (dirty_entries east);
+  ignore (Replica.quick_digest east);
+  Alcotest.(check int) "refresh drains it" 0 (dirty_entries east);
+  Alcotest.(check int) "members counted" 37 (cell_of east "hot").Replica.c_n
+
+let test_rwset_wildcard_rehash () =
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  let west = Cluster.replica c "dc-west" in
+  let sent = ref [] in
+  let bcast b =
+    Cluster.broadcast_now c b;
+    sent := b :: !sent
+  in
+  List.iter (fun e -> bcast (rw_add east "rw" e)) [ "a"; "b"; "c" ];
+  ignore (Replica.quick_digest east);
+  (* west's add is concurrent with east's wildcard: the barrier hides it *)
+  let concurrent = rw_add west "rw" "x" in
+  let wild = rw_remove_where east "rw" Rwset.All in
+  Alcotest.(check bool) "the barrier marks the cell stale" true
+    ((cell_of east "rw").Replica.c_n < 0);
+  bcast wild;
+  bcast concurrent;
+  bcast (rw_add east "rw" "d");
+  ignore (Replica.quick_digest east);
+  let fresh = Replica.create ~shards:(Replica.shard_count east) "dc-fresh" in
+  List.iter (Replica.receive fresh) (List.rev !sent);
+  ignore (Replica.quick_digest fresh);
+  Alcotest.(check (list string)) "only the post-barrier add survives" [ "d" ]
+    (match Replica.peek east "rw" with
+    | Some o -> Rwset.elements (Obj.as_rwset o)
+    | None -> []);
+  let ce = cell_of east "rw" and cf = cell_of fresh "rw" in
+  Alcotest.(check int) "same key hash as a fresh replica" cf.Replica.c_h
+    ce.Replica.c_h;
+  Alcotest.(check int) "same member count" 1 ce.Replica.c_n;
+  Alcotest.(check (result unit string)) "oracle agrees" (Ok ())
+    (check_set_cells ~refreshed:true east)
+
 (* generator seed from IPA_TEST_SEED (printed on failure) *)
 let qcheck_tests =
   List.map
@@ -1592,6 +1881,7 @@ let qcheck_tests =
       prop_interval_brackets_strong;
       prop_bound_zero_equals_strong;
       prop_weak_converges_at_quiescence;
+      prop_incremental_set_hash;
     ]
 
 let () =
@@ -1721,6 +2011,13 @@ let () =
             test_interval_brackets_truth;
           Alcotest.test_case "descent at shard-boundary divergence" `Quick
             test_descent_shard_boundary;
+        ] );
+      ( "incremental digests",
+        [
+          Alcotest.test_case "hot key queued once per poll" `Quick
+            test_hot_key_dirty_once;
+          Alcotest.test_case "rwset wildcard re-hash" `Quick
+            test_rwset_wildcard_rehash;
         ] );
       ("properties", qcheck_tests);
     ]

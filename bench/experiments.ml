@@ -74,18 +74,32 @@ let bench_row ~(experiment : string) (fields : (string * jv) list) : string =
   pr "BENCH %s@." row;
   row
 
-(** Write an experiment's accumulated rows (plus header fields) to its
-    committed [BENCH_*.json] file. *)
-let write_bench_json ~(file : string) ~(experiment : string)
+(** Write an experiment's accumulated rows (plus header fields, led by
+    [quick]) to its [BENCH_*.json] file and print the path.  A full run
+    writes the committed file at the repository root; a [quick] run
+    writes under [_build/bench/] instead, so smoke runs never overwrite
+    the committed full-run artifacts. *)
+let write_bench_json ~(quick : bool) ~(file : string) ~(experiment : string)
     (header : (string * jv) list) (rows : string list) : unit =
-  let oc = open_out file in
+  let path =
+    if not quick then file
+    else begin
+      let dir = Filename.concat "_build" "bench" in
+      List.iter
+        (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+        [ "_build"; dir ];
+      Filename.concat dir file
+    end
+  in
+  let oc = open_out path in
   Printf.fprintf oc "{%s,\"rows\":[\n%s\n]}\n"
     (String.concat ","
        (List.map
           (fun (k, v) -> Fmt.str "\"%s\":%s" k (jv_render v))
-          (("experiment", S experiment) :: header)))
+          (("experiment", S experiment) :: ("quick", B quick) :: header)))
     (String.concat ",\n" rows);
-  close_out oc
+  close_out oc;
+  pr "(wrote %s)@." path
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -924,7 +938,7 @@ let fault () =
       @. all updates while its primary is down.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path replication runtime (interning, digest cache, truncation) *)
+(* Replication runtime: rolling digests, sync index, truncation        *)
 (* ------------------------------------------------------------------ *)
 
 (** One closed replication run, driven directly through
@@ -974,9 +988,9 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
     done;
     Option.get (Txn.commit tx)
   in
-  (* seed the full key population (untimed warmup): the baseline digest
-     re-renders all of it on every poll, the fast path only the keys the
-     last commit touched *)
+  (* seed the full key population (untimed warmup): every poll then
+     compares a large store, of which only the keys the last commit
+     touched need re-hashing *)
   let seeded = ref 0 in
   while !seeded < runtime_population do
     let k = min 64 (runtime_population - !seeded) in
@@ -1005,7 +1019,7 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
         if dst.Replica.id <> origin.Replica.id && j <> victim then
           Replica.receive dst b)
       reps;
-    (* the convergence poll the fast path is for *)
+    (* the convergence poll the rolling digests keep cheap *)
     let q0 = Unix.gettimeofday () in
     if Cluster.quiescent c then incr quiescent_polls;
     quiesce_s := !quiesce_s +. (Unix.gettimeofday () -. q0);
@@ -1045,15 +1059,16 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
     rt_converged = Cluster.quiescent c;
   }
 
-(** The fast-path runtime benchmark: every (replica count, batch size)
-    configuration runs the identical schedule twice — all fast paths on,
-    then all off — asserts the runs are observably equivalent
-    (bit-identical final state digests, same convergence outcomes and
-    batch counts) and reports throughput, quiescence-poll cost and
-    batch-log footprint.  Writes [BENCH_RUNTIME.json] next to the one
-    BENCH line it prints per configuration. *)
+(** The replication runtime benchmark: every (replica count, batch size)
+    configuration replays one deterministic schedule — commits with a
+    convergence poll after each, withheld copies closed by anti-entropy,
+    periodic gc — and reports absolute throughput, quiescence-poll cost
+    and batch-log footprint.  The run fails unless the cluster
+    converged, every replica's final state digest is equal, and stable
+    truncation fired.  Writes [BENCH_RUNTIME.json] next to the one BENCH
+    line it prints per configuration. *)
 let runtime ?(quick = false) () =
-  pr "== Fast-path replication runtime: on vs off ==@.";
+  pr "== Replication runtime: throughput, quiescence polls, log footprint ==@.";
   let configs =
     if quick then [ (3, 8) ]
     else
@@ -1062,84 +1077,59 @@ let runtime ?(quick = false) () =
         [ 3; 5; 8 ]
   in
   let batches = if quick then 192 else 768 in
-  pr "%-14s %9s %9s %8s %11s %11s %7s %7s %6s@." "config" "on[s]" "off[s]"
-    "speedup" "batch/s-on" "batch/s-off" "trunc" "logmax" "ident";
+  pr "%-14s %9s %11s %10s %7s %7s %7s %6s@." "config" "wall[s]" "batch/s"
+    "quiesce[s]" "polls" "trunc" "logmax" "ident";
   let rows = ref [] in
-  let on_total = ref 0.0 and off_total = ref 0.0 in
   List.iter
     (fun (n, k) ->
-      (* the schedule is deterministic, so every trial of a mode is the
-         same computation; report the minimum wall per mode — the trial
-         least disturbed by unrelated load on the shared machine.  The
-         equivalence assertions below hold for any on/off pair. *)
+      (* the schedule is deterministic, so every trial is the same
+         computation; report the trial with the minimum wall — the one
+         least disturbed by unrelated load on the shared machine *)
       let trials = if quick then 1 else 3 in
-      let best mode =
-        let run () =
-          Fastpath.with_all mode (fun () ->
-              runtime_run ~replicas:n ~batch:k ~batches ())
-        in
-        let best = ref (run ()) in
-        for _ = 2 to trials do
-          let r = run () in
-          if r.rt_wall_s < !best.rt_wall_s then best := r
-        done;
-        !best
+      let run () = runtime_run ~replicas:n ~batch:k ~batches () in
+      let r = ref (run ()) in
+      for _ = 2 to trials do
+        let r' = run () in
+        if r'.rt_wall_s < !r.rt_wall_s then r := r'
+      done;
+      let r = !r in
+      let identical =
+        List.for_all (String.equal (List.hd r.rt_digests)) r.rt_digests
       in
-      let on = best true in
-      let off = best false in
-      if on.rt_digests <> off.rt_digests then
-        failwith "runtime: fast paths changed the replicated state";
-      if
-        on.rt_converged <> off.rt_converged
-        || on.rt_batches <> off.rt_batches
-        || on.rt_quiescent_polls <> off.rt_quiescent_polls
-      then failwith "runtime: fast paths changed an observable outcome";
-      if not on.rt_converged then
+      if not r.rt_converged then
         failwith "runtime: cluster failed to converge";
-      if on.rt_log_truncated = 0 then
+      if not identical then
+        failwith "runtime: replicas ended with different state digests";
+      if r.rt_log_truncated = 0 then
         failwith "runtime: stable truncation never fired";
-      on_total := !on_total +. on.rt_wall_s;
-      off_total := !off_total +. off.rt_wall_s;
-      let tput (r : runtime_result) =
-        float_of_int r.rt_batches /. r.rt_wall_s
-      in
-      let speedup = tput on /. tput off in
-      pr "%dx%-12d %9.3f %9.3f %7.1fx %11.0f %11.0f %7d %7d %6s@." n k
-        on.rt_wall_s off.rt_wall_s speedup (tput on) (tput off)
-        on.rt_log_truncated on.rt_log_hwm "yes";
+      let tput = float_of_int r.rt_batches /. r.rt_wall_s in
+      pr "%dx%-12d %9.3f %11.0f %10.4f %7d %7d %7d %6s@." n k r.rt_wall_s
+        tput r.rt_quiesce_s r.rt_quiescent_polls r.rt_log_truncated
+        r.rt_log_hwm "yes";
       let row =
         bench_row ~experiment:"runtime"
           [
             ("replicas", I n);
             ("batch", I k);
-            ("batches_total", I on.rt_batches);
-            ("wall_s", Fd (on.rt_wall_s, 4));
-            ("wall_s_baseline", Fd (off.rt_wall_s, 4));
-            ("speedup", Fd (speedup, 2));
-            ("batches_per_s", Fd (tput on, 0));
-            ("batches_per_s_baseline", Fd (tput off, 0));
-            ("quiesce_s", Fd (on.rt_quiesce_s, 4));
-            ("quiesce_s_baseline", Fd (off.rt_quiesce_s, 4));
-            ("quiescent_polls", I on.rt_quiescent_polls);
-            ("retransmitted", I on.rt_retransmitted);
-            ("log_final", I on.rt_log_final);
-            ("log_hwm", I on.rt_log_hwm);
-            ("log_truncated", I on.rt_log_truncated);
-            ("converged", B on.rt_converged);
-            ("identical", B true);
+            ("batches_total", I r.rt_batches);
+            ("wall_s", Fd (r.rt_wall_s, 4));
+            ("batches_per_s", Fd (tput, 0));
+            ("quiesce_s", Fd (r.rt_quiesce_s, 4));
+            ("quiescent_polls", I r.rt_quiescent_polls);
+            ("retransmitted", I r.rt_retransmitted);
+            ("log_final", I r.rt_log_final);
+            ("log_hwm", I r.rt_log_hwm);
+            ("log_truncated", I r.rt_log_truncated);
+            ("converged", B r.rt_converged);
+            ("identical", B identical);
           ]
       in
       rows := row :: !rows)
     configs;
-  let aggregate = !off_total /. !on_total in
-  pr "@.aggregate speedup (sum of baseline walls / sum of fast walls): \
-      %.1fx@." aggregate;
-  write_bench_json ~file:"BENCH_RUNTIME.json" ~experiment:"runtime"
-    [ ("quick", B quick); ("aggregate_speedup", Fd (aggregate, 2)) ]
+  write_bench_json ~quick ~file:"BENCH_RUNTIME.json" ~experiment:"runtime" []
     (List.rev !rows);
-  pr "(wrote BENCH_RUNTIME.json; both modes replay the identical \
-      schedule and@. must produce bit-identical per-replica state \
-      digests — the fast paths are@. observably free.)@."
+  pr "(every configuration converged with bit-identical per-replica state@. \
+      digests and truncated its causally stable log prefix.)@."
 
 (* ------------------------------------------------------------------ *)
 (* Scale: million-key sharded store + digest-tree anti-entropy         *)
@@ -1368,17 +1358,15 @@ let scale ?(quick = false) () =
           ]
         :: !rows)
     [ 16; 256; 4096 ];
-  write_bench_json ~file:"BENCH_SCALE.json" ~experiment:"scale"
+  write_bench_json ~quick ~file:"BENCH_SCALE.json" ~experiment:"scale"
     [
-      ("quick", B quick);
       ("keys", I n_keys);
       ("shards", I shards);
       ("theta", F theta);
     ]
     (List.rev !rows);
-  pr "(wrote BENCH_SCALE.json; the sharded and flat layouts replay the \
-      identical@. batch stream and must digest bit-identically — \
-      sharding is observably free.)@."
+  pr "(the sharded and flat layouts replay the identical batch stream@. \
+      and must digest bit-identically — sharding is observably free.)@."
 
 (* ------------------------------------------------------------------ *)
 (* Durability: delta replication wire cost + WAL crash recovery        *)
@@ -1387,7 +1375,8 @@ let scale ?(quick = false) () =
 (** Durability & delta-replication experiment (DESIGN.md §9), three
     phases: (1) wire cost of repairing a lagging replica under the
     three repair strategies over a large converged set plus hot
-    counters — delta groups must come in at least 2x under full state;
+    counters — {!Sync.repair}'s delta groups must come in at least 2x
+    under the bench-side {!Full_state.repair} baseline;
     (2) WAL crash-recovery timing, demanding a bit-identical post-
     recovery digest; (3) a crash-armed fuzz campaign across the whole
     catalog.  Writes [BENCH_DURABILITY.json]. *)
@@ -1442,12 +1431,12 @@ let durability ?(quick = false) () =
     failwith "durability: op-application reference diverged";
   let snap = Cluster.snapshot c in
   let metrics = Metrics.create () in
-  let run_mode name mode kind =
+  let run_mode name repair kind =
     Cluster.restore c snap;
     let eu = Cluster.replica c "dc-eu" in
     let s = Sync.create ~base_backoff_ms:1.0 c in
     let t0 = Unix.gettimeofday () in
-    let st = Sync.repair s ~mode ~src:east ~dst:eu in
+    let st = repair s ~src:east ~dst:eu in
     let wall = Unix.gettimeofday () -. t0 in
     Metrics.record_sync_bytes metrics ~kind st.Sync.r_bytes;
     if Replica.state_digest eu <> d_ref then
@@ -1467,9 +1456,12 @@ let durability ?(quick = false) () =
          ]);
     st.Sync.r_bytes
   in
-  let b_batches = run_mode "batches" Sync.Batches `Batch in
-  let b_state = run_mode "full_state" Sync.Full_state `State in
-  let b_delta = run_mode "deltas" Sync.Deltas `Delta in
+  let sync mode s ~src ~dst = Sync.repair s ~mode ~src ~dst in
+  let b_batches = run_mode "batches" (sync Sync.Batches) `Batch in
+  let b_state =
+    run_mode "full_state" (fun _ ~src ~dst -> Full_state.repair ~src ~dst) `State
+  in
+  let b_delta = run_mode "deltas" (sync Sync.Deltas) `Delta in
   if b_delta * 2 > b_state then
     failwith
       (Fmt.str
@@ -1581,17 +1573,15 @@ let durability ?(quick = false) () =
              ("wall_s", F wall);
            ]))
     Harness.app_names;
-  write_bench_json ~file:"BENCH_DURABILITY.json" ~experiment:"durability"
+  write_bench_json ~quick ~file:"BENCH_DURABILITY.json" ~experiment:"durability"
     [
-      ("quick", B quick);
       ("bulk_elements", I n_bulk);
       ("lag_updates", I (2 * n_lag));
       ("hot_counters", I n_counters);
       ("wal_ops", I n_ops);
       ("fuzz_runs_per_app", I runs);
     ]
-    (List.rev !rows);
-  pr "(wrote BENCH_DURABILITY.json)@."
+    (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation fuzzing smoke (DESIGN.md §7)                             *)
@@ -1761,9 +1751,8 @@ let parallel ?(quick = false) () =
       in
       rows := row :: !rows)
     [ 1; 2; 4; 8 ];
-  write_bench_json ~file:"BENCH_PARALLEL.json" ~experiment:"parallel"
+  write_bench_json ~quick ~file:"BENCH_PARALLEL.json" ~experiment:"parallel"
     [
-      ("quick", B quick);
       ("host_cores", I (Domain.recommended_domain_count ()));
       ("jobs4_speedup", Fd (!jobs4_speedup, 2));
     ]
@@ -1786,10 +1775,9 @@ let parallel ?(quick = false) () =
        assertions were still enforced)@."
       cores;
   pr
-    "@.(wrote BENCH_PARALLEL.json; every jobs level produced bit-identical\
-     @. reports and failing-seed sets — parallelism is observably free.\
-     @. host_cores=%d: speedups only materialize when the host grants more\
-     @. cores than 1.)@."
+    "(every jobs level produced bit-identical reports and failing-seed\
+     @. sets — parallelism is observably free.  host_cores=%d: speedups\
+     @. only materialize when the host grants more cores than 1.)@."
     cores
 
 (* ------------------------------------------------------------------ *)
@@ -1907,9 +1895,8 @@ let incr ?(quick = false) () =
           queries — the obligation cache must keep single-operation \
           edits under 20%%"
          (100. *. total_ratio));
-  write_bench_json ~file:"BENCH_INCR.json" ~experiment:"incr"
+  write_bench_json ~quick ~file:"BENCH_INCR.json" ~experiment:"incr"
     [
-      ("quick", B quick);
       ("host_cores", I (Domain.recommended_domain_count ()));
       ("ops", I n_ops);
       ("edits", I edits);
@@ -1918,9 +1905,9 @@ let incr ?(quick = false) () =
     ]
     (List.rev !rows);
   pr
-    "@.(wrote BENCH_INCR.json; warm re-analysis after a single-operation\
-     @. edit solved %.1f%% of the from-scratch queries (bound 20%%), with\
-     @. reports bit-identical to from-scratch at jobs=1 and jobs=4.)@."
+    "(warm re-analysis after a single-operation edit solved %.1f%% of\
+     @. the from-scratch queries (bound 20%%), with reports bit-identical\
+     @. to from-scratch at jobs=1 and jobs=4.)@."
     (100. *. total_ratio)
 
 (* ------------------------------------------------------------------ *)
@@ -2213,9 +2200,8 @@ let consistency ?(quick = false) () =
           ])
       Harness.app_names
   in
-  write_bench_json ~file:"BENCH_CONSISTENCY.json" ~experiment:"consistency"
+  write_bench_json ~quick ~file:"BENCH_CONSISTENCY.json" ~experiment:"consistency"
     [
-      ("quick", B quick);
       ("horizon_ms", Fd (horizon, 0));
       ("n_keys", I n_keys);
       ("theta", F theta);
@@ -2224,9 +2210,8 @@ let consistency ?(quick = false) () =
     ]
     (rows @ interval_rows @ fuzz_rows);
   pr
-    "@.(wrote BENCH_CONSISTENCY.json; strong reads %.1fx the latency of\
-     @. bounded@@1000ms; 0 interval escapes; %d read-oracle schedules\
-     @. per app, 0 failures.)@."
+    "(strong reads %.1fx the latency of bounded@@1000ms; 0 interval\
+     @. escapes; %d read-oracle schedules per app, 0 failures.)@."
     speedup (fuzz_runs)
 
 (* ------------------------------------------------------------------ *)
@@ -3083,9 +3068,8 @@ let escrow ?(quick = false) () =
           ])
       Harness.app_names
   in
-  write_bench_json ~file:"BENCH_ESCROW.json" ~experiment:"escrow"
+  write_bench_json ~quick ~file:"BENCH_ESCROW.json" ~experiment:"escrow"
     [
-      ("quick", B quick);
       ("theta", F theta);
       ("n_keys", I n_keys);
       ("pool0", I pool0);
@@ -3099,7 +3083,7 @@ let escrow ?(quick = false) () =
     ]
     (open_rows @ closed_rows @ headroom_rows @ plan_rows @ fuzz_rows);
   pr
-    "@.(wrote BENCH_ESCROW.json; planned placement cut blocking misses\
-     @. %.1fx vs reactive at theta=%.2f; planned p99 %.2fms < strong\
-     @. %.2fms; every conservation audit passed.)@."
+    "(planned placement cut blocking misses %.1fx vs reactive at\
+     @. theta=%.2f; planned p99 %.2fms < strong %.2fms; every\
+     @. conservation audit passed.)@."
     miss_ratio theta planned_p99 strong_p99

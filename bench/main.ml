@@ -4,16 +4,44 @@
     {v
     dune exec bench/main.exe            # run everything
     dune exec bench/main.exe -- fig4    # run a single experiment
+    dune exec bench/main.exe -- runtime --quick  # its reduced sweep
     dune exec bench/main.exe -- quick   # reduced sweeps (CI-sized)
     v} *)
 
-let usage () =
-  Fmt.pr
-    "usage: main.exe \
-     [table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|micro|analysis|ablations|fault|faultnet|runtime \
-     [--quick]|scale [--quick]|durability [--quick]|fuzz [--quick]|parallel \
-     [--quick]|incr [--quick]|consistency [--quick]|escrow \
-     [--quick]|quick|all]@."
+(** How an experiment runs: at its one size, or at a full or reduced
+    ([--quick]) size. *)
+type run = Fixed of (unit -> unit) | Sized of (quick:bool -> unit)
+
+(** Every experiment, in the order [all] runs them. *)
+let experiments : (string * run) list =
+  let sized (f : ?quick:bool -> unit -> unit) =
+    Sized (fun ~quick -> f ~quick ())
+  in
+  [
+    ("table1", Fixed Experiments.table1);
+    ("fig2", Fixed Experiments.fig2);
+    ("fig4", Fixed (fun () -> Experiments.fig4 ()));
+    ("fig5", Fixed (fun () -> Experiments.fig5 ()));
+    ("fig6", Fixed (fun () -> Experiments.fig6 ()));
+    ("fig7", Fixed (fun () -> Experiments.fig7 ()));
+    ("fig8", Fixed Experiments.fig8);
+    ("fig9", Fixed Experiments.fig9);
+    ("micro", Fixed Experiments.micro);
+    ("analysis", Fixed Experiments.analysis);
+    ("ablations", Fixed Experiments.ablations);
+    ("fault", Fixed Experiments.fault);
+    ("faultnet", Fixed Experiments.faultnet);
+    ("runtime", sized Experiments.runtime);
+    ("scale", sized Experiments.scale);
+    ("durability", sized Experiments.durability);
+    ("fuzz", sized Experiments.fuzz);
+    ("parallel", sized Experiments.parallel);
+    ("incr", sized Experiments.incr);
+    ("consistency", sized Experiments.consistency);
+    ("escrow", sized Experiments.escrow);
+  ]
+
+let exec ~quick = function Fixed f -> f () | Sized f -> f ~quick
 
 let quick () =
   (* reduced sweeps for fast end-to-end validation *)
@@ -32,87 +60,26 @@ let quick () =
   Experiments.fuzz ~quick:true ()
 
 let all () =
-  Experiments.table1 ();
-  Fmt.pr "@.";
-  Experiments.fig2 ();
-  Fmt.pr "@.";
-  Experiments.fig4 ();
-  Fmt.pr "@.";
-  Experiments.fig5 ();
-  Fmt.pr "@.";
-  Experiments.fig6 ();
-  Fmt.pr "@.";
-  Experiments.fig7 ();
-  Fmt.pr "@.";
-  Experiments.fig8 ();
-  Fmt.pr "@.";
-  Experiments.fig9 ();
-  Fmt.pr "@.";
-  Experiments.micro ();
-  Fmt.pr "@.";
-  Experiments.analysis ();
-  Fmt.pr "@.";
-  Experiments.ablations ();
-  Fmt.pr "@.";
-  Experiments.fault ();
-  Fmt.pr "@.";
-  Experiments.faultnet ();
-  Fmt.pr "@.";
-  Experiments.runtime ();
-  Fmt.pr "@.";
-  Experiments.scale ();
-  Fmt.pr "@.";
-  Experiments.durability ();
-  Fmt.pr "@.";
-  Experiments.fuzz ();
-  Fmt.pr "@.";
-  Experiments.parallel ();
-  Fmt.pr "@.";
-  Experiments.incr ();
-  Fmt.pr "@.";
-  Experiments.consistency ();
-  Fmt.pr "@.";
-  Experiments.escrow ()
+  List.iteri
+    (fun i (_, run) ->
+      if i > 0 then Fmt.pr "@.";
+      exec ~quick:false run)
+    experiments
+
+let commands : (string * run) list =
+  experiments @ [ ("quick", Fixed quick); ("all", Fixed all) ]
+
+let usage () =
+  Fmt.pr "usage: main.exe [%s]@."
+    (String.concat "|"
+       (List.map
+          (function
+            | name, Fixed _ -> name | name, Sized _ -> name ^ " [--quick]")
+          commands))
 
 let () =
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "table1" -> Experiments.table1 ()
-  | "fig2" -> Experiments.fig2 ()
-  | "fig4" -> Experiments.fig4 ()
-  | "fig5" -> Experiments.fig5 ()
-  | "fig6" -> Experiments.fig6 ()
-  | "fig7" -> Experiments.fig7 ()
-  | "fig8" -> Experiments.fig8 ()
-  | "fig9" -> Experiments.fig9 ()
-  | "micro" -> Experiments.micro ()
-  | "analysis" -> Experiments.analysis ()
-  | "ablations" -> Experiments.ablations ()
-  | "fault" -> Experiments.fault ()
-  | "faultnet" -> Experiments.faultnet ()
-  | "runtime" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.runtime ~quick ()
-  | "scale" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.scale ~quick ()
-  | "durability" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.durability ~quick ()
-  | "fuzz" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.fuzz ~quick ()
-  | "parallel" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.parallel ~quick ()
-  | "incr" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.incr ~quick ()
-  | "consistency" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.consistency ~quick ()
-  | "escrow" ->
-      let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
-      Experiments.escrow ~quick ()
-  | "quick" -> quick ()
-  | "all" -> all ()
-  | _ -> usage ()
+  let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick" in
+  match List.assoc_opt name commands with
+  | Some run -> exec ~quick run
+  | None -> usage ()

@@ -52,9 +52,6 @@ type stats = {
 type t = {
   cache : bool;
   prune : bool;
-  decompose : bool;
-      (** split pair checks into per-clause obligations (exact); off
-          reproduces the whole-invariant path for ablations *)
   ground_tbl : (Ast.formula * Ground.domain, Ground.gformula) Hashtbl.t;
   seq_tbl : (verdict_key, bool) Hashtbl.t;
   intent_tbl : (verdict_key, bool) Hashtbl.t;
@@ -116,11 +113,10 @@ let fresh_stats () =
     total_seconds = 0.0;
   }
 
-let create ?(cache = true) ?(prune = true) ?(decompose = true) () =
+let create ?(cache = true) ?(prune = true) () =
   {
     cache;
     prune;
-    decompose;
     ground_tbl = Hashtbl.create 64;
     seq_tbl = Hashtbl.create 64;
     intent_tbl = Hashtbl.create 64;
@@ -135,7 +131,7 @@ let create ?(cache = true) ?(prune = true) ?(decompose = true) () =
     (the mutable hashtables are not domain-safe and must never be
     shared; a {!frozen} snapshot may be). *)
 let fresh ~(like : t) : t =
-  create ~cache:like.cache ~prune:like.prune ~decompose:like.decompose ()
+  create ~cache:like.cache ~prune:like.prune ()
 
 (** Snapshot [t]'s caches for read-only sharing.  The copies belong to
     the snapshot alone: [t] may keep mutating its live tables. *)
@@ -228,7 +224,6 @@ let absorb ~(into : t) (child : t) : unit =
 
 let stats t = t.stats
 let prune_enabled = function Some t -> t.prune | None -> false
-let decompose_enabled = function Some t -> t.decompose | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Cache operations (all tolerate a missing context)                   *)

@@ -38,12 +38,8 @@ type stats = {
 
 type t
 
-(** [create ()] — caching, witness pruning and per-clause decomposition
-    all default to on.  [decompose:false] reproduces the whole-invariant
-    pair check (one SAT query over the violation disjunction) for
-    ablations; the decomposed mode is exact, so reports are identical
-    either way. *)
-val create : ?cache:bool -> ?prune:bool -> ?decompose:bool -> unit -> t
+(** [create ()] — caching and witness pruning both default to on. *)
+val create : ?cache:bool -> ?prune:bool -> unit -> t
 
 (** [fresh ~like] — a context with [like]'s cache/prune switches but
     empty caches and zeroed counters.  The parallel analysis gives each
@@ -83,11 +79,6 @@ val merge_stats : into:t -> t -> unit
 
 val stats : t -> stats
 val prune_enabled : t option -> bool
-
-(** Is per-clause obligation decomposition on?  [false] for a missing
-    context: without a cache to carry verdicts the decomposition only
-    multiplies solver calls. *)
-val decompose_enabled : t option -> bool
 
 (** Memoizing wrapper around {!Ground.ground}, keyed by
     (formula, domain). *)

@@ -393,17 +393,18 @@ let check_pair_decomposed ?ctx (spec : Types.t) (o1 : aop) (o2 : aop) :
   go (Pairctx.unifications spec o1.cur o2.cur)
 
 (** [check_pair spec o1 o2] decides whether the pair conflicts under any
-    parameter unification (paper: [isConflicting]).  With a decomposing
-    context (and the default frame options) the verdict is assembled
-    from cached per-clause obligations; otherwise each case is one
-    whole-invariant query. *)
+    parameter unification (paper: [isConflicting]).  With a context (and
+    the default frame options) the verdict is assembled from cached
+    per-clause obligations; without one — where no cache would carry the
+    verdicts and decomposing only multiplies solver calls — each case is
+    one whole-invariant query. *)
 let check_pair ?(restrict_clauses = true) ?(widen = true) ?ctx
     (spec : Types.t) (o1 : aop) (o2 : aop) : verdict =
   (match ctx with
   | Some c -> (Anactx.stats c).Anactx.pairs_checked <-
       (Anactx.stats c).Anactx.pairs_checked + 1
   | None -> ());
-  if restrict_clauses && widen && Anactx.decompose_enabled ctx then
+  if restrict_clauses && widen && Option.is_some ctx then
     check_pair_decomposed ?ctx spec o1 o2
   else
     let rec go = function

@@ -50,11 +50,11 @@ val check_case :
   witness option
 
 (** Does the pair conflict under any parameter unification?  With a
-    decomposing [ctx] (and default [restrict_clauses]/[widen]) the
-    verdict is assembled from per-clause obligations cached under their
-    {!Oblig.key}s — bit-identical to the whole-invariant check, but an
-    edit to the specification re-solves only the obligations whose keys
-    it reaches. *)
+    [ctx] (and default [restrict_clauses]/[widen]) the verdict is
+    assembled from per-clause obligations cached under their
+    {!Oblig.key}s — bit-identical to the whole-invariant check a call
+    without [ctx] runs, but an edit to the specification re-solves only
+    the obligations whose keys it reaches. *)
 val check_pair :
   ?restrict_clauses:bool ->
   ?widen:bool ->

@@ -282,60 +282,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                 in
                 conclude blk
           in
-          (* without decomposition (ablation contexts) worker-side
-             obligation verdicts would not feed the parent's
-             whole-invariant queries, so fan out pair-granular checks
-             as before *)
-          let rec take n = function
-            | l when n = 0 -> ([], l)
-            | [] -> ([], [])
-            | x :: rest ->
-                let a, b = take (n - 1) rest in
-                (x :: a, b)
-          in
-          let rec scan_pairs = function
-            | [] -> None
-            | cands -> (
-                let block =
-                  let n = List.length candidates in
-                  min (max (4 * jobs_n) (n / 8)) (64 * jobs_n)
-                in
-                let blk, rest = take block cands in
-                ensure_shared ();
-                let verdicts =
-                  Ipa_par.Pool.map_worker pool
-                    ~f:(fun ~worker ((o1 : Detect.aop), (o2 : Detect.aop)) ->
-                      let c = wctxs.(worker) in
-                      let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
-                      let v =
-                        Anactx.time (Some c) key (fun () ->
-                            Detect.check_pair ~ctx:c spec_now o1 o2)
-                      in
-                      (o1, o2, v))
-                    blk
-                in
-                List.iter
-                  (fun ((o1 : Detect.aop), (o2 : Detect.aop), v) ->
-                    if v = Detect.Safe then
-                      Hashtbl.replace known_safe
-                        (o1.Detect.cur.oname, o2.Detect.cur.oname)
-                        ())
-                  verdicts;
-                match
-                  List.find_map
-                    (fun (o1, o2, v) ->
-                      match v with
-                      | Detect.Conflict w -> Some (o1, o2, w)
-                      | Detect.Safe -> None)
-                    verdicts
-                with
-                | Some c -> Some c
-                | None -> scan_pairs rest)
-          in
-          let found =
-            if Anactx.decompose_enabled (Some ctx) then scan candidates
-            else scan_pairs candidates
-          in
+          let found = scan candidates in
           (* merge every worker's private discoveries (grounding,
              obligations solved for its blocks, witness cases) into the
              parent so the next iteration's snapshot carries them *)

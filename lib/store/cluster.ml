@@ -48,32 +48,23 @@ let restore (c : t) (s : snapshot) : unit =
     lose messages, equal clocks alone no longer prove equal state (a
     double-applied counter increment leaves the clock untouched).
 
-    With {!Fastpath.digest_cache} on, the comparison uses the rolling
-    combinable digest — O(keys changed since the last poll) per replica
-    instead of a full state re-render, which is what makes high-rate
-    convergence polling affordable.  The outcome is identical either
-    way (both digests are equal exactly when the observable states
-    agree). *)
+    The comparison uses the rolling combinable digest
+    ({!Replica.digest_equal}): O(keys changed since the last poll) per
+    replica instead of a full state re-render, which is what makes
+    high-rate convergence polling affordable.  Both digests are equal
+    exactly when the observable states agree (up to hash collision), so
+    the answer is the one an exact {!Replica.state_digest} comparison
+    gives. *)
 let quiescent (c : t) : bool =
   match c.replicas with
   | [] -> true
   | r0 :: rest ->
-      if !Fastpath.digest_cache then
-        (* root-digest comparison without building the digest strings:
-           refresh is O(changed keys), the comparison O(1) *)
-        List.for_all
-          (fun (r : Replica.t) ->
-            Ipa_crdt.Vclock.equal r.Replica.vv r0.Replica.vv
-            && Replica.pending_count r = 0
-            && Replica.digest_equal r0 r)
-          rest
-        && Replica.pending_count r0 = 0
-      else
-        let d0 = Replica.state_digest r0 in
-        List.for_all
-          (fun (r : Replica.t) ->
-            Ipa_crdt.Vclock.equal r.Replica.vv r0.Replica.vv
-            && Replica.pending_count r = 0
-            && Replica.state_digest r = d0)
-          rest
-        && Replica.pending_count r0 = 0
+      (* root-digest comparison without building the digest strings:
+         refresh is O(changed keys), the comparison O(1) *)
+      List.for_all
+        (fun (r : Replica.t) ->
+          Ipa_crdt.Vclock.equal r.Replica.vv r0.Replica.vv
+          && Replica.pending_count r = 0
+          && Replica.digest_equal r0 r)
+        rest
+      && Replica.pending_count r0 = 0

@@ -618,11 +618,16 @@ let obs_string (o : Obj.t) : string option =
       let v = Compcounter.raw_value c in
       if v = 0 then None else Some (Fmt.str "cc:%d" v)
 
-(** From-scratch digest of the replica's {e observable} state: renders
-    every object.  Kept as the reference implementation — the cached
-    {!state_digest} must produce a bit-identical string (asserted by the
-    equivalence tests and the [runtime] benchmark). *)
-let state_digest_scratch (r : t) : string =
+(** A digest of the replica's {e observable} state: two replicas that
+    applied the same set of batches digest identically, whatever the
+    arrival order; keys whose state is indistinguishable from the empty
+    object are skipped, so a replica that merely {e read} a key digests
+    the same as one that never touched it.  Always a full rendering of
+    every object (so it is bit-identical whatever the shard count) —
+    convergence {e polling} goes through {!digest_equal}, which is what
+    the rolling hashes accelerate; the exact digest is only demanded at
+    checkpoints (final comparison, failure reports). *)
+let state_digest (r : t) : string =
   let entries =
     fold_data r
       (fun key obj acc ->
@@ -730,18 +735,6 @@ let refresh_shard (r : t) (i : int) : unit = refresh_shard_s r.shards.(i)
 
 let refresh_digest (r : t) : unit = Array.iter refresh_shard_s r.shards
 
-(** A digest of the replica's {e observable} state: two replicas that
-    applied the same set of batches digest identically, whatever the
-    arrival order; keys whose state is indistinguishable from the empty
-    object are skipped, so a replica that merely {e read} a key digests
-    the same as one that never touched it.  Always the full reference
-    rendering (so it is bit-identical whatever the shard count or
-    fast-path flags) — convergence {e polling} goes through
-    {!digest_equal}, which is what the rolling hashes accelerate; the
-    exact digest is only demanded at checkpoints (final comparison,
-    failure reports). *)
-let state_digest (r : t) : string = state_digest_scratch r
-
 (* XOR / wrapping sum of all shard digests — the digest tree's root.
    Equal across shard counts because both combinations are associative
    and commutative: regrouping the per-key contributions into different
@@ -834,8 +827,8 @@ let truncate_stable (r : t) ~(stable : Vclock.t) : int =
 
 (** Reclaim state that causal stability has made dead: rem-wins barriers
     (and the adds they permanently mask), payloads of stably-removed
-    add-wins elements (§4.2.1), and — with the fast path enabled —
-    batch-log entries every peer is known to have applied (counted in
+    add-wins elements (§4.2.1), and batch-log entries every peer is
+    known to have applied (counted in
     [log_truncated]; the retained-log high-water mark is [log_hwm]).
     Returns the number of CRDT metadata records reclaimed.  GC changes
     only internal metadata, never observable state, so keys are not
@@ -863,7 +856,7 @@ let gc (r : t) : int =
           | _ -> ())
         sh.sh_data)
     r.shards;
-  if !Fastpath.truncate_log then ignore (truncate_stable r ~stable);
+  ignore (truncate_stable r ~stable);
   !reclaimed
 
 (* ------------------------------------------------------------------ *)

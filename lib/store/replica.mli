@@ -196,15 +196,10 @@ val log_after : t -> origin:string -> known:int -> batch list
 
 (** Digest of the replica's observable state: converged replicas digest
     identically regardless of delivery order, internal metadata or
-    shard count.  Always the full reference rendering (bit-identical
-    whatever the fast-path flags) — convergence polling goes through
-    {!digest_equal} instead; the exact digest is only demanded at
-    checkpoints. *)
+    shard count.  Always a full rendering of every object — convergence
+    polling goes through {!digest_equal} instead; the exact digest is
+    only demanded at checkpoints. *)
 val state_digest : t -> string
-
-(** Reference from-scratch digest (always renders every object);
-    [state_digest] must match it bit for bit. *)
-val state_digest_scratch : t -> string
 
 (** Combinable rolling digest: equal between replicas iff their
     observable states agree (up to hash collision in the paired XOR and
@@ -218,6 +213,9 @@ val digest_equal : t -> t -> bool
 
 (** Refresh one shard's digest caches (re-hashing its dirty keys). *)
 val refresh_shard : t -> int -> unit
+
+(** Refresh every shard's digest caches. *)
+val refresh_digest : t -> unit
 
 (** One shard's rolling digest as an (entries, xor, sum) triple — the
     digest tree's inner nodes, compared during {!Sync} tree descent. *)
@@ -237,8 +235,7 @@ val truncate_stable : t -> stable:Vclock.t -> int
 
 (** Reclaim CRDT metadata made dead by causal stability (rem-wins
     barriers, stably-removed payloads) and truncate the stable batch-log
-    prefix (when {!Fastpath.truncate_log} is on).  Returns CRDT records
-    reclaimed. *)
+    prefix.  Returns CRDT records reclaimed. *)
 val gc : t -> int
 
 (** An immutable capture of a replica's full replication state, for the

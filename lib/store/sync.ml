@@ -62,25 +62,19 @@ let digest_of (r : Replica.t) : digest =
 
 (** Batches in [src]'s log that [d] (a peer's digest) is missing.
     The buffered-key membership test uses a hash set built once per
-    digest (instead of an O(n·m) [List.mem] scan per candidate), and the
+    digest (not an O(n·m) [List.mem] scan per candidate), and the
     per-origin results are concatenated once instead of appended inside
-    the fold; the returned batches and their order are unchanged. *)
+    the fold. *)
 let missing_for ~(src : Replica.t) (d : digest) : Replica.batch list =
-  let have_mem : string * int -> bool =
-    if !Fastpath.sync_index then begin
-      let have = Hashtbl.create (max 16 (2 * List.length d.d_have)) in
-      List.iter (fun k -> Hashtbl.replace have k ()) d.d_have;
-      Hashtbl.mem have
-    end
-    else fun k -> List.mem k d.d_have
-  in
+  let have = Hashtbl.create (max 16 (2 * List.length d.d_have)) in
+  List.iter (fun k -> Hashtbl.replace have k ()) d.d_have;
   List.concat
     (Hashtbl.fold
        (fun origin _ acc ->
          let known = Ipa_crdt.Vclock.get d.d_vv origin in
          List.filter
            (fun (b : Replica.batch) ->
-             not (have_mem (b.Replica.b_origin, b.Replica.b_seq)))
+             not (Hashtbl.mem have (b.Replica.b_origin, b.Replica.b_seq)))
            (Replica.log_after src ~origin ~known)
          :: acc)
        src.Replica.log [])
@@ -179,11 +173,10 @@ let divergent_keys ~(a : Replica.t) ~(b : Replica.t) : descent =
 (* State repair strategies                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** How a repair ships the state a lagging peer is missing:
-    retransmit the raw logged batches; render and ship the full current
-    state of every divergent key; or collapse the missed log interval
-    into Lamport-stamped delta groups ({!Replica.delta_group}). *)
-type repair_mode = Batches | Full_state | Deltas
+(** How a repair ships the state a lagging peer is missing: retransmit
+    the raw logged batches, or collapse the missed log interval into
+    Lamport-stamped delta groups ({!Replica.delta_group}). *)
+type repair_mode = Batches | Deltas
 
 type repair_stats = {
   r_bytes : int;  (** bytes shipped over the (modelled) wire *)
@@ -198,59 +191,6 @@ type repair_stats = {
     measures. *)
 let wire_bytes (v : 'a) : int =
   String.length (Marshal.to_string v [ Marshal.Closures ])
-
-(* full-state repair: join src's rendered state of every divergent key
-   into dst, then adopt src's delivery knowledge wholesale (clock,
-   per-origin cursors, peer clocks).  The adoption is what keeps later
-   batch deliveries exactly-once: every effect included in src's states
-   is now below dst's cursors.  Sound only when the divergent keys are
-   all mergeable (set/counter CRDTs) — the durability experiment's
-   baseline strategy *)
-let repair_full_state ~(src : Replica.t) ~(dst : Replica.t) : repair_stats =
-  let d = divergent_keys ~a:src ~b:dst in
-  let bytes = ref 0 and units = ref 0 and accepted = ref 0 in
-  List.iter
-    (fun key ->
-      match Replica.peek src key with
-      | None -> ()  (* dst-only key: nothing to ship, join cannot erase *)
-      | Some o -> (
-          match Obj.as_delta o with
-          | None ->
-              raise
-                (Obj.Type_mismatch
-                   "Sync.repair: full-state repair of a non-mergeable object")
-          | Some frag ->
-              incr units;
-              bytes := !bytes + wire_bytes (key, frag);
-              Replica.join_delta_key dst key frag;
-              incr accepted))
-    d.divergent;
-  dst.Replica.vv <- Ipa_crdt.Vclock.merge dst.Replica.vv src.Replica.vv;
-  Hashtbl.iter
-    (fun origin seq ->
-      let cur =
-        Option.value ~default:0 (Hashtbl.find_opt dst.Replica.applied origin)
-      in
-      if origin <> dst.Replica.id && seq > cur then
-        Hashtbl.replace dst.Replica.applied origin seq)
-    src.Replica.applied;
-  (* src's own commits are below src.vv too; advance dst's cursor *)
-  (let cur =
-     Option.value ~default:0
-       (Hashtbl.find_opt dst.Replica.applied src.Replica.id)
-   in
-   if src.Replica.seq > cur then
-     Hashtbl.replace dst.Replica.applied src.Replica.id src.Replica.seq);
-  let learn peer vv =
-    let prev =
-      Option.value ~default:Ipa_crdt.Vclock.empty
-        (Hashtbl.find_opt dst.Replica.peer_vvs peer)
-    in
-    Hashtbl.replace dst.Replica.peer_vvs peer (Ipa_crdt.Vclock.merge prev vv)
-  in
-  Hashtbl.iter learn src.Replica.peer_vvs;
-  learn src.Replica.id src.Replica.vv;
-  { r_bytes = !bytes; r_units = !units; r_accepted = !accepted }
 
 (* delta repair: one group per origin the peer lags on, served from the
    per-peer interval buffer when the peer has not advanced *)
@@ -302,14 +242,11 @@ let repair_deltas (s : t) ~(src : Replica.t) ~(dst : Replica.t) :
 
 (** Repair [dst] from [src] directly (over the reliable control
     channel), shipping what the chosen {!repair_mode} dictates, and
-    return the wire cost.  [Deltas] and [Batches] preserve exactly-once
-    causal delivery for later batches; [Full_state] additionally adopts
-    [src]'s delivery knowledge and requires every divergent key to be
-    mergeable. *)
+    return the wire cost.  Both modes preserve exactly-once causal
+    delivery for later batches. *)
 let repair (s : t) ~(mode : repair_mode) ~(src : Replica.t)
     ~(dst : Replica.t) : repair_stats =
   match mode with
-  | Full_state -> repair_full_state ~src ~dst
   | Deltas -> repair_deltas s ~src ~dst
   | Batches ->
       let bytes = ref 0 and units = ref 0 and accepted = ref 0 in

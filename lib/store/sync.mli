@@ -54,9 +54,9 @@ val divergent_keys : a:Replica.t -> b:Replica.t -> descent
 
 (** {1 State repair strategies} *)
 
-(** How a repair ships missing state: raw logged batches, full rendered
-    state of divergent keys, or Lamport-stamped delta groups. *)
-type repair_mode = Batches | Full_state | Deltas
+(** How a repair ships missing state: raw logged batches or
+    Lamport-stamped delta groups. *)
+type repair_mode = Batches | Deltas
 
 type repair_stats = {
   r_bytes : int;  (** bytes shipped over the (modelled) wire *)
@@ -68,10 +68,7 @@ type repair_stats = {
 val wire_bytes : 'a -> int
 
 (** Repair [dst] from [src] directly over the reliable control channel.
-    [Deltas] and [Batches] preserve exactly-once causal delivery;
-    [Full_state] adopts [src]'s delivery knowledge wholesale and
-    requires every divergent key to be mergeable (the durability
-    experiment's baseline). *)
+    Both modes preserve exactly-once causal delivery. *)
 val repair :
   t -> mode:repair_mode -> src:Replica.t -> dst:Replica.t -> repair_stats
 

@@ -744,24 +744,52 @@ let test_rules_equal () =
 (* Incremental analysis: per-clause obligations, serve protocol        *)
 (* ------------------------------------------------------------------ *)
 
-(* per-clause decomposition is exact: reports are bit-identical to the
-   whole-invariant analysis (decompose:false) and to the context-free
-   path, on every catalog app *)
+(* per-clause decomposition is exact: for every operation pair of
+   [spec], [check_pair ~ctx] (assembled from per-clause obligations)
+   returns the verdict, witness included, of the context-free
+   [check_pair] (one whole-invariant query per case) *)
+let check_decomposed_pairs (spec : Types.t) =
+  let ctx = Anactx.create () in
+  let ops = List.map Detect.aop_of spec.Types.operations in
+  let rec pairs = function
+    | [] -> []
+    | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
+  in
+  let differing =
+    List.filter_map
+      (fun ((o1 : Detect.aop), (o2 : Detect.aop)) ->
+        if Detect.check_pair ~ctx spec o1 o2 = Detect.check_pair spec o1 o2
+        then None
+        else Some (o1.Detect.cur.oname ^ "," ^ o2.Detect.cur.oname))
+      (pairs ops)
+  in
+  Alcotest.(check (list string))
+    (spec.Types.app_name ^ ": decomposed pair verdicts = whole-invariant")
+    [] differing
+
+(* the pair-level oracle on the small catalog apps and a few of their
+   mutants; and at report level, an explicit context reports what the
+   default one does *)
 let test_decompose_equivalence () =
+  let rng = Ipa_sim.Rng.create 7 in
+  let small =
+    [ Catalog.ticket (); Catalog.twitter (); Catalog.tpcw (); Catalog.tpcc () ]
+  in
+  List.iter check_decomposed_pairs
+    (small
+    @ List.map (fun spec -> Ipa_check.Specmut.mutations rng spec 2) small);
   List.iter
     (fun spec ->
       let r_on = Ipa.run ~ctx:(Anactx.create ()) spec in
-      let r_off = Ipa.run ~ctx:(Anactx.create ~decompose:false ()) spec in
       let r_none = Ipa.run spec in
       Alcotest.(check string)
-        (spec.Types.app_name ^ ": decomposed report = whole-invariant")
-        (Report.report_to_string r_off)
-        (Report.report_to_string r_on);
-      Alcotest.(check string)
-        (spec.Types.app_name ^ ": decomposed report = context-free")
+        (spec.Types.app_name ^ ": explicit-context report = default")
         (Report.report_to_string r_none)
         (Report.report_to_string r_on))
     [ Catalog.ticket (); Catalog.twitter (); mini () ]
+
+let test_decompose_equivalence_tournament () =
+  check_decomposed_pairs (Catalog.tournament ())
 
 (* an edit to one operation leaves unrelated obligations' cached
    verdicts untouched: re-checking a pair the edit did not reach adds
@@ -1191,6 +1219,8 @@ let () =
         [
           Alcotest.test_case "decomposition is exact" `Quick
             test_decompose_equivalence;
+          Alcotest.test_case "decomposition is exact (tournament)" `Slow
+            test_decompose_equivalence_tournament;
           Alcotest.test_case "edits invalidate only reached obligations"
             `Quick test_incremental_invalidation;
           Alcotest.test_case "serve round-trip" `Quick test_serve_roundtrip;

@@ -561,6 +561,36 @@ let test_escrow_publishes_demand () =
   let c' = apply_all c (Escrow.tick mgr ~now:1000.0 ~key:"k" c) in
   Alcotest.(check int) "pending drained" 5 (Bcounter.local_demand c' "r2")
 
+(* ------------------------------------------------------------------ *)
+(* Committed benchmark artifacts                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* every committed BENCH_*.json (copied next to this directory by the
+   tests' [deps]) must be a full run: [--quick] smoke runs write under
+   _build/bench/ and must never replace one *)
+let test_committed_bench_full () =
+  let root = Filename.parent_dir_name in
+  let files =
+    Sys.readdir root |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json")
+    |> List.sort String.compare
+  in
+  Alcotest.(check bool) "committed BENCH_*.json files found" true (files <> []);
+  List.iter
+    (fun f ->
+      let header =
+        In_channel.with_open_text (Filename.concat root f) In_channel.input_line
+      in
+      let full =
+        match header with
+        | Some h -> Astring.String.is_infix ~affix:{|"quick":false|} h
+        | None -> false
+      in
+      Alcotest.(check bool) (f ^ " is a full run (\"quick\":false)") true full)
+    files
+
 let () =
   Alcotest.run "ipa_runtime"
     [
@@ -645,5 +675,10 @@ let () =
             test_escrow_forecast_prewarm;
           Alcotest.test_case "demand publication" `Quick
             test_escrow_publishes_demand;
+        ] );
+      ( "bench outputs",
+        [
+          Alcotest.test_case "committed runs are full" `Quick
+            test_committed_bench_full;
         ] );
     ]

@@ -11,6 +11,103 @@ let remove_from = Testutil.remove_from
 let elements = Testutil.elements
 
 (* ------------------------------------------------------------------ *)
+(* Digest oracles                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: a set key's member hash sum and count recomputed from its
+   sorted elements with this file's own copy of the element hash, and
+   the key hash those give.  It shares no code with the replica's
+   incremental bookkeeping. *)
+let oracle_mix (h : int) : int =
+  let h = h lxor (h lsr 30) in
+  let h = h * 0xbf58476d1ce4e5b in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x94d049bb133111e in
+  h lxor (h lsr 31)
+
+let oracle_elt_hash (e : string) : int =
+  let h = ref 0x10be64c5701f3d3 in
+  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x100000001b3) e;
+  oracle_mix !h
+
+(* (type tag, members) of a set object; [None] for other types *)
+let oracle_members (o : Obj.t) : (int * string list) option =
+  match o with
+  | Obj.O_awset s -> Some (4, Awset.elements s)
+  | Obj.O_rwset s -> Some (5, Rwset.elements s)
+  | Obj.O_compset s -> Some (6, Compset.raw_elements s)
+  | _ -> None
+
+(* [Ok ()] when every set cell of [r] agrees with the oracle: a cell
+   whose count is not stale must hold the exact member sum and count;
+   with [refreshed], every set cell must also be clean and carry the
+   oracle's key hash *)
+let check_set_cells ~(refreshed : bool) (r : Replica.t) :
+    (unit, string) result =
+  let bad = ref None in
+  Array.iter
+    (fun (sh : Replica.shard) ->
+      Hashtbl.iter
+        (fun kid (c : Replica.cell) ->
+          match oracle_members c.Replica.c_obj with
+          | None -> ()
+          | Some (tag, elts) ->
+              let n = List.length elts in
+              let sum =
+                List.fold_left (fun acc e -> acc + oracle_elt_hash e) 0 elts
+              in
+              let h =
+                if n = 0 then 0
+                else
+                  oracle_mix
+                    (oracle_mix (sum + n)
+                    lxor oracle_mix ((kid * 8) + tag))
+              in
+              let fail what =
+                bad :=
+                  Some
+                    (Fmt.str "%s key %s: %s" r.Replica.id (Intern.name kid)
+                       what)
+              in
+              if c.Replica.c_n >= 0 && (c.Replica.c_n <> n || c.Replica.c_sum <> sum)
+              then fail (Fmt.str "count %d / %d, sum differs" c.Replica.c_n n)
+              else if refreshed && c.Replica.c_dirty then fail "still dirty"
+              else if refreshed && c.Replica.c_h <> h then fail "key hash")
+        sh.Replica.sh_data)
+    r.Replica.shards;
+  match !bad with None -> Ok () | Some m -> Error m
+
+(* The rolling digests checked against references that share none of
+   their code: after [Replica.refresh_digest] every set cell agrees with
+   the oracle above, and for every pair of replicas [quick_digest]
+   agrees exactly when the full rendering [state_digest] does *)
+let check_digests (reps : Replica.t list) : (unit, string) result =
+  List.iter Replica.refresh_digest reps;
+  let rec pairs = function
+    | [] -> []
+    | r :: rest -> List.map (fun r' -> (r, r')) rest @ pairs rest
+  in
+  let disagree ((a : Replica.t), (b : Replica.t)) =
+    Replica.quick_digest a = Replica.quick_digest b
+    <> (Replica.state_digest a = Replica.state_digest b)
+  in
+  match
+    List.find_map
+      (fun r ->
+        Result.fold ~ok:(fun () -> None) ~error:Option.some
+          (check_set_cells ~refreshed:true r))
+      reps
+  with
+  | Some m -> Error m
+  | None -> (
+      match List.find_opt disagree (pairs reps) with
+      | Some ((a : Replica.t), b) ->
+          Error
+            (Fmt.str "%s/%s: quick_digest and state_digest disagree"
+               a.Replica.id b.Replica.id)
+      | None -> Ok ())
+
+(* ------------------------------------------------------------------ *)
 (* Basic replication                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -645,7 +742,7 @@ let test_snapshot_restore_roundtrip () =
 
 let test_snapshot_restore_replica_still_works () =
   (* a restored replica must keep functioning: fresh commits replicate
-     and the incremental digest stays coherent with the reference *)
+     and the incremental digests stay coherent with the oracles *)
   let c = three () in
   let east = Cluster.replica c "dc-east" in
   Cluster.broadcast_now c (add_to east "players" "alice");
@@ -657,12 +754,10 @@ let test_snapshot_restore_replica_still_works () =
     (fun (r : Replica.t) ->
       Alcotest.(check (list string))
         (r.Replica.id ^ " sees post-restore commit")
-        [ "alice"; "carol" ] (elements r "players");
-      Alcotest.(check string)
-        (r.Replica.id ^ " incremental digest coherent")
-        (Replica.state_digest_scratch r)
-        (Replica.state_digest r))
+        [ "alice"; "carol" ] (elements r "players"))
     c.Cluster.replicas;
+  Alcotest.(check (result unit string)) "incremental digests coherent"
+    (Ok ()) (check_digests c.Cluster.replicas);
   Alcotest.(check bool) "quiescent after restore + commit" true
     (Cluster.quiescent c)
 
@@ -701,14 +796,9 @@ let test_shard_count_invariance () =
     Alcotest.(check bool)
       (Printf.sprintf "quiescent at %d shards" shards)
       true (Cluster.quiescent c);
-    List.iter
-      (fun (r : Replica.t) ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s scratch coherent at %d shards" r.Replica.id
-             shards)
-          (Replica.state_digest_scratch r)
-          (Replica.state_digest r))
-      c.Cluster.replicas;
+    Alcotest.(check (result unit string))
+      (Printf.sprintf "digests coherent at %d shards" shards)
+      (Ok ()) (check_digests c.Cluster.replicas);
     ( List.map
         (fun (r : Replica.t) -> Replica.state_digest r)
         c.Cluster.replicas,
@@ -777,14 +867,9 @@ let test_snapshot_restore_across_shards () =
            c.Cluster.replicas);
       (* the restored cluster keeps working, digests stay coherent *)
       Cluster.broadcast_now c (inc_keys east [ "k-5" ]);
-      List.iter
-        (fun (r : Replica.t) ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s coherent post-restore (%d shards)"
-               r.Replica.id shards)
-            (Replica.state_digest_scratch r)
-            (Replica.state_digest r))
-        c.Cluster.replicas;
+      Alcotest.(check (result unit string))
+        (Printf.sprintf "coherent post-restore (%d shards)" shards)
+        (Ok ()) (check_digests c.Cluster.replicas);
       Alcotest.(check bool)
         (Printf.sprintf "quiescent after restore at %d shards" shards)
         true (Cluster.quiescent c))
@@ -1034,7 +1119,7 @@ let test_wal_group_commit_loses_unflushed_applies () =
         (stock_value east))
 
 (* ------------------------------------------------------------------ *)
-(* Delta repair: convergence and wire-cost vs full state               *)
+(* Delta repair: convergence and wire cost vs raw batches              *)
 (* ------------------------------------------------------------------ *)
 
 let test_delta_repair_fewer_bytes () =
@@ -1066,13 +1151,7 @@ let test_delta_repair_fewer_bytes () =
     st.Sync.r_bytes
   in
   let bytes_delta = run_mode Sync.Deltas in
-  let bytes_state = run_mode Sync.Full_state in
   let bytes_batches = run_mode Sync.Batches in
-  Alcotest.(check bool)
-    (Printf.sprintf "deltas at least 2x cheaper than full state (%d vs %d)"
-       bytes_delta bytes_state)
-    true
-    (bytes_delta * 2 <= bytes_state);
   Alcotest.(check bool)
     (Printf.sprintf "deltas no dearer than raw batches (%d vs %d)" bytes_delta
        bytes_batches)
@@ -1139,18 +1218,37 @@ let prop_store_convergence =
       List.for_all (fun v -> v = List.hd views) views)
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path equivalence properties                                    *)
+(* Replication schedules against test-side oracles                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The linear reference for [Sync.missing_for]: the batches of [src]'s
+   log beyond the digest's clock, minus those the digest lists as
+   buffered, found by [List.mem] *)
+let missing_oracle ~(src : Replica.t) (d : Sync.digest) : Replica.batch list =
+  List.concat
+    (Hashtbl.fold
+       (fun origin _ acc ->
+         let known = Vclock.get d.Sync.d_vv origin in
+         List.filter
+           (fun (b : Replica.batch) ->
+             not (List.mem (b.Replica.b_origin, b.Replica.b_seq) d.Sync.d_have))
+           (Replica.log_after src ~origin ~known)
+         :: acc)
+       src.Replica.log [])
+
 (* Run a randomized replication schedule: interleaved commits, partial
-   and lost deliveries, gc (hence stable truncation) while gaps are
-   still open, then anti-entropy recovery.  Checks the incremental
-   digest against the from-scratch reference at every gc point and at
-   the end, plus the quick-digest/exact-digest coherence.  Returns the
-   final per-replica exact digests, whether quiescence was reached, and
-   whether all internal digest checks held. *)
-let run_schedule (script : (int * string * int) list) (seed : int) :
-    string list * bool * bool =
+   and lost deliveries, [gc] (hence stable truncation) while gaps are
+   still open, then anti-entropy recovery.  With [~gc:false] the gc
+   calls are skipped but the schedule is otherwise the same.  Checks the
+   digests against {!check_digests} after every gc point and at the
+   end; at every anti-entropy round, [Sync.missing_for] against
+   {!missing_oracle} for every (source, destination) pair; and every
+   [Cluster.quiescent] answer against the exact definition (equal
+   clocks, nothing pending, equal [state_digest]s).  Returns the final
+   per-replica exact digests, whether quiescence was reached, and
+   whether every check held. *)
+let run_schedule ~(gc : bool) (script : (int * string * int) list)
+    (seed : int) : string list * bool * bool =
   let c = three () in
   let ids = [ "dc-east"; "dc-west"; "dc-eu" ] in
   let st = ref (seed lor 1) in
@@ -1160,10 +1258,35 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
   in
   let ok = ref true in
   let check_digests () =
+    if Result.is_error (check_digests c.Cluster.replicas) then ok := false
+  in
+  let quiescent () =
+    let q = Cluster.quiescent c in
+    let r0 = List.hd c.Cluster.replicas in
+    let d0 = Replica.state_digest r0 in
+    let exact =
+      List.for_all
+        (fun (r : Replica.t) ->
+          Vclock.equal r.Replica.vv r0.Replica.vv
+          && Replica.pending_count r = 0
+          && Replica.state_digest r = d0)
+        c.Cluster.replicas
+    in
+    if q <> exact then ok := false;
+    q
+  in
+  let check_missing () =
+    let key (b : Replica.batch) = (b.Replica.b_origin, b.Replica.b_seq) in
     List.iter
-      (fun (r : Replica.t) ->
-        if Replica.state_digest r <> Replica.state_digest_scratch r then
-          ok := false)
+      (fun (src : Replica.t) ->
+        List.iter
+          (fun (dst : Replica.t) ->
+            let d = Sync.digest_of dst in
+            if
+              List.map key (Sync.missing_for ~src d)
+              <> List.map key (missing_oracle ~src d)
+            then ok := false)
+          c.Cluster.replicas)
       c.Cluster.replicas
   in
   let deferred = ref [] in
@@ -1187,7 +1310,9 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
             | _ -> ())
         ids;
       if i mod 3 = 2 then begin
-        ignore (Replica.gc (Cluster.replica c (List.nth ids (next_int 3))));
+        (* drawn either way, so both runs see the same deliveries *)
+        let r = Cluster.replica c (List.nth ids (next_int 3)) in
+        if gc then ignore (Replica.gc r);
         check_digests ()
       end)
     script;
@@ -1206,26 +1331,17 @@ let run_schedule (script : (int * string * int) list) (seed : int) :
   let s = Sync.create ~base_backoff_ms:100.0 c in
   let now = ref 0.0 in
   let rounds = ref 0 in
-  while (not (Cluster.quiescent c)) && !rounds < 80 do
+  while (not (quiescent ())) && !rounds < 80 do
+    check_missing ();
     ignore (Sync.round s ~now:!now ~send:direct_send);
     now := !now +. 250.0;
     incr rounds;
-    List.iter (fun (r : Replica.t) -> ignore (Replica.gc r)) c.Cluster.replicas
+    if gc then
+      List.iter (fun (r : Replica.t) -> ignore (Replica.gc r)) c.Cluster.replicas
   done;
   check_digests ();
-  (* quick-digest equality must coincide with exact-digest equality *)
-  let pairs = function
-    | (r0 : Replica.t) :: rest -> List.map (fun r -> (r0, r)) rest
-    | [] -> []
-  in
-  List.iter
-    (fun ((a : Replica.t), (b : Replica.t)) ->
-      let quick_eq = Replica.quick_digest a = Replica.quick_digest b in
-      let exact_eq = Replica.state_digest a = Replica.state_digest b in
-      if quick_eq <> exact_eq then ok := false)
-    (pairs c.Cluster.replicas);
   ( List.map (fun r -> Replica.state_digest r) c.Cluster.replicas,
-    Cluster.quiescent c,
+    quiescent (),
     !ok )
 
 let schedule_gen =
@@ -1242,18 +1358,17 @@ let prop_truncation_safe_under_loss =
     ~name:"lossy delivery + gc truncation still converges via anti-entropy"
     ~count:60 schedule_gen
     (fun (script, seed) ->
-      let _, quiescent, ok = run_schedule script seed in
+      let _, quiescent, ok = run_schedule ~gc:true script seed in
       quiescent && ok)
 
-let prop_fastpath_equivalence =
+let prop_schedule_oracles =
   QCheck.Test.make
-    ~name:"fastpath on/off: bit-identical digests and outcomes" ~count:40
-    schedule_gen
+    ~name:"gc on/off, missing_for and quiescent agree with oracles"
+    ~count:40 schedule_gen
     (fun (script, seed) ->
-      let on = Fastpath.with_all true (fun () -> run_schedule script seed) in
-      let off = Fastpath.with_all false (fun () -> run_schedule script seed) in
-      let d_on, q_on, ok_on = on and d_off, q_off, ok_off = off in
-      d_on = d_off && q_on = q_off && q_on && ok_on && ok_off)
+      let d_gc, q_gc, ok_gc = run_schedule ~gc:true script seed in
+      let d, q, ok = run_schedule ~gc:false script seed in
+      d_gc = d && q_gc = q && q && ok_gc && ok)
 
 (* ------------------------------------------------------------------ *)
 (* Delta-group equivalence property                                    *)
@@ -1275,10 +1390,10 @@ let rw_remove (rep : Replica.t) (key : string) (e : string) : Replica.batch =
   Option.get (Txn.commit tx)
 
 let prop_delta_merge_equiv =
-  (* the three ways eu can learn east's history — replayed ops, one
-     joined delta group per origin, full rendered state — must land on
-     the same observable state, for every delta CRDT mixed freely *)
-  QCheck.Test.make ~name:"delta repair == full-state merge == op application"
+  (* the two ways eu can learn east's history — replayed ops, one joined
+     delta group per origin — must land on the same observable state,
+     for every delta CRDT mixed freely *)
+  QCheck.Test.make ~name:"delta repair == op application"
     ~count:60
     QCheck.(
       make
@@ -1303,17 +1418,10 @@ let prop_delta_merge_equiv =
           Replica.receive west b)
         script;
       let d_ref = Replica.state_digest east in
-      let snap = Cluster.snapshot c in
-      let try_mode mode =
-        Cluster.restore c snap;
-        let eu = Cluster.replica c "dc-eu" in
-        let s = Sync.create ~base_backoff_ms:1.0 c in
-        ignore (Sync.repair s ~mode ~src:east ~dst:eu);
-        Replica.state_digest eu = d_ref
-      in
-      Replica.state_digest west = d_ref
-      && try_mode Sync.Deltas
-      && try_mode Sync.Full_state)
+      let eu = Cluster.replica c "dc-eu" in
+      let s = Sync.create ~base_backoff_ms:1.0 c in
+      ignore (Sync.repair s ~mode:Sync.Deltas ~src:east ~dst:eu);
+      Replica.state_digest west = d_ref && Replica.state_digest eu = d_ref)
 
 (* ------------------------------------------------------------------ *)
 (* Consistency-typed reads                                             *)
@@ -1584,69 +1692,6 @@ let prop_weak_converges_at_quiescence =
 (* Incremental set digests                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The oracle: a set key's member hash sum and count recomputed from its
-   sorted elements with this file's own copy of the element hash, and
-   the key hash those give.  It shares no code with the replica's
-   incremental bookkeeping. *)
-let oracle_mix (h : int) : int =
-  let h = h lxor (h lsr 30) in
-  let h = h * 0xbf58476d1ce4e5b in
-  let h = h lxor (h lsr 27) in
-  let h = h * 0x94d049bb133111e in
-  h lxor (h lsr 31)
-
-let oracle_elt_hash (e : string) : int =
-  let h = ref 0x10be64c5701f3d3 in
-  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x100000001b3) e;
-  oracle_mix !h
-
-(* (type tag, members) of a set object; [None] for other types *)
-let oracle_members (o : Obj.t) : (int * string list) option =
-  match o with
-  | Obj.O_awset s -> Some (4, Awset.elements s)
-  | Obj.O_rwset s -> Some (5, Rwset.elements s)
-  | Obj.O_compset s -> Some (6, Compset.raw_elements s)
-  | _ -> None
-
-(* [Ok ()] when every set cell of [r] agrees with the oracle: a cell
-   whose count is not stale must hold the exact member sum and count;
-   with [refreshed], every set cell must also be clean and carry the
-   oracle's key hash *)
-let check_set_cells ~(refreshed : bool) (r : Replica.t) :
-    (unit, string) result =
-  let bad = ref None in
-  Array.iter
-    (fun (sh : Replica.shard) ->
-      Hashtbl.iter
-        (fun kid (c : Replica.cell) ->
-          match oracle_members c.Replica.c_obj with
-          | None -> ()
-          | Some (tag, elts) ->
-              let n = List.length elts in
-              let sum =
-                List.fold_left (fun acc e -> acc + oracle_elt_hash e) 0 elts
-              in
-              let h =
-                if n = 0 then 0
-                else
-                  oracle_mix
-                    (oracle_mix (sum + n)
-                    lxor oracle_mix ((kid * 8) + tag))
-              in
-              let fail what =
-                bad :=
-                  Some
-                    (Fmt.str "%s key %s: %s" r.Replica.id (Intern.name kid)
-                       what)
-              in
-              if c.Replica.c_n >= 0 && (c.Replica.c_n <> n || c.Replica.c_sum <> sum)
-              then fail (Fmt.str "count %d / %d, sum differs" c.Replica.c_n n)
-              else if refreshed && c.Replica.c_dirty then fail "still dirty"
-              else if refreshed && c.Replica.c_h <> h then fail "key hash")
-        sh.Replica.sh_data)
-    r.Replica.shards;
-  match !bad with None -> Ok () | Some m -> Error m
-
 let rw_remove_where (rep : Replica.t) (key : string) sel : Replica.batch =
   let tx = Txn.begin_ rep in
   let s = Obj.as_rwset (Txn.get tx key Obj.T_rwset) in
@@ -1876,7 +1921,7 @@ let qcheck_tests =
     [
       prop_store_convergence;
       prop_truncation_safe_under_loss;
-      prop_fastpath_equivalence;
+      prop_schedule_oracles;
       prop_delta_merge_equiv;
       prop_interval_brackets_strong;
       prop_bound_zero_equals_strong;
@@ -1990,7 +2035,7 @@ let () =
         ] );
       ( "delta repair",
         [
-          Alcotest.test_case "delta sync cheaper than full state" `Quick
+          Alcotest.test_case "delta sync no dearer than batches" `Quick
             test_delta_repair_fewer_bytes;
         ] );
       ( "remote-first bounds",

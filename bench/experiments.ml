@@ -295,14 +295,26 @@ let fig7 ?(client_counts = [ 1; 2; 4; 8; 16; 32 ]) () =
       List.iter
         (fun clients ->
           let m, oversold = ticket_metrics variant ~clients in
-          pr "%-8s %12.1f %12.2f %12d %12d@."
-            (match variant with
+          let name =
+            match variant with
             | Ticket.Causal -> "Causal"
             | Ticket.Ipa -> "IPA"
-            | Ticket.Escrow -> "Escrow")
-            (Metrics.throughput m)
+            | Ticket.Escrow -> "Escrow"
+          in
+          pr "%-8s %12.1f %12.2f %12d %12d@." name (Metrics.throughput m)
             (Metrics.mean_latency m ())
-            oversold m.Metrics.violations)
+            oversold m.Metrics.violations;
+          (* IPA repairs every oversell on read and escrow prevents
+             them: neither may leave one observable, and escrow has
+             nothing to repair *)
+          if variant <> Ticket.Causal && oversold > 0 then
+            failwith
+              (Fmt.str "fig7: %s left %d oversold tickets at %d clients" name
+                 oversold clients);
+          if variant = Ticket.Escrow && m.Metrics.violations > 0 then
+            failwith
+              (Fmt.str "fig7: Escrow repaired %d units at %d clients"
+                 m.Metrics.violations clients))
         client_counts;
       pr "@.")
     [ Ticket.Causal; Ticket.Ipa; Ticket.Escrow ]
@@ -2353,60 +2365,9 @@ let escrow ?(quick = false) () =
             keys;
         Hashtbl.replace mgrs r.Replica.id mgr)
       reps;
-    (match cfg.Config.sync with
-    | Some s when sysv = E_planned ->
-        s.Sync.on_round <-
-          Some
-            (fun ~now ->
-              Array.iter
-                (fun rep ->
-                  let mgr = Hashtbl.find mgrs rep.Replica.id in
-                  Array.iter
-                    (fun key ->
-                      match Replica.peek rep key with
-                      | None -> ()
-                      | Some o -> (
-                          match
-                            Escrow.tick mgr ~now ~key (Obj.as_bcounter o)
-                          with
-                          | [] -> ()
-                          | ops ->
-                              let mig =
-                                {
-                                  Config.op_name = "migrate";
-                                  is_update = true;
-                                  reservations = [];
-                                  run =
-                                    (fun r ->
-                                      let tx = Txn.begin_ r in
-                                      ignore (Txn.get tx key Obj.T_bcounter);
-                                      List.iter
-                                        (fun op ->
-                                          Txn.update tx key (Obj.Op_bcounter op))
-                                        ops;
-                                      match Txn.commit tx with
-                                      | Some b ->
-                                          List.iter
-                                            (function
-                                              | Ipa_crdt.Bcounter.Transfer
-                                                  { n; _ }
-                                              | Ipa_crdt.Bcounter.Hmove { n; _ }
-                                                ->
-                                                  Metrics
-                                                  .record_escrow_migration em
-                                                    ~rights:n
-                                              | _ -> ())
-                                            ops;
-                                          Config.outcome (Some b)
-                                      | None -> Config.outcome None);
-                                }
-                              in
-                              Config.execute cfg
-                                ~client_region:rep.Replica.region mig
-                                ~complete:(fun _ _ -> ())))
-                    keys)
-                reps)
-    | _ -> ());
+    if sysv = E_planned then
+      Escrow.piggyback cfg ~manager:(Hashtbl.find mgrs)
+        ~keys:(Array.to_list keys) em;
     (* conservation probes: audit every replica's causally consistent
        view of every counter twice per sync interval, all run long *)
     let audits = ref 0 in
@@ -2435,8 +2396,8 @@ let escrow ?(quick = false) () =
               reps)
       done
     end;
-    (* the guarded decrement: covered locally (`Hit) or pay a blocking
-       WAN fetch of half the richest peer's rights (`Miss) and retry *)
+    (* the guarded decrement: covered locally or through Escrow.fetch's
+       blocking WAN round-trip *)
     let dec_op k : Config.op_exec =
       {
         Config.op_name = "buy";
@@ -2464,91 +2425,10 @@ let escrow ?(quick = false) () =
             else begin
               if sysv = E_planned then
                 Escrow.note_dec (Hashtbl.find mgrs rep.Replica.id) ~key 1;
-              let tx = Txn.begin_ rep in
-              let c = Obj.as_bcounter (Txn.get tx key Obj.T_bcounter) in
-              match Ipa_crdt.Bcounter.prepare_dec c ~rep:rep.Replica.id 1 with
-              | op -> (
-                  Txn.update tx key (Obj.Op_bcounter op);
-                  match Txn.commit tx with
-                  | Some b ->
-                      note_attempt `Hit;
-                      truth.(k) <- truth.(k) - 1;
-                      Config.outcome (Some b)
-                  | None -> Config.outcome None)
-              | exception Ipa_crdt.Bcounter.Insufficient_rights _ -> (
-                  Txn.abort tx;
-                  if sysv = E_planned && Sys.getenv_opt "ESCROW_DBG" <> None
-                  then
-                    Fmt.epr "DBG miss t=%.0f key=%s rep=%s hist=%a@."
-                      (Engine.now engine) key rep.Replica.id
-                      Fmt.(
-                        list ~sep:comma (fun ppf (r, n) ->
-                            Fmt.pf ppf "%s=%d" r n))
-                      (Ipa_crdt.Bcounter.rights_histogram c);
-                  let richest = ref None in
-                  Array.iter
-                    (fun peer ->
-                      if peer.Replica.id <> rep.Replica.id then
-                        match Replica.peek peer key with
-                        | Some o ->
-                            let have =
-                              Ipa_crdt.Bcounter.local_rights
-                                (Obj.as_bcounter o) peer.Replica.id
-                            in
-                            if
-                              have > 0
-                              && match !richest with
-                                 | Some (_, best) -> have > best
-                                 | None -> true
-                            then richest := Some (peer, have)
-                        | None -> ())
-                    reps;
-                  match !richest with
-                  | None ->
-                      (* globally exhausted: the fetch came back empty *)
-                      note_attempt (`Miss 0);
-                      Config.outcome ~extra_rtts:1 None
-                  | Some (peer, have) -> (
-                      let n = max 1 (have / 2) in
-                      let ptx = Txn.begin_ peer in
-                      let pc =
-                        Obj.as_bcounter (Txn.get ptx key Obj.T_bcounter)
-                      in
-                      match
-                        Ipa_crdt.Bcounter.prepare_transfer pc
-                          ~from_:peer.Replica.id ~to_:rep.Replica.id n
-                      with
-                      | exception Ipa_crdt.Bcounter.Insufficient_rights _ ->
-                          Txn.abort ptx;
-                          note_attempt (`Miss 0);
-                          Config.outcome ~extra_rtts:1 None
-                      | top -> (
-                          Txn.update ptx key (Obj.Op_bcounter top);
-                          match Txn.commit ptx with
-                          | None -> Config.outcome ~extra_rtts:1 None
-                          | Some pb -> (
-                              Cluster.broadcast_now cluster pb;
-                              note_attempt (`Miss n);
-                              let tx2 = Txn.begin_ rep in
-                              let c2 =
-                                Obj.as_bcounter (Txn.get tx2 key Obj.T_bcounter)
-                              in
-                              match
-                                Ipa_crdt.Bcounter.prepare_dec c2
-                                  ~rep:rep.Replica.id 1
-                              with
-                              | exception
-                                  Ipa_crdt.Bcounter.Insufficient_rights _ ->
-                                  Txn.abort tx2;
-                                  Config.outcome ~extra_rtts:1 None
-                              | dop -> (
-                                  Txn.update tx2 key (Obj.Op_bcounter dop);
-                                  match Txn.commit tx2 with
-                                  | Some b ->
-                                      truth.(k) <- truth.(k) - 1;
-                                      Config.outcome ~extra_rtts:1 (Some b)
-                                  | None -> Config.outcome ~extra_rtts:1 None))))
-                  )
+              let f = Escrow.fetch cluster Escrow.Rights rep ~key in
+              note_attempt f.Escrow.attempt;
+              if f.Escrow.batch <> None then truth.(k) <- truth.(k) - 1;
+              Escrow.outcome f
             end);
       }
     in
@@ -2801,55 +2681,8 @@ let escrow ?(quick = false) () =
                (Array.to_list rep_ids));
         Hashtbl.replace mgrs r.Replica.id mgr)
       reps;
-    (match cfg.Config.sync with
-    | Some s when planned ->
-        s.Sync.on_round <-
-          Some
-            (fun ~now ->
-              Array.iter
-                (fun rep ->
-                  match Replica.peek rep key with
-                  | None -> ()
-                  | Some o -> (
-                      match
-                        Escrow.tick
-                          (Hashtbl.find mgrs rep.Replica.id)
-                          ~now ~key (Obj.as_bcounter o)
-                      with
-                      | [] -> ()
-                      | ops ->
-                          let mig =
-                            {
-                              Config.op_name = "migrate";
-                              is_update = true;
-                              reservations = [];
-                              run =
-                                (fun r ->
-                                  let tx = Txn.begin_ r in
-                                  ignore (Txn.get tx key Obj.T_bcounter);
-                                  List.iter
-                                    (fun op ->
-                                      Txn.update tx key (Obj.Op_bcounter op))
-                                    ops;
-                                  match Txn.commit tx with
-                                  | Some b ->
-                                      List.iter
-                                        (function
-                                          | Ipa_crdt.Bcounter.Transfer { n; _ }
-                                          | Ipa_crdt.Bcounter.Hmove { n; _ } ->
-                                              Metrics.record_escrow_migration
-                                                em ~rights:n
-                                          | _ -> ())
-                                        ops;
-                                      Config.outcome (Some b)
-                                  | None -> Config.outcome None);
-                            }
-                          in
-                          Config.execute cfg ~client_region:rep.Replica.region
-                            mig
-                            ~complete:(fun _ _ -> ())))
-                reps)
-    | _ -> ());
+    if planned then
+      Escrow.piggyback cfg ~manager:(Hashtbl.find mgrs) ~keys:[ key ] em;
     let truth = ref 0 in
     let enroll : Config.op_exec =
       {
@@ -2860,80 +2693,10 @@ let escrow ?(quick = false) () =
           (fun rep ->
             if planned then
               Escrow.note_inc (Hashtbl.find mgrs rep.Replica.id) ~key 1;
-            let tx = Txn.begin_ rep in
-            let c = Obj.as_bcounter (Txn.get tx key Obj.T_bcounter) in
-            match Ipa_crdt.Bcounter.prepare_inc c ~rep:rep.Replica.id 1 with
-            | op -> (
-                Txn.update tx key (Obj.Op_bcounter op);
-                match Txn.commit tx with
-                | Some b ->
-                    Metrics.record_escrow_attempt em `Hit;
-                    Stdlib.incr truth;
-                    Config.outcome (Some b)
-                | None -> Config.outcome None)
-            | exception Ipa_crdt.Bcounter.Insufficient_headroom _ -> (
-                Txn.abort tx;
-                let richest = ref None in
-                Array.iter
-                  (fun peer ->
-                    if peer.Replica.id <> rep.Replica.id then
-                      match Replica.peek peer key with
-                      | Some o ->
-                          let have =
-                            Ipa_crdt.Bcounter.local_headroom
-                              (Obj.as_bcounter o) peer.Replica.id
-                          in
-                          if
-                            have > 0
-                            && match !richest with
-                               | Some (_, best) -> have > best
-                               | None -> true
-                          then richest := Some (peer, have)
-                      | None -> ())
-                  reps;
-                match !richest with
-                | None ->
-                    Metrics.record_escrow_attempt em (`Miss 0);
-                    Config.outcome ~extra_rtts:1 None
-                | Some (peer, have) -> (
-                    let n = max 1 (have / 2) in
-                    let ptx = Txn.begin_ peer in
-                    let pc = Obj.as_bcounter (Txn.get ptx key Obj.T_bcounter) in
-                    match
-                      Ipa_crdt.Bcounter.prepare_hmove pc ~from_:peer.Replica.id
-                        ~to_:rep.Replica.id n
-                    with
-                    | exception Ipa_crdt.Bcounter.Insufficient_headroom _ ->
-                        Txn.abort ptx;
-                        Metrics.record_escrow_attempt em (`Miss 0);
-                        Config.outcome ~extra_rtts:1 None
-                    | top -> (
-                        Txn.update ptx key (Obj.Op_bcounter top);
-                        match Txn.commit ptx with
-                        | None -> Config.outcome ~extra_rtts:1 None
-                        | Some pb -> (
-                            Cluster.broadcast_now cluster pb;
-                            Metrics.record_escrow_attempt em (`Miss n);
-                            let tx2 = Txn.begin_ rep in
-                            let c2 =
-                              Obj.as_bcounter (Txn.get tx2 key Obj.T_bcounter)
-                            in
-                            match
-                              Ipa_crdt.Bcounter.prepare_inc c2
-                                ~rep:rep.Replica.id 1
-                            with
-                            | exception
-                                Ipa_crdt.Bcounter.Insufficient_headroom _ ->
-                                Txn.abort tx2;
-                                Config.outcome ~extra_rtts:1 None
-                            | iop -> (
-                                Txn.update tx2 key (Obj.Op_bcounter iop);
-                                match Txn.commit tx2 with
-                                | Some b ->
-                                    Stdlib.incr truth;
-                                    Config.outcome ~extra_rtts:1 (Some b)
-                                | None -> Config.outcome ~extra_rtts:1 None))))
-                ));
+            let f = Escrow.fetch cluster Escrow.Headroom rep ~key in
+            Metrics.record_escrow_attempt em f.Escrow.attempt;
+            if f.Escrow.batch <> None then Stdlib.incr truth;
+            Escrow.outcome f);
       }
     in
     let hz = Workload.zipf 1 in

@@ -8,42 +8,38 @@
     units (the red dots of Figure 7).  The [Ipa] variant uses the
     {!Ipa_crdt.Compcounter}: reads repair the violation by cancelling the
     oversold tickets and reimbursing the buyers (the compensation commits
-    with the reading transaction). *)
+    with the reading transaction).  The [Escrow] variant keeps
+    availability in a {!Ipa_crdt.Bcounter}, whose replicated decrement
+    rights prevent overselling outright. *)
 
 open Ipa_crdt
 open Ipa_store
 open Ipa_runtime
+open App_ops
 
 type variant =
   | Causal  (** plain PN-counter: overselling possible *)
   | Ipa  (** compensation counter: overselling repaired on read (§3.4) *)
   | Escrow
       (** pre-partitioned decrement rights (the escrow technique the
-          paper cites [11, 27, 35]): overselling is {e prevented}, but a
-          replica whose rights run out must obtain a transfer from a
-          peer — the coordination round-trip IPA avoids.  The rights
-          ledger is the holder-side grant protocol, modelled atomically
-          (the simulation is single-threaded); the grant's WAN cost is
-          charged to the operation via [extra_rtts]. *)
+          paper cites [11, 27, 35]) in a replicated bounded counter:
+          overselling is {e prevented}, but a replica whose rights run
+          out must fetch half of the richest peer's ({!Escrow.fetch}) —
+          the coordination round-trip IPA avoids, charged to the
+          operation via [extra_rtts]. *)
 
 type t = {
   variant : variant;
   initial_stock : int;
-  rights : (string * string, int) Hashtbl.t;
-      (** escrow ledger: (event, replica) → decrement rights held *)
+  mutable cluster : Cluster.t option;
+      (** the peers an escrow fetch draws on, set by {!seed_data} *)
 }
 
 let create ?(initial_stock = 100) (variant : variant) : t =
-  { variant; initial_stock; rights = Hashtbl.create 16 }
-
-let rights_of (app : t) e rep =
-  Option.value ~default:0 (Hashtbl.find_opt app.rights (e, rep))
+  { variant; initial_stock; cluster = None }
 
 let k_events = "events"
 let k_avail e = "avail:" ^ e
-
-let mk name is_update reservations run : Config.op_exec =
-  { Config.op_name = name; is_update; reservations; run }
 
 (* availability accessors per variant *)
 let avail_value (app : t) tx key : int =
@@ -52,8 +48,7 @@ let avail_value (app : t) tx key : int =
   | Ipa ->
       Compcounter.raw_value
         (Obj.as_compcounter (Txn.get tx key (Obj.T_compcounter { min_value = 0 })))
-  | Escrow ->
-      Pncounter.value (Obj.as_pncounter (Txn.get tx key Obj.T_pncounter))
+  | Escrow -> Bcounter.value (Obj.as_bcounter (Txn.get tx key Obj.T_bcounter))
 
 let avail_delta (app : t) tx key d : unit =
   match app.variant with
@@ -69,63 +64,34 @@ let avail_delta (app : t) tx key d : unit =
         (Obj.Op_compcounter
            (Compcounter.prepare_delta c ~rep:tx.Txn.rep.Replica.id d))
   | Escrow ->
-      let c = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
+      (* restocks only: the increment grants its rights to this replica *)
+      let c = Obj.as_bcounter (Txn.get tx key Obj.T_bcounter) in
       Txn.update tx key
-        (Obj.Op_pncounter (Pncounter.prepare c ~rep:tx.Txn.rep.Replica.id d))
+        (Obj.Op_bcounter (Bcounter.prepare_inc c ~rep:tx.Txn.rep.Replica.id d))
 
 (** Buy one ticket.  The application checks availability first (its
     precondition); overselling can still happen via concurrency in the
     Causal and IPA variants.  The Escrow variant can never oversell:
-    when the local rights are exhausted it transfers rights from the
+    when the local rights are exhausted it fetches rights from the
     richest peer — a coordination round-trip, reported via
     [extra_rtts] so the runtime charges WAN latency for it. *)
 let buy_ticket (app : t) (e : string) : Config.op_exec =
   mk "buy_ticket" true [ (k_avail e, Config.Shared) ] (fun rep ->
       let tx = Txn.begin_ rep in
       let key = k_avail e in
-      match app.variant with
-      | Escrow ->
-          let me = rep.Replica.id in
-          let have = rights_of app e me in
-          if have > 0 then begin
-            Hashtbl.replace app.rights (e, me) (have - 1);
-            avail_delta app tx key (-1);
-            Config.outcome (Txn.commit tx)
-          end
-          else begin
-            (* ask the richest peer for half of its rights (holder-side
-               grant, one WAN round-trip) *)
-            let richest, rights =
-              List.fold_left
-                (fun (br, bn) peer ->
-                  if peer = me then (br, bn)
-                  else
-                    let n = rights_of app e peer in
-                    if n > bn then (peer, n) else (br, bn))
-                ("", 0) rep.Replica.peers
-            in
-            if rights <= 0 then begin
-              Txn.abort tx;
-              Config.outcome None (* genuinely sold out *)
-            end
-            else begin
-              let n = max 1 (rights / 2) in
-              Hashtbl.replace app.rights (e, richest) (rights - n);
-              Hashtbl.replace app.rights (e, me) (n - 1);
-              avail_delta app tx key (-1);
-              Config.outcome ~extra_rtts:1 (Txn.commit tx)
-            end
-          end
-      | Causal | Ipa ->
-          let v = avail_value app tx key in
-          if v > 0 then begin
-            avail_delta app tx key (-1);
-            Config.outcome (Txn.commit tx)
-          end
-          else begin
+      if avail_value app tx key <= 0 then begin
+        Txn.abort tx;
+        Config.outcome None (* sold out: no effect *)
+      end
+      else
+        match (app.variant, app.cluster) with
+        | Escrow, Some cluster ->
             Txn.abort tx;
-            Config.outcome None (* sold out: no effect *)
-          end)
+            Escrow.outcome (Escrow.fetch cluster Escrow.Rights rep ~key)
+        | Escrow, None -> invalid_arg "Ticket.buy_ticket: seed_data first"
+        | (Causal | Ipa), _ ->
+            avail_delta app tx key (-1);
+            Config.outcome (Txn.commit tx))
 
 (** Read an event's availability.  Causal observes (and counts) raw
     violations; IPA repairs them through the compensation counter. *)
@@ -144,9 +110,7 @@ let read_event (app : t) (e : string) : Config.op_exec =
           ignore (Txn.commit tx);
           Config.outcome None
       | Escrow ->
-          let v =
-            Pncounter.value (Obj.as_pncounter (Txn.get tx key Obj.T_pncounter))
-          in
+          let v = avail_value app tx key in
           ignore (Txn.commit tx);
           (* escrow never oversells: a negative value would be a bug *)
           Config.outcome ~violations:(max 0 (-v)) None
@@ -175,6 +139,7 @@ let count_violations (app : t) (rep : Replica.t) (events : string list) : int =
     (fun acc e ->
       match Replica.peek rep (k_avail e) with
       | Some (Obj.O_pncounter c) -> if Pncounter.value c < 0 then acc + 1 else acc
+      | Some (Obj.O_bcounter c) -> if Bcounter.value c < 0 then acc + 1 else acc
       | Some (Obj.O_compcounter _) ->
           (* reads run the compensation: the observed value is clamped *)
           acc
@@ -229,6 +194,7 @@ let next_op (app : t) (wp : workload_params) (rng : Ipa_sim.Rng.t)
   else read_event app (event wp rng)
 
 let seed_data (app : t) (wp : workload_params) (cluster : Cluster.t) : unit =
+  app.cluster <- Some cluster;
   let rep = List.hd cluster.Cluster.replicas in
   let tx = Txn.begin_ rep in
   for i = 0 to wp.n_events - 1 do
@@ -236,22 +202,23 @@ let seed_data (app : t) (wp : workload_params) (cluster : Cluster.t) : unit =
     let s = Obj.as_awset (Txn.get tx k_events Obj.T_awset) in
     Txn.update tx k_events
       (Obj.Op_awset (Awset.prepare_add s ~dot:(Txn.fresh_dot tx) e));
-    (match app.variant with
+    match app.variant with
     | Escrow ->
-        (* pre-partition the decrement rights among the replicas — the
-           coordination-free setup the escrow technique relies on *)
-        let peers = rep.Replica.peers in
-        let share = app.initial_stock / List.length peers in
+        (* pre-partition the decrement rights among the replicas, an
+           equal floor share each — the coordination-free setup the
+           escrow technique relies on *)
+        let ids =
+          List.map
+            (fun (r : Replica.t) -> r.Replica.id)
+            cluster.Cluster.replicas
+        in
+        let share = app.initial_stock / List.length ids in
         List.iter
-          (fun peer -> Hashtbl.replace app.rights (e, peer) share)
-          peers
-    | Causal | Ipa -> ());
-    avail_delta app tx (k_avail e)
-      (match app.variant with
-      | Escrow ->
-          app.initial_stock / List.length rep.Replica.peers
-          * List.length rep.Replica.peers
-      | _ -> app.initial_stock)
+          (fun op -> Txn.update tx (k_avail e) (Obj.Op_bcounter op))
+          (Escrow.seed
+             ~shares:(List.map (fun id -> (id, share)) ids)
+             ~value:(share * List.length ids) ())
+    | Causal | Ipa -> avail_delta app tx (k_avail e) app.initial_stock
   done;
   match Txn.commit tx with
   | Some b -> Cluster.broadcast_now cluster b

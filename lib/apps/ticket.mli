@@ -3,8 +3,9 @@
 
     [Causal] exposes oversells; [Ipa] repairs them on read through the
     compensation counter (cancel + reimburse); [Escrow] prevents them
-    with pre-partitioned decrement rights, paying a WAN grant when a
-    replica's rights run out. *)
+    with the decrement rights of a replicated bounded counter, paying a
+    WAN round-trip ({!Ipa_runtime.Escrow.fetch}) when a replica's rights
+    run out.  Its buys need the cluster {!seed_data} received. *)
 
 open Ipa_store
 open Ipa_runtime

@@ -20,6 +20,7 @@
 open Ipa_crdt
 open Ipa_store
 open Ipa_runtime
+open App_ops
 
 type variant = Causal | Ipa
 
@@ -38,22 +39,7 @@ let k_matches t = "matches:" ^ t
 (* Store helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let aw_get tx key = Obj.as_awset (Txn.get tx key Obj.T_awset)
 let rw_get tx key = Obj.as_rwset (Txn.get tx key Obj.T_rwset)
-
-let aw_add ?payload tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key
-    (Obj.Op_awset (Awset.prepare_add ?payload s ~dot:(Txn.fresh_dot tx) e))
-
-let aw_touch tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key
-    (Obj.Op_awset (Awset.prepare_touch s ~dot:(Txn.fresh_dot tx) e))
-
-let aw_remove tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key (Obj.Op_awset (Awset.prepare_remove s e))
 
 let rw_add tx key e =
   let s = rw_get tx key in
@@ -133,9 +119,6 @@ let ensure_end (app : t) tx tname =
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let mk name is_update reservations run : Config.op_exec =
-  { Config.op_name = name; is_update; reservations; run }
 
 let sh r = (r, Config.Shared)
 let ex r = (r, Config.Exclusive)

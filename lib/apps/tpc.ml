@@ -14,6 +14,7 @@
 open Ipa_crdt
 open Ipa_store
 open Ipa_runtime
+open App_ops
 
 type variant = Causal | Ipa
 
@@ -27,25 +28,6 @@ let k_items = "items"
 let k_orders = "orders"
 let k_stock i = "stock:" ^ i
 let k_lines o = "lines:" ^ o
-
-let mk name is_update reservations run : Config.op_exec =
-  { Config.op_name = name; is_update; reservations; run }
-
-let aw_get tx key = Obj.as_awset (Txn.get tx key Obj.T_awset)
-
-let aw_add ?payload tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key
-    (Obj.Op_awset (Awset.prepare_add ?payload s ~dot:(Txn.fresh_dot tx) e))
-
-let aw_touch tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key
-    (Obj.Op_awset (Awset.prepare_touch s ~dot:(Txn.fresh_dot tx) e))
-
-let aw_remove tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key (Obj.Op_awset (Awset.prepare_remove s e))
 
 let stock_value (app : t) tx key : int =
   match app.variant with

@@ -18,6 +18,7 @@
 open Ipa_crdt
 open Ipa_store
 open Ipa_runtime
+open App_ops
 
 type variant = Causal | Add_wins | Rem_wins
 
@@ -31,25 +32,6 @@ let k_tweets = "tweets"
 let k_timeline u = "timeline:" ^ u
 let k_follows u = "follows:" ^ u
 let k_retweets t = "retweets:" ^ t
-
-let mk name is_update reservations run : Config.op_exec =
-  { Config.op_name = name; is_update; reservations; run }
-
-let aw_get tx key = Obj.as_awset (Txn.get tx key Obj.T_awset)
-
-let aw_add ?payload tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key
-    (Obj.Op_awset (Awset.prepare_add ?payload s ~dot:(Txn.fresh_dot tx) e))
-
-let aw_touch tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key
-    (Obj.Op_awset (Awset.prepare_touch s ~dot:(Txn.fresh_dot tx) e))
-
-let aw_remove tx key e =
-  let s = aw_get tx key in
-  Txn.update tx key (Obj.Op_awset (Awset.prepare_remove s e))
 
 (* deterministic follower sample: user u's followers *)
 let followers (app : t) ~(n_users : int) (u : int) : string list =

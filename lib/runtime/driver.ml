@@ -28,6 +28,29 @@ let default_workload next_op =
     next_op;
   }
 
+(* Run [op] for a client in [region] — through {!Config.execute}, or
+   {!Config.execute_read} when it is a read mapped to a non-weak level —
+   and, if [in_window] holds at completion, record its latency and
+   violations (or its failure) in [m]; [k] then sees the outcome. *)
+let dispatch (cfg : Config.t) (m : Metrics.t) ~read_level_of ~in_window
+    ~region (op : Config.op_exec) (k : Config.outcome -> unit) : unit =
+  let execute =
+    match
+      if op.Config.is_update then Config.RL_weak
+      else read_level_of op.Config.op_name
+    with
+    | Config.RL_weak -> Config.execute cfg ~client_region:region
+    | level -> Config.execute_read cfg ~client_region:region ~level
+  in
+  execute op ~complete:(fun lat outcome ->
+      if in_window (Engine.now cfg.Config.engine) then
+        if outcome.Config.unavailable then Metrics.record_failure m
+        else begin
+          Metrics.record m ~op:op.Config.op_name lat;
+          Metrics.record_violations m outcome.Config.violations
+        end;
+      k outcome)
+
 (** Run a workload against a configuration; returns the metrics of the
     measured window.
 
@@ -63,23 +86,9 @@ let run ?(seed = 42) ?(read_level_of = fun (_ : string) -> Config.RL_weak)
         let rec loop () =
           if Engine.now engine < t_end then begin
             let op = w.next_op rng ~region in
-            let execute =
-              match
-                if op.Config.is_update then Config.RL_weak
-                else read_level_of op.Config.op_name
-              with
-              | Config.RL_weak -> Config.execute cfg ~client_region:region
-              | level -> Config.execute_read cfg ~client_region:region ~level
-            in
-            execute op
-              ~complete:(fun lat outcome ->
-                let t = Engine.now engine in
-                if t >= w.warmup_ms && t <= t_end then
-                  if outcome.Config.unavailable then Metrics.record_failure m
-                  else begin
-                    Metrics.record m ~op:op.Config.op_name lat;
-                    Metrics.record_violations m outcome.Config.violations
-                  end;
+            dispatch cfg m ~read_level_of
+              ~in_window:(fun t -> t >= w.warmup_ms && t <= t_end)
+              ~region op (fun outcome ->
                 (* an unavailable op retries after a back-off *)
                 let delay =
                   if outcome.Config.unavailable then 50.0
@@ -132,22 +141,9 @@ let run_stream ?(read_level_of = fun (_ : string) -> Config.RL_weak)
     (fun (e : Workload.event) ->
       Engine.schedule engine ~delay:e.Workload.at_ms (fun () ->
           let region, op = op_of e in
-          let execute =
-            match
-              if op.Config.is_update then Config.RL_weak
-              else read_level_of op.Config.op_name
-            with
-            | Config.RL_weak -> Config.execute cfg ~client_region:region
-            | level -> Config.execute_read cfg ~client_region:region ~level
-          in
-          execute op
-            ~complete:(fun lat outcome ->
-              if Engine.now engine >= warmup_ms then
-                if outcome.Config.unavailable then Metrics.record_failure m
-                else begin
-                  Metrics.record m ~op:op.Config.op_name lat;
-                  Metrics.record_violations m outcome.Config.violations
-                end)))
+          dispatch cfg m ~read_level_of
+            ~in_window:(fun t -> t >= warmup_ms)
+            ~region op ignore))
     events;
   Engine.run_until engine (horizon +. settle_ms);
   Config.collect_delivery cfg m;

@@ -11,7 +11,12 @@
     demand share outruns their holdings, with hysteresis (minimum
     deficit, minimum batch, per-destination cooldown) so rights don't
     ping-pong.  Amortizing transfers into rounds already being paid for
-    is what removes the blocking WAN round-trip on exhaustion. *)
+    is what removes the blocking WAN round-trip on exhaustion.
+
+    The module also holds the two pieces every escrow user shares: the
+    reactive {!fetch} an operation falls back on when its replica's
+    holding runs out, and the {!piggyback} wiring of the ticks into
+    anti-entropy rounds. *)
 
 open Ipa_crdt
 
@@ -85,3 +90,49 @@ val seed :
     counters) toward hot replicas.  Prepared against the evolving view,
     so the sequence can never overdraw this replica's ledgers. *)
 val tick : t -> now:float -> key:string -> Bcounter.t -> Bcounter.op list
+
+(** {1 Reactive fetch}
+
+    The blocking half of escrow, shared by every escrow-guarded
+    operation: when a replica's holding runs out it takes half of the
+    richest peer's in one WAN round-trip. *)
+
+(** Which ledger guards the operation: decrement rights, or increment
+    headroom of a capped counter. *)
+type side = Rights | Headroom
+
+type fetched = {
+  attempt : [ `Hit | `Miss of int ];
+      (** [`Hit]: covered locally; [`Miss n]: [n] units fetched first;
+          [`Miss 0]: global stock-out, nothing committed *)
+  batch : Ipa_store.Replica.batch option;  (** the committed unit op *)
+}
+
+(** Consume one unit of [side] at a replica (decrement by one, or
+    increment by one).  Tries locally; on [Insufficient_rights] /
+    [Insufficient_headroom] the richest other replica (by its own view
+    of its holding, in cluster order, first maximum wins, holding > 0)
+    commits a [Transfer] / [Hmove] of [max 1 (have / 2)] to this one,
+    delivered with {!Ipa_store.Cluster.broadcast_now}, and the op is
+    retried once. *)
+val fetch :
+  Ipa_store.Cluster.t -> side -> Ipa_store.Replica.t -> key:string -> fetched
+
+(** The fetch as an operation outcome: any miss costs [extra_rtts = 1]. *)
+val outcome : fetched -> Config.outcome
+
+(** {1 Piggyback wiring} *)
+
+(** Install the migration hook on the configuration's anti-entropy
+    ({!Ipa_store.Sync.t.on_round}): each round, every replica's manager
+    ([manager] by replica id) ticks each of [keys] against that
+    replica's view, and non-empty results commit there as a ["migrate"]
+    operation through {!Config.execute}, recording each [Transfer] /
+    [Hmove] with {!Ipa_sim.Metrics.record_escrow_migration}.  Raises
+    [Invalid_argument] when anti-entropy is off. *)
+val piggyback :
+  Config.t ->
+  manager:(string -> t) ->
+  keys:string list ->
+  Ipa_sim.Metrics.t ->
+  unit

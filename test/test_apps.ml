@@ -317,7 +317,7 @@ let test_ticket_escrow_never_oversells () =
   done;
   let v =
     match Replica.peek east "avail:e0" with
-    | Some (Obj.O_pncounter c) -> Pncounter.value c
+    | Some (Obj.O_bcounter c) -> Bcounter.value c
     | _ -> -99
   in
   Alcotest.(check bool) "never negative" true (v >= 0);
@@ -334,6 +334,29 @@ let test_ticket_escrow_transfer_pays_rtt () =
   let o2 = run_sync cluster east (Ticket.buy_ticket app "e0") in
   Alcotest.(check int) "second buy needs a grant" 1
     o2.Ipa_runtime.Config.extra_rtts
+
+let test_ticket_escrow_restock_grants_rights () =
+  (* a restock raises availability and grants its rights to the
+     restocking replica: buys there and, through one fetch, elsewhere
+     commit *)
+  let cluster, app = setup_ticket Ticket.Escrow 0 in
+  let east = Cluster.replica cluster "dc-east" in
+  let west = Cluster.replica cluster "dc-west" in
+  let _ = run_sync cluster east (Ticket.add_tickets app "e0" 2) in
+  let o1 = run_sync cluster east (Ticket.buy_ticket app "e0") in
+  Alcotest.(check bool) "restocked buy commits" true
+    (o1.Ipa_runtime.Config.batch <> None);
+  Alcotest.(check int) "covered by the restock's rights" 0
+    o1.Ipa_runtime.Config.extra_rtts;
+  let o2 = run_sync cluster west (Ticket.buy_ticket app "e0") in
+  Alcotest.(check bool) "remote buy commits" true
+    (o2.Ipa_runtime.Config.batch <> None);
+  Alcotest.(check int) "through one fetch" 1 o2.Ipa_runtime.Config.extra_rtts;
+  Alcotest.(check int) "sold out" 0 (Ticket.oversell_depth app west [ "e0" ]);
+  match Replica.peek west "avail:e0" with
+  | Some (Obj.O_bcounter c) ->
+      Alcotest.(check int) "availability" 0 (Bcounter.value c)
+  | _ -> Alcotest.fail "expected bcounter"
 
 (* ------------------------------------------------------------------ *)
 (* Twitter                                                             *)
@@ -503,6 +526,8 @@ let () =
             test_ticket_escrow_never_oversells;
           Alcotest.test_case "escrow transfer cost" `Quick
             test_ticket_escrow_transfer_pays_rtt;
+          Alcotest.test_case "escrow restock grants rights" `Quick
+            test_ticket_escrow_restock_grants_rights;
         ] );
       ( "twitter",
         [

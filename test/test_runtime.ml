@@ -561,6 +561,108 @@ let test_escrow_publishes_demand () =
   let c' = apply_all c (Escrow.tick mgr ~now:1000.0 ~key:"k" c) in
   Alcotest.(check int) "pending drained" 5 (Bcounter.local_demand c' "r2")
 
+(* the reactive fetch over a real cluster: counter "k" seeded at r1 *)
+let fetch_cluster ?cap ?hshares shares value =
+  let cluster =
+    Cluster.create
+      [ ("r1", "us-east"); ("r2", "us-west"); ("r3", "eu-west") ]
+  in
+  let tx = Txn.begin_ (Cluster.replica cluster "r1") in
+  List.iter
+    (fun op -> Txn.update tx "k" (Obj.Op_bcounter op))
+    (Escrow.seed ~shares ~value ?cap ?hshares ());
+  (match Txn.commit tx with
+  | Some b -> Cluster.broadcast_now cluster b
+  | None -> ());
+  cluster
+
+let bc cluster r =
+  match Replica.peek (Cluster.replica cluster r) "k" with
+  | Some o -> Obj.as_bcounter o
+  | None -> Bcounter.empty
+
+(* fetch one unit at [r], deliver the retried op, audit every replica *)
+let fetch_at cluster side r =
+  let f = Escrow.fetch cluster side (Cluster.replica cluster r) ~key:"k" in
+  Option.iter (Cluster.broadcast_now cluster) f.Escrow.batch;
+  List.iter
+    (fun (rep : Replica.t) ->
+      Alcotest.(check (option string))
+        (rep.Replica.id ^ " audit clean") None
+        (Bcounter.audit (bc cluster rep.Replica.id)))
+    cluster.Cluster.replicas;
+  f
+
+let attempt =
+  Alcotest.testable
+    (fun ppf -> function
+      | `Hit -> Fmt.string ppf "Hit" | `Miss n -> Fmt.pf ppf "Miss %d" n)
+    ( = )
+
+let rights cluster r = Bcounter.local_rights (bc cluster r) r
+
+let test_fetch_richest_peer () =
+  (* r2 and r3 tie at 4: the first in cluster order lends *)
+  let cluster = fetch_cluster [ ("r1", 0); ("r2", 4); ("r3", 4) ] 8 in
+  let f = fetch_at cluster Escrow.Rights "r1" in
+  Alcotest.check attempt "tie: half of r2's" (`Miss 2) f.Escrow.attempt;
+  Alcotest.(check int) "one rtt" 1 (Escrow.outcome f).Config.extra_rtts;
+  Alcotest.(check (list int)) "r1 spent one, r2 lent two" [ 1; 2; 4 ]
+    (List.map (rights cluster) [ "r1"; "r2"; "r3" ]);
+  Alcotest.(check int) "value" 7 (Bcounter.value (bc cluster "r2"));
+  (* covered locally now *)
+  let f = fetch_at cluster Escrow.Rights "r1" in
+  Alcotest.check attempt "hit" `Hit f.Escrow.attempt;
+  Alcotest.(check int) "no rtt" 0 (Escrow.outcome f).Config.extra_rtts;
+  (* r1 and r2 hold less than r3: r3 is the richest *)
+  let f = fetch_at cluster Escrow.Rights "r1" in
+  Alcotest.check attempt "richest is r3" (`Miss 2) f.Escrow.attempt;
+  Alcotest.(check (list int)) "r3 lent two" [ 1; 2; 2 ]
+    (List.map (rights cluster) [ "r1"; "r2"; "r3" ])
+
+let test_fetch_half_min_one () =
+  let cluster = fetch_cluster [ ("r1", 0); ("r2", 1); ("r3", 0) ] 1 in
+  let f = fetch_at cluster Escrow.Rights "r3" in
+  Alcotest.check attempt "a single right still moves" (`Miss 1)
+    f.Escrow.attempt;
+  Alcotest.(check bool) "retry committed" true (f.Escrow.batch <> None);
+  Alcotest.(check int) "sold out" 0 (Bcounter.value (bc cluster "r1"));
+  let cluster = fetch_cluster [ ("r1", 0); ("r2", 5) ] 5 in
+  Alcotest.check attempt "half rounds down" (`Miss 2)
+    (fetch_at cluster Escrow.Rights "r1").Escrow.attempt;
+  Alcotest.(check int) "r2 keeps three" 3 (rights cluster "r2")
+
+let test_fetch_stockout () =
+  let cluster = fetch_cluster [ ("r2", 1) ] 1 in
+  Alcotest.check attempt "r2 spends the last" `Hit
+    (fetch_at cluster Escrow.Rights "r2").Escrow.attempt;
+  let committed () =
+    List.map
+      (fun (r : Replica.t) -> r.Replica.committed)
+      cluster.Cluster.replicas
+  in
+  let before = committed () in
+  let f = fetch_at cluster Escrow.Rights "r1" in
+  Alcotest.check attempt "global stock-out" (`Miss 0) f.Escrow.attempt;
+  Alcotest.(check bool) "no batch" true (f.Escrow.batch = None);
+  Alcotest.(check int) "still one rtt" 1 (Escrow.outcome f).Config.extra_rtts;
+  Alcotest.(check (list int)) "nothing committed anywhere" before (committed ())
+
+let test_fetch_headroom () =
+  (* a capped counter at 0 of 6, all headroom at r2 *)
+  let cluster =
+    fetch_cluster ~cap:6 ~hshares:[ ("r2", 6) ] [ ("r1", 0) ] 0
+  in
+  let headroom r = Bcounter.local_headroom (bc cluster r) r in
+  let f = fetch_at cluster Escrow.Headroom "r1" in
+  Alcotest.check attempt "half of r2's headroom" (`Miss 3) f.Escrow.attempt;
+  Alcotest.(check (list int)) "moved by Hmove, one spent" [ 2; 3; 0 ]
+    (List.map headroom [ "r1"; "r2"; "r3" ]);
+  Alcotest.(check int) "incremented" 1 (Bcounter.value (bc cluster "r3"));
+  Alcotest.(check int) "no rights moved" 0 (rights cluster "r2");
+  Alcotest.check attempt "hit" `Hit
+    (fetch_at cluster Escrow.Headroom "r2").Escrow.attempt
+
 (* ------------------------------------------------------------------ *)
 (* Committed benchmark artifacts                                       *)
 (* ------------------------------------------------------------------ *)
@@ -675,6 +777,14 @@ let () =
             test_escrow_forecast_prewarm;
           Alcotest.test_case "demand publication" `Quick
             test_escrow_publishes_demand;
+          Alcotest.test_case "fetch: richest peer, first on ties" `Quick
+            test_fetch_richest_peer;
+          Alcotest.test_case "fetch: half, at least one" `Quick
+            test_fetch_half_min_one;
+          Alcotest.test_case "fetch: stock-out commits nothing" `Quick
+            test_fetch_stockout;
+          Alcotest.test_case "fetch: headroom via Hmove" `Quick
+            test_fetch_headroom;
         ] );
       ( "bench outputs",
         [

@@ -228,9 +228,6 @@ let seed_data (app : t) (wp : workload_params) (cluster : Cluster.t) : unit =
 (* Fuzzer hooks                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Read-only operations (candidates for non-weak read levels). *)
-let read_ops = [ "read_event" ]
-
 (** Fuzzable operations: name and parameter sorts ([add_tickets] takes
     its amount as a literal-integer second argument). *)
 let fuzz_ops : (string * string list) list =

@@ -410,9 +410,6 @@ let seed_data (app : t) (wp : workload_params) (cluster : Cluster.t) : unit =
 (* Fuzzer hooks                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Read-only operations (candidates for non-weak read levels). *)
-let read_ops = [ "status" ]
-
 (** Fuzzable operations: name and parameter sorts, matching the catalog
     specification (plus [status], the read that triggers the capacity
     compensation in IPA mode). *)

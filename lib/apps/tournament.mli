@@ -46,9 +46,6 @@ val default_params : workload_params
 val next_op : t -> workload_params -> Ipa_sim.Rng.t -> region:string -> Config.op_exec
 val seed_data : t -> workload_params -> Cluster.t -> unit
 
-(** Read-only operation names (candidates for non-weak read levels). *)
-val read_ops : string list
-
 (** {1 Fuzzer hooks} *)
 
 (** Fuzzable operations: name × parameter sorts. *)

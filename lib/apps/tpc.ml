@@ -200,9 +200,6 @@ let seed_data (app : t) (wp : workload_params) (cluster : Cluster.t) : unit =
 (* Fuzzer hooks                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Read-only operations (candidates for non-weak read levels). *)
-let read_ops = [ "check_stock" ]
-
 (** Fuzzable operations: name and parameter sorts, matching the TPC-W
     catalog specification's product-listing slice. *)
 let fuzz_ops : (string * string list) list =

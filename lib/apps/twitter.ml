@@ -220,9 +220,6 @@ let seed_data (app : t) (wp : workload_params) (cluster : Cluster.t) : unit =
 (* Fuzzer hooks                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Read-only operations (candidates for non-weak read levels). *)
-let read_ops = [ "timeline" ]
-
 (** Fuzzable operations: name and parameter sorts (user arguments must
     be of the form [u<N>] — follower fan-out and history purging parse
     the numeric suffix). *)

@@ -76,7 +76,8 @@ type failure =
           reader staler than the budget promised *)
   | Strong_read_lag of { at : float; replica : string; got : int; want : int }
       (** a strong read returned a value different from the true
-          committed value — the quiesce barrier let an update slip by *)
+          committed value — the catch-up to the cut let an update slip
+          by *)
   | Rights_leak of { at : float; replica : string; detail : string }
       (** an escrow conservation identity broke in [replica]'s
           causally-consistent view ({!Ipa_crdt.Bcounter.audit}): rights
@@ -263,26 +264,11 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
          ~dst:dst.Replica.region)
   in
   let sync = Sync.create cluster in
-  (* global commit clock + its history: the merge of every committed
-     batch's after-clock, checkpointed at commit time.  A bounded read's
-     staleness budget δ resolves against this history — the newest
-     checkpoint at or before now − δ (the seeded clock when the cutoff
-     predates every commit, which every replica trivially covers). *)
-  let gvv = ref (List.hd cluster.Cluster.replicas).Replica.vv in
-  let ghist = ref [ (0.0, !gvv) ] in
-  let push_clock now after =
-    gvv := Ipa_crdt.Vclock.merge !gvv after;
-    ghist := (now, !gvv) :: !ghist
-  in
-  let resolve_bound now delta =
-    let cutoff = now -. delta in
-    let rec go = function
-      | [ (_, vv) ] -> vv
-      | (t, vv) :: rest -> if t <= cutoff then vv else go rest
-      | [] -> Ipa_crdt.Vclock.empty
-    in
-    go !ghist
-  in
+  (* the commit-clock history a bounded read's staleness budget
+     resolves against, starting from the seeded clock every replica
+     covers *)
+  let history = Read.history () in
+  Read.push history ~now:0.0 (List.hd cluster.Cluster.replicas).Replica.vv;
   (* the true committed value of the escrow counter: the shadow replica
      receives every committed batch the instant it commits *)
   let shadow_value () =
@@ -323,7 +309,7 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
   let commit_batch (rep : Replica.t) (b : Replica.batch) =
     incr committed;
     Replica.receive env.shadow b;
-    push_clock (Engine.now engine) b.Replica.b_after;
+    Read.push history ~now:(Engine.now engine) b.Replica.b_after;
     List.iter
       (fun dst -> send_faulty ~src:rep ~dst b)
       (Cluster.others cluster rep.Replica.id)
@@ -439,7 +425,10 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
                          { at; replica = rep.Replica.id; lo = iv.Read.lo;
                            hi = iv.Read.hi; truth })
               | Trace.R_bounded delta ->
-                  let bound = resolve_bound (Engine.now engine) delta in
+                  let bound =
+                    Read.bound_at history ~now:(Engine.now engine)
+                      ~staleness_ms:delta
+                  in
                   let res =
                     Read.read cluster (Read.Bounded bound)
                       ~prefer:rep.Replica.id escrow_key
@@ -469,21 +458,11 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
   Engine.run_until engine tr.Trace.horizon_ms;
   (* flush in-flight deliveries scheduled past the horizon *)
   Engine.run engine;
-  (* healing: reliable direct anti-entropy until quiescent.  A fresh
-     Sync avoids inheriting multi-second backoffs from the faulty
-     phase; 1 ms base backoff + 10 ms round spacing means every still
-     missing batch is retransmitted from the second round on. *)
-  let heal = Sync.create ~base_backoff_ms:1.0 ~max_backoff_ms:1.0 cluster in
-  let heal_now = ref (Float.max (Engine.now engine) tr.Trace.horizon_ms) in
-  let rounds = ref 0 in
-  let direct ~src:_ ~(dst : Replica.t) (b : Replica.batch) =
-    Replica.receive dst b
-  in
-  while (not (Cluster.quiescent cluster)) && !rounds < heal_budget do
-    incr rounds;
-    heal_now := !heal_now +. 10.0;
-    ignore (Sync.round heal ~now:!heal_now ~send:direct)
-  done;
+  (* healing: reliable direct anti-entropy until quiescent ({!Read.quiesce}
+     starts a fresh Sync, so no multi-second backoff from the faulty
+     phase carries over) *)
+  let heal_start = Float.max (Engine.now engine) tr.Trace.horizon_ms in
+  let rounds = Read.quiesce ~max_rounds:heal_budget cluster in
   (* dismantle the WAL rig before judging: restore the replicas' hooks
      (the env outlives this run) and remove the on-disk files *)
   (match wal_rig with
@@ -523,7 +502,7 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
           (fun acc (r : Replica.t) -> acc + Replica.pending_count r)
           0 cluster.Cluster.replicas
       in
-      [ Healing_exhausted { rounds = !rounds; pending; divergent } ]
+      [ Healing_exhausted { rounds; pending; divergent } ]
     end
     else if List.for_all (fun (_, d) -> d = digest) digests then []
     else [ Diverged digests ]
@@ -566,7 +545,7 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
             | Some detail ->
                 Some
                   (Rights_leak
-                     { at = !heal_now; replica = r.Replica.id; detail })
+                     { at = heal_start; replica = r.Replica.id; detail })
             | None -> None)
         | None -> None)
       cluster.Cluster.replicas
@@ -576,7 +555,7 @@ let rec run ?(heal_budget = max_healing_rounds) (env : env) (tr : Trace.t) :
     digest;
     committed = !committed;
     aborted = !aborted;
-    healing_rounds = !rounds;
+    healing_rounds = rounds;
   }
 
 (** One-shot convenience: build an environment and run the trace. *)

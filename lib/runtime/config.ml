@@ -79,7 +79,9 @@ type read_level =
   | RL_bounded of float
       (** staleness budget (ms): the reply must reflect every operation
           committed anywhere up to [now − budget] *)
-  | RL_strong  (** quiesce-then-read: reflect everything committed *)
+  | RL_strong
+      (** reflect everything committed: the same bound as
+          [RL_bounded 0.0] *)
 
 type mode =
   | Local  (** Causal / IPA: everything at the client's replica *)
@@ -130,20 +132,10 @@ type t = {
   vis : vis_stats;
   mutable reservation_misses : int;
   mutable reservation_hits : int;
-  clock_hist : (float * Ipa_crdt.Vclock.t) array;
-      (** ring of (commit time, global committed clock) checkpoints —
-          the front-end-side history that resolves a staleness budget
-          into a bound clock ({!bound_clock}) *)
-  mutable hist_head : int;  (** next ring slot to write *)
-  mutable hist_len : int;  (** live entries (≤ ring size) *)
-  mutable global_vv : Ipa_crdt.Vclock.t;
-      (** merge of every committed batch's after-clock *)
+  history : Read.history;
+      (** every committed batch's after-clock, timestamped — what
+          {!bound_clock} resolves staleness budgets against *)
 }
-
-(* commit-clock checkpoints retained for bound resolution; staleness
-   budgets reaching past the ring resolve to the oldest retained clock
-   (a stricter bound — conservative, never unsound) *)
-let clock_hist_size = 8192
 
 let create ?(primary = "us-east") ?(service_base = 1.0)
     ?(service_per_update = 0.05) ?(service_per_object = 0.3)
@@ -179,10 +171,7 @@ let create ?(primary = "us-east") ?(service_base = 1.0)
       vis = { vis_samples = []; vis_n = 0 };
       reservation_misses = 0;
       reservation_hits = 0;
-      clock_hist = Array.make clock_hist_size (0.0, Ipa_crdt.Vclock.empty);
-      hist_head = 0;
-      hist_len = 0;
-      global_vv = Ipa_crdt.Vclock.empty;
+      history = Read.history ();
     }
   in
   (* visibility hook: every remote apply is timed against the origin's
@@ -262,12 +251,7 @@ let replica_in (cfg : t) (region : string) : Replica.t =
 let replicate (cfg : t) (origin_region : string) (b : Replica.batch) : unit =
   let now = Engine.now cfg.engine in
   Hashtbl.replace cfg.sent_at (b.Replica.b_origin, b.Replica.b_seq) now;
-  (* commit-clock checkpoint: the global committed clock after this
-     batch, timestamped — what {!bound_clock} resolves budgets against *)
-  cfg.global_vv <- Ipa_crdt.Vclock.merge cfg.global_vv b.Replica.b_after;
-  cfg.clock_hist.(cfg.hist_head) <- (now, cfg.global_vv);
-  cfg.hist_head <- (cfg.hist_head + 1) mod clock_hist_size;
-  cfg.hist_len <- min (cfg.hist_len + 1) clock_hist_size;
+  Read.push cfg.history ~now b.Replica.b_after;
   List.iter
     (fun (peer : Replica.t) ->
       if peer.Replica.id <> b.Replica.b_origin then
@@ -510,48 +494,20 @@ let rec execute (cfg : t) ~(client_region : string) (op : op_exec)
 (* Consistency-typed reads                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Resolve a staleness budget into a bound clock: the newest commit
-    checkpoint at or before [now − staleness_ms].  Budget 0 therefore
-    resolves to the full current committed clock (a bound only the
-    strong path can guarantee mid-divergence); a budget reaching past
-    the ring resolves to the oldest retained checkpoint (stricter than
-    asked for, never weaker); with no commits yet the bound is empty. *)
+(** Resolve a staleness budget against the commit history
+    ({!Read.bound_at}): budget 0 is the current committed clock. *)
 let bound_clock (cfg : t) ~(staleness_ms : float) : Ipa_crdt.Vclock.t =
-  let target = Engine.now cfg.engine -. staleness_ms in
-  let n = cfg.hist_len in
-  if n = 0 then Ipa_crdt.Vclock.empty
-  else begin
-    let found = ref None in
-    let i = ref 0 in
-    while !found = None && !i < n do
-      let idx = (cfg.hist_head - 1 - !i + (2 * clock_hist_size)) mod clock_hist_size in
-      let t, c = cfg.clock_hist.(idx) in
-      if t <= target then found := Some c;
-      incr i
-    done;
-    match !found with
-    | Some c -> c
-    | None ->
-        if n < clock_hist_size then Ipa_crdt.Vclock.empty
-          (* full history retained and every commit is newer than the
-             target: nothing was committed before it *)
-        else
-          snd
-            cfg.clock_hist.((cfg.hist_head - n + (2 * clock_hist_size))
-                            mod clock_hist_size)
-  end
+  Read.bound_at cfg.history ~now:(Engine.now cfg.engine) ~staleness_ms
 
-(** Execute a read-only operation at a consistency level (the
-    per-operation read-level path; updates and [RL_weak] reads take
-    {!execute}, which this mirrors for the weak case).
-
-    Latency model: a weak or in-budget bounded read pays the Local
-    price (LAN + queue + service).  A bounded read whose bound the
-    local replica cannot cover is forwarded to the nearest covering
-    replica (one WAN round-trip); if no replica covers the bound, or
-    the level is [RL_strong], the client pays a barrier — a round-trip
-    to the farthest peer, during which the cluster is driven to
-    quiescence over the control channel — and then reads locally. *)
+(** Execute a read-only operation at a consistency level: the level
+    resolves to a bound clock ([RL_strong] to the same bound as
+    [RL_bounded 0.0]), {!Read.route} picks the serving replica among the
+    reachable ones, nearest first, and the latency model prices its
+    choice.  Serving at the exec replica pays the Local price (hop +
+    queue + service); forwarding adds one round-trip to the covering
+    replica; a catch-up adds a barrier — a round-trip to the farthest
+    peer, during which the exec replica alone catches up to the cut
+    over the control channel — and then serves locally. *)
 let execute_read (cfg : t) ~(client_region : string) ~(level : read_level)
     (op : op_exec) ~(complete : float -> outcome -> unit) : unit =
   let lan = Net.rtt cfg.net client_region client_region in
@@ -562,60 +518,45 @@ let execute_read (cfg : t) ~(client_region : string) ~(level : read_level)
         if exec_region = client_region then lan
         else Net.rtt cfg.net client_region exec_region
       in
-      let local_finish extra () =
-        let o, svc = run_at cfg exec_region op in
+      let home = replica_in cfg exec_region in
+      let rtt (r : Replica.t) =
+        Net.mean_rtt cfg.net exec_region r.Replica.region
+      in
+      let peers =
+        List.filter
+          (fun (r : Replica.t) -> r.Replica.region <> exec_region)
+          cfg.cluster.Cluster.replicas
+      in
+      let candidates =
+        List.filter
+          (fun (r : Replica.t) -> not (is_down cfg r.Replica.region))
+          peers
+        |> List.sort (fun a b -> compare (rtt a) (rtt b))
+      in
+      let bound =
+        match level with
+        | RL_weak -> Ipa_crdt.Vclock.empty
+        | RL_bounded staleness_ms -> bound_clock cfg ~staleness_ms
+        | RL_strong -> bound_clock cfg ~staleness_ms:0.0
+      in
+      let serve_at region extra =
+        let o, svc = run_at cfg region op in
         let lat = hop +. extra +. svc in
         Engine.schedule cfg.engine ~delay:lat (fun () -> complete lat o)
       in
-      let barrier_then_read () =
-        (* strong path: one round-trip to the farthest peer models the
-           read barrier; the state heals (reliable control channel)
-           while it is in flight *)
-        let barrier =
-          List.fold_left
-            (fun acc (r : Replica.t) ->
-              if r.Replica.region = exec_region then acc
-              else max acc (Net.mean_rtt cfg.net exec_region r.Replica.region))
-            0.0 cfg.cluster.Cluster.replicas
-        in
-        Engine.schedule cfg.engine ~delay:barrier (fun () ->
-            ignore (Ipa_store.Read.quiesce cfg.cluster);
-            let o, svc = run_at cfg exec_region op in
-            let lat = hop +. barrier +. svc in
-            Engine.schedule cfg.engine ~delay:(hop +. svc) (fun () ->
-                complete lat o))
-      in
-      match level with
-      | RL_weak -> local_finish 0.0 ()
-      | RL_strong -> barrier_then_read ()
-      | RL_bounded staleness_ms -> (
-          let b = bound_clock cfg ~staleness_ms in
-          let local = replica_in cfg exec_region in
-          if Ipa_store.Read.covers local b then local_finish 0.0 ()
-          else
-            (* serve from the nearest replica whose clock covers the
-               bound — the routing freedom bounded staleness buys *)
-            let covering =
-              cfg.cluster.Cluster.replicas
-              |> List.filter_map (fun (r : Replica.t) ->
-                     if
-                       r.Replica.region <> exec_region
-                       && (not (is_down cfg r.Replica.region))
-                       && Ipa_store.Read.covers r b
-                     then
-                       Some
-                         ( r.Replica.region,
-                           Net.mean_rtt cfg.net exec_region r.Replica.region )
-                     else None)
-              |> List.sort (fun (_, a) (_, b) -> compare a b)
-            in
-            match covering with
-            | (region, rtt) :: _ ->
-                let o, svc = run_at cfg region op in
-                let lat = hop +. rtt +. svc in
-                Engine.schedule cfg.engine ~delay:lat (fun () ->
-                    complete lat o)
-            | [] -> barrier_then_read ()))
+      match Read.route ~home candidates bound with
+      | Read.Home -> serve_at exec_region 0.0
+      | Read.Forward r -> serve_at r.Replica.region (rtt r)
+      | Read.Catch_up ->
+          let barrier =
+            List.fold_left (fun acc r -> max acc (rtt r)) 0.0 peers
+          in
+          Engine.schedule cfg.engine ~delay:barrier (fun () ->
+              Read.catch_up cfg.cluster home;
+              let o, svc = run_at cfg exec_region op in
+              let lat = hop +. barrier +. svc in
+              Engine.schedule cfg.engine ~delay:(hop +. svc) (fun () ->
+                  complete lat o)))
 
 (* ------------------------------------------------------------------ *)
 (* Delivery observability                                              *)

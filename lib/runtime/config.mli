@@ -51,9 +51,8 @@ type op_exec = {
 (** Per-operation read-level annotation (the consistency-typed client
     API threaded through the latency model): weak reads serve locally,
     [RL_bounded budget_ms] reads must reflect everything committed up
-    to [now − budget] (served locally when the co-located replica
-    covers the resolved bound, else from the nearest covering replica,
-    else via the strong barrier), [RL_strong] reads quiesce first. *)
+    to [now − budget], and [RL_strong] is [RL_bounded 0.0] — everything
+    committed before the read. *)
 type read_level =
   | RL_weak
   | RL_bounded of float  (** staleness budget, ms *)
@@ -95,12 +94,7 @@ type t = {
   vis : vis_stats;
   mutable reservation_misses : int;
   mutable reservation_hits : int;
-  clock_hist : (float * Ipa_crdt.Vclock.t) array;
-      (** ring of (commit time, global committed clock) checkpoints *)
-  mutable hist_head : int;
-  mutable hist_len : int;
-  mutable global_vv : Ipa_crdt.Vclock.t;
-      (** merge of every committed batch's after-clock *)
+  history : Read.history;  (** timestamped committed clocks *)
 }
 
 (** [sync_interval_ms > 0] enables anti-entropy: a recurring digest
@@ -144,18 +138,17 @@ val execute :
   complete:(float -> outcome -> unit) ->
   unit
 
-(** Resolve a staleness budget into a bound clock: the newest commit
-    checkpoint at or before [now − staleness_ms] (budget 0 = the full
-    current committed clock; past the retained ring = the oldest
-    retained checkpoint, which is stricter, never weaker). *)
+(** Resolve a staleness budget into a bound clock against the commit
+    history ({!Ipa_store.Read.bound_at}): budget 0 = the current
+    committed clock; empty history = {!Ipa_crdt.Vclock.empty}. *)
 val bound_clock : t -> staleness_ms:float -> Ipa_crdt.Vclock.t
 
-(** Execute a read-only operation at a consistency level.  Weak and
-    in-budget bounded reads pay the Local price; an out-of-budget
-    bounded read pays one WAN round-trip to the nearest covering
-    replica; a strong read (or a bounded read no replica covers) pays a
-    barrier round-trip to the farthest peer, quiescing the cluster
-    before serving. *)
+(** Execute a read-only operation at a consistency level.  The level's
+    bound goes through {!Ipa_store.Read.route} with the reachable
+    replicas as candidates, nearest first: a covering exec replica pays
+    the Local price, a covering peer one more round-trip, and otherwise
+    the client pays a barrier round-trip to the farthest peer while the
+    exec replica alone catches up ({!Ipa_store.Read.catch_up}). *)
 val execute_read :
   t ->
   client_region:string ->

@@ -28,21 +28,12 @@ let default_workload next_op =
     next_op;
   }
 
-(* Run [op] for a client in [region] — through {!Config.execute}, or
-   {!Config.execute_read} when it is a read mapped to a non-weak level —
-   and, if [in_window] holds at completion, record its latency and
-   violations (or its failure) in [m]; [k] then sees the outcome. *)
-let dispatch (cfg : Config.t) (m : Metrics.t) ~read_level_of ~in_window
-    ~region (op : Config.op_exec) (k : Config.outcome -> unit) : unit =
-  let execute =
-    match
-      if op.Config.is_update then Config.RL_weak
-      else read_level_of op.Config.op_name
-    with
-    | Config.RL_weak -> Config.execute cfg ~client_region:region
-    | level -> Config.execute_read cfg ~client_region:region ~level
-  in
-  execute op ~complete:(fun lat outcome ->
+(* Run [op] for a client in [region] through {!Config.execute} and, if
+   [in_window] holds at completion, record its latency and violations
+   (or its failure) in [m]; [k] then sees the outcome. *)
+let dispatch (cfg : Config.t) (m : Metrics.t) ~in_window ~region
+    (op : Config.op_exec) (k : Config.outcome -> unit) : unit =
+  Config.execute cfg ~client_region:region op ~complete:(fun lat outcome ->
       if in_window (Engine.now cfg.Config.engine) then
         if outcome.Config.unavailable then Metrics.record_failure m
         else begin
@@ -52,17 +43,8 @@ let dispatch (cfg : Config.t) (m : Metrics.t) ~read_level_of ~in_window
       k outcome)
 
 (** Run a workload against a configuration; returns the metrics of the
-    measured window.
-
-    [read_level_of] is the per-operation read-level configuration (by
-    operation name): read-only operations mapped to a non-weak level
-    take {!Config.execute_read} — bounded-staleness reads served by any
-    replica covering the resolved bound, strong reads behind the
-    quiesce barrier.  The default maps everything to {!Config.RL_weak},
-    which preserves the historical path (reads execute like any Local
-    operation) exactly. *)
-let run ?(seed = 42) ?(read_level_of = fun (_ : string) -> Config.RL_weak)
-    (cfg : Config.t) (w : workload) : Metrics.t =
+    measured window. *)
+let run ?(seed = 42) (cfg : Config.t) (w : workload) : Metrics.t =
   let m = Metrics.create () in
   let engine = cfg.Config.engine in
   m.Metrics.started_at <- w.warmup_ms;
@@ -86,7 +68,7 @@ let run ?(seed = 42) ?(read_level_of = fun (_ : string) -> Config.RL_weak)
         let rec loop () =
           if Engine.now engine < t_end then begin
             let op = w.next_op rng ~region in
-            dispatch cfg m ~read_level_of
+            dispatch cfg m
               ~in_window:(fun t -> t >= w.warmup_ms && t <= t_end)
               ~region op (fun outcome ->
                 (* an unavailable op retries after a back-off *)
@@ -124,8 +106,7 @@ let run ?(seed = 42) ?(read_level_of = fun (_ : string) -> Config.RL_weak)
     the stream, not from client loops, so offered load stays fixed no
     matter how slow the system responds — the regime of the paper's
     peak-contention figures. *)
-let run_stream ?(read_level_of = fun (_ : string) -> Config.RL_weak)
-    ?(warmup_ms = 0.0) ?(settle_ms = 10_000.0) (cfg : Config.t)
+let run_stream ?(warmup_ms = 0.0) ?(settle_ms = 10_000.0) (cfg : Config.t)
     ~(events : Workload.event list)
     ~(op_of : Workload.event -> string * Config.op_exec) : Metrics.t =
   let m = Metrics.create () in
@@ -141,9 +122,8 @@ let run_stream ?(read_level_of = fun (_ : string) -> Config.RL_weak)
     (fun (e : Workload.event) ->
       Engine.schedule engine ~delay:e.Workload.at_ms (fun () ->
           let region, op = op_of e in
-          dispatch cfg m ~read_level_of
-            ~in_window:(fun t -> t >= warmup_ms)
-            ~region op ignore))
+          dispatch cfg m ~in_window:(fun t -> t >= warmup_ms) ~region op
+            ignore))
     events;
   Engine.run_until engine (horizon +. settle_ms);
   Config.collect_delivery cfg m;

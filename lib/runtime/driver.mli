@@ -16,17 +16,11 @@ type workload = {
 
 val default_workload : (Rng.t -> region:string -> Config.op_exec) -> workload
 
-(** Run a workload; returns the metrics of the measured window (the
-    engine runs 10 s past the end so replication settles).
-
-    [read_level_of] is the per-operation read-level configuration:
-    read-only operations mapped to a non-weak {!Config.read_level} go
-    through {!Config.execute_read} (bounded-staleness routing, strong
-    barrier); the default maps every operation to {!Config.RL_weak},
-    preserving the historical Local read path exactly. *)
+(** Run a workload through {!Config.execute}; returns the metrics of
+    the measured window (the engine runs 10 s past the end so
+    replication settles). *)
 val run :
   ?seed:int ->
-  ?read_level_of:(string -> Config.read_level) ->
   Config.t ->
   workload ->
   Metrics.t
@@ -40,7 +34,6 @@ val run :
     Open-loop complement of {!run}: offered load is fixed by the
     stream, not by client feedback. *)
 val run_stream :
-  ?read_level_of:(string -> Config.read_level) ->
   ?warmup_ms:float ->
   ?settle_ms:float ->
   Config.t ->

@@ -5,23 +5,29 @@
     whose phantom index ties the {e result} to the level it was read
     at — code that demands strongly-consistent input can say so in its
     type ([strong result -> ...]) and the compiler rejects handing it a
-    weak read:
+    weak read.  Every level is a bound clock the serving replica must
+    cover, and one path serves them all:
 
-    - {!Weak}: served immediately from any replica; the value may be
-      arbitrarily stale but is always some causally-consistent snapshot.
+    - {!Weak}: the empty bound — every replica covers it, so the read
+      serves at the client's replica; the value may be arbitrarily
+      stale but is always some causally-consistent snapshot.
     - {!Bounded}[ b]: bounded staleness — the reply must include every
-      event at or below the bound clock [b].  Served without
-      coordination from any replica whose {e own} clock covers [b];
-      the {!stable_covers} test ([b ≼ stable_vv]) additionally certifies
-      from purely local metadata that {e every} replica can serve the
-      bound.  When no replica covers [b] the read escalates to the
-      strong path.
-    - {!Strong}: quiesce-then-read — drive reliable anti-entropy to
-      quiescence, then read; the reply reflects every operation
-      committed anywhere before the read.
+      event at or below [b].
+    - {!Strong}: the tightest bound, the cut (the merge of every
+      replica's clock at read start) — the reply reflects every
+      operation committed anywhere before the read.
+
+    The path ({!route}): serve at home if its own clock covers the
+    bound, else at the first replica that does; if none does, catch
+    {e the home replica only} up from its peers' logs ({!catch_up}) and
+    serve there with [escalated = true].  Coordination is paid by the
+    one replica that serves, never by the whole cluster.
+
+    The staleness {!history} turns a budget in milliseconds into a bound
+    clock: the runtime and the fuzz oracle push every commit into it.
 
     Interval reads are the numeric companion: for a {!Bcounter}-backed
-    key, {!interval} returns the escrow interval [{lo; hi}] from a
+    key, {!interval_at} returns the escrow interval [{lo; hi}] from a
     single replica's local state, guaranteed to contain the
     strongly-consistent value (see {!Bcounter.interval} for the
     derivation; [hi] is finite once headroom has been granted). *)
@@ -39,15 +45,10 @@ type _ level =
           reflected in the reply *)
   | Strong : strong level
 
-let level_name : type l. l level -> string = function
-  | Weak -> "weak"
-  | Bounded _ -> "bounded"
-  | Strong -> "strong"
-
 (** A stamped read: the value (or [None] for an absent key), which
     replica served it, that replica's clock at serve time, and whether
-    the read had to escalate to the quiesce path.  The phantom index
-    records the requested level. *)
+    the home replica had to catch up because no replica covered the
+    bound.  The phantom index records the requested level. *)
 type 'l result = {
   value : Obj.t option;
   served_by : string;
@@ -58,20 +59,44 @@ type 'l result = {
 let value (r : 'l result) : Obj.t option = r.value
 
 (* ------------------------------------------------------------------ *)
-(* Cover tests                                                         *)
+(* Bounds and routing                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (** [covers r b] — [r]'s own state includes every event at or below
-    [b], so [r] can serve a bounded read with bound [b]. *)
+    [b], so [r] can serve a read with bound [b]. *)
 let covers (r : Replica.t) (b : Vclock.t) : bool = Vclock.leq b r.Replica.vv
 
-(** [stable_covers r b] — the bound is below [r]'s causal-stability cut
-    ({!Replica.stable_vv}: the pointwise minimum of its own clock and
-    every peer clock it has learned), which certifies from [r]'s local
-    metadata alone that {e every} replica covers [b]: any replica can
-    serve the bound, no routing needed. *)
-let stable_covers (r : Replica.t) (b : Vclock.t) : bool =
-  Vclock.leq b (Replica.stable_vv r)
+let bound (type l) (c : Cluster.t) (level : l level) : Vclock.t =
+  match level with
+  | Weak -> Vclock.empty
+  | Bounded b -> b
+  | Strong ->
+      (* the cut: everything committed anywhere *)
+      List.fold_left
+        (fun acc (r : Replica.t) -> Vclock.merge acc r.Replica.vv)
+        Vclock.empty c.Cluster.replicas
+
+type route = Home | Forward of Replica.t | Catch_up
+
+let route ~(home : Replica.t) (candidates : Replica.t list) (b : Vclock.t) :
+    route =
+  if covers home b then Home
+  else
+    match List.find_opt (fun r -> covers r b) candidates with
+    | Some r -> Forward r
+    | None -> Catch_up
+
+(** Received batches are logged like local commits, so the peers' logs
+    hold the whole cut; a peer [home] already covers has nothing to
+    give.  Batches [home] has buffered are not re-sent, and the arrival
+    of their missing predecessors drains them. *)
+let catch_up (c : Cluster.t) (home : Replica.t) : unit =
+  List.iter
+    (fun (peer : Replica.t) ->
+      if not (covers home peer.Replica.vv) then
+        List.iter (Replica.receive home)
+          (Sync.missing_for ~src:peer (Sync.digest_of home)))
+    (Cluster.others c home.Replica.id)
 
 (* ------------------------------------------------------------------ *)
 (* Quiesce                                                             *)
@@ -111,40 +136,69 @@ let serve (r : Replica.t) ~(escalated : bool) (key : string) : 'l result =
     escalated;
   }
 
-let preferred (c : Cluster.t) (prefer : string option) : Replica.t =
-  match prefer with
-  | Some id -> Cluster.replica c id
-  | None -> List.hd c.Cluster.replicas
-
 (** Read [key] at the given level.  [prefer] names the client's
-    co-located replica (default: the first); weak reads always serve
-    there, bounded reads serve there when it covers the bound and
-    otherwise fall over to any covering replica (the serving-replica
-    choice bounded staleness buys), and strong reads quiesce first.  A
-    bounded read that no replica can serve escalates to the strong
-    path and comes back with [escalated = true]. *)
+    co-located replica (default: the first). *)
 let read (type l) (c : Cluster.t) (level : l level) ?prefer (key : string) :
     l result =
-  let home = preferred c prefer in
-  match level with
-  | Weak -> serve home ~escalated:false key
-  | Strong ->
-      ignore (quiesce c);
+  let home =
+    match prefer with
+    | Some id -> Cluster.replica c id
+    | None -> List.hd c.Cluster.replicas
+  in
+  match route ~home c.Cluster.replicas (bound c level) with
+  | Home -> serve home ~escalated:false key
+  | Forward r -> serve r ~escalated:false key
+  | Catch_up ->
+      catch_up c home;
       serve home ~escalated:true key
-  | Bounded b -> (
-      if covers home b then serve home ~escalated:false key
-      else
-        match
-          List.find_opt
-            (fun (r : Replica.t) -> covers r b)
-            c.Cluster.replicas
-        with
-        | Some r -> serve r ~escalated:false key
-        | None ->
-            (* divergence has every replica behind the bound: pay the
-               coordination the weaker levels avoid *)
-            ignore (quiesce c);
-            serve home ~escalated:true key)
+
+(* ------------------------------------------------------------------ *)
+(* Staleness history                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** A ring of (commit time, committed clock) checkpoints plus the
+    running committed clock (the merge of every pushed after-clock). *)
+type history = {
+  ring : (float * Vclock.t) array;
+  mutable head : int;  (** next slot to write *)
+  mutable len : int;  (** live checkpoints (≤ capacity) *)
+  mutable committed : Vclock.t;
+}
+
+(* budgets reaching past the ring resolve to the oldest retained
+   checkpoint: a stricter bound, conservative and never unsound *)
+let history_capacity = 8192
+
+let history () : history =
+  {
+    ring = Array.make history_capacity (0.0, Vclock.empty);
+    head = 0;
+    len = 0;
+    committed = Vclock.empty;
+  }
+
+let push (h : history) ~(now : float) (after : Vclock.t) : unit =
+  h.committed <- Vclock.merge h.committed after;
+  h.ring.(h.head) <- (now, h.committed);
+  h.head <- (h.head + 1) mod history_capacity;
+  h.len <- min (h.len + 1) history_capacity
+
+let bound_at (h : history) ~(now : float) ~(staleness_ms : float) : Vclock.t =
+  let target = now -. staleness_ms in
+  (* the [i]-th newest checkpoint *)
+  let nth i =
+    h.ring.((h.head - 1 - i + history_capacity) mod history_capacity)
+  in
+  let rec newest_before i =
+    if i = h.len then
+      (* with the full history retained, nothing committed before the
+         target; past the ring, the oldest retained checkpoint *)
+      if h.len < history_capacity then Vclock.empty else snd (nth (i - 1))
+    else
+      let t, clock = nth i in
+      if t <= target then clock else newest_before (i + 1)
+  in
+  newest_before 0
 
 (* ------------------------------------------------------------------ *)
 (* Interval reads                                                      *)
@@ -156,7 +210,7 @@ let read (type l) (c : Cluster.t) (level : l level) ?prefer (key : string) :
 type interval = { lo : int; hi : int option; observed : int }
 
 (** The escrow interval of a {!Bcounter}-backed key from [r]'s purely
-    local state — no message exchange, no quiesce.  An absent key reads
+    local state — no message exchange.  An absent key reads
     as the empty counter ([{lo = 0; hi = None ...}] uncapped, exact
     zero-width once granted headroom arrives).  Raises
     [Obj.Type_mismatch] on a non-Bcounter key. *)
@@ -168,7 +222,3 @@ let interval_at (r : Replica.t) (key : string) : interval =
   in
   let { Bcounter.lo; hi } = Bcounter.interval c ~rep:r.Replica.id in
   { lo; hi; observed = Bcounter.quick_value c }
-
-(** {!interval_at} at the preferred (client co-located) replica. *)
-let interval (c : Cluster.t) ?prefer (key : string) : interval =
-  interval_at (preferred c prefer) key

@@ -664,6 +664,155 @@ let test_fetch_headroom () =
     (fetch_at cluster Escrow.Headroom "r2").Escrow.attempt
 
 (* ------------------------------------------------------------------ *)
+(* Consistency-typed reads                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_bound_empty_history () =
+  let _, cfg, _ = make Config.Local in
+  List.iter
+    (fun staleness_ms ->
+      Alcotest.(check bool)
+        (Fmt.str "budget %g: empty bound" staleness_ms)
+        true
+        (Vclock.equal Vclock.empty (Config.bound_clock cfg ~staleness_ms)))
+    [ 0.0; 1000.0 ]
+
+let test_bound_zero_is_committed () =
+  let engine, cfg, cluster = make Config.Local in
+  List.iter
+    (fun region -> ignore (execute_sync engine cfg ~region (incr_op ())))
+    [ "us-east"; "us-west"; "us-east" ];
+  Alcotest.(check bool) "budget 0 = the current committed clock" true
+    (Vclock.equal (Read.bound cluster Read.Strong)
+       (Config.bound_clock cfg ~staleness_ms:0.0))
+
+let test_bound_past_history () =
+  let engine, cfg, _ = make Config.Local in
+  let afters = ref [] in
+  let commit () =
+    match
+      (snd (execute_sync engine cfg ~region:"us-east" (incr_op ())))
+        .Config.batch
+    with
+    | Some b -> afters := b.Replica.b_after :: !afters
+    | None -> Alcotest.fail "increment did not commit"
+  in
+  let before_everything () =
+    Config.bound_clock cfg ~staleness_ms:(Engine.now engine +. 1.0)
+  in
+  for _ = 2 to Read.history_capacity do
+    commit ()
+  done;
+  Alcotest.(check bool) "whole history kept: nothing committed before"
+    true
+    (Vclock.equal Vclock.empty (before_everything ()));
+  commit ();
+  commit ();
+  (* the first checkpoint is evicted: the oldest retained one is the
+     second commit's clock, stricter than the budget asked for *)
+  let second = List.nth (List.rev !afters) 1 in
+  Alcotest.(check bool) "past the ring: the oldest retained checkpoint" true
+    (Vclock.equal second (before_everything ()))
+
+(* A Local-mode runtime whose links are all cut for the whole test, so
+   commits stay where they ran; [writers] each commit one increment at
+   time 0. *)
+let scripted_reads ~(writers : string list) =
+  let engine = Engine.create () in
+  let cut = { Net.parts = ([], []); from_ms = 0.0; until_ms = 1e9 } in
+  let net =
+    Testutil.faulty_net ~seed:1
+      ~partitions:
+        [
+          { cut with Net.parts = ([ "us-west" ], [ "us-east"; "eu-west" ]) };
+          { cut with Net.parts = ([ "us-east" ], [ "eu-west" ]) };
+        ]
+      ()
+  in
+  let cluster = Cluster.create Testutil.regions in
+  let cfg = Config.create ~mode:Config.Local ~engine ~net ~cluster () in
+  List.iter
+    (fun region ->
+      Config.execute cfg ~client_region:region (incr_op ())
+        ~complete:(fun _ _ -> ()))
+    writers;
+  (engine, cfg, cluster)
+
+(* one read of "ctr" through [Config.execute_read]: (latency, value,
+   serving replica), after draining the engine *)
+let read_at engine cfg ~region level =
+  let served = ref "" and value = ref (-1) and lat = ref (-1.0) in
+  let op =
+    {
+      (read_op ()) with
+      Config.run =
+        (fun rep ->
+          served := rep.Replica.id;
+          value := counter_value rep;
+          Config.outcome None);
+    }
+  in
+  Config.execute_read cfg ~client_region:region ~level op
+    ~complete:(fun l _ -> lat := l);
+  Engine.run engine;
+  (!lat, !value, !served)
+
+let test_strong_is_bounded_zero () =
+  List.iter
+    (fun (writers, want) ->
+      let read level =
+        let engine, cfg, _ = scripted_reads ~writers in
+        read_at engine cfg ~region:"us-west" level
+      in
+      let ((lat, value, served) as strong) = read Config.RL_strong in
+      Alcotest.(check (triple (float 1e-9) int string))
+        (Fmt.str "%d writers: strong = bounded@0" (List.length writers))
+        (read (Config.RL_bounded 0.0))
+        strong;
+      Alcotest.(check int) "reflects every commit" (List.length writers) value;
+      Alcotest.(check string) "serving replica" want served;
+      Alcotest.(check bool) "pays a WAN round-trip" true (lat > 80.0))
+    [ ([ "us-east" ], "dc-east"); ([ "us-east"; "eu-west" ], "dc-west") ]
+
+let test_bounded_forwards_nearest () =
+  let engine, cfg, cluster = scripted_reads ~writers:[ "us-east" ] in
+  (* eu covers the bound too, but it is twice as far from us-west *)
+  let east = Cluster.replica cluster "dc-east" in
+  Replica.receive
+    (Cluster.replica cluster "dc-eu")
+    (List.hd (Replica.log_after east ~origin:"dc-east" ~known:0));
+  let lat, _, served =
+    read_at engine cfg ~region:"us-west" (Config.RL_bounded 0.0)
+  in
+  Alcotest.(check string) "nearest covering replica" "dc-east" served;
+  Alcotest.(check bool) "one 80 ms round-trip" true (lat > 80.0 && lat < 160.0);
+  Config.fail_region cfg "us-east" ~for_ms:10_000.0;
+  let lat, value, served =
+    read_at engine cfg ~region:"us-west" (Config.RL_bounded 0.0)
+  in
+  Alcotest.(check string) "a failed region is skipped" "dc-eu" served;
+  Alcotest.(check int) "the forwarded read covers the bound" 1 value;
+  Alcotest.(check bool) "one 160 ms round-trip" true (lat > 160.0)
+
+let test_barrier_catches_up_exec_only () =
+  let engine, cfg, cluster =
+    scripted_reads ~writers:[ "us-east"; "eu-west" ]
+  in
+  let clock id = (Cluster.replica cluster id).Replica.vv in
+  let east = clock "dc-east" and eu = clock "dc-eu" in
+  let bound = Config.bound_clock cfg ~staleness_ms:0.0 in
+  let lat, value, served =
+    read_at engine cfg ~region:"us-west" Config.RL_strong
+  in
+  Alcotest.(check string) "served at the exec replica" "dc-west" served;
+  Alcotest.(check int) "after catching up" 2 value;
+  Alcotest.(check bool) "the exec replica covers the bound" true
+    (Read.covers (Cluster.replica cluster "dc-west") bound);
+  Alcotest.(check bool) "the other replicas are unchanged" true
+    (Vclock.equal east (clock "dc-east") && Vclock.equal eu (clock "dc-eu"));
+  Alcotest.(check bool) "pays the 160 ms barrier" true (lat > 160.0)
+
+(* ------------------------------------------------------------------ *)
 (* Committed benchmark artifacts                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -785,6 +934,21 @@ let () =
             test_fetch_stockout;
           Alcotest.test_case "fetch: headroom via Hmove" `Quick
             test_fetch_headroom;
+        ] );
+      ( "reads",
+        [
+          Alcotest.test_case "empty history: empty bound" `Quick
+            test_bound_empty_history;
+          Alcotest.test_case "budget 0: committed clock" `Quick
+            test_bound_zero_is_committed;
+          Alcotest.test_case "past the ring: oldest kept" `Quick
+            test_bound_past_history;
+          Alcotest.test_case "strong = bounded@0" `Quick
+            test_strong_is_bounded_zero;
+          Alcotest.test_case "forwards to nearest cover" `Quick
+            test_bounded_forwards_nearest;
+          Alcotest.test_case "barrier: exec replica only" `Quick
+            test_barrier_catches_up_exec_only;
         ] );
       ( "bench outputs",
         [

@@ -1499,18 +1499,40 @@ let test_read_bounded_cover_rule () =
     r2.Read.served_by;
   Alcotest.(check bool) "still no escalation" false r2.Read.escalated
 
-let test_read_strong_quiesces () =
+let clocks (c : Cluster.t) : Vclock.t list =
+  List.map (fun (r : Replica.t) -> r.Replica.vv) c.Cluster.replicas
+
+let test_read_strong_serves_cut () =
   let c = three () in
   let east = Cluster.replica c "dc-east" in
   let _ = Testutil.counter_delta ~key:"ctr" east 7 in
-  (* never broadcast: only the quiesce path can surface it at west *)
+  (* never broadcast: east alone covers the cut, so it serves *)
+  let before = clocks c in
   let r = Read.read c Read.Strong ~prefer:"dc-west" "ctr" in
   Alcotest.(check int) "strong read sees the unreplicated commit" 7
     (read_counter r.Read.value);
-  Alcotest.(check string) "served by the preferred replica" "dc-west"
+  Alcotest.(check string) "served by the covering replica" "dc-east"
     r.Read.served_by;
-  Alcotest.(check bool) "cluster quiescent afterwards" true
-    (Cluster.quiescent c)
+  Alcotest.(check bool) "no catch-up needed" false r.Read.escalated;
+  Alcotest.(check bool) "no replica's clock moved" true
+    (List.for_all2 Vclock.equal before (clocks c));
+  (* a concurrent commit at west: no replica covers the cut, so west
+     alone catches up *)
+  let west = Cluster.replica c "dc-west" in
+  let _ = Testutil.counter_delta ~key:"ctr" west 2 in
+  let cut = Read.bound c Read.Strong in
+  let east_vv = east.Replica.vv
+  and eu_vv = (Cluster.replica c "dc-eu").Replica.vv in
+  let r = Read.read c Read.Strong ~prefer:"dc-west" "ctr" in
+  Alcotest.(check int) "the catch-up reflects both commits" 9
+    (read_counter r.Read.value);
+  Alcotest.(check string) "served at home" "dc-west" r.Read.served_by;
+  Alcotest.(check bool) "escalated" true r.Read.escalated;
+  Alcotest.(check bool) "serving clock covers the cut" true
+    (Vclock.leq cut r.Read.at);
+  Alcotest.(check bool) "the other replicas' clocks are unchanged" true
+    (Vclock.equal east_vv east.Replica.vv
+    && Vclock.equal eu_vv (Cluster.replica c "dc-eu").Replica.vv)
 
 let test_interval_brackets_truth () =
   let c = three () in
@@ -1660,6 +1682,44 @@ let prop_bound_zero_equals_strong =
       && Vclock.leq bound rb.Read.at
       && Vclock.leq bound rs.Read.at)
 
+let prop_strong_is_tightest_bound =
+  QCheck.Test.make
+    ~name:"strong reads serve the cut, catching up only home"
+    ~count:100
+    QCheck.(
+      make
+        Gen.(
+          pair (int_bound 2)
+            (list_size (int_range 1 16)
+               (triple (int_bound 2) (int_range 1 3) (int_bound 3)))))
+    (fun (home, script) ->
+      let c = three () in
+      let ids = [| "dc-east"; "dc-west"; "dc-eu" |] in
+      List.iter
+        (fun (ri, n, mask) ->
+          let rep = Cluster.replica c ids.(ri) in
+          masked_deliver c (Testutil.counter_delta ~key:"ctr" rep n) mask)
+        script;
+      let cut = Read.bound c Read.Strong in
+      let covered =
+        List.exists (fun r -> Read.covers r cut) c.Cluster.replicas
+      in
+      let before = clocks c in
+      let rs = Read.read c Read.Strong ~prefer:ids.(home) "ctr" in
+      let moved =
+        List.map2
+          (fun (r : Replica.t) vv -> not (Vclock.equal vv r.Replica.vv))
+          c.Cluster.replicas before
+      in
+      let rb = Read.read c (Read.Bounded cut) ~prefer:ids.(home) "ctr" in
+      Vclock.leq cut rs.Read.at
+      && read_counter rs.Read.value = read_counter rb.Read.value
+      && rs.Read.escalated = not covered
+      && List.for_all2
+           (fun (r : Replica.t) m ->
+             (not m) || (rs.Read.escalated && r.Replica.id = ids.(home)))
+           c.Cluster.replicas moved)
+
 let prop_weak_converges_at_quiescence =
   QCheck.Test.make
     ~name:"weak reads converge to the strong read at quiescence"
@@ -1677,10 +1737,10 @@ let prop_weak_converges_at_quiescence =
           let rep = Cluster.replica c ids.(ri) in
           masked_deliver c (Testutil.counter_delta ~key:"ctr" rep n) mask)
         script;
-      (* the strong read drives the cluster to quiescence... *)
       let rs = Read.read c Read.Strong ~prefer:"dc-east" "ctr" in
       let strong = read_counter rs.Read.value in
-      (* ...after which every replica's weak read agrees with it *)
+      (* at quiescence every replica's weak read agrees with it *)
+      ignore (Read.quiesce c);
       Cluster.quiescent c
       && List.for_all
            (fun (r : Replica.t) ->
@@ -1925,6 +1985,7 @@ let qcheck_tests =
       prop_delta_merge_equiv;
       prop_interval_brackets_strong;
       prop_bound_zero_equals_strong;
+      prop_strong_is_tightest_bound;
       prop_weak_converges_at_quiescence;
       prop_incremental_set_hash;
     ]
@@ -2050,8 +2111,8 @@ let () =
           Alcotest.test_case "weak serves locally" `Quick test_read_weak_local;
           Alcotest.test_case "bounded routes to a covering replica" `Quick
             test_read_bounded_cover_rule;
-          Alcotest.test_case "strong quiesces then serves" `Quick
-            test_read_strong_quiesces;
+          Alcotest.test_case "strong serves the cut" `Quick
+            test_read_strong_serves_cut;
           Alcotest.test_case "interval brackets the truth" `Quick
             test_interval_brackets_truth;
           Alcotest.test_case "descent at shard-boundary divergence" `Quick

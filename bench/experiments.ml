@@ -119,13 +119,16 @@ let fig2 () =
   let op name =
     Ipa_core.Detect.aop_of (Option.get (Ipa_spec.Types.find_op spec name))
   in
-  (match Ipa_core.Detect.check_pair spec (op "rem_tourn") (op "enroll") with
+  let ctx = Ipa_core.Anactx.create () in
+  (match
+     Ipa_core.Detect.check_pair ~ctx spec (op "rem_tourn") (op "enroll")
+   with
   | Ipa_core.Detect.Conflict w ->
       pr "(a) referential integrity broken:@.%s@.@."
         (Ipa_core.Report.witness_to_string ~op1:"rem_tourn" ~op2:"enroll" w)
   | Ipa_core.Detect.Safe -> pr "unexpected: pair is safe@.");
   let sols =
-    Ipa_core.Repair.repair_conflicts ~search_rules:true spec
+    Ipa_core.Repair.repair_conflicts ~search_rules:true ~ctx spec
       (op "rem_tourn", op "enroll")
   in
   List.iteri
@@ -483,16 +486,19 @@ operation enroll(P:x, T:y)
     [
       Test.make ~name:"detect: conflicting pair (mini)"
         (Staged.stage (fun () ->
-             ignore (Ipa_core.Detect.check_pair mini (op mini "rem_t") (op mini "enroll"))));
+             ignore
+               (Ipa_core.Detect.check_pair ~ctx:(Ipa_core.Anactx.create ())
+                  mini (op mini "rem_t") (op mini "enroll"))));
       Test.make ~name:"detect: safe pair (tournament)"
         (Staged.stage (fun () ->
              ignore
-               (Ipa_core.Detect.check_pair spec (op spec "add_player")
-                  (op spec "add_tourn"))));
+               (Ipa_core.Detect.check_pair ~ctx:(Ipa_core.Anactx.create ())
+                  spec (op spec "add_player") (op spec "add_tourn"))));
       Test.make ~name:"repair: rem_t/enroll (mini)"
         (Staged.stage (fun () ->
              ignore
-               (Ipa_core.Repair.repair_conflicts mini
+               (Ipa_core.Repair.repair_conflicts
+                  ~ctx:(Ipa_core.Anactx.create ()) mini
                   (op mini "rem_t", op mini "enroll"))));
       Test.make ~name:"sat: pigeonhole 5/4"
         (Staged.stage (fun () ->
@@ -652,69 +658,6 @@ let analysis () =
      range, and the@. caches/pruning are exact: identical resolutions, \
      flagged pairs and@. patched specifications in both modes.)@."
 
-(* DESIGN §5: clause-relevance restriction — soundness-preserving
-   over-approximation that cuts grounding cost *)
-let ablation_clause_restriction () =
-  pr "-- ablation: clause-relevance restriction (analysis cost) --@.";
-  let spec = Ipa_spec.Catalog.tournament () in
-  let ops = List.map Ipa_core.Detect.aop_of spec.Ipa_spec.Types.operations in
-  let rec pairs = function
-    | [] -> []
-    | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
-  in
-  let all_pairs = pairs ops in
-  let run ~restrict_clauses =
-    List.length
-      (List.filter
-         (fun (o1, o2) ->
-           Ipa_core.Detect.check_pair ~restrict_clauses spec o1 o2
-           <> Ipa_core.Detect.Safe)
-         all_pairs)
-  in
-  let n_on, t_on = time_it (fun () -> run ~restrict_clauses:true) in
-  let n_off, t_off = time_it (fun () -> run ~restrict_clauses:false) in
-  pr "restricted:   %d conflicts in %.2fs@." n_on t_on;
-  pr "unrestricted: %d conflicts in %.2fs  (%.1fx slower)@.@." n_off t_off
-    (t_off /. t_on)
-
-(* DESIGN §5: domain widening is required for cardinality soundness *)
-let ablation_domain_widening () =
-  pr "-- ablation: cardinality domain widening (soundness) --@.";
-  let spec = Ipa_spec.Catalog.tournament () in
-  let enroll =
-    Ipa_core.Detect.aop_of
-      (Option.get (Ipa_spec.Types.find_op spec "enroll"))
-  in
-  let v_on = Ipa_core.Detect.check_pair ~widen:true spec enroll enroll in
-  let v_off = Ipa_core.Detect.check_pair ~widen:false spec enroll enroll in
-  pr "enroll || enroll with widening:    %s@."
-    (match v_on with
-    | Ipa_core.Detect.Conflict w ->
-        "CONFLICT (" ^ String.concat "," w.Ipa_core.Detect.violated ^ ")"
-    | Ipa_core.Detect.Safe -> "safe");
-  pr "enroll || enroll without widening: %s  <-- capacity conflict missed@.@."
-    (match v_off with
-    | Ipa_core.Detect.Conflict _ -> "CONFLICT"
-    | Ipa_core.Detect.Safe -> "safe (UNSOUND)")
-
-(* repair-search filters: intent preservation and minimality *)
-let ablation_repair_filters () =
-  pr "-- ablation: repair-search filters (solution quality) --@.";
-  let spec = Ipa_spec.Catalog.tournament () in
-  let op name =
-    Ipa_core.Detect.aop_of (Option.get (Ipa_spec.Types.find_op spec name))
-  in
-  let pair = (op "rem_tourn", op "enroll") in
-  let count ?check_intent ?check_minimality () =
-    List.length
-      (Ipa_core.Repair.repair_conflicts ?check_intent ?check_minimality
-         ~search_rules:true spec pair)
-  in
-  pr "full filters:          %d solutions@." (count ());
-  pr "no minimality filter:  %d solutions@." (count ~check_minimality:false ());
-  pr "no intent filter:      %d solutions (degenerate ones included)@.@."
-    (count ~check_intent:false ())
-
 (* store-level GC: metadata growth with and without stability GC *)
 let ablation_gc () =
   pr "-- ablation: causal-stability garbage collection --@.";
@@ -799,9 +742,6 @@ let ablation_hybrid () =
 
 let ablations () =
   pr "== Ablations ==@.@.";
-  ablation_clause_restriction ();
-  ablation_domain_widening ();
-  ablation_repair_filters ();
   ablation_gc ();
   ablation_hybrid ()
 
@@ -1935,8 +1875,9 @@ let incr ?(quick = false) () =
     the read-oracle fuzz sweep (interval containment + staleness bound
     judged on every schedule).  Emits BENCH_CONSISTENCY.json; fails hard
     if the strong row differs from the bounded@0 row in any measured
-    field, any interval escapes, any fuzz schedule fails, or the
-    large-budget bounded read is not ≥5× cheaper than strong. *)
+    field, a strong read on the settled cluster is not served at home,
+    any interval escapes, any fuzz schedule fails, or the large-budget
+    bounded read is not ≥5× cheaper than strong. *)
 let consistency ?(quick = false) () =
   pr "== Consistency-typed reads: staleness bound vs latency/error ==@.";
   let horizon = if quick then 4_000.0 else 20_000.0 in
@@ -2020,7 +1961,29 @@ let consistency ?(quick = false) () =
          ~op_of:(fun (e : Workload.event) ->
            ( region_names.(e.Workload.client mod 3),
              write e.Workload.rank )));
-    (!lats, !errs)
+    (* one more probe once the stream has drained and settled: every
+       replica then covers the committed clock, so a strong read must be
+       served at home, without the WAN barrier a catch-up pays.  The
+       sweep's probes cannot show this: they all run while writes are in
+       flight, when no replica covers the committed clock *)
+    let settled = ref 0.0 in
+    Config.execute_read cfg ~client_region:"us-east" ~level
+      {
+        Config.op_name = "r";
+        is_update = false;
+        reservations = [];
+        run = (fun _ -> Config.outcome None);
+      }
+      ~complete:(fun lat _ -> settled := lat);
+    Engine.run_until env.engine (Engine.now env.engine +. 1_000.0);
+    let nearest_peer =
+      List.fold_left
+        (fun acc (_, region) ->
+          if region = "us-east" then acc
+          else Float.min acc (Net.mean_rtt env.net "us-east" region))
+        infinity regions
+    in
+    (!lats, !errs, !settled < nearest_peer)
   in
   let levels =
     let bounded =
@@ -2042,7 +2005,11 @@ let consistency ?(quick = false) () =
   let rows =
     List.map
       (fun (name, bound, level) ->
-        let lats, errs = run_level level in
+        let lats, errs, settled_home = run_level level in
+        if level = Config.RL_strong && not settled_home then
+          failwith
+            "consistency: a strong read on a settled cluster paid a WAN \
+             round trip instead of being served at home";
         let m = mean lats in
         let p95 = Metrics.percentile 95.0 lats
         and p99 = Metrics.percentile 99.0 lats in

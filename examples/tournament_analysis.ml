@@ -21,14 +21,15 @@ let analysis () =
   let spec = Catalog.tournament () in
   section "Figure 2: the rem_tourn || enroll conflict";
   let op name = Detect.aop_of (Option.get (Types.find_op spec name)) in
-  (match Detect.check_pair spec (op "rem_tourn") (op "enroll") with
+  let ctx = Anactx.create () in
+  (match Detect.check_pair ~ctx spec (op "rem_tourn") (op "enroll") with
   | Detect.Conflict w ->
       Fmt.pr "%s@." (Report.witness_to_string ~op1:"rem_tourn" ~op2:"enroll" w)
   | Detect.Safe -> assert false);
 
   section "Proposed resolutions (programmer picks one)";
   let sols =
-    Repair.repair_conflicts ~search_rules:true spec
+    Repair.repair_conflicts ~search_rules:true ~ctx spec
       (op "rem_tourn", op "enroll")
   in
   List.iteri

@@ -1,7 +1,7 @@
 (** Shared analysis context: caches and statistics for one analysis run.
 
-    Every stage of the pipeline ({!Detect}, {!Repair}, {!Ipa}) accepts an
-    optional context.  When present it provides
+    Every stage of the pipeline ({!Detect}, {!Repair}, {!Ipa}) takes a
+    context.  It provides
 
     - a {e grounding cache}: grounded invariant clauses keyed by
       (formula, domain).  The clauses of a pair are identical across all
@@ -11,8 +11,9 @@
       [Repair.preserves_intent], keyed by the operation's base/current
       effects and the canonical convergence rules;
     - the switches for the caches and for witness-guided candidate
-      pruning (both on by default), so benchmarks can measure the
-      uninstrumented baseline with the same code path;
+      pruning (both on by default).  [create ~cache:false ~prune:false]
+      is the uncached, unpruned reference run that the cache-equivalence
+      test and [bench/main.exe analysis] compare against;
     - aggregated counters: SAT calls/conflicts/decisions/propagations,
       cache hit rates, candidates generated/pruned/checked, and per-pair
       wall time.
@@ -223,44 +224,37 @@ let absorb ~(into : t) (child : t) : unit =
   s.total_seconds <- 0.0
 
 let stats t = t.stats
-let prune_enabled = function Some t -> t.prune | None -> false
+let prune_enabled t = t.prune
 
 (* ------------------------------------------------------------------ *)
-(* Cache operations (all tolerate a missing context)                   *)
+(* Cache operations                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* private table first, then the shared frozen snapshot (a frozen hit
-   is still a hit — the work was saved); inserts go to the private
-   table only, so the snapshot stays read-only across domains *)
-let frozen_find (c : t) (proj : ro -> ('k, 'v) Hashtbl.t) (key : 'k) :
-    'v option =
-  match c.frozen with
-  | None -> None
-  | Some ro -> Hashtbl.find_opt (proj ro) key
+(* a cached value, if caching is on: the private table first, then the
+   shared frozen snapshot (a frozen hit is still a hit — the work was
+   saved).  Each memoizing helper below counts a hit or a miss, and on a
+   miss inserts into the private table only, so the snapshot stays
+   read-only across domains. *)
+let find (c : t) (tbl : ('k, 'v) Hashtbl.t) (proj : ro -> ('k, 'v) Hashtbl.t)
+    (key : 'k) : 'v option =
+  if not c.cache then None
+  else
+    match (Hashtbl.find_opt tbl key, c.frozen) with
+    | (Some _ as hit), _ -> hit
+    | None, None -> None
+    | None, Some ro -> Hashtbl.find_opt (proj ro) key
 
-let ground (ctx : t option) ~sg ~consts ~dom (f : Ast.formula) :
-    Ground.gformula =
-  match ctx with
-  | Some c when c.cache -> (
-      let key = (f, dom) in
-      let cached =
-        match Hashtbl.find_opt c.ground_tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c (fun ro -> ro.ro_ground) key
-      in
-      match cached with
-      | Some g ->
-          c.stats.ground_hits <- c.stats.ground_hits + 1;
-          g
-      | None ->
-          c.stats.ground_misses <- c.stats.ground_misses + 1;
-          let g = Ground.ground ~sg ~consts ~dom f in
-          Hashtbl.add c.ground_tbl key g;
-          g)
-  | Some c ->
+let ground (c : t) ~sg ~consts ~dom (f : Ast.formula) : Ground.gformula =
+  let key = (f, dom) in
+  match find c c.ground_tbl (fun ro -> ro.ro_ground) key with
+  | Some g ->
+      c.stats.ground_hits <- c.stats.ground_hits + 1;
+      g
+  | None ->
       c.stats.ground_misses <- c.stats.ground_misses + 1;
-      Ground.ground ~sg ~consts ~dom f
-  | None -> Ground.ground ~sg ~consts ~dom f
+      let g = Ground.ground ~sg ~consts ~dom f in
+      if c.cache then Hashtbl.add c.ground_tbl key g;
+      g
 
 let verdict_key (spec : Types.t) (base : Types.operation)
     (cur : Types.operation) : verdict_key =
@@ -270,108 +264,63 @@ let verdict_key (spec : Types.t) (base : Types.operation)
     cur.oeffects,
     Types.canonical_rules spec.rules )
 
-(* memoize [f ()] in [tbl] under [key]; bypass when caching is off *)
-let cached_verdict (ctx : t option) which (spec : Types.t)
-    (base : Types.operation) (cur : Types.operation) (f : unit -> bool) : bool
-    =
-  match ctx with
-  | Some c when c.cache -> (
-      let tbl = match which with `Seq -> c.seq_tbl | `Intent -> c.intent_tbl in
-      let proj ro = match which with `Seq -> ro.ro_seq | `Intent -> ro.ro_intent in
-      let key = verdict_key spec base cur in
-      let cached =
-        match Hashtbl.find_opt tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c proj key
-      in
-      match cached with
-      | Some v ->
-          c.stats.verdict_hits <- c.stats.verdict_hits + 1;
-          v
-      | None ->
-          c.stats.verdict_misses <- c.stats.verdict_misses + 1;
-          let v = f () in
-          Hashtbl.add tbl key v;
-          v)
-  | Some c ->
+let cached_verdict (c : t) which (spec : Types.t) (base : Types.operation)
+    (cur : Types.operation) (f : unit -> bool) : bool =
+  let tbl = match which with `Seq -> c.seq_tbl | `Intent -> c.intent_tbl in
+  let proj ro = match which with `Seq -> ro.ro_seq | `Intent -> ro.ro_intent in
+  let key = verdict_key spec base cur in
+  match find c tbl proj key with
+  | Some v ->
+      c.stats.verdict_hits <- c.stats.verdict_hits + 1;
+      v
+  | None ->
       c.stats.verdict_misses <- c.stats.verdict_misses + 1;
-      f ()
-  | None -> f ()
+      let v = f () in
+      if c.cache then Hashtbl.add tbl key v;
+      v
 
-(* memoize under an obligation key: private table, then frozen
-   snapshot, then compute-and-insert — same discipline as the verdict
-   caches, so parallel workers share a frozen snapshot safely *)
-let oblig_lookup (ctx : t option) (key : Oblig.key) (f : unit -> bool) : bool
-    =
-  match ctx with
-  | Some c when c.cache -> (
-      let cached =
-        match Hashtbl.find_opt c.oblig_tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c (fun ro -> ro.ro_oblig) key
-      in
-      match cached with
-      | Some v ->
-          c.stats.oblig_hits <- c.stats.oblig_hits + 1;
-          v
-      | None ->
-          c.stats.oblig_misses <- c.stats.oblig_misses + 1;
-          let v = f () in
-          Hashtbl.add c.oblig_tbl key v;
-          v)
-  | Some c ->
+let oblig_lookup (c : t) (key : Oblig.key) (f : unit -> bool) : bool =
+  match find c c.oblig_tbl (fun ro -> ro.ro_oblig) key with
+  | Some v ->
+      c.stats.oblig_hits <- c.stats.oblig_hits + 1;
+      v
+  | None ->
       c.stats.oblig_misses <- c.stats.oblig_misses + 1;
-      f ()
-  | None -> f ()
+      let v = f () in
+      if c.cache then Hashtbl.add c.oblig_tbl key v;
+      v
 
 (** Is this obligation's verdict already cached (private table or
     shared snapshot)?  A pure query: no counters move — the eventual
     {!oblig_lookup} that consumes the entry counts the hit.  The
     parallel scan uses it to keep cached obligations out of the
     fan-out: a warm re-scan then crosses no barrier at all. *)
-let oblig_cached (ctx : t option) (key : Oblig.key) : bool =
-  match ctx with
-  | Some c when c.cache ->
-      Hashtbl.mem c.oblig_tbl key
-      || frozen_find c (fun ro -> ro.ro_oblig) key <> None
-  | _ -> false
+let oblig_cached (c : t) (key : Oblig.key) : bool =
+  find c c.oblig_tbl (fun ro -> ro.ro_oblig) key <> None
 
 (** Seed an obligation verdict computed elsewhere (a parallel worker)
     into the private table, without touching the hit/miss counters —
     the computing context already counted the miss.  Lets the parent of
     a fan-out record a block's verdicts directly instead of paying a
     snapshot copy per block. *)
-let oblig_put (ctx : t option) (key : Oblig.key) (v : bool) : unit =
-  match ctx with
-  | Some c when c.cache ->
-      if not (Hashtbl.mem c.oblig_tbl key) then Hashtbl.add c.oblig_tbl key v
-  | _ -> ()
+let oblig_put (c : t) (key : Oblig.key) (v : bool) : unit =
+  if c.cache && not (Hashtbl.mem c.oblig_tbl key) then
+    Hashtbl.add c.oblig_tbl key v
 
 (* memoize a whole-case witness extraction.  The stored value is the
    exact result of the deterministic solver query, so replays from the
    cache keep reports bit-identical to a from-scratch run *)
-let case_lookup (ctx : t option) (key : Oblig.key)
-    (f : unit -> Oblig.witness option) : Oblig.witness option =
-  match ctx with
-  | Some c when c.cache -> (
-      let cached =
-        match Hashtbl.find_opt c.case_tbl key with
-        | Some _ as hit -> hit
-        | None -> frozen_find c (fun ro -> ro.ro_case) key
-      in
-      match cached with
-      | Some v ->
-          c.stats.case_hits <- c.stats.case_hits + 1;
-          v
-      | None ->
-          c.stats.case_misses <- c.stats.case_misses + 1;
-          let v = f () in
-          Hashtbl.add c.case_tbl key v;
-          v)
-  | Some c ->
+let case_lookup (c : t) (key : Oblig.key) (f : unit -> Oblig.witness option)
+    : Oblig.witness option =
+  match find c c.case_tbl (fun ro -> ro.ro_case) key with
+  | Some v ->
+      c.stats.case_hits <- c.stats.case_hits + 1;
+      v
+  | None ->
       c.stats.case_misses <- c.stats.case_misses + 1;
-      f ()
-  | None -> f ()
+      let v = f () in
+      if c.cache then Hashtbl.add c.case_tbl key v;
+      v
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -379,34 +328,28 @@ let case_lookup (ctx : t option) (key : Oblig.key)
 
 (** Record one [Encode.solve] call: harvest the (fresh, single-use)
     solver's counters into the aggregate. *)
-let record_solve (ctx : t option) (enc : Ipa_solver.Encode.ctx) : unit =
-  match ctx with
-  | None -> ()
-  | Some c ->
-      let st = Ipa_solver.Sat.stats (Ipa_solver.Encode.solver enc) in
-      let s = c.stats in
-      s.sat_calls <- s.sat_calls + 1;
-      s.sat_conflicts <- s.sat_conflicts + st.Ipa_solver.Sat.n_conflicts;
-      s.sat_decisions <- s.sat_decisions + st.Ipa_solver.Sat.n_decisions;
-      s.sat_propagations <- s.sat_propagations + st.Ipa_solver.Sat.n_propagations;
-      s.sat_learnts <- s.sat_learnts + st.Ipa_solver.Sat.n_learnts;
-      s.sat_removed <- s.sat_removed + st.Ipa_solver.Sat.n_removed
+let record_solve (c : t) (enc : Ipa_solver.Encode.ctx) : unit =
+  let st = Ipa_solver.Sat.stats (Ipa_solver.Encode.solver enc) in
+  let s = c.stats in
+  s.sat_calls <- s.sat_calls + 1;
+  s.sat_conflicts <- s.sat_conflicts + st.Ipa_solver.Sat.n_conflicts;
+  s.sat_decisions <- s.sat_decisions + st.Ipa_solver.Sat.n_decisions;
+  s.sat_propagations <- s.sat_propagations + st.Ipa_solver.Sat.n_propagations;
+  s.sat_learnts <- s.sat_learnts + st.Ipa_solver.Sat.n_learnts;
+  s.sat_removed <- s.sat_removed + st.Ipa_solver.Sat.n_removed
 
 (** Time [f], attributing the elapsed wall time to [pair]. *)
-let time (ctx : t option) (pair : string * string) (f : unit -> 'a) : 'a =
-  match ctx with
-  | None -> f ()
-  | Some c ->
-      let t0 = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          let dt = Unix.gettimeofday () -. t0 in
-          let prev =
-            Option.value ~default:0.0 (Hashtbl.find_opt c.stats.pair_seconds pair)
-          in
-          Hashtbl.replace c.stats.pair_seconds pair (prev +. dt);
-          c.stats.total_seconds <- c.stats.total_seconds +. dt)
-        f
+let time (c : t) (pair : string * string) (f : unit -> 'a) : 'a =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      let dt = Unix.gettimeofday () -. t0 in
+      let prev =
+        Option.value ~default:0.0 (Hashtbl.find_opt c.stats.pair_seconds pair)
+      in
+      Hashtbl.replace c.stats.pair_seconds pair (prev +. dt);
+      c.stats.total_seconds <- c.stats.total_seconds +. dt)
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Reporting helpers                                                   *)

@@ -1,10 +1,8 @@
 (** Shared analysis context threaded through {!Detect}, {!Repair} and
     {!Ipa}: a grounding cache, verdict caches, the witness-pruning
-    switch, and aggregated solver/cache statistics.
-
-    All helpers accept the context as an [option] so call sites can pass
-    an optional parameter straight through; a [None] context makes every
-    helper a transparent no-op around the underlying computation.
+    switch, and aggregated solver/cache statistics.  Every analysis
+    entry point takes one; [Ipa.run] creates it when the caller does
+    not.
 
     A context may be reused across runs (counters accumulate) but must
     not be shared between different specifications: the grounding cache
@@ -38,7 +36,12 @@ type stats = {
 
 type t
 
-(** [create ()] — caching and witness pruning both default to on. *)
+(** [create ()] — caching and witness pruning both default to on, the
+    production analysis.  [create ~cache:false ~prune:false ()] is the
+    uncached, unpruned reference: every lookup is a miss that counts
+    and no repair candidate is screened by a stored witness, so the
+    cache-equivalence test and [bench/main.exe analysis] can check that
+    the caches and pruning change nothing but cost. *)
 val create : ?cache:bool -> ?prune:bool -> unit -> t
 
 (** [fresh ~like] — a context with [like]'s cache/prune switches but
@@ -78,12 +81,12 @@ val absorb : into:t -> t -> unit
 val merge_stats : into:t -> t -> unit
 
 val stats : t -> stats
-val prune_enabled : t option -> bool
+val prune_enabled : t -> bool
 
 (** Memoizing wrapper around {!Ground.ground}, keyed by
     (formula, domain). *)
 val ground :
-  t option ->
+  t ->
   sg:Ground.signature ->
   consts:(string * int) list ->
   dom:Ground.domain ->
@@ -94,7 +97,7 @@ val ground :
     [`Intent] = intent preservation) keyed by the operation's base and
     current effects plus the canonical convergence rules. *)
 val cached_verdict :
-  t option ->
+  t ->
   [ `Seq | `Intent ] ->
   Types.t ->
   Types.operation ->
@@ -107,29 +110,29 @@ val cached_verdict :
     Keys are content-addressed ({!Oblig.key}), so entries survive
     specification edits and invalidate implicitly: an edited operation
     or clause changes the keys it reaches and leaves the rest hitting. *)
-val oblig_lookup : t option -> Oblig.key -> (unit -> bool) -> bool
+val oblig_lookup : t -> Oblig.key -> (unit -> bool) -> bool
 
 (** Seed an obligation verdict computed elsewhere (a parallel worker)
     without touching the hit/miss counters. *)
-val oblig_put : t option -> Oblig.key -> bool -> unit
+val oblig_put : t -> Oblig.key -> bool -> unit
 
 (** Is this obligation's verdict already cached?  Pure query — no
     counters move. *)
-val oblig_cached : t option -> Oblig.key -> bool
+val oblig_cached : t -> Oblig.key -> bool
 
 (** Memoize a whole-case witness extraction (key's [k_clause] = -1).
     The stored value is the exact result of the deterministic solver
     query, keeping replayed reports bit-identical. *)
 val case_lookup :
-  t option -> Oblig.key -> (unit -> Oblig.witness option) ->
+  t -> Oblig.key -> (unit -> Oblig.witness option) ->
   Oblig.witness option
 
 (** Record one [Encode.solve] call: harvest the (fresh, single-use)
     solver's counters into the aggregate. *)
-val record_solve : t option -> Ipa_solver.Encode.ctx -> unit
+val record_solve : t -> Ipa_solver.Encode.ctx -> unit
 
 (** Time a computation, attributing elapsed wall time to the pair. *)
-val time : t option -> string * string -> (unit -> 'a) -> 'a
+val time : t -> string * string -> (unit -> 'a) -> 'a
 
 val ground_hit_rate : stats -> float
 val verdict_hit_rate : stats -> float

@@ -128,181 +128,154 @@ let widen_domain_for (spec : Types.t) (invs : Types.invariant list)
 (* the (relevant clauses, widened domain) analysis frame of one
    unification case — every obligation and the whole-case witness query
    are posed against this frame *)
-let case_frame ~restrict_clauses ~widen (spec : Types.t) (o1 : aop) (o2 : aop)
+let case_frame (spec : Types.t) (o1 : aop) (o2 : aop)
     (u : Pairctx.unification) : Types.invariant list * Ground.domain =
-  let invs =
-    if restrict_clauses then relevant_invariants spec o1.cur o2.cur
-    else spec.invariants
-  in
-  let dom =
-    if widen then widen_domain_for spec invs [ o1.cur; o2.cur ] u.dom
-    else u.dom
-  in
-  (invs, dom)
+  let invs = relevant_invariants spec o1.cur o2.cur in
+  (invs, widen_domain_for spec invs [ o1.cur; o2.cur ] u.dom)
 
-(* the whole-case query over an already-computed frame: assert pre-state
-   + weakest preconditions, then the disjunction of per-clause violation
-   targets; extract a witness on Sat *)
-let check_case_grounded ?ctx (spec : Types.t) (o1 : aop) (o2 : aop)
+(* the frame's clauses, grounded over [dom] through the context's cache *)
+let ground_clauses ~ctx (spec : Types.t) ~(dom : Ground.domain)
+    (invs : Types.invariant list) : Ground.gformula list =
+  let sg = Types.signature spec in
+  List.map
+    (fun (i : Types.invariant) ->
+      Anactx.ground ctx ~sg ~consts:spec.consts ~dom i.iformula)
+    invs
+
+(* The one query encoding every analysis question shares: each clause
+   of [gcs] holds in the pre-state; the weakest precondition of each
+   write set in [bases] holds (only clauses a write affects yield a
+   constraint different from the already-asserted clause); [target] —
+   the violation sought — holds.  [k] reads the result (and, on Sat,
+   the model) before the solver is released.  The assertion order is
+   fixed: witness models depend on it. *)
+let solve_query ~ctx (spec : Types.t) (gcs : Ground.gformula list)
+    ~(bases : Effects.writes list) (target : Ground.gformula)
+    (k : Encode.ctx -> Sat.result -> 'a) : 'a =
+  let enc = Encode.create ~int_bounds:(Types.int_bounds spec) () in
+  List.iter (Encode.assert_formula enc) gcs;
+  List.iter
+    (fun w ->
+      List.iter
+        (fun gc ->
+          let t = Effects.apply_writes w gc in
+          if t <> gc then Encode.assert_formula enc t)
+        gcs)
+    bases;
+  Encode.assert_formula enc target;
+  let result = Encode.solve enc in
+  Anactx.record_solve ctx enc;
+  let v = k enc result in
+  Encode.release enc;
+  v
+
+(* "some clause the writes affect is false afterwards" *)
+let violation (w : Effects.writes) (gcs : Ground.gformula list) :
+    Ground.gformula =
+  Ground.gor_l
+    (List.filter_map
+       (fun gc ->
+         let t = Effects.apply_writes w gc in
+         if t = gc then None else Some (Ground.gnot t))
+       gcs)
+
+(* the whole-case query over an already-computed frame: pre-state and
+   weakest preconditions, then the disjunction of per-clause violation
+   targets, for each merged outcome in turn; extract a witness on Sat *)
+let check_case_grounded ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
     (u : Pairctx.unification) ~(invs : Types.invariant list)
     ~(dom : Ground.domain) : witness option =
-  let sg = Types.signature spec in
-  let consts = spec.consts in
-  let gcs =
-    List.map
-      (fun (i : Types.invariant) ->
-        (i.iname, Anactx.ground ctx ~sg ~consts ~dom i.iformula))
-      invs
+  let gcs = ground_clauses ~ctx spec ~dom invs in
+  let ig = Ground.gand_l gcs in
+  let bases =
+    [
+      Effects.ground_writes spec dom o1.base u.binding1;
+      Effects.ground_writes spec dom o2.base u.binding2;
+    ]
   in
-  let ig = Ground.gand_l (List.map snd gcs) in
-  let w1_base = Effects.ground_writes spec dom o1.base u.binding1 in
-  let w2_base = Effects.ground_writes spec dom o2.base u.binding2 in
   let w1 = Effects.ground_writes spec dom o1.cur u.binding1 in
   let w2 = Effects.ground_writes spec dom o2.cur u.binding2 in
-  let merged_outcomes = Effects.merge_writes spec w1 w2 in
   let int_bounds = Types.int_bounds spec in
-  let rec try_outcomes = function
-    | [] -> None
-    | merged :: rest -> (
-        let enc = Encode.create ~int_bounds () in
-        (* pre-state: each relevant clause holds *)
-        List.iter (fun (_, gc) -> Encode.assert_formula enc gc) gcs;
-        (* weakest preconditions: only clauses the writes affect produce
-           a constraint different from the already-asserted clause *)
-        List.iter
-          (fun w ->
-            List.iter
-              (fun (_, gc) ->
-                let t = Effects.apply_writes w gc in
-                if t <> gc then Encode.assert_formula enc t)
-              gcs)
-          [ w1_base; w2_base ];
-        (* violation: some clause affected by the merged writes is false *)
-        let viol =
-          Ground.gor_l
-            (List.filter_map
-               (fun (_, gc) ->
-                 let t = Effects.apply_writes merged gc in
-                 if t = gc then None else Some (Ground.gnot t))
-               gcs)
-        in
-        Encode.assert_formula enc viol;
-        let result = Encode.solve enc in
-        Anactx.record_solve ctx enc;
-        match result with
-        | Unsat ->
-            Encode.release enc;
-            try_outcomes rest
-        | Sat ->
-            (* extract the witness pre-state *)
-            let atoms =
-              List.sort_uniq compare
-                (Ground.atoms ig
-                @ List.map fst w1.bool_writes
-                @ List.map fst w2.bool_writes)
-            in
-            let nums =
-              List.sort_uniq compare
-                (Ground.nums ig
-                @ List.map fst w1.num_writes
-                @ List.map fst w2.num_writes)
-            in
-            let pre_atoms =
-              List.map (fun a -> (a, Encode.model_atom enc a)) atoms
-            in
-            let pre_nums =
-              List.map (fun n -> (n, Encode.model_num enc n)) nums
-            in
-            Encode.release enc;
-            let batom a =
-              Option.value ~default:false (List.assoc_opt a pre_atoms)
-            in
-            let bnum n =
-              match List.assoc_opt n pre_nums with
-              | Some v -> v
-              | None -> fst (int_bounds n)
-            in
-            let batom', bnum' = Effects.post_state ~batom ~bnum merged in
-            let violated =
-              List.filter_map
-                (fun (name, gc) ->
-                  if Ground.eval ~batom:batom' ~bnum:bnum' gc then None
-                  else Some name)
-                gcs
-            in
-            Some
-              {
-                unif = { u with dom };
-                pre_atoms;
-                pre_nums;
-                writes1 = w1;
-                writes2 = w2;
-                merged;
-                violated;
-              })
+  let extract merged enc =
+    let atoms =
+      List.sort_uniq compare
+        (Ground.atoms ig @ List.map fst w1.bool_writes
+        @ List.map fst w2.bool_writes)
+    in
+    let nums =
+      List.sort_uniq compare
+        (Ground.nums ig @ List.map fst w1.num_writes
+        @ List.map fst w2.num_writes)
+    in
+    let pre_atoms = List.map (fun a -> (a, Encode.model_atom enc a)) atoms in
+    let pre_nums = List.map (fun n -> (n, Encode.model_num enc n)) nums in
+    let batom a = Option.value ~default:false (List.assoc_opt a pre_atoms) in
+    let bnum n =
+      match List.assoc_opt n pre_nums with
+      | Some v -> v
+      | None -> fst (int_bounds n)
+    in
+    let batom', bnum' = Effects.post_state ~batom ~bnum merged in
+    let violated =
+      List.filter_map
+        (fun ((i : Types.invariant), gc) ->
+          if Ground.eval ~batom:batom' ~bnum:bnum' gc then None
+          else Some i.iname)
+        (List.combine invs gcs)
+    in
+    {
+      unif = { u with dom };
+      pre_atoms;
+      pre_nums;
+      writes1 = w1;
+      writes2 = w2;
+      merged;
+      violated;
+    }
   in
-  try_outcomes merged_outcomes
+  List.find_map
+    (fun merged ->
+      solve_query ~ctx spec gcs ~bases (violation merged gcs)
+        (fun enc -> function
+          | Sat.Unsat -> None
+          | Sat.Sat -> Some (extract merged enc)))
+    (Effects.merge_writes spec w1 w2)
 
-(** Check a single unification case. Returns a witness if conflicting.
-
-    [restrict_clauses] (default true) analyses only the invariant
-    clauses the pair writes (sound over-approximation, see
-    {!relevant_invariants}); disabling it grounds the full invariant —
-    the ablation benchmark measures the cost difference.
-    [widen] (default true) enlarges domains to saturate cardinality
-    bounds; disabling it makes the small-model domains unsound for
-    aggregation constraints (conflicts are missed — again measured by
-    the ablation). *)
-let check_case ?(restrict_clauses = true) ?(widen = true) ?ctx (spec : Types.t)
-    (o1 : aop) (o2 : aop) (u : Pairctx.unification) : witness option =
-  let invs, dom = case_frame ~restrict_clauses ~widen spec o1 o2 u in
-  if invs = [] then None
-  else check_case_grounded ?ctx spec o1 o2 u ~invs ~dom
+(** Check a single unification case with one whole-invariant query over
+    its frame (relevant clauses, widened domain).  Returns a witness if
+    conflicting.  {!check_pair} replays exactly this query for a case
+    whose obligations show a violation. *)
+let check_case ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
+    (u : Pairctx.unification) : witness option =
+  let invs, dom = case_frame spec o1 o2 u in
+  if invs = [] then None else check_case_grounded ~ctx spec o1 o2 u ~invs ~dom
 
 (* discharge one clause obligation: can some merged outcome of the
    pair's concurrent effects falsify clause [idx] of the frame?  Same
    pre-state and weakest-precondition assertions as the whole-case
    query, but the violation target is a single clause, so the query —
    and its verdict — depends on nothing outside its {!Oblig.key}. *)
-let oblig_solve ?ctx (spec : Types.t) (o1 : aop) (o2 : aop)
+let oblig_solve ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
     (u : Pairctx.unification) ~(invs : Types.invariant list)
     ~(dom : Ground.domain) (idx : int) : bool =
-  let sg = Types.signature spec in
-  let consts = spec.consts in
-  let gcs =
-    List.map
-      (fun (i : Types.invariant) ->
-        Anactx.ground ctx ~sg ~consts ~dom i.iformula)
-      invs
-  in
+  let gcs = ground_clauses ~ctx spec ~dom invs in
   let target = List.nth gcs idx in
-  let w1_base = Effects.ground_writes spec dom o1.base u.binding1 in
-  let w2_base = Effects.ground_writes spec dom o2.base u.binding2 in
+  let bases =
+    [
+      Effects.ground_writes spec dom o1.base u.binding1;
+      Effects.ground_writes spec dom o2.base u.binding2;
+    ]
+  in
   let w1 = Effects.ground_writes spec dom o1.cur u.binding1 in
   let w2 = Effects.ground_writes spec dom o2.cur u.binding2 in
-  let int_bounds = Types.int_bounds spec in
   List.exists
     (fun merged ->
       let t = Effects.apply_writes merged target in
       (* a clause the merged writes leave alone still holds in the
          post-state: no solver query needed *)
       t <> target
-      &&
-      let enc = Encode.create ~int_bounds () in
-      List.iter (Encode.assert_formula enc) gcs;
-      List.iter
-        (fun w ->
-          List.iter
-            (fun gc ->
-              let t = Effects.apply_writes w gc in
-              if t <> gc then Encode.assert_formula enc t)
-            gcs)
-        [ w1_base; w2_base ];
-      Encode.assert_formula enc (Ground.gnot t);
-      let result = Encode.solve enc in
-      Anactx.record_solve ctx enc;
-      Encode.release enc;
-      result = Sat)
+      && solve_query ~ctx spec gcs ~bases (Ground.gnot t) (fun _ r ->
+             r = Sat.Sat))
     (Effects.merge_writes spec w1 w2)
 
 (** One per-clause proof obligation of a pair, enumerated without solver
@@ -323,15 +296,12 @@ let case_key (spec : Types.t) (o1 : aop) (o2 : aop) (u : Pairctx.unification)
   Oblig.case_key spec ~base1:o1.base ~cur1:o1.cur ~base2:o2.base ~cur2:o2.cur
     ~binding1:u.binding1 ~binding2:u.binding2 ~dom ~frame:invs
 
-(** Enumerate the pair's obligations under the default analysis frame
-    (clause restriction and widening on): one per (unification case ×
+(** Enumerate the pair's obligations: one per (unification case ×
     relevant clause).  Cases with no relevant clause contribute none. *)
 let obligations (spec : Types.t) (o1 : aop) (o2 : aop) : oblig list =
   Pairctx.unifications spec o1.cur o2.cur
   |> List.concat_map (fun (u : Pairctx.unification) ->
-         let invs, dom =
-           case_frame ~restrict_clauses:true ~widen:true spec o1 o2 u
-         in
+         let invs, dom = case_frame spec o1 o2 u in
          if invs = [] then []
          else
            let ck = case_key spec o1 o2 u ~invs ~dom in
@@ -350,27 +320,28 @@ let obligations (spec : Types.t) (o1 : aop) (o2 : aop) : oblig list =
 
 (** Discharge one obligation through the context's content-addressed
     verdict cache: [true] means the clause can be violated. *)
-let solve_obligation ?ctx (spec : Types.t) (ob : oblig) : bool =
+let solve_obligation ~ctx (spec : Types.t) (ob : oblig) : bool =
   Anactx.oblig_lookup ctx ob.ob_key @@ fun () ->
-  oblig_solve ?ctx spec ob.ob_o1 ob.ob_o2 ob.ob_unif ~invs:ob.ob_invs
+  oblig_solve ~ctx spec ob.ob_o1 ob.ob_o2 ob.ob_unif ~invs:ob.ob_invs
     ~dom:ob.ob_dom ob.ob_clause
 
-(* Per-clause pair check: decide each (case × clause) obligation through
-   the context's content-addressed cache, and replay the whole-case
-   witness query (also cached) only where some obligation is
-   satisfiable.  Exact: the whole-case query asserts the disjunction of
-   the per-clause violation targets, which is satisfiable iff some
-   obligation is; and the replay runs the very same deterministic query
-   as [check_case], so the verdict and the extracted witness are
-   bit-identical to the undecomposed path's. *)
-let check_pair_decomposed ?ctx (spec : Types.t) (o1 : aop) (o2 : aop) :
-    verdict =
+(** [check_pair ~ctx spec o1 o2] decides whether the pair conflicts under
+    any parameter unification (paper: [isConflicting]).  Each (case ×
+    clause) obligation is decided through the context's
+    content-addressed cache, and the whole-case witness query (also
+    cached) is replayed only where some obligation is satisfiable.
+    Exact: the whole-case query asserts the disjunction of the
+    per-clause violation targets, which is satisfiable iff some
+    obligation is; and the replay runs the very query {!check_case}
+    runs, so the verdict and the witness are those of the first case
+    whose whole-case query is satisfiable. *)
+let check_pair ~ctx (spec : Types.t) (o1 : aop) (o2 : aop) : verdict =
+  let st = Anactx.stats ctx in
+  st.Anactx.pairs_checked <- st.Anactx.pairs_checked + 1;
   let rec go = function
     | [] -> Safe
     | (u : Pairctx.unification) :: rest ->
-        let invs, dom =
-          case_frame ~restrict_clauses:true ~widen:true spec o1 o2 u
-        in
+        let invs, dom = case_frame spec o1 o2 u in
         if invs = [] then go rest
         else
           let ck = case_key spec o1 o2 u ~invs ~dom in
@@ -378,91 +349,37 @@ let check_pair_decomposed ?ctx (spec : Types.t) (o1 : aop) (o2 : aop) :
             List.exists
               (fun idx ->
                 Anactx.oblig_lookup ctx (Oblig.with_clause ck idx) (fun () ->
-                    oblig_solve ?ctx spec o1 o2 u ~invs ~dom idx))
+                    oblig_solve ~ctx spec o1 o2 u ~invs ~dom idx))
               (List.init (List.length invs) Fun.id)
           in
           if not violable then go rest
           else (
             match
               Anactx.case_lookup ctx ck (fun () ->
-                  check_case_grounded ?ctx spec o1 o2 u ~invs ~dom)
+                  check_case_grounded ~ctx spec o1 o2 u ~invs ~dom)
             with
             | Some w -> Conflict w
             | None -> go rest)
   in
   go (Pairctx.unifications spec o1.cur o2.cur)
 
-(** [check_pair spec o1 o2] decides whether the pair conflicts under any
-    parameter unification (paper: [isConflicting]).  With a context (and
-    the default frame options) the verdict is assembled from cached
-    per-clause obligations; without one — where no cache would carry the
-    verdicts and decomposing only multiplies solver calls — each case is
-    one whole-invariant query. *)
-let check_pair ?(restrict_clauses = true) ?(widen = true) ?ctx
-    (spec : Types.t) (o1 : aop) (o2 : aop) : verdict =
-  (match ctx with
-  | Some c -> (Anactx.stats c).Anactx.pairs_checked <-
-      (Anactx.stats c).Anactx.pairs_checked + 1
-  | None -> ());
-  if restrict_clauses && widen && Option.is_some ctx then
-    check_pair_decomposed ?ctx spec o1 o2
-  else
-    let rec go = function
-      | [] -> Safe
-      | u :: rest -> (
-          match check_case ~restrict_clauses ~widen ?ctx spec o1 o2 u with
-          | Some w -> Conflict w
-          | None -> go rest)
-    in
-    go (Pairctx.unifications spec o1.cur o2.cur)
-
-(** All conflicting unification cases of a pair (used in reports). *)
-let all_conflicts (spec : Types.t) (o1 : aop) (o2 : aop) : witness list =
-  Pairctx.unifications spec o1.cur o2.cur
-  |> List.filter_map (check_case spec o1 o2)
-
 (** [sequentially_safe spec o] holds when executing [o] alone from any
     state admissible for its {e original} precondition preserves the
     invariant — IPA modifications must not break sequential executions
     (paper §2.2, Theorem 1). *)
-let sequentially_safe ?ctx (spec : Types.t) (o : aop) : bool =
+let sequentially_safe ~ctx (spec : Types.t) (o : aop) : bool =
   Anactx.cached_verdict ctx `Seq spec o.base o.cur @@ fun () ->
   let noop = Types.operation "__noop" [] [] in
-  let sg = Types.signature spec in
   let invs = relevant_invariants spec o.cur noop in
-  let int_bounds = Types.int_bounds spec in
   invs = []
   || List.for_all
        (fun (u : Pairctx.unification) ->
          let dom = widen_domain_for spec invs [ o.cur ] u.dom in
-         let gcs =
-           List.map
-             (fun (i : Types.invariant) ->
-               Anactx.ground ctx ~sg ~consts:spec.consts ~dom i.iformula)
-             invs
-         in
+         let gcs = ground_clauses ~ctx spec ~dom invs in
          let w_base = Effects.ground_writes spec dom o.base u.binding1 in
          let w_cur = Effects.ground_writes spec dom o.cur u.binding1 in
-         let enc = Encode.create ~int_bounds () in
-         List.iter (Encode.assert_formula enc) gcs;
-         List.iter
-           (fun gc ->
-             let t = Effects.apply_writes w_base gc in
-             if t <> gc then Encode.assert_formula enc t)
-           gcs;
-         let viol =
-           Ground.gor_l
-             (List.filter_map
-                (fun gc ->
-                  let t = Effects.apply_writes w_cur gc in
-                  if t = gc then None else Some (Ground.gnot t))
-                gcs)
-         in
-         Encode.assert_formula enc viol;
-         let result = Encode.solve enc in
-         Anactx.record_solve ctx enc;
-         Encode.release enc;
-         match result with Unsat -> true | Sat -> false)
+         solve_query ~ctx spec gcs ~bases:[ w_base ] (violation w_cur gcs)
+           (fun _ r -> r = Sat.Unsat))
        (Pairctx.unifications spec o.cur noop)
 
 (** Witness-guided candidate screening: does the stored counterexample
@@ -478,7 +395,7 @@ let sequentially_safe ?ctx (spec : Types.t) (o : aop) : bool =
     false after the merged writes is necessarily part of the violation
     disjunction of the full check, which therefore also answers
     [Conflict].  Pruning on [Some true] loses no solutions. *)
-let witness_refutes ?ctx (spec : Types.t) ((o1, o2) : aop * aop)
+let witness_refutes ~ctx (spec : Types.t) ((o1, o2) : aop * aop)
     ((p1, p2) : aop * aop) (w : witness) : bool option =
   let invs0 = relevant_invariants spec o1.cur o2.cur in
   let invs' = relevant_invariants spec p1.cur p2.cur in
@@ -490,13 +407,7 @@ let witness_refutes ?ctx (spec : Types.t) ((o1, o2) : aop * aop)
   if not frame_ok then None
   else begin
     let dom = w.unif.dom in
-    let sg = Types.signature spec in
-    let gcs =
-      List.map
-        (fun (i : Types.invariant) ->
-          Anactx.ground ctx ~sg ~consts:spec.consts ~dom i.iformula)
-        invs0
-    in
+    let gcs = ground_clauses ~ctx spec ~dom invs0 in
     let w1 = Effects.ground_writes spec dom p1.cur w.unif.binding1 in
     let w2 = Effects.ground_writes spec dom p2.cur w.unif.binding2 in
     let int_bounds = Types.int_bounds spec in
@@ -515,21 +426,3 @@ let witness_refutes ?ctx (spec : Types.t) ((o1, o2) : aop * aop)
     in
     Some (List.exists violating (Effects.merge_writes spec w1 w2))
   end
-
-(** Find the first conflicting pair among the operations (paper:
-    [findConflictingPair]).  Pairs are scanned in specification order,
-    including each operation against itself. *)
-let find_conflicting_pair (spec : Types.t) (ops : aop list) :
-    (aop * aop * witness) option =
-  let rec pairs = function
-    | [] -> []
-    | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
-  in
-  let rec go = function
-    | [] -> None
-    | (o1, o2) :: rest -> (
-        match check_pair spec o1 o2 with
-        | Conflict w -> Some (o1, o2, w)
-        | Safe -> go rest)
-  in
-  go (pairs ops)

@@ -34,35 +34,23 @@ type verdict = Safe | Conflict of witness
 val relevant_invariants :
   Types.t -> Types.operation -> Types.operation -> Types.invariant list
 
-(** Check one unification case.  [restrict_clauses] (default true)
-    analyses only relevant clauses; [widen] (default true) enlarges
-    domains to saturate cardinality bounds (disabling it is unsound for
-    aggregation constraints — measured by the ablation benchmark).
-    [ctx] supplies the grounding cache and solver instrumentation. *)
+(** Check one unification case with one whole-invariant query over its
+    analysis frame: the relevant clauses, over a domain widened to
+    saturate cardinality bounds.  Returns a witness if conflicting.
+    {!check_pair} replays exactly this query for a case whose
+    obligations show a violation. *)
 val check_case :
-  ?restrict_clauses:bool ->
-  ?widen:bool ->
-  ?ctx:Anactx.t ->
-  Types.t ->
-  aop ->
-  aop ->
-  Pairctx.unification ->
+  ctx:Anactx.t -> Types.t -> aop -> aop -> Pairctx.unification ->
   witness option
 
-(** Does the pair conflict under any parameter unification?  With a
-    [ctx] (and default [restrict_clauses]/[widen]) the verdict is
-    assembled from per-clause obligations cached under their
-    {!Oblig.key}s — bit-identical to the whole-invariant check a call
-    without [ctx] runs, but an edit to the specification re-solves only
-    the obligations whose keys it reaches. *)
-val check_pair :
-  ?restrict_clauses:bool ->
-  ?widen:bool ->
-  ?ctx:Anactx.t ->
-  Types.t ->
-  aop ->
-  aop ->
-  verdict
+(** Does the pair conflict under any parameter unification?  The
+    verdict is assembled from per-clause obligations cached under their
+    {!Oblig.key}s, and the witness is the one {!check_case} returns for
+    the first case with a satisfiable obligation — the verdict a
+    whole-invariant query per case gives, but an edit to the
+    specification re-solves only the obligations whose keys it
+    reaches. *)
+val check_pair : ctx:Anactx.t -> Types.t -> aop -> aop -> verdict
 
 (** One per-clause proof obligation of a pair: one (parameter
     unification × relevant invariant clause) SAT query, enumerable
@@ -78,22 +66,18 @@ type oblig = {
   ob_clause : int;  (** index of the violation target in [ob_invs] *)
 }
 
-(** Enumerate the pair's obligations under the default analysis frame
-    (clause restriction and widening on); no solver work happens. *)
+(** Enumerate the pair's obligations; no solver work happens. *)
 val obligations : Types.t -> aop -> aop -> oblig list
 
 (** Discharge one obligation through the context's verdict cache:
     [true] means the pair's merged effects can falsify the clause. *)
-val solve_obligation : ?ctx:Anactx.t -> Types.t -> oblig -> bool
-
-(** All conflicting unification cases (reports). *)
-val all_conflicts : Types.t -> aop -> aop -> witness list
+val solve_obligation : ctx:Anactx.t -> Types.t -> oblig -> bool
 
 (** Executing the (possibly modified) operation alone from any state
     admissible for its {e original} precondition preserves the
     invariant (Theorem 1's sequential half).  The verdict is memoized in
     [ctx] per (operation effects, canonical rules). *)
-val sequentially_safe : ?ctx:Anactx.t -> Types.t -> aop -> bool
+val sequentially_safe : ctx:Anactx.t -> Types.t -> aop -> bool
 
 (** Witness-guided candidate screening: does the stored counterexample
     (found for the first pair) still violate the invariant under the
@@ -103,9 +87,4 @@ val sequentially_safe : ?ctx:Anactx.t -> Types.t -> aop -> bool
     inconclusive; [Some true] is an exact "still conflicting" verdict —
     pruning on it loses no solutions. *)
 val witness_refutes :
-  ?ctx:Anactx.t -> Types.t -> aop * aop -> aop * aop -> witness -> bool option
-
-(** First conflicting pair in specification order, self-pairs included
-    (Algorithm 1's [findConflictingPair]). *)
-val find_conflicting_pair :
-  Types.t -> aop list -> (aop * aop * witness) option
+  ctx:Anactx.t -> Types.t -> aop * aop -> aop * aop -> witness -> bool option

@@ -154,7 +154,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
               else
                 let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
                 match
-                  Anactx.time (Some ctx) key (fun () ->
+                  Anactx.time ctx key (fun () ->
                       Detect.check_pair ~ctx spec_now o1 o2)
                 with
                 | Detect.Conflict w -> Some (o1, o2, w)
@@ -205,7 +205,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                   let obls =
                     List.filter
                       (fun (ob : Detect.oblig) ->
-                        not (Anactx.oblig_cached (Some ctx) ob.Detect.ob_key))
+                        not (Anactx.oblig_cached ctx ob.Detect.ob_key))
                       (Detect.obligations spec_now o1 o2)
                   in
                   take_block
@@ -238,7 +238,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                       ob.Detect.ob_o2.Detect.cur.oname )
                   in
                   ignore
-                    (Anactx.time (Some ctx) key (fun () ->
+                    (Anactx.time ctx key (fun () ->
                          Detect.solve_obligation ~ctx spec_now ob)))
                 items
             else begin
@@ -252,12 +252,12 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                         ob.Detect.ob_o2.Detect.cur.oname )
                     in
                     ( ob.Detect.ob_key,
-                      Anactx.time (Some c) key (fun () ->
+                      Anactx.time c key (fun () ->
                           Detect.solve_obligation ~ctx:c spec_now ob) ))
                   items
               in
               List.iter
-                (fun (key, v) -> Anactx.oblig_put (Some ctx) key v)
+                (fun (key, v) -> Anactx.oblig_put ctx key v)
                 verdicts
             end
           in
@@ -272,7 +272,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                   | (((o1 : Detect.aop), (o2 : Detect.aop)), _) :: more -> (
                       let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
                       match
-                        Anactx.time (Some ctx) key (fun () ->
+                        Anactx.time ctx key (fun () ->
                             Detect.check_pair ~ctx spec_now o1 o2)
                       with
                       | Detect.Conflict w -> Some (o1, o2, w)
@@ -296,7 +296,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
     | Some (o1, o2, w) -> (
         let name1 = o1.Detect.cur.oname and name2 = o2.Detect.cur.oname in
         let sols =
-          Anactx.time (Some ctx) (name1, name2) (fun () ->
+          Anactx.time ctx (name1, name2) (fun () ->
               Repair.repair_conflicts ~max_size ~search_rules ~ctx ~witness:w
                 spec_now (o1, o2))
         in
@@ -361,8 +361,8 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
 
 (** All conflicting pairs of the unmodified specification — the
     diagnosis step, useful on its own.  Pair checks are independent, so
-    [jobs > 1] simply fans them out; the result list is in pair order
-    at every level. *)
+    [jobs > 1] simply fans them out, one fresh context per worker; the
+    result list is in pair order at every level. *)
 let diagnose ?jobs (spec : Types.t) :
     (string * string * Detect.witness) list =
   let jobs =
@@ -375,15 +375,15 @@ let diagnose ?jobs (spec : Types.t) :
     | [] -> []
     | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
   in
-  let check ?ctx ((o1 : Detect.aop), (o2 : Detect.aop)) =
-    match Detect.check_pair ?ctx spec o1 o2 with
+  let check ctx ((o1 : Detect.aop), (o2 : Detect.aop)) =
+    match Detect.check_pair ~ctx spec o1 o2 with
     | Detect.Conflict w -> Some (o1.Detect.cur.oname, o2.Detect.cur.oname, w)
     | Detect.Safe -> None
   in
-  if jobs <= 1 then List.filter_map check (pairs ops)
+  if jobs <= 1 then List.filter_map (check (Anactx.create ())) (pairs ops)
   else
     Ipa_par.Pool.with_pool ~jobs (fun pool ->
         let wctxs = Array.init jobs (fun _ -> Anactx.create ()) in
         Ipa_par.Pool.filter_map_worker pool
-          ~f:(fun ~worker pair -> check ~ctx:wctxs.(worker) pair)
+          ~f:(fun ~worker pair -> check wctxs.(worker) pair)
           (pairs ops))

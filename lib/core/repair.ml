@@ -245,7 +245,7 @@ let apply_candidate ?(self_pair = false) (o1 : Detect.aop) (o2 : Detect.aop)
     with its original value.  This rejects degenerate candidates that
     mask the operation's own effects (e.g. adding [e( *, y) := false] to
     an operation whose purpose is to set [e(x, y) := true]). *)
-let preserves_intent ?ctx (spec : Types.t) (o : Detect.aop) : bool =
+let preserves_intent ~ctx (spec : Types.t) (o : Detect.aop) : bool =
   Anactx.cached_verdict ctx `Intent spec o.Detect.base o.Detect.cur
   @@ fun () ->
   let binding =
@@ -337,9 +337,8 @@ let is_subset_of added sol_added =
     the exactness argument applies to each one individually and the
     solution set is unchanged. *)
 let repair_conflicts ?(max_size = 3) ?(max_candidates = 4000)
-    ?(search_rules = false) ?(check_intent = true) ?(check_minimality = true)
-    ?ctx ?witness (spec : Types.t) ((o1, o2) : Detect.aop * Detect.aop) :
-    solution list =
+    ?(search_rules = false) ~ctx ?witness (spec : Types.t)
+    ((o1, o2) : Detect.aop * Detect.aop) : solution list =
   let clauses = relevant_clauses spec o1.Detect.cur o2.Detect.cur in
   let pool1 = pool_for spec clauses o1.Detect.cur in
   let pool2 = pool_for spec clauses o2.Detect.cur in
@@ -347,8 +346,7 @@ let repair_conflicts ?(max_size = 3) ?(max_candidates = 4000)
   let candidates =
     Seq.take max_candidates (generate ~self_pair ~max_size pool1 pool2)
   in
-  let st = Option.map Anactx.stats ctx in
-  let bump f = match st with Some s -> f s | None -> () in
+  let st = Anactx.stats ctx in
   (* counterexample store: each witness is kept with the pair it was
      found for, since screening compares that pair's analysis frame with
      the candidate's (see {!Detect.witness_refutes}).  Bounded so
@@ -367,22 +365,18 @@ let repair_conflicts ?(max_size = 3) ?(max_candidates = 4000)
   let sols = ref [] in
   Seq.iter
     (fun cand ->
-      bump (fun s -> s.Anactx.cands_generated <- s.Anactx.cands_generated + 1);
+      st.Anactx.cands_generated <- st.Anactx.cands_generated + 1;
       (* minimality: skip candidates subsuming an existing solution on the
          same target (paper line 18) *)
       let subsumed =
-        check_minimality
-        && List.exists
-             (fun s ->
-               s.s_target = cand.c_target
-               && is_subset_of cand.c_added s.s_added)
-             !sols
+        List.exists
+          (fun s ->
+            s.s_target = cand.c_target && is_subset_of cand.c_added s.s_added)
+          !sols
       in
       if not subsumed then begin
         let p1, p2 = apply_candidate ~self_pair o1 o2 cand in
-        if
-          (not check_intent)
-          || (preserves_intent ?ctx spec p1 && preserves_intent ?ctx spec p2)
+        if preserves_intent ~ctx spec p1 && preserves_intent ~ctx spec p2
         then begin
         (* predicates that may now have opposing writes *)
         let opposing =
@@ -402,23 +396,21 @@ let repair_conflicts ?(max_size = 3) ?(max_candidates = 4000)
                 Anactx.prune_enabled ctx
                 && List.exists
                      (fun (pair, w) ->
-                       Detect.witness_refutes ?ctx spec' pair (p1, p2) w
+                       Detect.witness_refutes ~ctx spec' pair (p1, p2) w
                        = Some true)
                      !witnesses
               in
               if pruned then begin
-                bump (fun s ->
-                    s.Anactx.cands_pruned <- s.Anactx.cands_pruned + 1);
+                st.Anactx.cands_pruned <- st.Anactx.cands_pruned + 1;
                 try_rules rest
               end
               else begin
-                bump (fun s ->
-                    s.Anactx.cands_checked <- s.Anactx.cands_checked + 1);
+                st.Anactx.cands_checked <- st.Anactx.cands_checked + 1;
                 if
-                  Detect.sequentially_safe ?ctx spec' p1
-                  && Detect.sequentially_safe ?ctx spec' p2
+                  Detect.sequentially_safe ~ctx spec' p1
+                  && Detect.sequentially_safe ~ctx spec' p2
                 then
-                  match Detect.check_pair ?ctx spec' p1 p2 with
+                  match Detect.check_pair ~ctx spec' p1 p2 with
                   | Detect.Safe ->
                       sols :=
                         {

@@ -33,7 +33,7 @@ val relevant_clauses :
 (** A modification must not mask the operation's own base effects
     ("preserving the original semantics when no conflicts occur").
     The verdict is memoized in [ctx]. *)
-val preserves_intent : ?ctx:Anactx.t -> Types.t -> Detect.aop -> bool
+val preserves_intent : ctx:Anactx.t -> Types.t -> Detect.aop -> bool
 
 (** Rule assignments tried per candidate: the specification's rules
     first, then (under [search_rules]) all add-wins/rem-wins assignments
@@ -46,19 +46,18 @@ val rule_choices :
   (string * Types.conv_rule) list list
 
 (** Search for minimal safe extra-effect sets.  [search_rules] also
-    proposes convergence rules beyond the specification's;
-    [check_intent]/[check_minimality] exist for the ablation
-    benchmarks.  [witness] (the conflict that triggered the repair)
-    enables exact witness-guided candidate pruning when [ctx] has
-    pruning on; candidate generation is lazy, so the exponential
-    powerset is never materialized past [max_candidates]. *)
+    proposes convergence rules beyond the specification's.  A candidate
+    must preserve intent ({!preserves_intent}) and must not subsume a
+    solution already found on the same target.  [witness] (the conflict
+    that triggered the repair) enables exact witness-guided candidate
+    pruning when [ctx] has pruning on; candidate generation is lazy, so
+    the exponential powerset is never materialized past
+    [max_candidates]. *)
 val repair_conflicts :
   ?max_size:int ->
   ?max_candidates:int ->
   ?search_rules:bool ->
-  ?check_intent:bool ->
-  ?check_minimality:bool ->
-  ?ctx:Anactx.t ->
+  ctx:Anactx.t ->
   ?witness:Detect.witness ->
   Types.t ->
   Detect.aop * Detect.aop ->

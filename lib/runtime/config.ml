@@ -130,8 +130,6 @@ type t = {
   sent_at : (string * int, float) Hashtbl.t;
       (** batch key → commit time, for visibility-latency measurement *)
   vis : vis_stats;
-  mutable reservation_misses : int;
-  mutable reservation_hits : int;
   history : Read.history;
       (** every committed batch's after-clock, timestamped — what
           {!bound_clock} resolves staleness budgets against *)
@@ -169,8 +167,6 @@ let create ?(primary = "us-east") ?(service_base = 1.0)
       sync_interval_ms;
       sent_at = Hashtbl.create 1024;
       vis = { vis_samples = []; vis_n = 0 };
-      reservation_misses = 0;
-      reservation_hits = 0;
       history = Read.history ();
     }
   in
@@ -433,37 +429,26 @@ let rec execute (cfg : t) ~(client_region : string) (op : op_exec)
                     (* demote the exclusive holder, share with us *)
                     st.ex_holder <- None;
                     st.sharers <- [ client_region; holder ];
-                    cfg.reservation_misses <- cfg.reservation_misses + 1;
                     max acc (peer_cost holder)
-                | Some _ ->
-                    cfg.reservation_hits <- cfg.reservation_hits + 1;
-                    acc
+                | Some _ -> acc
                 | None ->
-                    if List.mem client_region st.sharers then begin
-                      cfg.reservation_hits <- cfg.reservation_hits + 1;
-                      acc
-                    end
+                    if List.mem client_region st.sharers then acc
                     else if st.sharers = [] then begin
                       (* first use anywhere: rights originate here *)
                       st.sharers <- [ client_region ];
-                      cfg.reservation_hits <- cfg.reservation_hits + 1;
                       acc
                     end
                     else begin
                       (* fetch a share from an existing sharer *)
                       st.sharers <- client_region :: st.sharers;
-                      cfg.reservation_misses <- cfg.reservation_misses + 1;
                       max acc (peer_cost (List.hd st.sharers))
                     end)
             | Exclusive -> (
                 match st.ex_holder with
-                | Some holder when holder = client_region ->
-                    cfg.reservation_hits <- cfg.reservation_hits + 1;
-                    acc
+                | Some holder when holder = client_region -> acc
                 | Some holder ->
                     st.ex_holder <- Some client_region;
                     st.sharers <- [];
-                    cfg.reservation_misses <- cfg.reservation_misses + 1;
                     max acc (peer_cost holder)
                 | None ->
                     let others =
@@ -471,17 +456,10 @@ let rec execute (cfg : t) ~(client_region : string) (op : op_exec)
                     in
                     st.ex_holder <- Some client_region;
                     st.sharers <- [];
-                    if others = [] then begin
-                      cfg.reservation_hits <- cfg.reservation_hits + 1;
-                      acc
-                    end
-                    else begin
-                      (* revoke every remote share *)
-                      cfg.reservation_misses <- cfg.reservation_misses + 1;
-                      List.fold_left
-                        (fun acc peer -> max acc (peer_cost peer))
-                        acc others
-                    end))
+                    (* revoke every remote share *)
+                    List.fold_left
+                      (fun acc peer -> max acc (peer_cost peer))
+                      acc others))
           0.0 op.reservations
       in
       Engine.schedule cfg.engine ~delay:acq_delay (fun () ->

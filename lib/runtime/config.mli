@@ -92,8 +92,6 @@ type t = {
   sync_interval_ms : float;
   sent_at : (string * int, float) Hashtbl.t;
   vis : vis_stats;
-  mutable reservation_misses : int;
-  mutable reservation_hits : int;
   history : Read.history;  (** timestamped committed clocks *)
 }
 

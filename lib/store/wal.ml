@@ -57,17 +57,20 @@ let snap_path ~dir ~id = Filename.concat dir (id ^ ".snap")
    deliberately depends on nothing beyond the stdlib                   *)
 (* ------------------------------------------------------------------ *)
 
+(* built eagerly at module initialisation: a [lazy] forced from two
+   domains at once raises [CamlinternalLazy.Undefined], and parallel
+   crash-fuzz campaigns run WALs on several domains.  The table is never
+   written after this, so sharing it across domains is safe. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 (s : string) (pos : int) (len : int) : int =
-  let t = Lazy.force crc_table in
+  let t = crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c :=

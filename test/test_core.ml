@@ -35,6 +35,9 @@ operation disenroll(P:x, T:y)
 let mini () = Spec_parser.parse_string mini_src
 let op spec name = Detect.aop_of (Option.get (Types.find_op spec name))
 
+(* a fresh analysis context: no cached verdict carries between checks *)
+let fresh () = Anactx.create ()
+
 (* ------------------------------------------------------------------ *)
 (* Pairctx                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -171,14 +174,16 @@ let test_apply_writes_wp () =
 
 let test_detect_conflict_rem_t_enroll () =
   let spec = mini () in
-  match Detect.check_pair spec (op spec "rem_t") (op spec "enroll") with
+  match Detect.check_pair ~ctx:(fresh ())
+      spec (op spec "rem_t") (op spec "enroll") with
   | Detect.Conflict w ->
       Alcotest.(check (list string)) "violates ref" [ "ref" ] w.Detect.violated
   | Detect.Safe -> Alcotest.fail "expected conflict"
 
 let test_detect_conflict_rem_p_enroll () =
   let spec = mini () in
-  match Detect.check_pair spec (op spec "rem_p") (op spec "enroll") with
+  match Detect.check_pair ~ctx:(fresh ())
+      spec (op spec "rem_p") (op spec "enroll") with
   | Detect.Conflict _ -> ()
   | Detect.Safe -> Alcotest.fail "expected conflict"
 
@@ -188,7 +193,8 @@ let test_detect_safe_pairs () =
     Alcotest.(check bool)
       (Fmt.str "%s/%s safe" a b)
       true
-      (Detect.check_pair spec (op spec a) (op spec b) = Detect.Safe)
+      (Detect.check_pair ~ctx:(fresh ())
+          spec (op spec a) (op spec b) = Detect.Safe)
   in
   safe "add_p" "add_t";
   safe "add_p" "rem_p" (* add-wins absorbs the opposing write *);
@@ -198,7 +204,8 @@ let test_detect_safe_pairs () =
 
 let test_detect_witness_shape () =
   let spec = mini () in
-  match Detect.check_pair spec (op spec "rem_t") (op spec "enroll") with
+  match Detect.check_pair ~ctx:(fresh ())
+      spec (op spec "rem_t") (op spec "enroll") with
   | Detect.Safe -> Alcotest.fail "expected conflict"
   | Detect.Conflict w ->
       (* pre-state is admissible: the enrolled player and tournament exist *)
@@ -223,13 +230,14 @@ let test_detect_rules_matter () =
     { spec with Types.rules = [ ("e", Types.Rem_wins); ("p", Types.Add_wins); ("t", Types.Add_wins) ] }
   in
   Alcotest.(check bool) "enroll/disenroll safe under rem-wins" true
-    (Detect.check_pair spec_rw (op spec "enroll") (op spec "disenroll")
+    (Detect.check_pair ~ctx:(fresh ())
+        spec_rw (op spec "enroll") (op spec "disenroll")
     = Detect.Safe)
 
 let test_sequentially_safe () =
   let spec = mini () in
   Alcotest.(check bool) "enroll is sequentially safe" true
-    (Detect.sequentially_safe spec (op spec "enroll"));
+    (Detect.sequentially_safe ~ctx:(fresh ()) spec (op spec "enroll"));
   (* a modification that removes the player while enrolling breaks
      sequential executions: base precondition admits states the modified
      effects then corrupt *)
@@ -242,7 +250,8 @@ let test_sequentially_safe () =
     }
   in
   Alcotest.(check bool) "bad modification is not sequentially safe" false
-    (Detect.sequentially_safe spec { enroll with Detect.cur = bad_cur });
+    (Detect.sequentially_safe ~ctx:(fresh ())
+        spec { enroll with Detect.cur = bad_cur });
   (* a restoring modification (Figure 2b) is sequentially safe *)
   let good_cur =
     {
@@ -253,27 +262,40 @@ let test_sequentially_safe () =
     }
   in
   Alcotest.(check bool) "restoring modification is sequentially safe" true
-    (Detect.sequentially_safe spec { enroll with Detect.cur = good_cur })
+    (Detect.sequentially_safe ~ctx:(fresh ())
+        spec { enroll with Detect.cur = good_cur })
 
 let test_detect_numeric_self_conflict () =
   let ticket = Catalog.ticket () in
   let buy = op ticket "buy_ticket" in
-  match Detect.check_pair ticket buy buy with
+  match Detect.check_pair ~ctx:(fresh ()) ticket buy buy with
   | Detect.Conflict w ->
       Alcotest.(check (list string)) "oversell" [ "no_oversell" ]
         w.Detect.violated
   | Detect.Safe -> Alcotest.fail "concurrent buys must conflict"
 
+(* concurrent enrollments overfill a tournament: found only because the
+   domain is widened past the capacity bound, so the small model has
+   room for more enrolled players than [Capacity] *)
+let test_detect_cardinality_self_conflict () =
+  let tournament = Catalog.tournament () in
+  let enroll = op tournament "enroll" in
+  match Detect.check_pair ~ctx:(fresh ()) tournament enroll enroll with
+  | Detect.Conflict w ->
+      Alcotest.(check (list string)) "over capacity" [ "capacity" ]
+        w.Detect.violated
+  | Detect.Safe -> Alcotest.fail "concurrent enrollments must conflict"
+
+(* the first conflicting pair in specification order (Algorithm 1's
+   [findConflictingPair]) heads the diagnosis *)
 let test_find_conflicting_pair () =
   let spec = mini () in
-  let ops = List.map Detect.aop_of spec.Types.operations in
-  match Detect.find_conflicting_pair spec ops with
-  | Some (o1, o2, _) ->
-      let names = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
+  match Ipa.diagnose ~jobs:1 spec with
+  | (n1, n2, _) :: _ ->
       Alcotest.(check bool) "a rem/enroll pair" true
-        (List.mem names
+        (List.mem (n1, n2)
            [ ("rem_p", "enroll"); ("rem_t", "enroll"); ("enroll", "rem_p"); ("enroll", "rem_t") ])
-  | None -> Alcotest.fail "expected a conflicting pair"
+  | [] -> Alcotest.fail "expected a conflicting pair"
 
 (* ------------------------------------------------------------------ *)
 (* Repair                                                              *)
@@ -282,7 +304,8 @@ let test_find_conflicting_pair () =
 let test_repair_figure2b () =
   (* enroll extended with t(y) := true wins over rem_t under add-wins *)
   let spec = mini () in
-  let sols = Repair.repair_conflicts spec (op spec "rem_t", op spec "enroll") in
+  let sols = Repair.repair_conflicts ~ctx:(fresh ())
+      spec (op spec "rem_t", op spec "enroll") in
   Alcotest.(check bool) "has solutions" true (sols <> []);
   let fig2b =
     List.exists
@@ -301,7 +324,7 @@ let test_repair_figure2c_needs_rules () =
   (* clearing e( *, y) on rem_t requires rem-wins on e *)
   let spec = mini () in
   let sols =
-    Repair.repair_conflicts ~search_rules:true spec
+    Repair.repair_conflicts ~search_rules:true ~ctx:(fresh ()) spec
       (op spec "rem_t", op spec "enroll")
   in
   let fig2c =
@@ -321,23 +344,25 @@ let test_repair_figure2c_needs_rules () =
 
 let test_repair_solutions_are_safe () =
   let spec = mini () in
-  let sols = Repair.repair_conflicts spec (op spec "rem_p", op spec "enroll") in
+  let sols = Repair.repair_conflicts ~ctx:(fresh ())
+      spec (op spec "rem_p", op spec "enroll") in
   Alcotest.(check bool) "has solutions" true (sols <> []);
   List.iter
     (fun (s : Repair.solution) ->
       let p1, p2 = s.s_pair in
       let spec' = { spec with Types.rules = s.s_rules } in
       Alcotest.(check bool) "pair safe" true
-        (Detect.check_pair spec' p1 p2 = Detect.Safe);
+        (Detect.check_pair ~ctx:(fresh ()) spec' p1 p2 = Detect.Safe);
       Alcotest.(check bool) "seq safe 1" true
-        (Detect.sequentially_safe spec' p1);
+        (Detect.sequentially_safe ~ctx:(fresh ()) spec' p1);
       Alcotest.(check bool) "seq safe 2" true
-        (Detect.sequentially_safe spec' p2))
+        (Detect.sequentially_safe ~ctx:(fresh ()) spec' p2))
     sols
 
 let test_repair_minimality () =
   let spec = mini () in
-  let sols = Repair.repair_conflicts spec (op spec "rem_t", op spec "enroll") in
+  let sols = Repair.repair_conflicts ~ctx:(fresh ())
+      spec (op spec "rem_t", op spec "enroll") in
   (* no solution strictly contains another solution on the same target *)
   List.iter
     (fun (s : Repair.solution) ->
@@ -354,12 +379,13 @@ let test_repair_none_for_numeric () =
   (* numeric conflicts admit no boolean-effect repair *)
   let ticket = Catalog.ticket () in
   let buy = op ticket "buy_ticket" in
-  let sols = Repair.repair_conflicts ticket (buy, buy) in
+  let sols = Repair.repair_conflicts ~ctx:(fresh ()) ticket (buy, buy) in
   Alcotest.(check int) "no boolean repair" 0 (List.length sols)
 
 let test_pick_policies () =
   let spec = mini () in
-  let sols = Repair.repair_conflicts spec (op spec "rem_t", op spec "enroll") in
+  let sols = Repair.repair_conflicts ~ctx:(fresh ())
+      spec (op spec "rem_t", op spec "enroll") in
   (match Repair.pick Repair.Fewest_effects sols with
   | Some s ->
       Alcotest.(check int) "single extra effect" 1 (List.length s.s_added)
@@ -406,6 +432,52 @@ let test_repair_disjunction () =
     (Ipa.flagged_pairs r);
   Alcotest.(check int) "patched spec clean" 0
     (List.length (Ipa.diagnose (Ipa.patched_spec r)))
+
+(* the quickstart's photo album: photos must belong to a live album *)
+let album_src =
+  {|
+app Album
+sort Album
+sort Photo
+predicate album(Album)
+predicate photo(Photo)
+predicate inAlbum(Photo, Album)
+invariant photo_ref: forall(Photo:p, Album:a) :-
+    inAlbum(p, a) => photo(p) and album(a)
+rule album: add-wins
+rule photo: add-wins
+rule inAlbum: add-wins
+operation delete_album(Album:a)
+  album(a) := false
+operation upload(Photo:p, Album:a)
+  photo(p) := true
+  inAlbum(p, a) := true
+|}
+
+(* the intent filter rejects a degenerate repair the search does
+   generate: upload gaining [inAlbum(p, * ) := false] masks its own
+   [inAlbum(p, a) := true], which makes the pair safe by never putting
+   the photo in the album *)
+let test_repair_intent_rejects_masking () =
+  let spec = Spec_parser.parse_string album_src in
+  let delete_album = op spec "delete_album" and upload = op spec "upload" in
+  let extend e =
+    let cur = upload.Detect.cur in
+    { upload with Detect.cur = { cur with oeffects = cur.oeffects @ [ e ] } }
+  in
+  let mask = Types.set_false "inAlbum" [ Ast.Var "p"; Ast.Star ] in
+  let ctx = Anactx.create () in
+  Alcotest.(check bool) "masking candidate resolves the conflict" true
+    (Detect.check_pair ~ctx spec delete_album (extend mask) = Detect.Safe);
+  Alcotest.(check bool) "masking candidate rejected" false
+    (Repair.preserves_intent ~ctx spec (extend mask));
+  Alcotest.(check bool) "restoring candidate kept" true
+    (Repair.preserves_intent ~ctx spec
+       (extend (Types.set_true ~mode:Types.Touch "album" [ Ast.Var "a" ])));
+  let sols = Repair.repair_conflicts ~ctx spec (delete_album, upload) in
+  Alcotest.(check bool) "repair found" true (sols <> []);
+  Alcotest.(check bool) "no solution masks upload" false
+    (List.exists (fun (s : Repair.solution) -> List.mem mask s.s_added) sols)
 
 (* ------------------------------------------------------------------ *)
 (* Compensation                                                        *)
@@ -744,10 +816,21 @@ let test_rules_equal () =
 (* Incremental analysis: per-clause obligations, serve protocol        *)
 (* ------------------------------------------------------------------ *)
 
+(* the reference pair check: one whole-invariant query per unification
+   case, in case order, with no obligation cache in between *)
+let whole_case_check_pair (spec : Types.t) (o1 : Detect.aop) (o2 : Detect.aop)
+    : Detect.verdict =
+  match
+    List.find_map
+      (Detect.check_case ~ctx:(fresh ()) spec o1 o2)
+      (Pairctx.unifications spec o1.Detect.cur o2.Detect.cur)
+  with
+  | Some w -> Detect.Conflict w
+  | None -> Detect.Safe
+
 (* per-clause decomposition is exact: for every operation pair of
-   [spec], [check_pair ~ctx] (assembled from per-clause obligations)
-   returns the verdict, witness included, of the context-free
-   [check_pair] (one whole-invariant query per case) *)
+   [spec], [check_pair] (assembled from per-clause obligations) returns
+   the verdict, witness included, of the whole-case reference *)
 let check_decomposed_pairs (spec : Types.t) =
   let ctx = Anactx.create () in
   let ops = List.map Detect.aop_of spec.Types.operations in
@@ -758,7 +841,7 @@ let check_decomposed_pairs (spec : Types.t) =
   let differing =
     List.filter_map
       (fun ((o1 : Detect.aop), (o2 : Detect.aop)) ->
-        if Detect.check_pair ~ctx spec o1 o2 = Detect.check_pair spec o1 o2
+        if Detect.check_pair ~ctx spec o1 o2 = whole_case_check_pair spec o1 o2
         then None
         else Some (o1.Detect.cur.oname ^ "," ^ o2.Detect.cur.oname))
       (pairs ops)
@@ -921,7 +1004,8 @@ let test_stats_no_nan () =
 
 let test_report_witness () =
   let spec = mini () in
-  match Detect.check_pair spec (op spec "rem_t") (op spec "enroll") with
+  match Detect.check_pair ~ctx:(fresh ())
+      spec (op spec "rem_t") (op spec "enroll") with
   | Detect.Safe -> Alcotest.fail "expected conflict"
   | Detect.Conflict w ->
       let s = Report.witness_to_string ~op1:"rem_t" ~op2:"enroll" w in
@@ -1079,8 +1163,10 @@ let prop_detect_symmetric =
   QCheck.Test.make ~name:"check_pair is order-insensitive" ~count:15
     QCheck.(pair (oneofl names) (oneofl names))
     (fun (n1, n2) ->
-      let v1 = Detect.check_pair spec (op spec n1) (op spec n2) in
-      let v2 = Detect.check_pair spec (op spec n2) (op spec n1) in
+      let v1 = Detect.check_pair ~ctx:(fresh ())
+          spec (op spec n1) (op spec n2) in
+      let v2 = Detect.check_pair ~ctx:(fresh ())
+          spec (op spec n2) (op spec n1) in
       (v1 = Detect.Safe) = (v2 = Detect.Safe))
 
 (* every solution the repair search returns is actually safe, preserves
@@ -1105,19 +1191,20 @@ let prop_repair_solutions_sound =
       in
       let spec = { (mini ()) with Types.rules } in
       let o1 = op spec n1 and o2 = op spec n2 in
-      match Detect.check_pair spec o1 o2 with
+      match Detect.check_pair ~ctx:(fresh ()) spec o1 o2 with
       | Detect.Safe -> true
       | Detect.Conflict _ ->
-          let sols = Repair.repair_conflicts ~search_rules:true spec (o1, o2) in
+          let sols = Repair.repair_conflicts ~search_rules:true ~ctx:(fresh ())
+              spec (o1, o2) in
           List.for_all
             (fun (s : Repair.solution) ->
               let p1, p2 = s.s_pair in
               let spec' = { spec with Types.rules = s.s_rules } in
-              Detect.check_pair spec' p1 p2 = Detect.Safe
-              && Repair.preserves_intent spec' p1
-              && Repair.preserves_intent spec' p2
-              && Detect.sequentially_safe spec' p1
-              && Detect.sequentially_safe spec' p2)
+              Detect.check_pair ~ctx:(fresh ()) spec' p1 p2 = Detect.Safe
+              && Repair.preserves_intent ~ctx:(fresh ()) spec' p1
+              && Repair.preserves_intent ~ctx:(fresh ()) spec' p2
+              && Detect.sequentially_safe ~ctx:(fresh ()) spec' p1
+              && Detect.sequentially_safe ~ctx:(fresh ()) spec' p2)
             sols)
 
 let qcheck_tests =
@@ -1158,6 +1245,8 @@ let () =
           Alcotest.test_case "sequential safety" `Quick test_sequentially_safe;
           Alcotest.test_case "numeric self-conflict" `Quick
             test_detect_numeric_self_conflict;
+          Alcotest.test_case "cardinality self-conflict" `Quick
+            test_detect_cardinality_self_conflict;
           Alcotest.test_case "find conflicting pair" `Quick
             test_find_conflicting_pair;
         ] );
@@ -1174,6 +1263,8 @@ let () =
           Alcotest.test_case "pick policies" `Quick test_pick_policies;
           Alcotest.test_case "disjunction invariant" `Quick
             test_repair_disjunction;
+          Alcotest.test_case "intent filter rejects masking" `Quick
+            test_repair_intent_rejects_masking;
         ] );
       ( "compensation",
         [

@@ -98,6 +98,3 @@ let case_key (spec : Types.t) ~(base1 : Types.operation)
   }
 
 let with_clause (k : key) (i : int) : key = { k with k_clause = i }
-
-(** Number of clause obligations a case key spans. *)
-let n_clauses (k : key) : int = List.length k.k_frame

@@ -56,6 +56,3 @@ val case_key :
 
 (** Refocus a case key on one clause obligation. *)
 val with_clause : key -> int -> key
-
-(** Number of clause obligations a case key spans. *)
-val n_clauses : key -> int

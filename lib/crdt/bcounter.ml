@@ -238,10 +238,6 @@ let replicas (c : t) : string list =
 let rights_histogram (c : t) : (string * int) list =
   List.map (fun r -> (r, local_rights c r)) (replicas c)
 
-(** Dual histogram: per-replica increment headroom (capped counters). *)
-let headroom_histogram (c : t) : (string * int) list =
-  List.map (fun r -> (r, local_headroom c r)) (replicas c)
-
 (** Conservation audit over a (causally consistent) view of the
     counter.  Checks the escrow identities that every reachable state
     must satisfy — [Some msg] pinpoints the first broken one:

@@ -106,9 +106,6 @@ val replicas : t -> string list
     histogram surfaced by the escrow metrics. *)
 val rights_histogram : t -> (string * int) list
 
-(** Dual histogram: per-replica increment headroom. *)
-val headroom_histogram : t -> (string * int) list
-
 (** Conservation audit of a causally consistent view: maintained
     aggregates match their folds, Σ local_rights = value, and (capped)
     Σ local_headroom = granted − value with no ledger overdrawn and the

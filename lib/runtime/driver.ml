@@ -18,16 +18,6 @@ type workload = {
   next_op : Rng.t -> region:string -> Config.op_exec;
 }
 
-let default_workload next_op =
-  {
-    clients_per_region = 4;
-    duration_ms = 30_000.0;
-    warmup_ms = 2_000.0;
-    think_time_ms = 0.0;
-    only_region = None;
-    next_op;
-  }
-
 (* Run [op] for a client in [region] through {!Config.execute} and, if
    [in_window] holds at completion, record its latency and violations
    (or its failure) in [m]; [k] then sees the outcome. *)
@@ -128,15 +118,3 @@ let run_stream ?(warmup_ms = 0.0) ?(settle_ms = 10_000.0) (cfg : Config.t)
   Engine.run_until engine (horizon +. settle_ms);
   Config.collect_delivery cfg m;
   m
-
-(** Sweep client counts and report (clients, throughput, mean latency)
-    triples — the shape of Figure 4. *)
-let throughput_sweep ?(seed = 42) ~(mk_config : unit -> Config.t)
-    (w : workload) (client_counts : int list) :
-    (int * float * float) list =
-  List.map
-    (fun n ->
-      let cfg = mk_config () in
-      let m = run ~seed cfg { w with clients_per_region = n } in
-      (n, Metrics.throughput m, Metrics.mean_latency m ()))
-    client_counts

@@ -14,8 +14,6 @@ type workload = {
   next_op : Rng.t -> region:string -> Config.op_exec;
 }
 
-val default_workload : (Rng.t -> region:string -> Config.op_exec) -> workload
-
 (** Run a workload through {!Config.execute}; returns the metrics of
     the measured window (the engine runs 10 s past the end so
     replication settles). *)
@@ -40,12 +38,3 @@ val run_stream :
   events:Workload.event list ->
   op_of:(Workload.event -> string * Config.op_exec) ->
   Metrics.t
-
-(** Sweep client counts; returns (clients, throughput, mean latency)
-    triples — the shape of Figure 4. *)
-val throughput_sweep :
-  ?seed:int ->
-  mk_config:(unit -> Config.t) ->
-  workload ->
-  int list ->
-  (int * float * float) list

@@ -112,4 +112,3 @@ let run (e : t) : unit =
   done
 
 let events_executed (e : t) : int = e.executed
-let queue_length (e : t) : int = e.len

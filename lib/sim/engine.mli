@@ -19,4 +19,3 @@ val run_until : t -> float -> unit
 val run : t -> unit
 
 val events_executed : t -> int
-val queue_length : t -> int

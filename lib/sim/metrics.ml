@@ -227,9 +227,6 @@ let throughput (m : t) : float =
   if window <= 0.0 then 0.0
   else float_of_int (count m ()) /. (window /. 1000.0)
 
-let op_names (m : t) : string list =
-  Hashtbl.fold (fun k _ acc -> k :: acc) m.by_op [] |> List.sort compare
-
 (** One-line replication-delivery summary for bench output. *)
 let pp_delivery ppf (m : t) =
   let d = m.delivery in

@@ -106,8 +106,6 @@ val p95_latency : t -> ?op:string -> unit -> float
 (** Completed operations per second over the measured window. *)
 val throughput : t -> float
 
-val op_names : t -> string list
-
 (** One-line replication-delivery summary for bench output. *)
 val pp_delivery : Format.formatter -> t -> unit
 

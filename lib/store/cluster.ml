@@ -28,10 +28,6 @@ let others (c : t) (id : string) : Replica.t list =
 let broadcast_now (c : t) (b : Replica.batch) : unit =
   List.iter (fun r -> Replica.receive r b) (others c b.Replica.b_origin)
 
-(** Commit a transaction and broadcast instantly (test convenience). *)
-let commit_and_sync (c : t) (tx : Txn.t) : unit =
-  match Txn.commit tx with None -> () | Some b -> broadcast_now c b
-
 (** A snapshot of every replica, for the fuzzer's shrink re-runs. *)
 type snapshot = (string * Replica.snapshot) list
 

@@ -15,9 +15,6 @@ val others : t -> string -> Replica.t list
 (** Deliver a batch to every other replica immediately. *)
 val broadcast_now : t -> Replica.batch -> unit
 
-(** Commit a transaction and broadcast instantly (test convenience). *)
-val commit_and_sync : t -> Txn.t -> unit
-
 (** A snapshot of every replica, for the fuzzer's shrink re-runs. *)
 type snapshot
 

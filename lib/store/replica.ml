@@ -118,9 +118,9 @@ type t = {
       (** per-origin buffered batches keyed by commit number; causal
           deps force per-origin in-order application, so the only batch
           of an origin that can ever be deliverable is the one at
-          [applied(origin) + 1] — draining never re-scans the rest *)
-  pending_keys : (string * int, unit) Hashtbl.t;
-      (** (origin, seq) of every buffered batch — O(1) duplicate check *)
+          [applied(origin) + 1] — draining never re-scans the rest.
+          The buffer's one index: it only ever holds batches above
+          their origin's applied cursor *)
   mutable pending_n : int;  (** buffered batches across all origins *)
   mutable pending_hwm : int;  (** deepest pending buffer ever seen *)
   mutable drain_scans : int;
@@ -185,7 +185,6 @@ let create ?(region = "local") ?(shards = default_shards)
     lamport = 0;
     shards = Array.init shards (fun _ -> make_shard ~subs ());
     pending = Hashtbl.create 8;
-    pending_keys = Hashtbl.create 64;
     pending_n = 0;
     pending_hwm = 0;
     drain_scans = 0;
@@ -485,28 +484,79 @@ let commit (r : t) ?kids ~(events : int) (updates : (string * Obj.op) list) :
 
 let deliverable (r : t) (b : batch) : bool = Vclock.leq b.b_deps r.vv
 
+(* highest applied commit number of [origin] (0 before any) *)
+let cursor (r : t) (origin : string) : int =
+  Option.value ~default:0 (Hashtbl.find_opt r.applied origin)
+
 (** Has the batch already been applied (or buffered)?  Causal deps force
     per-origin in-order application, so any commit number at or below
     the highest applied one is a duplicate. *)
 let seen (r : t) (b : batch) : bool =
-  (match Hashtbl.find_opt r.applied b.b_origin with
-  | Some n -> b.b_seq <= n
-  | None -> false)
-  || Hashtbl.mem r.pending_keys (b.b_origin, b.b_seq)
+  b.b_seq <= cursor r b.b_origin
+  || r.pending_n > 0
+     &&
+     match Hashtbl.find_opt r.pending b.b_origin with
+     | Some tbl -> Hashtbl.mem tbl b.b_seq
+     | None -> false
+
+(* buffer a batch above its origin's cursor until it becomes
+   deliverable *)
+let buffer (r : t) (b : batch) : unit =
+  let tbl =
+    match Hashtbl.find_opt r.pending b.b_origin with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Hashtbl.create 16 in
+        Hashtbl.replace r.pending b.b_origin tbl;
+        tbl
+  in
+  Hashtbl.replace tbl b.b_seq b;
+  r.pending_n <- r.pending_n + 1;
+  r.pending_hwm <- max r.pending_hwm r.pending_n
+
+(* The one move of the per-origin delivery cursor, shared by batch
+   delivery, recovery replay and delta groups: [origin]'s commits up to
+   [upto] are applied and its clock reached [after].  The replica's
+   clock and Lamport time absorb [after], which also proves the origin
+   knew it (stability tracking), and buffered batches of the origin at
+   or below the new cursor are dropped — they are applied now, and the
+   buffer only ever holds batches above the cursor (the drain never
+   looks below it, and retransmissions of a buffered batch are dropped
+   as duplicates, so a stranded one would wedge quiescence).  The drop
+   costs at most the smaller of the jump and the origin's buffer *)
+let advance (r : t) ~(origin : string) ~(upto : int) ~(after : Vclock.t) :
+    unit =
+  let prev = cursor r origin in
+  r.vv <- Vclock.merge r.vv after;
+  r.lamport <- max r.lamport (Vclock.total after);
+  let known =
+    Option.value ~default:Vclock.empty (Hashtbl.find_opt r.peer_vvs origin)
+  in
+  Hashtbl.replace r.peer_vvs origin (Vclock.merge known after);
+  Hashtbl.replace r.applied origin upto;
+  if r.pending_n > 0 then
+    match Hashtbl.find_opt r.pending origin with
+    | None -> ()
+    | Some tbl ->
+        let drop seq =
+          if Hashtbl.mem tbl seq then begin
+            Hashtbl.remove tbl seq;
+            r.pending_n <- r.pending_n - 1
+          end
+        in
+        if upto - prev <= Hashtbl.length tbl then
+          for seq = prev + 1 to upto do
+            drop seq
+          done
+        else
+          List.iter drop
+            (Hashtbl.fold
+               (fun seq _ acc -> if seq <= upto then seq :: acc else acc)
+               tbl [])
 
 let apply_batch (r : t) (b : batch) : unit =
   apply_updates r b;
-  r.vv <- Vclock.merge r.vv b.b_after;
-  r.lamport <- max r.lamport (Vclock.total b.b_after);
-  (* the batch proves its origin knew b_after — track for stability *)
-  let prev =
-    Option.value ~default:Vclock.empty (Hashtbl.find_opt r.peer_vvs b.b_origin)
-  in
-  Hashtbl.replace r.peer_vvs b.b_origin (Vclock.merge prev b.b_after);
-  let high =
-    Option.value ~default:0 (Hashtbl.find_opt r.applied b.b_origin)
-  in
-  Hashtbl.replace r.applied b.b_origin (max high b.b_seq);
+  advance r ~origin:b.b_origin ~upto:b.b_seq ~after:b.b_after;
   log_add r b;
   r.delivered <- r.delivered + 1;
   r.on_apply b
@@ -519,7 +569,8 @@ let apply_batch (r : t) (b : batch) : unit =
    re-visits origins only while some delivery made progress (a delivery
    at one origin can satisfy a cross-origin dependency at another), so
    draining is O(delivered + origins · passes) instead of the quadratic
-   whole-buffer rotation this replaces *)
+   whole-buffer rotation this replaces.  Applying a batch moves the
+   cursor past it, which drops it from the buffer *)
 let drain (r : t) : unit =
   let progress = ref true in
   while !progress do
@@ -529,15 +580,9 @@ let drain (r : t) : unit =
         let continue = ref true in
         while !continue do
           continue := false;
-          let next =
-            1 + Option.value ~default:0 (Hashtbl.find_opt r.applied origin)
-          in
           r.drain_scans <- r.drain_scans + 1;
-          match Hashtbl.find_opt tbl next with
+          match Hashtbl.find_opt tbl (1 + cursor r origin) with
           | Some b when deliverable r b ->
-              Hashtbl.remove tbl next;
-              Hashtbl.remove r.pending_keys (origin, next);
-              r.pending_n <- r.pending_n - 1;
               apply_batch r b;
               progress := true;
               continue := true
@@ -558,25 +603,13 @@ let receive (r : t) (b : batch) : unit =
        causally ready — the overwhelmingly common healthy-network case —
        so apply it directly instead of round-tripping it through the
        pending buffer *)
-    b.b_seq = 1 + Option.value ~default:0 (Hashtbl.find_opt r.applied b.b_origin)
-    && deliverable r b
+    b.b_seq = 1 + cursor r b.b_origin && deliverable r b
   then begin
     apply_batch r b;
     if r.pending_n > 0 then drain r
   end
   else begin
-    let tbl =
-      match Hashtbl.find_opt r.pending b.b_origin with
-      | Some tbl -> tbl
-      | None ->
-          let tbl = Hashtbl.create 16 in
-          Hashtbl.replace r.pending b.b_origin tbl;
-          tbl
-    in
-    Hashtbl.replace tbl b.b_seq b;
-    Hashtbl.replace r.pending_keys (b.b_origin, b.b_seq) ();
-    r.pending_n <- r.pending_n + 1;
-    r.pending_hwm <- max r.pending_hwm r.pending_n;
+    buffer r b;
     drain r
   end
 
@@ -585,7 +618,10 @@ let pending_count (r : t) : int = r.pending_n
 
 (** (origin, seq) keys of the buffered batches. *)
 let pending_keys (r : t) : (string * int) list =
-  Hashtbl.fold (fun k () acc -> k :: acc) r.pending_keys []
+  Hashtbl.fold
+    (fun origin tbl acc ->
+      Hashtbl.fold (fun seq _ acc -> (origin, seq) :: acc) tbl acc)
+    r.pending []
 
 (* ------------------------------------------------------------------ *)
 (* State digest                                                        *)
@@ -962,22 +998,8 @@ let restore (r : t) (s : snapshot) : unit =
       Hashtbl.iter (fun _ c -> mark_dirty sh c) sh.sh_data)
     r.shards;
   Hashtbl.reset r.pending;
-  Hashtbl.reset r.pending_keys;
   r.pending_n <- 0;
-  List.iter
-    (fun (b : batch) ->
-      let tbl =
-        match Hashtbl.find_opt r.pending b.b_origin with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Hashtbl.create 16 in
-            Hashtbl.replace r.pending b.b_origin tbl;
-            tbl
-      in
-      Hashtbl.replace tbl b.b_seq b;
-      Hashtbl.replace r.pending_keys (b.b_origin, b.b_seq) ();
-      r.pending_n <- r.pending_n + 1)
-    s.s_pending;
+  List.iter (buffer r) s.s_pending;
   r.pending_hwm <- s.s_pending_hwm;
   refill r.applied s.s_applied;
   Hashtbl.reset r.log;
@@ -1000,37 +1022,32 @@ let restore (r : t) (s : snapshot) : unit =
 (* ------------------------------------------------------------------ *)
 
 (** Wipe the replica back to freshly-created state, keeping its
-    identity, peer list, shard/bucket geometry and hooks.  Crash
-    recovery resets in place — engine closures holding the replica keep
-    targeting it — then replays snapshot + WAL. *)
+    identity, peer list, shard/bucket geometry and hooks: a restore of
+    the empty state (which also keeps the pending high-water mark), plus
+    the delta-group counter no snapshot carries.  Crash recovery resets
+    in place — engine closures holding the replica keep targeting it —
+    then replays snapshot + WAL. *)
 let reset (r : t) : unit =
-  r.vv <- Vclock.empty;
-  r.seq <- 0;
-  r.lamport <- 0;
-  Array.iter
-    (fun sh ->
-      Hashtbl.reset sh.sh_data;
-      Hashtbl.reset sh.sh_types;
-      sh.sh_dirty_n <- 0;
-      sh.sh_xor <- 0;
-      sh.sh_sum <- 0;
-      sh.sh_entries <- 0;
-      Array.fill sh.sh_sub_xor 0 (Array.length sh.sh_sub_xor) 0;
-      Array.fill sh.sh_sub_sum 0 (Array.length sh.sh_sub_sum) 0;
-      Array.fill sh.sh_sub_entries 0 (Array.length sh.sh_sub_entries) 0)
-    r.shards;
-  Hashtbl.reset r.pending;
-  Hashtbl.reset r.pending_keys;
-  r.pending_n <- 0;
-  Hashtbl.reset r.applied;
-  Hashtbl.reset r.log;
-  Hashtbl.reset r.peer_vvs;
-  r.delivered <- 0;
-  r.committed <- 0;
-  r.duplicates_dropped <- 0;
-  r.log_size <- 0;
-  r.log_hwm <- 0;
-  r.log_truncated <- 0;
+  restore r
+    {
+      s_vv = Vclock.empty;
+      s_seq = 0;
+      s_lamport = 0;
+      s_shards =
+        Array.map (fun _ -> (Hashtbl.create 1, Hashtbl.create 1)) r.shards;
+      s_pending = [];
+      s_pending_hwm = r.pending_hwm;
+      s_applied = Hashtbl.create 1;
+      s_log = [];
+      s_peers = r.peers;
+      s_peer_vvs = Hashtbl.create 1;
+      s_delivered = 0;
+      s_committed = 0;
+      s_duplicates_dropped = 0;
+      s_log_size = 0;
+      s_log_hwm = 0;
+      s_log_truncated = 0;
+    };
   r.delta_groups_applied <- 0
 
 (** Recovery replay of a logged batch (own or remote): re-applies its
@@ -1038,54 +1055,35 @@ let reset (r : t) : unit =
     order, so causal dependencies already hold — and skips batches at or
     below the per-origin cursor, which makes replay idempotent
     (tolerating duplicated WAL records and snapshot/WAL overlap).
-    Observability hooks are not fired for the replayed batch itself.
+    Returns whether the batch was applied.  Observability hooks are not
+    fired for the replayed batch itself.
 
     A checkpoint snapshot legitimately captures the pending buffer, so
-    replay must re-establish the buffer's invariant — it holds only
-    batches {e above} the applied cursor — or a batch both restored as
-    pending and replayed as applied would sit buffered forever (the
-    drain never looks at or below the cursor, and retransmissions of a
-    buffered batch are dropped as duplicates), wedging quiescence.
-    Hence: advancing a cursor purges the overtaken pending entries, and
-    replay drains afterwards, because replayed progress can make a
-    restored pending batch deliverable (the drain's applies are genuine
-    deliveries and do fire hooks — they need fresh WAL records). *)
-let replay_batch (r : t) (b : batch) : unit =
+    a remote batch can be both restored as pending and replayed as
+    applied: the cursor move ([advance]) drops it from the buffer, as it
+    does for every delivery.  Replay drains afterwards, because replayed
+    progress can make a restored pending batch deliverable (the drain's
+    applies are genuine deliveries and do fire hooks — they need fresh
+    WAL records). *)
+let replay_batch (r : t) (b : batch) : bool =
   let own = b.b_origin = r.id in
-  let cur =
-    if own then r.seq
-    else Option.value ~default:0 (Hashtbl.find_opt r.applied b.b_origin)
-  in
-  if b.b_seq <= cur then ()
+  let cur = if own then r.seq else cursor r b.b_origin in
+  if b.b_seq <= cur then false
   else begin
     apply_updates r b;
-    r.vv <- Vclock.merge r.vv b.b_after;
-    r.lamport <- max r.lamport (Vclock.total b.b_after);
     if own then begin
+      r.vv <- Vclock.merge r.vv b.b_after;
+      r.lamport <- max r.lamport (Vclock.total b.b_after);
       r.seq <- b.b_seq;
       r.committed <- r.committed + 1
     end
     else begin
-      Hashtbl.replace r.applied b.b_origin b.b_seq;
-      (match Hashtbl.find_opt r.pending b.b_origin with
-      | Some tbl ->
-          for s = cur + 1 to b.b_seq do
-            if Hashtbl.mem tbl s then begin
-              Hashtbl.remove tbl s;
-              Hashtbl.remove r.pending_keys (b.b_origin, s);
-              r.pending_n <- r.pending_n - 1
-            end
-          done
-      | None -> ());
-      let prev =
-        Option.value ~default:Vclock.empty
-          (Hashtbl.find_opt r.peer_vvs b.b_origin)
-      in
-      Hashtbl.replace r.peer_vvs b.b_origin (Vclock.merge prev b.b_after);
+      advance r ~origin:b.b_origin ~upto:b.b_seq ~after:b.b_after;
       r.delivered <- r.delivered + 1
     end;
     log_add r b;
-    if r.pending_n > 0 then drain r
+    if r.pending_n > 0 then drain r;
+    true
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1206,47 +1204,23 @@ let join_delta_key (r : t) (key : string) (d : Obj.delta) : unit =
     its cross-origin dependencies are already satisfied — both checks
     preserve exactly-once, FIFO, causally-consistent delivery; a
     rejected group is simply retried by a later sync round.  On success
-    the origin's clock entry, applied cursor and peer knowledge advance
-    to the group's end, and any buffered batches the group supersedes
-    are dropped (their next-seq cursor has jumped past them). *)
+    the origin's cursor moves to the group's end like any delivery's,
+    dropping the buffered batches the group supersedes. *)
 let apply_delta_group (r : t) (g : delta_group) : bool =
-  let next =
-    1 + Option.value ~default:0 (Hashtbl.find_opt r.applied g.g_origin)
-  in
   let ext_ready =
     List.for_all
       (fun (rep, n) -> rep = g.g_origin || Vclock.get r.vv rep >= n)
       (Vclock.to_list g.g_after)
   in
-  if g.g_origin = r.id || g.g_from <> next || not ext_ready then false
+  if g.g_origin = r.id || g.g_from <> 1 + cursor r g.g_origin || not ext_ready
+  then false
   else begin
     List.iter (fun (kid, d) -> join_delta_kid r kid d) g.g_deltas;
     List.iter (fun (kid, op) -> apply_update_kid r kid op) g.g_ops;
-    Hashtbl.replace r.applied g.g_origin g.g_to;
-    r.vv <-
-      Vclock.set r.vv g.g_origin
-        (max (Vclock.get r.vv g.g_origin) (Vclock.get g.g_after g.g_origin));
-    r.lamport <- max r.lamport g.g_stamp;
-    let prev =
-      Option.value ~default:Vclock.empty
-        (Hashtbl.find_opt r.peer_vvs g.g_origin)
-    in
-    Hashtbl.replace r.peer_vvs g.g_origin (Vclock.merge prev g.g_after);
+    (* [ext_ready] holds, so merging [g_after] moves only the origin's
+       clock entry *)
+    advance r ~origin:g.g_origin ~upto:g.g_to ~after:g.g_after;
     r.delta_groups_applied <- r.delta_groups_applied + 1;
-    (match Hashtbl.find_opt r.pending g.g_origin with
-    | None -> ()
-    | Some tbl ->
-        let stale =
-          Hashtbl.fold
-            (fun seq _ acc -> if seq <= g.g_to then seq :: acc else acc)
-            tbl []
-        in
-        List.iter
-          (fun seq ->
-            Hashtbl.remove tbl seq;
-            Hashtbl.remove r.pending_keys (g.g_origin, seq);
-            r.pending_n <- r.pending_n - 1)
-          stale);
     drain r;
     true
   end

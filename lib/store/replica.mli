@@ -85,9 +85,9 @@ type t = {
   mutable lamport : int;
   shards : shard array;  (** keyspace partitions; length fixed at create *)
   pending : (string, (int, batch) Hashtbl.t) Hashtbl.t;
-      (** per-origin buffered batches keyed by commit number *)
-  pending_keys : (string * int, unit) Hashtbl.t;
-      (** (origin, seq) of every buffered batch — O(1) duplicate check *)
+      (** per-origin buffered batches keyed by commit number — the
+          buffer's only index; it holds only batches above their
+          origin's applied cursor *)
   mutable pending_n : int;  (** buffered batches across all origins *)
   mutable pending_hwm : int;  (** deepest pending buffer ever seen *)
   mutable drain_scans : int;
@@ -175,9 +175,6 @@ val apply_update : t -> string * Obj.op -> unit
     key string here. *)
 val commit : t -> ?kids:int array -> events:int -> (string * Obj.op) list -> batch
 
-(** Has the batch already been applied or buffered here? *)
-val seen : t -> batch -> bool
-
 (** Receive a batch from the network; applied (with any unblocked
     pending batches) as soon as causal dependencies are met.  Own
     batches and duplicates are dropped — delivery is idempotent. *)
@@ -253,20 +250,22 @@ val restore : t -> snapshot -> unit
 (** {1 Crash recovery} (see {!Wal}) *)
 
 (** Wipe the replica back to freshly-created state, keeping its
-    identity, peer list, shard/bucket geometry and hooks — crash
-    recovery resets in place so closures holding the replica keep
-    targeting it, then replays snapshot + WAL. *)
+    identity, peer list, shard/bucket geometry, hooks and pending
+    high-water mark: {!restore} of the empty state, plus zeroing
+    [delta_groups_applied].  Crash recovery resets in place so closures
+    holding the replica keep targeting it, then replays snapshot +
+    WAL. *)
 val reset : t -> unit
 
 (** Recovery replay of a logged batch (own or remote): re-applies its
     updates without delivery gating (WAL append order is application
     order) and skips batches at or below the per-origin cursor, making
-    replay idempotent.  Pending entries overtaken by the advancing
-    cursor (a checkpoint snapshot captures the pending buffer) are
-    purged, and replay drains afterwards, preserving the buffer's
-    only-above-the-cursor invariant.  Hooks are not fired for the
-    replayed batch itself (drained deliveries do fire them). *)
-val replay_batch : t -> batch -> unit
+    replay idempotent; returns whether the batch was applied.  A remote
+    batch moves its origin's cursor exactly as a delivery does, dropping
+    the pending entries it overtakes (a checkpoint snapshot captures the
+    pending buffer), and replay drains afterwards.  Hooks are not fired
+    for the replayed batch itself (drained deliveries do fire them). *)
+val replay_batch : t -> batch -> bool
 
 (** {1 Delta groups} (delta-state anti-entropy; see {!Sync}) *)
 

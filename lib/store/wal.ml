@@ -272,18 +272,7 @@ let recover (t : t) (r : Replica.t) : recovery =
   List.iter
     (fun rc ->
       let b = match rc with R_commit b | R_apply b -> b in
-      let own = b.Replica.b_origin = r.Replica.id in
-      let cur =
-        if own then r.Replica.seq
-        else
-          Option.value ~default:0
-            (Hashtbl.find_opt r.Replica.applied b.Replica.b_origin)
-      in
-      if b.Replica.b_seq <= cur then incr skipped
-      else begin
-        Replica.replay_batch r b;
-        incr replayed
-      end)
+      if Replica.replay_batch r b then incr replayed else incr skipped)
     records;
   if valid < String.length wal then
     write_file_atomic (wal_path ~dir:t.dir ~id:t.rid) (String.sub wal 0 valid);

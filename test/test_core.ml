@@ -749,9 +749,13 @@ let test_cache_equivalence_quick () =
 let test_cache_equivalence_tournament () =
   check_cache_equivalence (Catalog.tournament ())
 
+(* [~jobs:1] pins the sequential scan whose counters the assertions
+   describe: a parallel scan speculatively solves obligations past the
+   first conflict, so its counters (and the warm re-run's solves) vary
+   with the worker count *)
 let test_stats_counters () =
   let ctx = Anactx.create () in
-  let r = Ipa.run ~ctx (Catalog.twitter ()) in
+  let r = Ipa.run ~jobs:1 ~ctx (Catalog.twitter ()) in
   let s = r.Ipa.stats in
   Alcotest.(check bool) "sat calls nonzero" true (s.Anactx.sat_calls > 0);
   Alcotest.(check bool) "decisions nonzero" true (s.Anactx.sat_decisions > 0);
@@ -769,7 +773,7 @@ let test_stats_counters () =
   (* a second run on the same ctx accumulates lookup counters but is
      answered entirely from the obligation/case caches: zero new
      solves *)
-  let _ = Ipa.run ~ctx (Catalog.twitter ()) in
+  let _ = Ipa.run ~jobs:1 ~ctx (Catalog.twitter ()) in
   Alcotest.(check int) "warm re-run adds no solver calls" (fst snap)
     s.Anactx.sat_calls;
   Alcotest.(check bool) "pair checks accumulate monotonically" true

@@ -128,7 +128,9 @@ let counters (s : Ipa_core.Anactx.stats) =
   ]
 
 (* partitioning the catalog across per-worker contexts and folding the
-   counters back must equal the per-app sums a sequential run observes *)
+   counters back must equal the per-app sums a sequential run observes.
+   Both sides pin [~jobs:1]: a parallel scan's speculative solves make
+   the counters vary from run to run *)
 let test_merge_stats_partition () =
   let open Ipa_core in
   let apps =
@@ -142,7 +144,7 @@ let test_merge_stats_partition () =
     List.fold_left
       (fun acc mk ->
         let ctx = Anactx.create () in
-        ignore (Ipa.run ~ctx (mk ()));
+        ignore (Ipa.run ~jobs:1 ~ctx (mk ()));
         List.map2 ( + ) acc (counters (Anactx.stats ctx)))
       (List.map (fun _ -> 0) (counters (Anactx.stats (Anactx.create ()))))
       apps
@@ -152,7 +154,7 @@ let test_merge_stats_partition () =
   List.iter
     (fun mk ->
       let child = Anactx.fresh ~like:parent in
-      ignore (Ipa.run ~ctx:child (mk ()));
+      ignore (Ipa.run ~jobs:1 ~ctx:child (mk ()));
       Anactx.merge_stats ~into:parent child)
     apps;
   Alcotest.(check (list int))

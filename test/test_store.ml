@@ -1118,6 +1118,46 @@ let test_wal_group_commit_loses_unflushed_applies () =
       Alcotest.(check int) "re-delivered by anti-entropy" 5
         (stock_value east))
 
+let test_wal_checkpoint_captures_pending () =
+  (* a checkpoint snapshot captures the pending buffer.  Here west's w2
+     waits at east for w1 and for eu's e1 when east checkpoints; both
+     later arrive and w2 drains.  Recovery restores w2 as pending, and
+     replaying w1 then e1 moves the cursors past it: the cursor move must
+     drop it from the buffer, or it sits there forever (retransmissions
+     of a buffered batch are dropped as duplicates) *)
+  with_walled_cluster ~group_commit:1 (fun c ws ->
+      let east = Cluster.replica c "dc-east" in
+      let west = Cluster.replica c "dc-west" in
+      let eu = Cluster.replica c "dc-eu" in
+      let w1 = dec_stock west 5 in
+      let e1 = dec_stock eu 3 in
+      Replica.receive west e1;
+      let w2 = dec_stock west 7 in
+      Replica.receive east w2;
+      Alcotest.(check int) "w2 buffered at the checkpoint" 1
+        (Replica.pending_count east);
+      Wal.checkpoint ws.(0) east;
+      Replica.receive east w1;
+      Alcotest.(check int) "w2 still waits for e1" 1
+        (Replica.pending_count east);
+      Replica.receive east e1;
+      Alcotest.(check int) "w2 drained" 0 (Replica.pending_count east);
+      let d_full = Replica.state_digest east in
+      Wal.crash ws.(0);
+      let r = Wal.recover ws.(0) east in
+      Alcotest.(check bool) "snapshot restored" true r.Wal.rec_snapshot;
+      Alcotest.(check int) "w1 and e1 replayed" 2 r.Wal.rec_replayed;
+      Alcotest.(check int) "w2's record skipped: already drained" 1
+        r.Wal.rec_skipped;
+      Alcotest.(check int) "no batch left buffered" 0
+        (Replica.pending_count east);
+      Alcotest.(check string) "digest bit-identical" d_full
+        (Replica.state_digest east);
+      heal c;
+      Alcotest.(check int) "counter exact everywhere" 15 (stock_value eu);
+      Alcotest.(check string) "still the pre-crash digest" d_full
+        (Replica.state_digest east))
+
 (* ------------------------------------------------------------------ *)
 (* Delta repair: convergence and wire cost vs raw batches              *)
 (* ------------------------------------------------------------------ *)
@@ -1157,6 +1197,35 @@ let test_delta_repair_fewer_bytes () =
        bytes_batches)
     true
     (bytes_delta <= bytes_batches)
+
+let test_delta_group_supersedes_pending () =
+  (* a delta group over commits 1..3 reaches east while commit 2 is
+     buffered there: the group moves the cursor past it, so the buffer
+     empties and commit 4 then takes the receive fast path (no buffering
+     and no drain) *)
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  let west = Cluster.replica c "dc-west" in
+  let _w1 = dec_stock west 1 in
+  let w2 = dec_stock west 2 in
+  let _w3 = dec_stock west 4 in
+  let g =
+    Option.get (Replica.delta_group_of west ~origin:"dc-west" ~known:0)
+  in
+  let w4 = dec_stock west 8 in
+  Replica.receive east w2;
+  Alcotest.(check int) "w2 buffered" 1 (Replica.pending_count east);
+  Alcotest.(check bool) "group accepted" true (Replica.apply_delta_group east g);
+  Alcotest.(check int) "superseded batch dropped" 0
+    (Replica.pending_count east);
+  let hwm = east.Replica.pending_hwm and scans = east.Replica.drain_scans in
+  Replica.receive east w4;
+  Alcotest.(check int) "w4 applied on arrival" 0 (Replica.pending_count east);
+  Alcotest.(check int) "fast path: not buffered" hwm east.Replica.pending_hwm;
+  Alcotest.(check int) "fast path: no drain" scans east.Replica.drain_scans;
+  Alcotest.(check int) "counter exact" 15 (stock_value east);
+  Alcotest.(check string) "east matches west" (Replica.state_digest west)
+    (Replica.state_digest east)
 
 (* ------------------------------------------------------------------ *)
 (* Convergence property: random ops, random delivery interleavings     *)
@@ -2093,11 +2162,15 @@ let () =
             test_wal_checkpoint_snapshot_replay;
           Alcotest.test_case "group commit loses unflushed applies" `Quick
             test_wal_group_commit_loses_unflushed_applies;
+          Alcotest.test_case "checkpoint captures a buffered batch" `Quick
+            test_wal_checkpoint_captures_pending;
         ] );
       ( "delta repair",
         [
           Alcotest.test_case "delta sync no dearer than batches" `Quick
             test_delta_repair_fewer_bytes;
+          Alcotest.test_case "group supersedes a buffered batch" `Quick
+            test_delta_group_supersedes_pending;
         ] );
       ( "remote-first bounds",
         [

@@ -1327,11 +1327,12 @@ let scale ?(quick = false) () =
 (** Durability & delta-replication experiment (DESIGN.md §9), three
     phases: (1) wire cost of repairing a lagging replica under the
     three repair strategies over a large converged set plus hot
-    counters — {!Sync.repair}'s delta groups must come in at least 2x
-    under the bench-side {!Full_state.repair} baseline;
-    (2) WAL crash-recovery timing, demanding a bit-identical post-
-    recovery digest; (3) a crash-armed fuzz campaign across the whole
-    catalog.  Writes [BENCH_DURABILITY.json]. *)
+    counters — {!Sync.repair}'s compacted batches must come in at least
+    2x under the bench-side {!Full_state.repair} baseline;
+    (2) WAL crash-recovery timing, with a delta-repair heal after the
+    last checkpoint, demanding a bit-identical post-recovery digest;
+    (3) a crash-armed fuzz campaign across the whole catalog.  Writes
+    [BENCH_DURABILITY.json]. *)
 let durability ?(quick = false) () =
   pr "== Durability: delta replication + WAL crash recovery ==@.";
   let rows = ref [] in
@@ -1469,6 +1470,24 @@ let durability ?(quick = false) () =
     if i > 0 && i mod (n_ops / 4) = 0 then Wal.checkpoint ws.(0) reps2.(0)
   done;
   let ingest_s = Unix.gettimeofday () -. t0 in
+  (* after the last checkpoint, replica 0 misses a run of replica 1's
+     commits and is healed by delta repair: the one compacted batch it
+     applies is a WAL record, which recovery must replay *)
+  let n_heal = if quick then 20 else 100 in
+  for i = 0 to n_heal - 1 do
+    let rep = reps2.(1) in
+    let b =
+      if i mod 3 = 0 then bump rep (ctr_key (i mod n_counters)) 1
+      else add_many rep "wal-set" ~from:(n_ops + i) ~len:1
+    in
+    Replica.receive reps2.(2) b
+  done;
+  let healed =
+    Sync.repair (Sync.create c2) ~mode:Sync.Deltas ~src:reps2.(1)
+      ~dst:reps2.(0)
+  in
+  if healed.Sync.r_accepted <> 1 then
+    failwith "durability: delta heal before the crash not accepted";
   (* flush, then crash: recovery must land bit-identically *)
   Wal.flush ws.(0);
   let d_before = Replica.state_digest reps2.(0) in
@@ -1479,15 +1498,16 @@ let durability ?(quick = false) () =
   let identical = Replica.state_digest reps2.(0) = d_before in
   if not identical then
     failwith "durability: WAL recovery digest not bit-identical";
-  pr "recovery: %d ops (%d flushes, %.2fs ingest) -> snapshot=%b + %d \
-      replayed in %.2fms, digest bit-identical@."
-    n_ops ws.(0).Wal.flushes ingest_s rc.Wal.rec_snapshot rc.Wal.rec_replayed
-    (recover_s *. 1000.);
+  pr "recovery: %d ops + %d healed by delta repair (%d flushes, %.2fs \
+      ingest) -> snapshot=%b + %d replayed in %.2fms, digest bit-identical@."
+    n_ops n_heal ws.(0).Wal.flushes ingest_s rc.Wal.rec_snapshot
+    rc.Wal.rec_replayed (recover_s *. 1000.);
   push
     (bench_row ~experiment:"durability"
        [
          ("phase", S "recovery");
          ("ops", I n_ops);
+         ("healed", I n_heal);
          ("snapshot", B rc.Wal.rec_snapshot);
          ("replayed", I rc.Wal.rec_replayed);
          ("skipped", I rc.Wal.rec_skipped);

@@ -1,6 +1,6 @@
 (** The full-state repair baseline of the durability experiment: ships
     every divergent key's whole rendered state, where {!Sync.repair}
-    ships raw batches or delta groups. *)
+    ships raw or compacted batches. *)
 
 open Ipa_store
 
@@ -9,8 +9,8 @@ open Ipa_store
     per-origin cursors, peer clocks).  The adoption is what keeps later
     batch deliveries exactly-once: every effect included in src's states
     is now below dst's cursors.  Sound only when the divergent keys are
-    all mergeable (set/counter CRDTs).  The durability experiment's
-    comparison point for {!Sync.repair}'s delta groups; it uses only the
+    all set/counter CRDTs.  The durability experiment's comparison
+    point for {!Sync.repair}'s compacted batches; it uses only the
     public {!Replica} and {!Sync} interfaces. *)
 let repair ~(src : Replica.t) ~(dst : Replica.t) : Sync.repair_stats =
   let d = Sync.divergent_keys ~a:src ~b:dst in
@@ -24,11 +24,11 @@ let repair ~(src : Replica.t) ~(dst : Replica.t) : Sync.repair_stats =
           | None ->
               raise
                 (Obj.Type_mismatch
-                   "Full_state.repair: full-state repair of a non-mergeable object")
+                   "Full_state.repair: full-state repair of a non-joinable object")
           | Some frag ->
               incr units;
               bytes := !bytes + Sync.wire_bytes (key, frag);
-              Replica.join_delta_key dst key frag;
+              Replica.apply_update dst (key, Obj.Op_join frag);
               incr accepted))
     d.Sync.divergent;
   dst.Replica.vv <- Ipa_crdt.Vclock.merge dst.Replica.vv src.Replica.vv;

@@ -98,20 +98,4 @@ let merge (a : t) (b : t) : t =
   let r = !c in
   { r with total = Array.fold_left ( + ) 0 r.pos - Array.fold_left ( + ) 0 r.neg }
 
-(** The delta-state fragment for one op: the {e post-apply} state
-    restricted to the op's replica slot, so that max-join of the
-    fragment reproduces the op's effect on any state that has applied
-    the replica's earlier ops (FIFO).  [after] must be the state
-    immediately after applying the op at its origin. *)
-let delta_of_op ~(after : t) (Delta { rep; d = _ } : op) : t =
-  let i = find after rep in
-  if i < 0 then empty
-  else
-    {
-      reps = [| rep |];
-      pos = [| after.pos.(i) |];
-      neg = [| after.neg.(i) |];
-      total = after.pos.(i) - after.neg.(i);
-    }
-
 let pp ppf c = Fmt.int ppf (value c)

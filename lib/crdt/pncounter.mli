@@ -31,11 +31,4 @@ val apply : t -> op -> t
     Commutative, associative, idempotent. *)
 val merge : t -> t -> t
 
-(** The delta-state fragment for one op: the {e post-apply} state
-    restricted to the op's replica slot.  [after] must be the state
-    immediately after applying the op at its origin; max-join of the
-    fragment then reproduces the op on any state that has applied the
-    replica's earlier ops (FIFO). *)
-val delta_of_op : after:t -> op -> t
-
 val pp : Format.formatter -> t -> unit

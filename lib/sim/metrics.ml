@@ -21,7 +21,7 @@ type delivery = {
       (** anti-entropy bytes on the wire shipping raw batches *)
   mutable sync_bytes_state : int;
       (** bytes shipping full rendered state of divergent keys *)
-  mutable sync_bytes_delta : int;  (** bytes shipping delta groups *)
+  mutable sync_bytes_delta : int;  (** bytes shipping compacted batches *)
 }
 
 (** Escrow/reservation-path observability: how often decrements were
@@ -122,7 +122,7 @@ let record_visibility (m : t) (latency : float) : unit =
   m.delivery.visibility_n <- m.delivery.visibility_n + 1
 
 (** Account anti-entropy bytes on the wire, bucketed by what was
-    shipped: raw batches, full rendered state, or delta groups.  The
+    shipped: raw batches, full rendered state, or compacted batches.  The
     store layer cannot depend on this library, so callers holding a
     [Sync.repair_stats] bump these after each repair. *)
 let record_sync_bytes (m : t) ~(kind : [ `Batch | `State | `Delta ])

@@ -17,7 +17,7 @@ type delivery = {
       (** anti-entropy bytes on the wire shipping raw batches *)
   mutable sync_bytes_state : int;
       (** bytes shipping full rendered state of divergent keys *)
-  mutable sync_bytes_delta : int;  (** bytes shipping delta groups *)
+  mutable sync_bytes_delta : int;  (** bytes shipping compacted batches *)
 }
 
 (** Escrow/reservation-path observability (the escrow bench and the

@@ -36,6 +36,20 @@ type op =
   | Op_mvreg of Mvreg.op
   | Op_compset of Compset.op
   | Op_compcounter of Compcounter.op
+  | Op_join of delta
+      (** a joined state fragment: the set effects of a compacted log
+          interval, or a full-state repair's rendered value *)
+
+(** A joinable state fragment.  Only the set CRDTs ship true deltas:
+    their fragments carry causal metadata (dots / contexts / barriers)
+    that makes the join idempotent.  Counter and register ops are
+    additive or already tiny, so a compacted interval carries them as
+    (summed) ops instead; a counter fragment is a full-state repair's
+    whole counter. *)
+and delta =
+  | D_awset of Awset.t
+  | D_rwset of Rwset.t
+  | D_pncounter of Pncounter.t
 
 exception Type_mismatch of string
 
@@ -60,48 +74,12 @@ let apply (o : t) (op : op) : t =
   | O_mvreg s, Op_mvreg x -> O_mvreg (Mvreg.apply s x)
   | O_compset s, Op_compset x -> O_compset (Compset.apply s x)
   | O_compcounter s, Op_compcounter x -> O_compcounter (Compcounter.apply s x)
+  | O_awset s, Op_join (D_awset f) -> O_awset (Awset.merge s f)
+  | O_rwset s, Op_join (D_rwset f) -> O_rwset (Rwset.merge s f)
+  | O_pncounter s, Op_join (D_pncounter f) -> O_pncounter (Pncounter.merge s f)
   | _ -> raise (Type_mismatch "Obj.apply: op does not match object type")
 
-(* ------------------------------------------------------------------ *)
-(* Delta-state view (anti-entropy ships these instead of full state)   *)
-(* ------------------------------------------------------------------ *)
-
-(** A joinable state fragment.  Only the set CRDTs ship true deltas:
-    their fragments carry causal metadata (dots / contexts / barriers)
-    that makes the join idempotent.  Counter and register ops are
-    additive or already tiny, so anti-entropy ships them as (compressed)
-    ops instead — see {!Sync}. *)
-type delta =
-  | D_awset of Awset.t
-  | D_rwset of Rwset.t
-  | D_pncounter of Pncounter.t
-
-(** The delta fragment for one op, or [None] for types that ship ops.
-    [after] is the object state immediately after applying the op at its
-    origin (needed by counter deltas, which carry absolute slot
-    totals). *)
-let delta_of ~(after : t) (op : op) : delta option =
-  match (op, after) with
-  | Op_awset x, _ -> Some (D_awset (Awset.delta_of_op x))
-  | Op_rwset x, _ -> Some (D_rwset (Rwset.delta_of_op x))
-  | Op_pncounter x, O_pncounter s ->
-      Some (D_pncounter (Pncounter.delta_of_op ~after:s x))
-  | Op_pncounter _, _ ->
-      raise (Type_mismatch "Obj.delta_of: pncounter op on non-counter")
-  | ( ( Op_bcounter _ | Op_lww _ | Op_mvreg _ | Op_compset _
-      | Op_compcounter _ ),
-      _ ) ->
-      None
-
-(** Join a delta fragment into a state. *)
-let join_delta (o : t) (d : delta) : t =
-  match (o, d) with
-  | O_awset s, D_awset f -> O_awset (Awset.merge s f)
-  | O_rwset s, D_rwset f -> O_rwset (Rwset.merge s f)
-  | O_pncounter s, D_pncounter f -> O_pncounter (Pncounter.merge s f)
-  | _ -> raise (Type_mismatch "Obj.join_delta: delta does not match object")
-
-(** Join two deltas of the same key (group compaction). *)
+(** Join two deltas of the same key (log compaction). *)
 let join_deltas (a : delta) (b : delta) : delta =
   match (a, b) with
   | D_awset x, D_awset y -> D_awset (Awset.merge x y)
@@ -109,14 +87,8 @@ let join_deltas (a : delta) (b : delta) : delta =
   | D_pncounter x, D_pncounter y -> D_pncounter (Pncounter.merge x y)
   | _ -> raise (Type_mismatch "Obj.join_deltas: mismatched deltas")
 
-(** Is full-state merge defined for this object? *)
-let mergeable (o : t) : bool =
-  match o with
-  | O_awset _ | O_rwset _ | O_pncounter _ -> true
-  | _ -> false
-
-(** Full-state join (mergeable types only): the whole state viewed as
-    one big delta. *)
+(** The whole state viewed as one big fragment (set and counter types
+    only) — what full-state repair ships. *)
 let as_delta (o : t) : delta option =
   match o with
   | O_awset s -> Some (D_awset s)

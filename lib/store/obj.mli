@@ -35,44 +35,39 @@ type op =
   | Op_mvreg of Mvreg.op
   | Op_compset of Compset.op
   | Op_compcounter of Compcounter.op
+  | Op_join of delta
+      (** a joined state fragment: the set effects of a compacted log
+          interval, or a full-state repair's rendered value *)
+
+(** A joinable state fragment.  Only the set CRDTs ship true deltas
+    (their fragments carry the causal metadata that makes the join
+    idempotent); counter and register ops are additive or tiny, so a
+    compacted interval carries those as summed or raw ops instead.  A
+    counter fragment is a full-state repair's whole counter. *)
+and delta =
+  | D_awset of Awset.t
+  | D_rwset of Rwset.t
+  | D_pncounter of Pncounter.t
 
 exception Type_mismatch of string
 
 val init : otype -> t
 
-(** Apply a downstream effect; raises {!Type_mismatch} when the op does
-    not match the object's type. *)
+(** Apply a downstream effect ([Op_join] joins its fragment into the
+    state); raises {!Type_mismatch} when the op does not match the
+    object's type. *)
 val apply : t -> op -> t
 
-(** {1 Delta-state view}
+(** {1 State fragments} *)
 
-    Joinable state fragments for anti-entropy.  Only the set CRDTs ship
-    true deltas (their fragments carry the causal metadata that makes
-    the join idempotent); counter and register ops are additive or tiny,
-    so {!Sync} ships those as compressed ops instead. *)
-
-type delta =
-  | D_awset of Awset.t
-  | D_rwset of Rwset.t
-  | D_pncounter of Pncounter.t
-
-(** The delta fragment for one op, or [None] for types that ship ops.
-    [after] is the object state immediately after applying the op at
-    its origin (counter deltas carry absolute slot totals). *)
-val delta_of : after:t -> op -> delta option
-
-(** Join a delta fragment into a state. *)
-val join_delta : t -> delta -> t
-
-(** Join two deltas of the same key (group compaction). *)
+(** Join two deltas of the same key (log compaction). *)
 val join_deltas : delta -> delta -> delta
 
-(** Is full-state merge defined for this object? *)
-val mergeable : t -> bool
-
-(** The whole state viewed as one big delta (mergeable types only). *)
+(** The whole state viewed as one big fragment (set and counter types
+    only) — what full-state repair ships. *)
 val as_delta : t -> delta option
 
+(** The object type a fragment joins into. *)
 val delta_otype : delta -> otype
 
 (** {1 Typed accessors} (raise {!Type_mismatch} on the wrong variant) *)

@@ -15,6 +15,11 @@
     (its own and applied remote ones) so {!Sync} can retransmit batches
     a faulty network lost.
 
+    A batch covers an interval of its origin's commits: one commit, or a
+    compacted log interval ({!compact_after}) that anti-entropy ships in
+    place of the batches it covers.  Both are delivered, logged,
+    WAL-written and replayed by the same code.
+
     {b Sharding.}  The keyspace is hash-partitioned over interned key
     ids into replica-local shards, each with its own object map, dirty
     set, observable-state hash cache and rolling digest.  Shard routing
@@ -29,7 +34,10 @@ open Ipa_crdt
 
 type batch = {
   b_origin : string;
-  b_seq : int;  (** per-origin commit number *)
+  b_first : int;
+      (** first covered commit number: [b_seq] for a committed
+          transaction's batch, lower for a compacted interval *)
+  b_seq : int;  (** per-origin commit number (the last one covered) *)
   b_deps : Vclock.t;  (** origin clock {e before} the transaction *)
   b_after : Vclock.t;  (** origin clock after (deps + this txn's events) *)
   b_updates : (string * Obj.op) list;
@@ -42,7 +50,11 @@ type batch = {
 (** Per-origin batch log: commit numbers are contiguous from 1, so the
     batches covering a peer's gap are a suffix of the sequence.
     [min_seq] is the lowest retained commit number — causally-stable
-    truncation drops a prefix, keeping the suffix contiguous. *)
+    truncation drops a prefix, keeping the suffix contiguous.  An entry
+    covers [b_first..b_seq] and is indexed under both ends, so a
+    newest-first walk steps from an entry to the one ending at
+    [b_first - 1], and truncation from the entry starting at [min_seq]
+    to the one starting at [b_seq + 1]. *)
 type origin_log = {
   mutable max_seq : int;
   mutable min_seq : int;
@@ -59,9 +71,10 @@ type origin_log = {
     comparison compute identically).
 
     Set keys (add-wins, remove-wins, compensation) also keep their
-    members' hash sum and count, updated as ops and deltas change the
-    membership of the elements they name; [c_n < 0] marks the pair
-    stale, to be refolded from the members by the next refresh. *)
+    members' hash sum and count, updated as ops and joined fragments
+    change the membership of the elements they name; [c_n < 0] marks
+    the pair stale, to be refolded from the members by the next
+    refresh. *)
 type cell = {
   c_kid : int;
   mutable c_obj : Obj.t;
@@ -115,12 +128,13 @@ type t = {
   mutable lamport : int;
   shards : shard array;  (** keyspace partitions; length fixed at create *)
   pending : (string, (int, batch) Hashtbl.t) Hashtbl.t;
-      (** per-origin buffered batches keyed by commit number; causal
-          deps force per-origin in-order application, so the only batch
-          of an origin that can ever be deliverable is the one at
-          [applied(origin) + 1] — draining never re-scans the rest.
-          The buffer's one index: it only ever holds batches above
-          their origin's applied cursor *)
+      (** per-origin buffered batches keyed by first covered commit
+          number; causal deps force per-origin in-order application, so
+          the only batch of an origin that can ever be deliverable is
+          the one starting at [applied(origin) + 1] — draining never
+          re-scans the rest.
+          The buffer's one index: it only ever holds batches starting
+          above their origin's applied cursor *)
   mutable pending_n : int;  (** buffered batches across all origins *)
   mutable pending_hwm : int;  (** deepest pending buffer ever seen *)
   mutable drain_scans : int;
@@ -150,8 +164,6 @@ type t = {
   mutable log_hwm : int;  (** retained-log high-water mark *)
   mutable log_truncated : int;
       (** batches dropped by causally-stable truncation *)
-  mutable delta_groups_applied : int;
-      (** delta groups accepted by {!apply_delta_group} *)
 }
 
 let default_shards = 8
@@ -200,7 +212,6 @@ let create ?(region = "local") ?(shards = default_shards)
     log_size = 0;
     log_hwm = 0;
     log_truncated = 0;
-    delta_groups_applied = 0;
   }
 
 let shard_count (r : t) : int = Array.length r.shards
@@ -347,6 +358,8 @@ let apply_cell (sh : shard) (c : cell) (op : Obj.op) : unit =
   | Obj.Op_awset o -> track c before (Some (Awset.touched o))
   | Obj.Op_compset o -> track c before (Some (Compset.touched o))
   | Obj.Op_rwset o -> track c before (Rwset.touched o)
+  | Obj.Op_join (Obj.D_awset f) -> track c before (Some (Awset.keys f))
+  | Obj.Op_join (Obj.D_rwset f) -> track c before (Rwset.keys f)
   | _ -> ());
   mark_dirty sh c
 
@@ -376,6 +389,7 @@ let apply_update_kid (r : t) (kid : int) (op : Obj.op) : unit =
         | Obj.Op_compset o -> Obj.T_compset { max_size = Compset.op_bound o }
         | Obj.Op_compcounter o ->
             Obj.T_compcounter { min_value = Compcounter.op_bound o }
+        | Obj.Op_join d -> Obj.delta_otype d
       in
       Hashtbl.replace sh.sh_types kid ty;
       let c = new_cell kid (Obj.init ty) in
@@ -409,13 +423,14 @@ let log_add (r : t) (b : batch) : unit =
     | Some ol -> ol
     | None ->
         let ol =
-          { max_seq = 0; min_seq = b.b_seq; entries = Hashtbl.create 64 }
+          { max_seq = 0; min_seq = b.b_first; entries = Hashtbl.create 64 }
         in
         Hashtbl.replace r.log b.b_origin ol;
         ol
   in
-  if b.b_seq >= ol.min_seq && not (Hashtbl.mem ol.entries b.b_seq) then begin
-    Hashtbl.replace ol.entries b.b_seq b;
+  if b.b_first >= ol.min_seq && not (Hashtbl.mem ol.entries b.b_seq) then begin
+    Hashtbl.replace ol.entries b.b_first b;
+    if b.b_seq <> b.b_first then Hashtbl.replace ol.entries b.b_seq b;
     ol.max_seq <- max ol.max_seq b.b_seq;
     r.log_size <- r.log_size + 1;
     r.log_hwm <- max r.log_hwm r.log_size
@@ -423,8 +438,11 @@ let log_add (r : t) (b : batch) : unit =
 
 (** Batches from [origin] whose events go beyond [known] origin-events —
     what a peer reporting clock entry [known] for [origin] is missing.
-    Newest-first seq walk over the contiguous log suffix, returned
-    oldest-first. *)
+    Newest-first walk over the contiguous log suffix, one entry (commit
+    or compacted interval) per step, returned oldest-first.  The walk
+    stops below a compacted interval that [known] falls inside: the
+    peer already has its first commits, so it would drop the interval
+    as stale. *)
 let log_after (r : t) ~(origin : string) ~(known : int) : batch list =
   match Hashtbl.find_opt r.log origin with
   | None -> []
@@ -433,8 +451,11 @@ let log_after (r : t) ~(origin : string) ~(known : int) : batch list =
         if seq < 1 then acc
         else
           match Hashtbl.find_opt ol.entries seq with
-          | Some b when Vclock.get b.b_after origin > known ->
-              walk (seq - 1) (b :: acc)
+          | Some b
+            when Vclock.get b.b_after origin > known
+                 && (b.b_first = b.b_seq
+                    || Vclock.get b.b_deps origin >= known) ->
+              walk (b.b_first - 1) (b :: acc)
           | _ -> acc
       in
       walk ol.max_seq []
@@ -465,6 +486,7 @@ let commit (r : t) ?kids ~(events : int) (updates : (string * Obj.op) list) :
   let b =
     {
       b_origin = r.id;
+      b_first = r.seq;
       b_seq = r.seq;
       b_deps = deps;
       b_after = after;
@@ -489,14 +511,17 @@ let cursor (r : t) (origin : string) : int =
   Option.value ~default:0 (Hashtbl.find_opt r.applied origin)
 
 (** Has the batch already been applied (or buffered)?  Causal deps force
-    per-origin in-order application, so any commit number at or below
-    the highest applied one is a duplicate. *)
+    per-origin in-order application, so a batch whose first commit is at
+    or below the highest applied one is a duplicate — or, for a
+    compacted interval, stale: applying its rest would re-apply the
+    covered prefix.  A compacted interval is never buffered, so a
+    buffered batch of its first commit does not make it seen. *)
 let seen (r : t) (b : batch) : bool =
-  b.b_seq <= cursor r b.b_origin
-  || r.pending_n > 0
+  b.b_first <= cursor r b.b_origin
+  || b.b_first = b.b_seq && r.pending_n > 0
      &&
      match Hashtbl.find_opt r.pending b.b_origin with
-     | Some tbl -> Hashtbl.mem tbl b.b_seq
+     | Some tbl -> Hashtbl.mem tbl b.b_first
      | None -> false
 
 (* buffer a batch above its origin's cursor until it becomes
@@ -510,20 +535,21 @@ let buffer (r : t) (b : batch) : unit =
         Hashtbl.replace r.pending b.b_origin tbl;
         tbl
   in
-  Hashtbl.replace tbl b.b_seq b;
+  Hashtbl.replace tbl b.b_first b;
   r.pending_n <- r.pending_n + 1;
   r.pending_hwm <- max r.pending_hwm r.pending_n
 
 (* The one move of the per-origin delivery cursor, shared by batch
-   delivery, recovery replay and delta groups: [origin]'s commits up to
-   [upto] are applied and its clock reached [after].  The replica's
-   clock and Lamport time absorb [after], which also proves the origin
-   knew it (stability tracking), and buffered batches of the origin at
+   delivery and recovery replay: [origin]'s commits up to [upto] are
+   applied and its clock reached [after].  The replica's clock and
+   Lamport time absorb [after], which also proves the origin knew it
+   (stability tracking), and buffered batches of the origin starting at
    or below the new cursor are dropped — they are applied now, and the
-   buffer only ever holds batches above the cursor (the drain never
-   looks below it, and retransmissions of a buffered batch are dropped
-   as duplicates, so a stranded one would wedge quiescence).  The drop
-   costs at most the smaller of the jump and the origin's buffer *)
+   buffer only ever holds batches starting above the cursor (the drain
+   never looks below it, and retransmissions of a buffered batch are
+   dropped as duplicates, so a stranded one would wedge quiescence).
+   The drop costs at most the smaller of the jump and the origin's
+   buffer *)
 let advance (r : t) ~(origin : string) ~(upto : int) ~(after : Vclock.t) :
     unit =
   let prev = cursor r origin in
@@ -562,7 +588,7 @@ let apply_batch (r : t) (b : batch) : unit =
   r.on_apply b
 
 (* apply every deliverable pending batch.  Per origin, causal deps force
-   in-order application, so the only candidate is the batch at
+   in-order application, so the only candidate is the batch starting at
    [applied(origin) + 1] — each inner step is a single table lookup, and
    a long out-of-order chain (e.g. a reversed burst) drains in one pass
    without ever re-scanning the still-blocked tail.  The outer loop
@@ -594,7 +620,12 @@ let drain (r : t) : unit =
 (** Receive a batch from the network; applies it (and any unblocked
     pending batches) as soon as causal dependencies are met.  Own
     batches and already-seen batches (duplicates, retransmissions of
-    applied or buffered batches) are dropped — delivery is idempotent. *)
+    applied or buffered batches, stale intervals) are dropped — delivery
+    is idempotent.  A compacted interval that cannot apply at once is
+    dropped too, never buffered: waiting on its last commit's
+    dependencies, it would shadow its first commit's own batch, which
+    may be deliverable much earlier (two such intervals of different
+    origins can wait on each other for good). *)
 let receive (r : t) (b : batch) : unit =
   if b.b_origin = r.id then () (* own batches are applied at commit *)
   else if seen r b then r.duplicates_dropped <- r.duplicates_dropped + 1
@@ -603,12 +634,12 @@ let receive (r : t) (b : batch) : unit =
        causally ready — the overwhelmingly common healthy-network case —
        so apply it directly instead of round-tripping it through the
        pending buffer *)
-    b.b_seq = 1 + cursor r b.b_origin && deliverable r b
+    b.b_first = 1 + cursor r b.b_origin && deliverable r b
   then begin
     apply_batch r b;
     if r.pending_n > 0 then drain r
   end
-  else begin
+  else if b.b_first = b.b_seq then begin
     buffer r b;
     drain r
   end
@@ -616,7 +647,7 @@ let receive (r : t) (b : batch) : unit =
 (** Number of batches buffered waiting for causal dependencies. *)
 let pending_count (r : t) : int = r.pending_n
 
-(** (origin, seq) keys of the buffered batches. *)
+(** (origin, first covered commit) keys of the buffered batches. *)
 let pending_keys (r : t) : (string * int) list =
   Hashtbl.fold
     (fun origin tbl acc ->
@@ -851,8 +882,9 @@ let truncate_stable (r : t) ~(stable : Vclock.t) : int =
       while !continue && ol.min_seq <= ol.max_seq do
         match Hashtbl.find_opt ol.entries ol.min_seq with
         | Some b when Vclock.get b.b_after origin <= known ->
-            Hashtbl.remove ol.entries ol.min_seq;
-            ol.min_seq <- ol.min_seq + 1;
+            Hashtbl.remove ol.entries b.b_first;
+            Hashtbl.remove ol.entries b.b_seq;
+            ol.min_seq <- b.b_seq + 1;
             incr n
         | _ -> continue := false
       done)
@@ -1023,10 +1055,9 @@ let restore (r : t) (s : snapshot) : unit =
 
 (** Wipe the replica back to freshly-created state, keeping its
     identity, peer list, shard/bucket geometry and hooks: a restore of
-    the empty state (which also keeps the pending high-water mark), plus
-    the delta-group counter no snapshot carries.  Crash recovery resets
-    in place — engine closures holding the replica keep targeting it —
-    then replays snapshot + WAL. *)
+    the empty state (which also keeps the pending high-water mark).
+    Crash recovery resets in place — engine closures holding the
+    replica keep targeting it — then replays snapshot + WAL. *)
 let reset (r : t) : unit =
   restore r
     {
@@ -1047,14 +1078,14 @@ let reset (r : t) : unit =
       s_log_size = 0;
       s_log_hwm = 0;
       s_log_truncated = 0;
-    };
-  r.delta_groups_applied <- 0
+    }
 
 (** Recovery replay of a logged batch (own or remote): re-applies its
     updates without delivery gating — WAL append order is application
-    order, so causal dependencies already hold — and skips batches at or
-    below the per-origin cursor, which makes replay idempotent
-    (tolerating duplicated WAL records and snapshot/WAL overlap).
+    order, so causal dependencies already hold — and skips batches
+    starting at or below the per-origin cursor, which makes replay
+    idempotent (tolerating duplicated WAL records and snapshot/WAL
+    overlap).  A compacted interval is one record, replayed whole.
     Returns whether the batch was applied.  Observability hooks are not
     fired for the replayed batch itself.
 
@@ -1068,7 +1099,7 @@ let reset (r : t) : unit =
 let replay_batch (r : t) (b : batch) : bool =
   let own = b.b_origin = r.id in
   let cur = if own then r.seq else cursor r b.b_origin in
-  if b.b_seq <= cur then false
+  if b.b_first <= cur then false
   else begin
     apply_updates r b;
     if own then begin
@@ -1087,31 +1118,19 @@ let replay_batch (r : t) (b : batch) : bool =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Delta groups (delta-state anti-entropy; see Sync)                   *)
+(* Log compaction (delta-state anti-entropy; see Sync)                 *)
 (* ------------------------------------------------------------------ *)
 
-(** A compressed per-origin log interval for anti-entropy: the set-CRDT
-    effects of commits [g_from..g_to] joined into one state fragment per
-    key, plus compressed counter ops and raw ops for the remaining
-    types.  Ships instead of the constituent batches (or the full
-    rendered state) when a peer is behind. *)
-type delta_group = {
-  g_origin : string;
-  g_from : int;  (** first covered commit number *)
-  g_to : int;  (** last covered commit number *)
-  g_stamp : int;  (** Lamport stamp of the newest covered batch *)
-  g_after : Vclock.t;  (** origin clock after the newest covered batch *)
-  g_deltas : (int * Obj.delta) list;  (** kid → joined state fragment *)
-  g_ops : (int * Obj.op) list;
-      (** kid → op: counter ops compressed to one summed delta per key,
-          other non-delta types raw in application order *)
-}
-
-(** Collapse the batches [origin] committed beyond [known]
-    origin-events into one delta group ([None] if the log holds
-    none). *)
-let delta_group_of (r : t) ~(origin : string) ~(known : int) :
-    delta_group option =
+(** Compact the batches [origin] committed beyond [known] origin-events
+    into one batch covering their whole interval ([None] if the log
+    holds none): set effects joined into one fragment per key
+    ([Obj.Op_join]), counter ops summed to one op per (key, replica
+    slot), the other types' ops raw in application order.  Its
+    dependencies are the newest covered batch's clock with the origin's
+    entry of the oldest's, so it is deliverable exactly where its first
+    commit would be.  It ships in place of the covered batches and is
+    delivered, logged, WAL-written and replayed as any batch is. *)
+let compact_after (r : t) ~(origin : string) ~(known : int) : batch option =
   match log_after r ~origin ~known with
   | [] -> None
   | first :: _ as batches ->
@@ -1141,6 +1160,7 @@ let delta_group_of (r : t) ~(origin : string) ~(known : int) :
                   add_delta kid (Obj.D_awset (Awset.delta_of_op x))
               | Obj.Op_rwset x ->
                   add_delta kid (Obj.D_rwset (Rwset.delta_of_op x))
+              | Obj.Op_join d -> add_delta kid d
               | Obj.Op_pncounter x -> (
                   let rep = Pncounter.op_rep x and d = Pncounter.op_delta x in
                   match Hashtbl.find_opt csums (kid, rep) with
@@ -1151,76 +1171,28 @@ let delta_group_of (r : t) ~(origin : string) ~(known : int) :
               | op -> raw := (kid, op) :: !raw)
             b.b_updates)
         batches;
-      let g_deltas =
-        List.rev_map (fun kid -> (kid, Hashtbl.find deltas kid)) !dorder
+      let joined =
+        List.rev_map
+          (fun kid -> (kid, Obj.Op_join (Hashtbl.find deltas kid)))
+          !dorder
       in
-      let compressed =
+      let summed =
         List.rev_map
           (fun (kid, rep) ->
             let d = !(Hashtbl.find csums (kid, rep)) in
             (kid, Obj.Op_pncounter (Pncounter.prepare Pncounter.empty ~rep d)))
           !corder
       in
+      let updates = joined @ List.rev_append !raw summed in
+      let last = !last in
       Some
         {
-          g_origin = origin;
-          g_from = first.b_seq;
-          g_to = !last.b_seq;
-          g_stamp = Vclock.total !last.b_after;
-          g_after = !last.b_after;
-          g_deltas;
-          g_ops = List.rev !raw @ compressed;
+          b_origin = origin;
+          b_first = first.b_first;
+          b_seq = last.b_seq;
+          b_deps =
+            Vclock.set last.b_after origin (Vclock.get first.b_deps origin);
+          b_after = last.b_after;
+          b_updates = List.map (fun (kid, op) -> (Intern.name kid, op)) updates;
+          b_kids = Array.of_list (List.map fst updates);
         }
-
-(* join a delta fragment into a key's cell, creating the object if the
-   fragment arrives before any local access *)
-let join_delta_kid (r : t) (kid : int) (d : Obj.delta) : unit =
-  let sh = r.shards.(shard_of_id (Array.length r.shards) kid) in
-  let c =
-    match Hashtbl.find_opt sh.sh_data kid with
-    | Some c -> c
-    | None ->
-        let ty = Obj.delta_otype d in
-        Hashtbl.replace sh.sh_types kid ty;
-        let c = new_cell kid (Obj.init ty) in
-        Hashtbl.replace sh.sh_data kid c;
-        c
-  in
-  let before = c.c_obj in
-  c.c_obj <- Obj.join_delta before d;
-  (match d with
-  | Obj.D_awset f -> track c before (Some (Awset.keys f))
-  | Obj.D_rwset f -> track c before (Rwset.keys f)
-  | Obj.D_pncounter _ -> ());
-  mark_dirty sh c
-
-(** Join a delta fragment into a key's object (creating it if
-    absent). *)
-let join_delta_key (r : t) (key : string) (d : Obj.delta) : unit =
-  join_delta_kid r (Intern.id key) d
-
-(** Apply a delta group.  Accepted only when it starts exactly at the
-    next undelivered commit of its origin ([g_from = applied + 1]) and
-    its cross-origin dependencies are already satisfied — both checks
-    preserve exactly-once, FIFO, causally-consistent delivery; a
-    rejected group is simply retried by a later sync round.  On success
-    the origin's cursor moves to the group's end like any delivery's,
-    dropping the buffered batches the group supersedes. *)
-let apply_delta_group (r : t) (g : delta_group) : bool =
-  let ext_ready =
-    List.for_all
-      (fun (rep, n) -> rep = g.g_origin || Vclock.get r.vv rep >= n)
-      (Vclock.to_list g.g_after)
-  in
-  if g.g_origin = r.id || g.g_from <> 1 + cursor r g.g_origin || not ext_ready
-  then false
-  else begin
-    List.iter (fun (kid, d) -> join_delta_kid r kid d) g.g_deltas;
-    List.iter (fun (kid, op) -> apply_update_kid r kid op) g.g_ops;
-    (* [ext_ready] holds, so merging [g_after] moves only the origin's
-       clock entry *)
-    advance r ~origin:g.g_origin ~upto:g.g_to ~after:g.g_after;
-    r.delta_groups_applied <- r.delta_groups_applied + 1;
-    drain r;
-    true
-  end

@@ -10,7 +10,10 @@
     Delivery is exactly-once: retransmitted or duplicated batches are
     detected via the per-origin applied commit number and dropped, and
     every replica logs the batches it knows so {!Sync} can retransmit
-    ones the network lost.
+    ones the network lost.  A batch covers an interval of its origin's
+    commits — one commit, or a compacted log interval
+    ({!compact_after}) — and both kinds are delivered, logged,
+    WAL-written and replayed by the same code.
 
     The keyspace is hash-partitioned over interned key ids into
     replica-local {!shard}s, each with its own object map, dirty set and
@@ -22,7 +25,10 @@ open Ipa_crdt
 
 type batch = {
   b_origin : string;
-  b_seq : int;  (** per-origin commit number *)
+  b_first : int;
+      (** first covered commit number: [b_seq] for a committed
+          transaction's batch, lower for a compacted interval *)
+  b_seq : int;  (** per-origin commit number (the last one covered) *)
   b_deps : Vclock.t;  (** origin clock {e before} the transaction *)
   b_after : Vclock.t;  (** origin clock after (deps + the txn's events) *)
   b_updates : (string * Obj.op) list;
@@ -32,7 +38,8 @@ type batch = {
 }
 
 (** Per-origin batch log (commit numbers contiguous from 1; [min_seq]
-    is the lowest retained number after stable truncation). *)
+    is the lowest retained number after stable truncation).  Each entry
+    covers [b_first..b_seq] and is indexed under both ends. *)
 type origin_log = {
   mutable max_seq : int;
   mutable min_seq : int;
@@ -43,7 +50,7 @@ type origin_log = {
     its observable state (a pure function of key and observable value;
     [c_h = 0] means "not contributing to the digest").  Set keys also
     keep the wrapping sum and count of their members' hashes, updated
-    by every op or delta for just the elements it names; a negative
+    by every op or joined fragment for just the elements it names; a negative
     count marks them stale (after a wildcard barrier or a restore), to
     be refolded from the members by the next refresh. *)
 type cell = {
@@ -85,9 +92,9 @@ type t = {
   mutable lamport : int;
   shards : shard array;  (** keyspace partitions; length fixed at create *)
   pending : (string, (int, batch) Hashtbl.t) Hashtbl.t;
-      (** per-origin buffered batches keyed by commit number — the
-          buffer's only index; it holds only batches above their
-          origin's applied cursor *)
+      (** per-origin buffered batches keyed by first covered commit
+          number — the buffer's only index; it holds only batches
+          starting above their origin's applied cursor *)
   mutable pending_n : int;  (** buffered batches across all origins *)
   mutable pending_hwm : int;  (** deepest pending buffer ever seen *)
   mutable drain_scans : int;
@@ -112,8 +119,6 @@ type t = {
   mutable log_hwm : int;  (** retained-log high-water mark *)
   mutable log_truncated : int;
       (** batches dropped by causally-stable truncation *)
-  mutable delta_groups_applied : int;
-      (** delta groups accepted by {!apply_delta_group} *)
 }
 
 (** Default keyspace partition count when [?shards] is omitted. *)
@@ -162,9 +167,10 @@ val obj_count : t -> int
 val next_lamport : t -> int
 
 (** Apply a single update effect, creating the object (with the op's
-    carried bounds, for compensation objects) if the effect arrives
-    before any local access; marks the key dirty in its shard (its hash
-    is recomputed at the next digest refresh). *)
+    carried bounds, for compensation objects, or the type an
+    [Obj.Op_join] fragment joins into) if the effect arrives before any
+    local access; marks the key dirty in its shard (its hash is
+    recomputed at the next digest refresh). *)
 val apply_update : t -> string * Obj.op -> unit
 
 (** Commit a transaction's updates: apply locally, log the batch and
@@ -177,18 +183,22 @@ val commit : t -> ?kids:int array -> events:int -> (string * Obj.op) list -> bat
 
 (** Receive a batch from the network; applied (with any unblocked
     pending batches) as soon as causal dependencies are met.  Own
-    batches and duplicates are dropped — delivery is idempotent. *)
+    batches, duplicates and stale intervals (starting at or below the
+    origin's applied cursor) are dropped — delivery is idempotent.  A
+    compacted interval that cannot apply at once is dropped rather than
+    buffered, so it never shadows its first commit's own batch. *)
 val receive : t -> batch -> unit
 
 (** Batches buffered waiting for causal dependencies. *)
 val pending_count : t -> int
 
-(** (origin, seq) keys of the buffered batches. *)
+(** (origin, first covered commit) keys of the buffered batches. *)
 val pending_keys : t -> (string * int) list
 
-(** Batches from [origin] with events beyond [known] origin-events —
-    what a peer reporting clock entry [known] is missing (oldest
-    first). *)
+(** Log entries from [origin] with events beyond [known] origin-events
+    — what a peer reporting clock entry [known] is missing (oldest
+    first; an entry may be a compacted interval, but never one [known]
+    falls inside, which the peer would drop as stale). *)
 val log_after : t -> origin:string -> known:int -> batch list
 
 (** Digest of the replica's observable state: converged replicas digest
@@ -251,48 +261,29 @@ val restore : t -> snapshot -> unit
 
 (** Wipe the replica back to freshly-created state, keeping its
     identity, peer list, shard/bucket geometry, hooks and pending
-    high-water mark: {!restore} of the empty state, plus zeroing
-    [delta_groups_applied].  Crash recovery resets in place so closures
-    holding the replica keep targeting it, then replays snapshot +
-    WAL. *)
+    high-water mark: {!restore} of the empty state.  Crash recovery
+    resets in place so closures holding the replica keep targeting it,
+    then replays snapshot + WAL. *)
 val reset : t -> unit
 
 (** Recovery replay of a logged batch (own or remote): re-applies its
     updates without delivery gating (WAL append order is application
-    order) and skips batches at or below the per-origin cursor, making
-    replay idempotent; returns whether the batch was applied.  A remote
+    order) and skips batches starting at or below the per-origin
+    cursor, making replay idempotent; returns whether the batch was
+    applied.  A compacted interval replays whole, as it was applied.  A remote
     batch moves its origin's cursor exactly as a delivery does, dropping
     the pending entries it overtakes (a checkpoint snapshot captures the
     pending buffer), and replay drains afterwards.  Hooks are not fired
     for the replayed batch itself (drained deliveries do fire them). *)
 val replay_batch : t -> batch -> bool
 
-(** {1 Delta groups} (delta-state anti-entropy; see {!Sync}) *)
+(** {1 Log compaction} (delta-state anti-entropy; see {!Sync}) *)
 
-(** A compressed per-origin log interval: set-CRDT effects of commits
-    [g_from..g_to] joined into one state fragment per key, counter ops
-    summed to one delta per key, other types' ops raw. *)
-type delta_group = {
-  g_origin : string;
-  g_from : int;  (** first covered commit number *)
-  g_to : int;  (** last covered commit number *)
-  g_stamp : int;  (** Lamport stamp of the newest covered batch *)
-  g_after : Vclock.t;  (** origin clock after the newest covered batch *)
-  g_deltas : (int * Obj.delta) list;  (** kid → joined state fragment *)
-  g_ops : (int * Obj.op) list;  (** kid → compressed / raw op *)
-}
-
-(** Collapse the batches [origin] committed beyond [known]
-    origin-events into one delta group ([None] if the log holds
-    none). *)
-val delta_group_of : t -> origin:string -> known:int -> delta_group option
-
-(** Join a delta fragment into a key's object (creating it if
-    absent). *)
-val join_delta_key : t -> string -> Obj.delta -> unit
-
-(** Apply a delta group.  Accepted only when it starts exactly at the
-    origin's next undelivered commit and its cross-origin dependencies
-    are satisfied (preserving exactly-once, FIFO, causal delivery);
-    returns [false] — retry on a later sync round — otherwise. *)
-val apply_delta_group : t -> delta_group -> bool
+(** Compact the log entries [origin] committed beyond [known]
+    origin-events into one batch covering their whole interval ([None]
+    if the log holds none): set effects joined into one
+    [Obj.Op_join] fragment per key, counter ops summed per key and
+    replica slot, other types' ops raw.  Deliverable exactly where its
+    first covered commit would be; {!receive} delivers it, the log and
+    WAL record it and {!replay_batch} replays it like any batch. *)
+val compact_after : t -> origin:string -> known:int -> batch option

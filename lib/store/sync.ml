@@ -15,8 +15,9 @@
     travel through the faulty data path the caller's [send] implements,
     so retransmissions can themselves be lost, duplicated or delayed. *)
 
-(** What a replica advertises: its applied clock plus the (origin, seq)
-    keys it has buffered — buffered batches need no retransmission. *)
+(** What a replica advertises: its applied clock plus the (origin,
+    first covered commit) keys it has buffered — buffered batches need
+    no retransmission. *)
 type digest = { d_vv : Ipa_crdt.Vclock.t; d_have : (string * int) list }
 
 type t = {
@@ -24,17 +25,19 @@ type t = {
   base_backoff_ms : float;
   max_backoff_ms : float;
   next_retry : (string * string * int, float * float) Hashtbl.t;
-      (** (destination, origin, seq) → (earliest next retransmit time,
-          backoff to apply after it) *)
+      (** (destination, origin, first covered commit) → (earliest next
+          retransmit time, backoff to apply after it) *)
   mutable rounds : int;
   mutable retransmitted : int;
-  delta_buf : (string * string, int * Replica.delta_group) Hashtbl.t;
-      (** per-peer delta-interval buffer: (destination, origin) → the
-          group last built for that peer, keyed by the [known] event
-          count it was built against.  Reused while the peer has not
-          acknowledged progress (its clock entry is unchanged) and the
-          interval has not grown; evicted on acknowledgement *)
-  mutable delta_buf_hits : int;  (** groups served from the buffer *)
+  delta_buf : (string * string, int * Replica.batch) Hashtbl.t;
+      (** per-peer compacted-interval buffer: (destination, origin) →
+          the compacted batch last built for that peer, keyed by the
+          [known] event count it was built against.  Reused while the
+          peer has not acknowledged progress (its clock entry is
+          unchanged) and the interval has not grown; evicted on
+          acknowledgement *)
+  mutable delta_buf_hits : int;
+      (** compacted batches served from the buffer *)
   mutable on_round : (now:float -> unit) option;
       (** piggyback hook, invoked at the start of every {!round}: work
           that should amortize into the anti-entropy cadence — e.g. the
@@ -74,7 +77,7 @@ let missing_for ~(src : Replica.t) (d : digest) : Replica.batch list =
          let known = Ipa_crdt.Vclock.get d.d_vv origin in
          List.filter
            (fun (b : Replica.batch) ->
-             not (Hashtbl.mem have (b.Replica.b_origin, b.Replica.b_seq)))
+             not (Hashtbl.mem have (b.Replica.b_origin, b.Replica.b_first)))
            (Replica.log_after src ~origin ~known)
          :: acc)
        src.Replica.log [])
@@ -173,92 +176,75 @@ let divergent_keys ~(a : Replica.t) ~(b : Replica.t) : descent =
 (* State repair strategies                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** How a repair ships the state a lagging peer is missing: retransmit
-    the raw logged batches, or collapse the missed log interval into
-    Lamport-stamped delta groups ({!Replica.delta_group}). *)
+(** How a repair ships the state a lagging peer is missing: the raw
+    logged batches, or one compacted batch per origin
+    ({!Replica.compact_after}). *)
 type repair_mode = Batches | Deltas
 
 type repair_stats = {
   r_bytes : int;  (** bytes shipped over the (modelled) wire *)
-  r_units : int;  (** batches / keys / groups shipped *)
+  r_units : int;  (** batches / keys shipped *)
   r_accepted : int;  (** units the destination accepted *)
 }
 
 (** Serialized size of a value — the simulator's wire model.  [Closures]
     because rem-wins and wildcard ops carry selector closures; the
     encoding is the in-process one, but relative sizes (full state vs
-    batches vs delta groups) are what the durability experiment
+    batches vs compacted batches) are what the durability experiment
     measures. *)
 let wire_bytes (v : 'a) : int =
   String.length (Marshal.to_string v [ Marshal.Closures ])
 
-(* delta repair: one group per origin the peer lags on, served from the
-   per-peer interval buffer when the peer has not advanced *)
-let repair_deltas (s : t) ~(src : Replica.t) ~(dst : Replica.t) :
-    repair_stats =
-  let bytes = ref 0 and units = ref 0 and accepted = ref 0 in
-  let origins =
-    List.sort String.compare
-      (Hashtbl.fold (fun o _ acc -> o :: acc) src.Replica.log [])
-  in
-  List.iter
-    (fun origin ->
-      if origin <> dst.Replica.id then begin
-        let known = Ipa_crdt.Vclock.get dst.Replica.vv origin in
-        let bkey = (dst.Replica.id, origin) in
-        let cached =
-          match Hashtbl.find_opt s.delta_buf bkey with
-          | Some (k, g)
-            when k = known
-                 && (match Hashtbl.find_opt src.Replica.log origin with
-                    | Some ol -> g.Replica.g_to = ol.Replica.max_seq
-                    | None -> false) ->
-              s.delta_buf_hits <- s.delta_buf_hits + 1;
-              Some g
-          | _ -> None
-        in
-        let group =
-          match cached with
-          | Some g -> Some g
-          | None ->
-              let g = Replica.delta_group_of src ~origin ~known in
-              Option.iter
-                (fun g -> Hashtbl.replace s.delta_buf bkey (known, g))
-                g;
-              g
-        in
-        match group with
-        | None -> ()
-        | Some g ->
-            incr units;
-            bytes := !bytes + wire_bytes g;
-            if Replica.apply_delta_group dst g then begin
-              incr accepted;
-              Hashtbl.remove s.delta_buf bkey  (* acknowledged *)
-            end
-      end)
-    origins;
-  { r_bytes = !bytes; r_units = !units; r_accepted = !accepted }
+(* the compacted batch of [origin]'s commits [dst] lacks, served from
+   the per-peer interval buffer when [dst] has not advanced and the
+   interval has not grown *)
+let compacted (s : t) ~(src : Replica.t) ~(dst : Replica.t) (origin : string)
+    : Replica.batch option =
+  let known = Ipa_crdt.Vclock.get dst.Replica.vv origin in
+  let bkey = (dst.Replica.id, origin) in
+  match Hashtbl.find_opt s.delta_buf bkey with
+  | Some (k, b)
+    when k = known
+         && (match Hashtbl.find_opt src.Replica.log origin with
+            | Some ol -> b.Replica.b_seq = ol.Replica.max_seq
+            | None -> false) ->
+      s.delta_buf_hits <- s.delta_buf_hits + 1;
+      Some b
+  | _ ->
+      let b = Replica.compact_after src ~origin ~known in
+      Option.iter (fun b -> Hashtbl.replace s.delta_buf bkey (known, b)) b;
+      b
 
 (** Repair [dst] from [src] directly (over the reliable control
-    channel), shipping what the chosen {!repair_mode} dictates, and
-    return the wire cost.  Both modes preserve exactly-once causal
-    delivery for later batches. *)
+    channel) and return the wire cost.  The {!repair_mode} only chooses
+    the batches shipped; every one goes through {!Replica.receive}, so
+    both modes deliver exactly once, in causal order, and log and
+    WAL-write what they apply.  A compacted batch is built per origin
+    just before it ships, against the clock the earlier ones left. *)
 let repair (s : t) ~(mode : repair_mode) ~(src : Replica.t)
     ~(dst : Replica.t) : repair_stats =
-  match mode with
-  | Deltas -> repair_deltas s ~src ~dst
-  | Batches ->
-      let bytes = ref 0 and units = ref 0 and accepted = ref 0 in
+  let bytes = ref 0 and units = ref 0 and accepted = ref 0 in
+  let ship (b : Replica.batch) =
+    incr units;
+    bytes := !bytes + wire_bytes b;
+    let before = dst.Replica.delivered in
+    Replica.receive dst b;
+    if dst.Replica.delivered > before then begin
+      incr accepted;
+      Hashtbl.remove s.delta_buf (dst.Replica.id, b.Replica.b_origin)
+      (* acknowledged *)
+    end
+  in
+  (match mode with
+  | Batches -> List.iter ship (missing_for ~src (digest_of dst))
+  | Deltas ->
       List.iter
-        (fun (b : Replica.batch) ->
-          incr units;
-          bytes := !bytes + wire_bytes b;
-          let before = dst.Replica.delivered in
-          Replica.receive dst b;
-          if dst.Replica.delivered > before then incr accepted)
-        (missing_for ~src (digest_of dst));
-      { r_bytes = !bytes; r_units = !units; r_accepted = !accepted }
+        (fun origin ->
+          if origin <> dst.Replica.id then
+            Option.iter ship (compacted s ~src ~dst origin))
+        (List.sort String.compare
+           (Hashtbl.fold (fun o _ acc -> o :: acc) src.Replica.log [])));
+  { r_bytes = !bytes; r_units = !units; r_accepted = !accepted }
 
 (* is this (dst, batch) due for (re)transmission at [now]?  A batch seen
    missing for the first time gets a grace period of one base backoff —
@@ -266,7 +252,7 @@ let repair (s : t) ~(mode : repair_mode) ~(src : Replica.t)
    still missing afterwards; each retransmission doubles the backoff up
    to the cap *)
 let due (s : t) ~(now : float) (dst : Replica.t) (b : Replica.batch) : bool =
-  let key = (dst.Replica.id, b.Replica.b_origin, b.Replica.b_seq) in
+  let key = (dst.Replica.id, b.Replica.b_origin, b.Replica.b_first) in
   match Hashtbl.find_opt s.next_retry key with
   | None ->
       Hashtbl.replace s.next_retry key

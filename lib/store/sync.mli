@@ -17,11 +17,13 @@ type t = {
   next_retry : (string * string * int, float * float) Hashtbl.t;
   mutable rounds : int;
   mutable retransmitted : int;
-  delta_buf : (string * string, int * Replica.delta_group) Hashtbl.t;
-      (** per-peer delta-interval buffer: (destination, origin) → last
-          group built for that peer, keyed by the event count it was
-          built against; evicted when the peer acknowledges *)
-  mutable delta_buf_hits : int;  (** groups served from the buffer *)
+  delta_buf : (string * string, int * Replica.batch) Hashtbl.t;
+      (** per-peer compacted-interval buffer: (destination, origin) →
+          last compacted batch built for that peer, keyed by the event
+          count it was built against; evicted when the peer
+          acknowledges *)
+  mutable delta_buf_hits : int;
+      (** compacted batches served from the buffer *)
   mutable on_round : (now:float -> unit) option;
       (** piggyback hook, invoked at the start of every {!round}: work
           that amortizes into the anti-entropy cadence (e.g. the escrow
@@ -54,13 +56,13 @@ val divergent_keys : a:Replica.t -> b:Replica.t -> descent
 
 (** {1 State repair strategies} *)
 
-(** How a repair ships missing state: raw logged batches or
-    Lamport-stamped delta groups. *)
+(** How a repair ships missing state: the raw logged batches, or one
+    compacted batch per origin ({!Replica.compact_after}). *)
 type repair_mode = Batches | Deltas
 
 type repair_stats = {
   r_bytes : int;  (** bytes shipped over the (modelled) wire *)
-  r_units : int;  (** batches / keys / groups shipped *)
+  r_units : int;  (** batches / keys shipped *)
   r_accepted : int;  (** units the destination accepted *)
 }
 
@@ -68,7 +70,9 @@ type repair_stats = {
 val wire_bytes : 'a -> int
 
 (** Repair [dst] from [src] directly over the reliable control channel.
-    Both modes preserve exactly-once causal delivery. *)
+    The mode only chooses the batches shipped: every one goes through
+    {!Replica.receive}, so both modes deliver exactly once in causal
+    order and log and WAL-write what they apply. *)
 val repair :
   t -> mode:repair_mode -> src:Replica.t -> dst:Replica.t -> repair_stats
 

@@ -31,10 +31,11 @@
     and a crash between the two leaves snapshot + full WAL, which replay
     deduplicates.
 
-    Delta groups ({!Replica.apply_delta_group}) are not logged: the
-    durability experiment separates delta repair from crash windows, and
-    a recovered replica re-acquires any lost groups through the same
-    anti-entropy that produced them. *)
+    Every remote delivery is one [R_apply] record, whether its batch
+    holds one commit or a compacted log interval shipped by delta
+    repair ({!Replica.compact_after}); replay re-applies the interval
+    whole, so the cursor never moves over effects the log lacks and a
+    replica healed by delta repair recovers bit-identically too. *)
 
 type record = R_commit of Replica.batch | R_apply of Replica.batch
 

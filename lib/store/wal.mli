@@ -7,10 +7,13 @@
     prefix always covers a committed batch's causal dependencies.
     Unflushed remote applies may be lost on crash; the per-origin
     applied cursor regresses consistently with the state and
-    anti-entropy ({!Sync}) re-delivers them. *)
+    anti-entropy ({!Sync}) re-delivers them.  Every applied batch is
+    logged, a compacted interval from delta repair included, so the
+    recovered cursor never claims effects the state lacks. *)
 
 (** A logged replication event: a batch the replica committed locally,
-    or one it applied from a remote origin. *)
+    or one it applied from a remote origin (one commit or a compacted
+    interval). *)
 type record = R_commit of Replica.batch | R_apply of Replica.batch
 
 type t = {

@@ -1199,10 +1199,10 @@ let test_delta_repair_fewer_bytes () =
     (bytes_delta <= bytes_batches)
 
 let test_delta_group_supersedes_pending () =
-  (* a delta group over commits 1..3 reaches east while commit 2 is
-     buffered there: the group moves the cursor past it, so the buffer
-     empties and commit 4 then takes the receive fast path (no buffering
-     and no drain) *)
+  (* a compacted batch over commits 1..3 reaches east while commit 2 is
+     buffered there: its delivery moves the cursor past it, so the
+     buffer empties and commit 4 then takes the receive fast path (no
+     buffering and no drain) *)
   let c = three () in
   let east = Cluster.replica c "dc-east" in
   let west = Cluster.replica c "dc-west" in
@@ -1210,12 +1210,17 @@ let test_delta_group_supersedes_pending () =
   let w2 = dec_stock west 2 in
   let _w3 = dec_stock west 4 in
   let g =
-    Option.get (Replica.delta_group_of west ~origin:"dc-west" ~known:0)
+    Option.get (Replica.compact_after west ~origin:"dc-west" ~known:0)
   in
+  Alcotest.(check (pair int int)) "covers commits 1..3" (1, 3)
+    (g.Replica.b_first, g.Replica.b_seq);
   let w4 = dec_stock west 8 in
   Replica.receive east w2;
   Alcotest.(check int) "w2 buffered" 1 (Replica.pending_count east);
-  Alcotest.(check bool) "group accepted" true (Replica.apply_delta_group east g);
+  let delivered = east.Replica.delivered in
+  Replica.receive east g;
+  Alcotest.(check bool) "group accepted" true
+    (east.Replica.delivered = delivered + 1);
   Alcotest.(check int) "superseded batch dropped" 0
     (Replica.pending_count east);
   let hwm = east.Replica.pending_hwm and scans = east.Replica.drain_scans in
@@ -1226,6 +1231,117 @@ let test_delta_group_supersedes_pending () =
   Alcotest.(check int) "counter exact" 15 (stock_value east);
   Alcotest.(check string) "east matches west" (Replica.state_digest west)
     (Replica.state_digest east)
+
+let test_blocked_group_not_buffered () =
+  (* a compacted batch that cannot apply at once is dropped, neither
+     buffered (it would shadow its first commit's own batch) nor counted
+     as a duplicate, even where that batch is buffered; once stale it is
+     a duplicate *)
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  let west = Cluster.replica c "dc-west" in
+  let eu = Cluster.replica c "dc-eu" in
+  let e1 = dec_stock east 1 in
+  Replica.receive west e1;
+  let w1 = dec_stock west 2 in
+  let _w2 = dec_stock west 4 in
+  let g =
+    Option.get (Replica.compact_after west ~origin:"dc-west" ~known:0)
+  in
+  Replica.receive eu w1;
+  Alcotest.(check int) "w1 waits for e1" 1 (Replica.pending_count eu);
+  Replica.receive eu g;
+  Alcotest.(check int) "group dropped, not buffered" 1
+    (Replica.pending_count eu);
+  Alcotest.(check int) "not a duplicate" 0 eu.Replica.duplicates_dropped;
+  Replica.receive eu e1;
+  Alcotest.(check int) "e1 and w1 applied" 3 (stock_value eu);
+  Replica.receive eu g;
+  Alcotest.(check int) "a stale group is a duplicate" 1
+    eu.Replica.duplicates_dropped;
+  Option.iter (Replica.receive eu)
+    (Replica.compact_after west ~origin:"dc-west"
+       ~known:(Vclock.get eu.Replica.vv "dc-west"));
+  Alcotest.(check int) "the rest applies" 7 (stock_value eu)
+
+let test_compacted_batch_survives_crash () =
+  (* east applies a compacted batch of west's commits 1..2 and then
+     receives commit 3.  The compacted batch is an apply record in
+     east's WAL like any delivery, so recovery replays all three
+     commits; were it missing, the replayed commit 3 would move the
+     cursor over the lost interval, the counter would read 4 and
+     anti-entropy could never bring commits 1..2 back *)
+  with_walled_cluster ~group_commit:1 (fun c ws ->
+      let east = Cluster.replica c "dc-east" in
+      let west = Cluster.replica c "dc-west" in
+      let _w1 = dec_stock west 1 in
+      let _w2 = dec_stock west 2 in
+      let s = Sync.create ~base_backoff_ms:1.0 c in
+      let st = Sync.repair s ~mode:Sync.Deltas ~src:west ~dst:east in
+      Alcotest.(check (pair int int)) "one compacted batch, accepted" (1, 1)
+        (st.Sync.r_units, st.Sync.r_accepted);
+      Replica.receive east (dec_stock west 4);
+      Alcotest.(check int) "counter before the crash" 7 (stock_value east);
+      Alcotest.(check (list (pair int int))) "logged as 1..2, then 3"
+        [ (1, 2); (3, 3) ]
+        (List.map
+           (fun (b : Replica.batch) -> (b.Replica.b_first, b.Replica.b_seq))
+           (Replica.log_after east ~origin:"dc-west" ~known:0));
+      Alcotest.(check (list int)) "a peer inside 1..2 is sent 3 alone" [ 3 ]
+        (List.map
+           (fun (b : Replica.batch) -> b.Replica.b_first)
+           (Replica.log_after east ~origin:"dc-west" ~known:1));
+      let d = Replica.state_digest east in
+      Wal.crash ws.(0);
+      let r = Wal.recover ws.(0) east in
+      Alcotest.(check int) "both records replayed" 2 r.Wal.rec_replayed;
+      Alcotest.(check int) "counter survives the crash" 7 (stock_value east);
+      Alcotest.(check string) "digest bit-identical" d
+        (Replica.state_digest east);
+      heal c;
+      Alcotest.(check int) "counter exact everywhere" 7 (stock_value east))
+
+let test_compacted_batch_log_truncates () =
+  (* a compacted interval is logged as one entry, so the receiver's log
+     stays contiguous and stable truncation steps over the interval:
+     east (commits 3..5 compacted) truncates west's log exactly as eu
+     (commits 3..5 one by one) does, and so does east's log rebuilt by
+     crash recovery.  A hole there would stop truncation at commit 3
+     for good *)
+  with_walled_cluster ~group_commit:1 (fun c ws ->
+      let east = Cluster.replica c "dc-east" in
+      let west = Cluster.replica c "dc-west" in
+      let eu = Cluster.replica c "dc-eu" in
+      List.iter (fun n -> Cluster.broadcast_now c (dec_stock west n)) [ 1; 2 ];
+      List.iter (fun n -> Replica.receive eu (dec_stock west n)) [ 1; 2; 3 ];
+      let s = Sync.create ~base_backoff_ms:1.0 c in
+      let st = Sync.repair s ~mode:Sync.Deltas ~src:west ~dst:east in
+      Alcotest.(check (pair int int)) "one compacted batch, accepted" (1, 1)
+        (st.Sync.r_units, st.Sync.r_accepted);
+      List.iter
+        (fun n -> Cluster.broadcast_now c (dec_stock west n))
+        [ 1; 2; 3; 4; 5 ];
+      (* every replica learns every clock *)
+      List.iter
+        (fun r -> Cluster.broadcast_now c (dec_stock r 1))
+        [ east; eu; west ];
+      let west_log (r : Replica.t) = Hashtbl.find r.Replica.log "dc-west" in
+      let entries r =
+        List.length (Replica.log_after r ~origin:"dc-west" ~known:0)
+      in
+      let check_truncated what =
+        List.iter (fun r -> ignore (Replica.gc r)) [ east; eu ];
+        Alcotest.(check int) "eu truncated west's commits 1..10" 11
+          (west_log eu).Replica.min_seq;
+        Alcotest.(check int) (what ^ ": east truncated as far as eu")
+          (west_log eu).Replica.min_seq (west_log east).Replica.min_seq;
+        Alcotest.(check int) (what ^ ": east retains what eu retains")
+          (entries eu) (entries east)
+      in
+      check_truncated "live";
+      Wal.crash ws.(0);
+      ignore (Wal.recover ws.(0) east);
+      check_truncated "recovered")
 
 (* ------------------------------------------------------------------ *)
 (* Convergence property: random ops, random delivery interleavings     *)
@@ -1253,7 +1369,8 @@ let prop_store_convergence =
             else remove_from rep "set" e)
           script
       in
-      (* deliver everything to everyone in a pseudo-random order *)
+      (* deliver everything to everyone in a pseudo-random order, some
+         of it also as compacted intervals *)
       let st = ref shuffle_seed in
       let next_int bound =
         st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -1276,7 +1393,16 @@ let prop_store_convergence =
         arr.(j) <- tmp
       done;
       Array.iter
-        (fun (id, b) -> Replica.receive (Cluster.replica c id) b)
+        (fun (id, b) ->
+          let dst = Cluster.replica c id in
+          let origin = b.Replica.b_origin in
+          (* one delivery in three first ships the origin's whole
+             interval beyond dst's clock as one compacted batch *)
+          if next_int 3 = 0 then
+            Option.iter (Replica.receive dst)
+              (Replica.compact_after (Cluster.replica c origin) ~origin
+                 ~known:(Vclock.get dst.Replica.vv origin));
+          Replica.receive dst b)
         arr;
       (* all replicas must agree *)
       Cluster.quiescent c
@@ -1459,8 +1585,8 @@ let rw_remove (rep : Replica.t) (key : string) (e : string) : Replica.batch =
   Option.get (Txn.commit tx)
 
 let prop_delta_merge_equiv =
-  (* the two ways eu can learn east's history — replayed ops, one joined
-     delta group per origin — must land on the same observable state,
+  (* the two ways eu can learn east's history — replayed ops, one
+     compacted batch per origin — must land on the same observable state,
      for every delta CRDT mixed freely *)
   QCheck.Test.make ~name:"delta repair == op application"
     ~count:60
@@ -1884,8 +2010,10 @@ let run_set_script (c : Cluster.t) (ws : Wal.t array) script :
   let sync = Sync.create ~base_backoff_ms:1.0 c in
   let withheld = ref [] in
   let saved = ref None in
-  (* a crash must not lose state that only delta groups or a rollback
-     installed — neither is in the WAL — so both checkpoint first *)
+  (* a crash must not lose state that only a rollback installed — the
+     WAL does not record it — so a rollback checkpoints every replica;
+     a delta repair's compacted batches are WAL records like any
+     delivery, so it needs no checkpoint *)
   let checkpoint i = Wal.checkpoint ~gc:false ws.(i) reps.(i) in
   let step (act, ri, e, aux) =
     let rep = reps.(ri) in
@@ -1912,8 +2040,7 @@ let run_set_script (c : Cluster.t) (ws : Wal.t array) script :
           List.iter (fun (j, b) -> Replica.receive reps.(j) b) l
       | 11 ->
           let j = (ri + 1 + (aux land 1)) mod 3 in
-          ignore (Sync.repair sync ~mode:Sync.Deltas ~src:rep ~dst:reps.(j));
-          checkpoint j
+          ignore (Sync.repair sync ~mode:Sync.Deltas ~src:rep ~dst:reps.(j))
       | 12 -> ignore (Replica.gc rep)
       | 13 -> saved := Some (Cluster.snapshot c, !withheld)
       | 14 -> (
@@ -2171,6 +2298,12 @@ let () =
             test_delta_repair_fewer_bytes;
           Alcotest.test_case "group supersedes a buffered batch" `Quick
             test_delta_group_supersedes_pending;
+          Alcotest.test_case "blocked group dropped, not buffered" `Quick
+            test_blocked_group_not_buffered;
+          Alcotest.test_case "compacted batch survives a crash" `Quick
+            test_compacted_batch_survives_crash;
+          Alcotest.test_case "compacted batch truncates like its commits"
+            `Quick test_compacted_batch_log_truncates;
         ] );
       ( "remote-first bounds",
         [

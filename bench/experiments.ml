@@ -34,7 +34,7 @@ type env = {
 }
 
 let make_env ?(seed = 42) ?service_per_object ?service_per_update
-    ?service_base (sys : sys) : env =
+    ?service_base ?(mode_of = mode_of) (sys : sys) : env =
   let engine = Engine.create () in
   let net = Net.create ~seed () in
   let cluster = Cluster.create regions in
@@ -140,9 +140,12 @@ let fig2 () =
 (* Figure 4: Tournament latency vs throughput                          *)
 (* ------------------------------------------------------------------ *)
 
-let tournament_metrics ?(seed = 42) ?(duration = 8_000.0) (sys : sys)
+(* [mode_of] overrides the system's configuration, and [setup] runs
+   once the seed data has replicated *)
+let tournament_metrics ?(seed = 42) ?(duration = 8_000.0) ?(warmup = 1_000.0)
+    ?(think = 0.0) ?mode_of ?(setup = fun (_ : env) -> ()) (sys : sys)
     ~(clients : int) : Metrics.t =
-  let env = make_env ~seed sys in
+  let env = make_env ~seed ?mode_of sys in
   let variant =
     match sys with Ipa -> Tournament.Ipa | _ -> Tournament.Causal
   in
@@ -150,12 +153,13 @@ let tournament_metrics ?(seed = 42) ?(duration = 8_000.0) (sys : sys)
   let params = Tournament.default_params in
   Tournament.seed_data app params env.cluster;
   Engine.run_until env.engine 500.0 (* let seeding replicate *);
+  setup env;
   let w =
     {
       Driver.clients_per_region = clients;
       duration_ms = duration;
-      warmup_ms = 1_000.0;
-      think_time_ms = 0.0;
+      warmup_ms = warmup;
+      think_time_ms = think;
       only_region = None;
       next_op = Tournament.next_op app params;
     }
@@ -447,10 +451,21 @@ let fig9 () =
   in
   (* "N/A" row: IPA does not use reservations at all *)
   pr "%-12s %12.2f %12s@." "N/A" (run Ipa 0) "-";
-  List.iter
-    (fun pct ->
-      pr "%-11d%% %12.2f %12.2f@." pct (run Ipa pct) (run Indigo pct))
-    [ 0; 2; 5; 10; 20; 50 ]
+  let rows =
+    List.map
+      (fun pct ->
+        let ipa = run Ipa pct and indigo = run Indigo pct in
+        pr "%-12s %12.2f %12.2f@." (Fmt.str "%d%%" pct) ipa indigo;
+        (ipa, indigo))
+      [ 0; 2; 5; 10; 20; 50 ]
+  in
+  (* the shape: uncontended reservations stay local, so Indigo starts
+     within 5% of IPA, and more contention never costs less *)
+  let ipa0, indigo0 = List.hd rows and indigo = List.map snd rows in
+  if abs_float (indigo0 -. ipa0) > 0.05 *. ipa0 then
+    failwith (Fmt.str "fig9: Indigo %.2f vs IPA %.2f ms at 0%%" indigo0 ipa0);
+  if indigo <> List.sort compare indigo then
+    failwith "fig9: Indigo latency fell as contention grew"
 
 (* ------------------------------------------------------------------ *)
 (* §5.1.3: analysis cost microbenchmarks (Bechamel)                    *)
@@ -707,25 +722,10 @@ let ablation_hybrid () =
   pr "   (begin/finish flagged under all-add-wins rules; everything else@.";
   pr "    runs IPA-locally — vs full Indigo coordination)@.";
   let run mode =
-    let engine = Engine.create () in
-    let net = Net.create ~seed:21 () in
-    let cluster = Cluster.create regions in
-    let cfg = Config.create ~mode ~engine ~net ~cluster () in
-    let app = Tournament.create Tournament.Ipa in
-    let params = Tournament.default_params in
-    Tournament.seed_data app params cluster;
-    Engine.run_until engine 500.0;
-    let w =
-      {
-        Driver.clients_per_region = 8;
-        duration_ms = 6_000.0;
-        warmup_ms = 500.0;
-        think_time_ms = 0.0;
-        only_region = None;
-        next_op = Tournament.next_op app params;
-      }
+    let m =
+      tournament_metrics ~seed:21 ~duration:6_000.0 ~warmup:500.0
+        ~mode_of:(fun _ -> mode) Ipa ~clients:8
     in
-    let m = Driver.run ~seed:21 cfg w in
     (Metrics.mean_latency m (), Metrics.throughput m)
   in
   let flagged name = name = "begin_tourn" || name = "finish_tourn" in
@@ -858,31 +858,25 @@ let fault () =
   pr "%-8s %14s %12s %10s@." "system" "availability" "lat[ms]" "failures";
   List.iter
     (fun sys ->
-      let env = make_env ~seed:33 sys in
-      let variant =
-        match sys with Ipa -> Tournament.Ipa | _ -> Tournament.Causal
+      let setup env =
+        Engine.schedule env.engine ~delay:2_000.0 (fun () ->
+            Config.fail_region env.cfg "us-east" ~for_ms:3_000.0)
       in
-      let app = Tournament.create variant in
-      let params = Tournament.default_params in
-      Tournament.seed_data app params env.cluster;
-      Engine.run_until env.engine 500.0;
-      Engine.schedule env.engine ~delay:2_000.0 (fun () ->
-          Config.fail_region env.cfg "us-east" ~for_ms:3_000.0);
-      let w =
-        {
-          Driver.clients_per_region = 4;
-          duration_ms = 7_000.0;
-          warmup_ms = 500.0;
-          think_time_ms = 1.0;
-          only_region = None;
-          next_op = Tournament.next_op app params;
-        }
+      let m =
+        tournament_metrics ~seed:33 ~duration:7_000.0 ~warmup:500.0 ~think:1.0
+          ~setup sys ~clients:4
       in
-      let m = Driver.run ~seed:33 env.cfg w in
+      let availability = Metrics.availability m in
       pr "%-8s %13.1f%% %12.2f %10d@." (sys_name sys)
-        (100.0 *. Metrics.availability m)
+        (100.0 *. availability)
         (Metrics.mean_latency m ())
-        m.Metrics.failures)
+        m.Metrics.failures;
+      (* the shape: IPA never blocks; Indigo blocks on reservations held
+         by the failed region *)
+      if (sys = Ipa && availability < 1.0) || (sys = Indigo && availability >= 1.0)
+      then
+        failwith
+          (Fmt.str "fault: %s availability %.4f" (sys_name sys) availability))
     [ Ipa; Indigo; Strong ];
   pr "@.(IPA stays available: clients of the failed region use the next\
       @. closest replica at WAN latency; Indigo operations whose\
@@ -2390,7 +2384,7 @@ let escrow ?(quick = false) () =
               reps)
       done
     end;
-    (* the guarded decrement: covered locally or through Escrow.fetch's
+    (* the guarded decrement: covered locally or through Rights.fetch's
        blocking WAN round-trip *)
     let dec_op k : Config.op_exec =
       {
@@ -2419,9 +2413,9 @@ let escrow ?(quick = false) () =
             else begin
               if sysv = E_planned then
                 Escrow.note_dec (Hashtbl.find mgrs rep.Replica.id) ~key 1;
-              let f = Escrow.fetch cluster Escrow.Rights rep ~key in
-              note_attempt f.Escrow.attempt;
-              if f.Escrow.batch <> None then truth.(k) <- truth.(k) - 1;
+              let f = Rights.fetch cluster Rights.Rights rep ~key in
+              note_attempt f.Rights.attempt;
+              if f.Rights.batch <> None then truth.(k) <- truth.(k) - 1;
               Escrow.outcome f
             end);
       }
@@ -2687,9 +2681,9 @@ let escrow ?(quick = false) () =
           (fun rep ->
             if planned then
               Escrow.note_inc (Hashtbl.find mgrs rep.Replica.id) ~key 1;
-            let f = Escrow.fetch cluster Escrow.Headroom rep ~key in
-            Metrics.record_escrow_attempt em f.Escrow.attempt;
-            if f.Escrow.batch <> None then Stdlib.incr truth;
+            let f = Rights.fetch cluster Rights.Headroom rep ~key in
+            Metrics.record_escrow_attempt em f.Rights.attempt;
+            if f.Rights.batch <> None then Stdlib.incr truth;
             Escrow.outcome f);
       }
     in

@@ -24,7 +24,7 @@ type variant =
       (** pre-partitioned decrement rights (the escrow technique the
           paper cites [11, 27, 35]) in a replicated bounded counter:
           overselling is {e prevented}, but a replica whose rights run
-          out must fetch half of the richest peer's ({!Escrow.fetch}) —
+          out must fetch half of the richest peer's ({!Rights.fetch}) —
           the coordination round-trip IPA avoids, charged to the
           operation via [extra_rtts]. *)
 
@@ -87,7 +87,7 @@ let buy_ticket (app : t) (e : string) : Config.op_exec =
         match (app.variant, app.cluster) with
         | Escrow, Some cluster ->
             Txn.abort tx;
-            Escrow.outcome (Escrow.fetch cluster Escrow.Rights rep ~key)
+            Escrow.outcome (Rights.fetch cluster Rights.Rights rep ~key)
         | Escrow, None -> invalid_arg "Ticket.buy_ticket: seed_data first"
         | (Causal | Ipa), _ ->
             avail_delta app tx key (-1);

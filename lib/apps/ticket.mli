@@ -4,7 +4,7 @@
     [Causal] exposes oversells; [Ipa] repairs them on read through the
     compensation counter (cancel + reimburse); [Escrow] prevents them
     with the decrement rights of a replicated bounded counter, paying a
-    WAN round-trip ({!Ipa_runtime.Escrow.fetch}) when a replica's rights
+    WAN round-trip ({!Ipa_store.Rights.fetch}) when a replica's rights
     run out.  Its buys need the cluster {!seed_data} received. *)
 
 open Ipa_store

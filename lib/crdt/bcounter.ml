@@ -5,8 +5,9 @@
 
     Increments create rights at the incrementing replica.  A decrement
     must be covered by locally-held rights; when a replica runs out it
-    must obtain a {!Transfer} from a peer — the coordination path whose
-    latency the Indigo configuration models.
+    must obtain a {!Transfer} from a peer — the coordination path the
+    escrow fetch and the Indigo configuration's reservations both pay
+    for ([Ipa_store.Rights]).
 
     {b Headroom (upper-side escrow).}  A counter becomes {e capped} when
     increment {e headroom} is granted ({!Grant}); from then on an

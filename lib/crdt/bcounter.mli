@@ -5,7 +5,9 @@
 
     A decrement must be covered by locally-held rights; an exhausted
     replica needs a {!prepare_transfer} from a peer — the coordination
-    path whose latency the Indigo configuration models.
+    path of the escrow fetch and of the Indigo configuration, whose
+    reservations are rights of a counter with one unit per replica
+    ([Ipa_store.Rights]).
 
     The dual {e headroom} ledger caps the counter from above: once
     headroom has been granted ({!prepare_grant}, seed-time), increments

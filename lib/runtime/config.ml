@@ -11,10 +11,13 @@
     - {b Strong}: updates are forwarded to a single primary region
       (us-east in the paper) and pay the WAN round-trip; reads stay
       local.
-    - {b Indigo}: an operation needs reservations; if a reservation is
-      held by another region the operation pays a WAN round-trip to
-      fetch it (reservations migrate to the requester), otherwise it
-      executes locally.
+    - {b Indigo}: an operation needs reservations.  Each reservation is
+      the rights of a bounded counter with one unit per replica, under
+      its own store key; the requester pulls the units it lacks from
+      its peers ({!Ipa_store.Rights.acquire}), paying the round-trip to
+      the farthest peer pulled from, and then executes locally.
+    - {b Hybrid}: IPA, with the operations the analysis flagged sent
+      down the Indigo path with exclusive reservations.
 
     Time model: client↔local-replica LAN RTT plus a service time of
     [service_base] + [service_per_update] × (number of update effects) —
@@ -51,13 +54,11 @@ let unavailable_outcome =
     unavailable = true;
   }
 
-(** Reservation kinds (Indigo):  [Shared] reservations can be held by
-    every replica simultaneously (escrow-style rights for commuting
-    operations) — after the first acquisition they never move, which is
-    why Indigo's reservations are "exchanged very infrequently" (§5.2.2).
-    [Exclusive] reservations (forbid-rights, e.g. for removals) migrate
-    to the requesting replica, costing a WAN round-trip on each
-    cross-region hand-off. *)
+(** Reservation kinds (Indigo): a reservation is a {!Ipa_crdt.Bcounter}
+    of N rights, N the replica count.  [Shared]: hold ≥ 1 unit — every
+    replica can, so after the first acquisition it never moves (Indigo's
+    reservations are "exchanged very infrequently", §5.2.2).
+    [Exclusive]: hold all N — conservation makes that exclusive. *)
 type res_kind = Shared | Exclusive
 
 (** An executable operation: the application provides the real
@@ -95,20 +96,11 @@ type mode =
           IPA, the programmer can resort to some coordination
           mechanism". *)
 
-(** Current state of one reservation. *)
-type res_state = { mutable ex_holder : string option; mutable sharers : string list }
-
-(** Visibility-latency samples (commit at origin → apply at a remote
-    replica); a shared heap record so [{ cfg with mode }] copies keep
-    accumulating into the same place. *)
-type vis_stats = { mutable vis_samples : float list; mutable vis_n : int }
-
 type t = {
   mode : mode;
   engine : Engine.t;
   net : Net.t;
   cluster : Cluster.t;
-  primary : string;  (** primary region for [Strong] *)
   service_base : float;
   service_per_update : float;
       (** processing cost per update effect (object already loaded) *)
@@ -116,36 +108,35 @@ type t = {
       (** storage read+write cost per {e distinct} object touched — an
           object is read and written once per transaction; further
           updates to it only pay [service_per_update] (§5.2.5) *)
-  server_threads : int;  (** per-region service parallelism *)
-  reservation_rtt_overhead : float;
-      (** extra processing per reservation transfer *)
-  holders : (string, res_state) Hashtbl.t;  (** Indigo reservation table *)
   server_slots : (string, float array) Hashtbl.t;
       (** per-region busy-until times: a simple multi-server queue so
           latency rises as the offered load approaches capacity *)
   down_until : (string, float) Hashtbl.t;
       (** failure injection: regions unreachable until the given time *)
   sync : Sync.t option;  (** anti-entropy, when enabled *)
-  sync_interval_ms : float;
   sent_at : (string * int, float) Hashtbl.t;
       (** batch key → commit time, for visibility-latency measurement *)
-  vis : vis_stats;
+  mutable vis_samples : float list;
+      (** visibility latencies: commit at origin → apply at a remote
+          replica *)
   history : Read.history;
       (** every committed batch's after-clock, timestamped — what
           {!bound_clock} resolves staleness budgets against *)
 }
 
-let create ?(primary = "us-east") ?(service_base = 1.0)
-    ?(service_per_update = 0.05) ?(service_per_object = 0.3)
-    ?(server_threads = 8) ?(reservation_rtt_overhead = 1.0)
-    ?(sync_interval_ms = 0.0) ?sync_base_backoff_ms ?sync_max_backoff_ms
-    ~(mode : mode) ~(engine : Engine.t) ~(net : Net.t)
+(* the primary region of [Strong], the per-region service parallelism,
+   and the extra processing per reservation transfer (ms) *)
+let primary = "us-east"
+let server_threads = 8
+let reservation_rtt_overhead = 1.0
+
+let create ?(service_base = 1.0) ?(service_per_update = 0.05)
+    ?(service_per_object = 0.3) ?(sync_interval_ms = 0.0)
+    ?sync_base_backoff_ms ~(mode : mode) ~(engine : Engine.t) ~(net : Net.t)
     ~(cluster : Cluster.t) () : t =
   let sync =
     if sync_interval_ms > 0.0 then
-      Some
-        (Sync.create ?base_backoff_ms:sync_base_backoff_ms
-           ?max_backoff_ms:sync_max_backoff_ms cluster)
+      Some (Sync.create ?base_backoff_ms:sync_base_backoff_ms cluster)
     else None
   in
   let cfg =
@@ -154,19 +145,14 @@ let create ?(primary = "us-east") ?(service_base = 1.0)
       engine;
       net;
       cluster;
-      primary;
       service_base;
       service_per_update;
       service_per_object;
-      server_threads;
-      reservation_rtt_overhead;
-      holders = Hashtbl.create 64;
       server_slots = Hashtbl.create 8;
       down_until = Hashtbl.create 4;
       sync;
-      sync_interval_ms;
       sent_at = Hashtbl.create 1024;
-      vis = { vis_samples = []; vis_n = 0 };
+      vis_samples = [];
       history = Read.history ();
     }
   in
@@ -180,9 +166,7 @@ let create ?(primary = "us-east") ?(service_base = 1.0)
             Hashtbl.find_opt cfg.sent_at (b.Replica.b_origin, b.Replica.b_seq)
           with
           | Some t0 ->
-              cfg.vis.vis_samples <-
-                (Engine.now engine -. t0) :: cfg.vis.vis_samples;
-              cfg.vis.vis_n <- cfg.vis.vis_n + 1
+              cfg.vis_samples <- (Engine.now engine -. t0) :: cfg.vis_samples
           | None -> ()))
     cluster.Cluster.replicas;
   (* anti-entropy: a recurring round whose retransmissions travel the
@@ -222,17 +206,19 @@ let is_down (cfg : t) (region : string) : bool =
   | Some t -> Engine.now cfg.engine < t
   | None -> false
 
-(* the closest reachable region for a client (its own if alive) *)
-let reachable_region (cfg : t) (region : string) : string option =
-  if not (is_down cfg region) then Some region
+(* where a client's op runs — its own region if alive, else the closest
+   live one (§5.2.5) — and the client's round-trip to it *)
+let exec_route (cfg : t) (client : string) : (string * float) option =
+  let lan = Net.rtt cfg.net client client in
+  if not (is_down cfg client) then Some (client, lan)
   else
     cfg.cluster.Cluster.replicas
     |> List.filter_map (fun (r : Replica.t) ->
            if is_down cfg r.Replica.region then None
-           else Some (r.Replica.region, Net.mean_rtt cfg.net region r.Replica.region))
+           else Some (r.Replica.region, Net.mean_rtt cfg.net client r.Replica.region))
     |> List.sort (fun (_, a) (_, b) -> compare a b)
     |> function
-    | (best, _) :: _ -> Some best
+    | (best, _) :: _ -> Some (best, Net.rtt cfg.net client best)
     | [] -> None
 
 let replica_in (cfg : t) (region : string) : Replica.t =
@@ -284,7 +270,7 @@ let queue_delay (cfg : t) (region : string) (svc : float) : float =
     match Hashtbl.find_opt cfg.server_slots region with
     | Some a -> a
     | None ->
-        let a = Array.make (max 1 cfg.server_threads) 0.0 in
+        let a = Array.make server_threads 0.0 in
         Hashtbl.replace cfg.server_slots region a;
         a
   in
@@ -308,165 +294,130 @@ let run_at (cfg : t) (region : string) (op : op_exec) : outcome * float =
   let wait = queue_delay cfg region svc in
   (o, wait +. svc)
 
+(* Local (Causal / IPA): available while ANY server is reachable *)
+let execute_local (cfg : t) ~(client_region : string) (op : op_exec)
+    ~(complete : float -> outcome -> unit) : unit =
+  match exec_route cfg client_region with
+  | None -> complete 0.0 unavailable_outcome
+  | Some (exec_region, hop) ->
+      let o, svc = run_at cfg exec_region op in
+      (* internal coordination rounds (escrow transfers) pay a WAN
+         round-trip to the nearest peer each *)
+      let coord =
+        if o.extra_rtts = 0 then 0.0
+        else
+          let nearest =
+            List.fold_left
+              (fun acc (r : Replica.t) ->
+                if r.Replica.region = exec_region then acc
+                else min acc (Net.mean_rtt cfg.net exec_region r.Replica.region))
+              infinity cfg.cluster.Cluster.replicas
+          in
+          float_of_int o.extra_rtts *. nearest
+      in
+      let lat = hop +. svc +. coord in
+      Engine.schedule cfg.engine ~delay:lat (fun () -> complete lat o)
+
+(* Strong: updates forwarded to the primary, reads local *)
+let execute_strong (cfg : t) ~(client_region : string) (op : op_exec)
+    ~(complete : float -> outcome -> unit) : unit =
+  let lan = Net.rtt cfg.net client_region client_region in
+  if is_down cfg primary && op.is_update then complete 0.0 unavailable_outcome
+  else if not op.is_update then begin
+    let o, svc = run_at cfg client_region op in
+    let lat = lan +. svc in
+    Engine.schedule cfg.engine ~delay:lat (fun () -> complete lat o)
+  end
+  else begin
+    (* forward to the primary, execute there, reply over the WAN *)
+    let to_primary = Net.one_way cfg.net client_region primary in
+    Engine.schedule cfg.engine ~delay:to_primary (fun () ->
+        let o, svc = run_at cfg primary op in
+        let back = Net.one_way cfg.net primary client_region in
+        let lat = lan +. to_primary +. svc +. back in
+        Engine.schedule cfg.engine ~delay:(svc +. back) (fun () ->
+            complete lat o))
+  end
+
+(** The store key of a reservation's rights, clear of application keys. *)
+let reservation_key (res : string) : string = "rsv:" ^ res
+
+(* Indigo: acquire every reservation at the client's replica, then run
+   there.  A reservation is a bounded counter of N rights (N replicas):
+   [Shared] needs one unit, [Exclusive] all N.  The units pulled from
+   peers cost the farthest pull's round-trip; a key no replica has seen
+   yet originates at the requester with all N.  An acquisition the
+   reachable replicas cannot cover blocks the operation, and nothing is
+   committed (§5.2.5). *)
+let execute_coordinated (cfg : t) ~(client_region : string) (op : op_exec)
+    ~(complete : float -> outcome -> unit) : unit =
+  let lan = Net.rtt cfg.net client_region client_region in
+  let replicas = cfg.cluster.Cluster.replicas in
+  let n = List.length replicas in
+  let rep = replica_in cfg client_region in
+  let reachable (r : Replica.t) = not (is_down cfg r.Replica.region) in
+  let wants =
+    List.map
+      (fun (res, kind) ->
+        (reservation_key res, match kind with Shared -> 1 | Exclusive -> n))
+      op.reservations
+  in
+  let fresh key = List.for_all (fun r -> Replica.peek r key = None) replicas in
+  let blocked (key, need) =
+    (not (fresh key))
+    && Rights.plan ~reachable cfg.cluster Rights.Rights rep ~key ~need = None
+  in
+  if is_down cfg client_region || List.exists blocked wants then
+    complete 0.0 unavailable_outcome
+  else
+    let acquire acc (key, need) =
+      if fresh key then begin
+        let tx = Txn.begin_ rep in
+        let c = Obj.as_bcounter (Txn.get tx key Obj.T_bcounter) in
+        Txn.update tx key
+          (Obj.Op_bcounter
+             (Ipa_crdt.Bcounter.prepare_inc c ~rep:rep.Replica.id n));
+        Option.iter (Cluster.broadcast_now cfg.cluster) (Txn.commit tx);
+        acc
+      end
+      else
+        Rights.acquire ~reachable cfg.cluster Rights.Rights rep ~key ~need
+        |> Option.value ~default:[]
+        |> List.fold_left
+             (fun acc ((peer : Replica.t), _) ->
+               max acc
+                 (Net.rtt cfg.net client_region peer.Replica.region
+                 +. reservation_rtt_overhead))
+             acc
+    in
+    let acq_delay = List.fold_left acquire 0.0 wants in
+    Engine.schedule cfg.engine ~delay:acq_delay (fun () ->
+        let o, svc = run_at cfg client_region op in
+        let lat = acq_delay +. lan +. svc in
+        Engine.schedule cfg.engine ~delay:(lan +. svc) (fun () ->
+            complete lat o))
+
 (** Execute an operation for a client in [client_region]; calls
     [complete] with (latency in ms, outcome) when the client would
     receive the reply. *)
-let rec execute (cfg : t) ~(client_region : string) (op : op_exec)
+let execute (cfg : t) ~(client_region : string) (op : op_exec)
     ~(complete : float -> outcome -> unit) : unit =
-  let lan = Net.rtt cfg.net client_region client_region in
   match cfg.mode with
-  | Hybrid coordinated ->
-      (* route per operation: flagged ops coordinate (with exclusive
-         reservations — shared rights would not serialize the pair),
-         others run local *)
-      if coordinated op.op_name then
-        let op =
+  | Local -> execute_local cfg ~client_region op ~complete
+  | Strong -> execute_strong cfg ~client_region op ~complete
+  | Indigo -> execute_coordinated cfg ~client_region op ~complete
+  | Hybrid flagged ->
+      (* flagged ops coordinate with exclusive reservations — shared
+         rights would not serialize the pair — the rest run locally *)
+      if flagged op.op_name then
+        execute_coordinated cfg ~client_region
           {
             op with
             reservations =
               List.map (fun (r, _) -> (r, Exclusive)) op.reservations;
           }
-        in
-        execute { cfg with mode = Indigo } ~client_region op ~complete
-      else execute { cfg with mode = Local } ~client_region op ~complete
-  | Local -> (
-      (* available while ANY server is reachable (§5.2.5): a client whose
-         co-located replica is down uses the closest live one *)
-      match reachable_region cfg client_region with
-      | None -> complete 0.0 unavailable_outcome
-      | Some exec_region ->
-          let hop =
-            if exec_region = client_region then lan
-            else Net.rtt cfg.net client_region exec_region
-          in
-          let o, svc = run_at cfg exec_region op in
-          (* internal coordination rounds (escrow transfers) pay a WAN
-             round-trip to the nearest peer each *)
-          let coord =
-            if o.extra_rtts = 0 then 0.0
-            else
-              let nearest =
-                List.fold_left
-                  (fun acc (r : Replica.t) ->
-                    if r.Replica.region = exec_region then acc
-                    else min acc (Net.mean_rtt cfg.net exec_region r.Replica.region))
-                  infinity cfg.cluster.Cluster.replicas
-              in
-              float_of_int o.extra_rtts *. nearest
-          in
-          let lat = hop +. svc +. coord in
-          Engine.schedule cfg.engine ~delay:lat (fun () -> complete lat o))
-  | Strong ->
-      if is_down cfg cfg.primary && op.is_update then
-        complete 0.0 unavailable_outcome
-      else if not op.is_update then begin
-        let o, svc = run_at cfg client_region op in
-        let lat = lan +. svc in
-        Engine.schedule cfg.engine ~delay:lat (fun () -> complete lat o)
-      end
-      else begin
-        (* forward to the primary, execute there, reply over the WAN *)
-        let to_primary = Net.one_way cfg.net client_region cfg.primary in
-        Engine.schedule cfg.engine ~delay:to_primary (fun () ->
-            let o, svc = run_at cfg cfg.primary op in
-            let back = Net.one_way cfg.net cfg.primary client_region in
-            let lat = lan +. to_primary +. svc +. back in
-            Engine.schedule cfg.engine ~delay:(svc +. back) (fun () ->
-                complete lat o))
-      end
-  | Indigo when is_down cfg client_region ->
-      (* the local replica (and its reservation state) is unreachable *)
-      complete 0.0 unavailable_outcome
-  | Indigo ->
-      (* a reservation whose holder is unreachable cannot be obtained:
-         the operation cannot execute (§5.2.5) *)
-      let blocked =
-        List.exists
-          (fun (res, kind) ->
-            match Hashtbl.find_opt cfg.holders res with
-            | None -> false
-            | Some st -> (
-                match kind with
-                | Shared -> (
-                    match st.ex_holder with
-                    | Some h -> h <> client_region && is_down cfg h
-                    | None ->
-                        (not (List.mem client_region st.sharers))
-                        && st.sharers <> []
-                        && List.for_all (is_down cfg) st.sharers
-                    )
-                | Exclusive -> (
-                    match st.ex_holder with
-                    | Some h -> h <> client_region && is_down cfg h
-                    | None ->
-                        List.exists
-                          (fun r -> r <> client_region && is_down cfg r)
-                          st.sharers)))
-          op.reservations
-      in
-      if blocked then complete 0.0 unavailable_outcome
-      else
-      let state_of res =
-        match Hashtbl.find_opt cfg.holders res with
-        | Some st -> st
-        | None ->
-            let st = { ex_holder = None; sharers = [] } in
-            Hashtbl.replace cfg.holders res st;
-            st
-      in
-      let acq_delay =
-        List.fold_left
-          (fun acc (res, kind) ->
-            let st = state_of res in
-            let peer_cost peer =
-              Net.rtt cfg.net client_region peer
-              +. cfg.reservation_rtt_overhead
-            in
-            match kind with
-            | Shared -> (
-                match st.ex_holder with
-                | Some holder when holder <> client_region ->
-                    (* demote the exclusive holder, share with us *)
-                    st.ex_holder <- None;
-                    st.sharers <- [ client_region; holder ];
-                    max acc (peer_cost holder)
-                | Some _ -> acc
-                | None ->
-                    if List.mem client_region st.sharers then acc
-                    else if st.sharers = [] then begin
-                      (* first use anywhere: rights originate here *)
-                      st.sharers <- [ client_region ];
-                      acc
-                    end
-                    else begin
-                      (* fetch a share from an existing sharer *)
-                      st.sharers <- client_region :: st.sharers;
-                      max acc (peer_cost (List.hd st.sharers))
-                    end)
-            | Exclusive -> (
-                match st.ex_holder with
-                | Some holder when holder = client_region -> acc
-                | Some holder ->
-                    st.ex_holder <- Some client_region;
-                    st.sharers <- [];
-                    max acc (peer_cost holder)
-                | None ->
-                    let others =
-                      List.filter (fun r -> r <> client_region) st.sharers
-                    in
-                    st.ex_holder <- Some client_region;
-                    st.sharers <- [];
-                    (* revoke every remote share *)
-                    List.fold_left
-                      (fun acc peer -> max acc (peer_cost peer))
-                      acc others))
-          0.0 op.reservations
-      in
-      Engine.schedule cfg.engine ~delay:acq_delay (fun () ->
-          let o, svc = run_at cfg client_region op in
-          let lat = acq_delay +. lan +. svc in
-          Engine.schedule cfg.engine ~delay:(lan +. svc) (fun () ->
-              complete lat o))
+          ~complete
+      else execute_local cfg ~client_region op ~complete
 
 (* ------------------------------------------------------------------ *)
 (* Consistency-typed reads                                             *)
@@ -488,14 +439,9 @@ let bound_clock (cfg : t) ~(staleness_ms : float) : Ipa_crdt.Vclock.t =
     over the control channel — and then serves locally. *)
 let execute_read (cfg : t) ~(client_region : string) ~(level : read_level)
     (op : op_exec) ~(complete : float -> outcome -> unit) : unit =
-  let lan = Net.rtt cfg.net client_region client_region in
-  match reachable_region cfg client_region with
+  match exec_route cfg client_region with
   | None -> complete 0.0 unavailable_outcome
-  | Some exec_region -> (
-      let hop =
-        if exec_region = client_region then lan
-        else Net.rtt cfg.net client_region exec_region
-      in
+  | Some (exec_region, hop) -> (
       let home = replica_in cfg exec_region in
       let rtt (r : Replica.t) =
         Net.mean_rtt cfg.net exec_region r.Replica.region
@@ -562,4 +508,4 @@ let collect_delivery (cfg : t) (m : Metrics.t) : unit =
         d.Metrics.duplicates_suppressed + r.Replica.duplicates_dropped;
       d.Metrics.pending_hwm <- max d.Metrics.pending_hwm r.Replica.pending_hwm)
     cfg.cluster.Cluster.replicas;
-  List.iter (Metrics.record_visibility m) cfg.vis.vis_samples
+  List.iter (Metrics.record_visibility m) cfg.vis_samples

@@ -6,8 +6,10 @@
 
     - {!mode.Local} (Causal and IPA): execute at the client's co-located
       replica, replicate asynchronously;
-    - {!mode.Strong}: updates forwarded to the primary region;
-    - {!mode.Indigo}: reservation-protected operations;
+    - {!mode.Strong}: updates forwarded to the primary region (us-east);
+    - {!mode.Indigo}: reservation-protected operations, each
+      reservation the rights of a bounded counter moved by
+      {!Ipa_store.Rights.acquire} (see {!res_kind});
     - {!mode.Hybrid}: IPA plus coordination only for flagged operations.
 
     Latency model: client↔replica LAN RTT + queueing at the region's
@@ -32,12 +34,17 @@ val outcome :
   ?violations:int -> ?extra_work:int -> ?extra_rtts:int ->
   Replica.batch option -> outcome
 
-val unavailable_outcome : outcome
-
-(** Reservation kinds (Indigo): [Shared] rights replicate to requesters
-    and never move again; [Exclusive] rights migrate, paying a WAN
-    round-trip per cross-region hand-off. *)
+(** Reservation kinds (Indigo).  Each reservation is a bounded counter
+    ({!Ipa_crdt.Bcounter}) of N rights, N the replica count, under the
+    store key ["rsv:" ^ name]: [Shared] needs at least one unit at the
+    requester, so every replica can hold it at once and it never moves
+    again; [Exclusive] needs all N, so conservation makes it exclusive
+    and each cross-region hand-off pulls the units back from every
+    holder, one WAN round-trip (the farthest) per acquisition. *)
 type res_kind = Shared | Exclusive
+
+(** The store key holding a reservation's rights: ["rsv:" ^ name]. *)
+val reservation_key : string -> string
 
 (** An executable operation: the real transaction plus the metadata the
     configurations need. *)
@@ -66,32 +73,20 @@ type mode =
       (** flagged-operation predicate: those coordinate (with exclusive
           reservations), the rest run locally (§3, step 3) *)
 
-type res_state = {
-  mutable ex_holder : string option;
-  mutable sharers : string list;
-}
-
-(** Visibility-latency samples (commit at origin → remote apply). *)
-type vis_stats = { mutable vis_samples : float list; mutable vis_n : int }
-
 type t = {
   mode : mode;
   engine : Engine.t;
   net : Net.t;
   cluster : Cluster.t;
-  primary : string;
   service_base : float;
   service_per_update : float;
   service_per_object : float;
-  server_threads : int;
-  reservation_rtt_overhead : float;
-  holders : (string, res_state) Hashtbl.t;
   server_slots : (string, float array) Hashtbl.t;
   down_until : (string, float) Hashtbl.t;
   sync : Sync.t option;  (** anti-entropy, when enabled *)
-  sync_interval_ms : float;
   sent_at : (string * int, float) Hashtbl.t;
-  vis : vis_stats;
+  mutable vis_samples : float list;
+      (** visibility latencies: commit at origin → remote apply *)
   history : Read.history;  (** timestamped committed clocks *)
 }
 
@@ -100,15 +95,11 @@ type t = {
     path as first transmissions (see {!Ipa_store.Sync}).  The network's
     fault plan is configured on [net] ({!Ipa_sim.Net.create}). *)
 val create :
-  ?primary:string ->
   ?service_base:float ->
   ?service_per_update:float ->
   ?service_per_object:float ->
-  ?server_threads:int ->
-  ?reservation_rtt_overhead:float ->
   ?sync_interval_ms:float ->
   ?sync_base_backoff_ms:float ->
-  ?sync_max_backoff_ms:float ->
   mode:mode ->
   engine:Engine.t ->
   net:Net.t ->
@@ -120,14 +111,12 @@ val create :
     batches addressed to it are delivered after recovery. *)
 val fail_region : t -> string -> for_ms:float -> unit
 
-val is_down : t -> string -> bool
-
 (** The replica serving a region. *)
 val replica_in : t -> string -> Replica.t
 
 (** Execute an operation for a client; calls [complete] with the
     client-perceived latency and the outcome when the reply arrives
-    (immediately, with {!unavailable_outcome}, if the configuration
+    (immediately, with [unavailable = true], if the configuration
     cannot run it). *)
 val execute :
   t ->

@@ -340,84 +340,12 @@ let tick (t : t) ~(now : float) ~(key : string) (c : Bcounter.t) :
 (* Reactive fetch                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type side = Rights | Headroom
-type fetched = {
-  attempt : [ `Hit | `Miss of int ];
-  batch : Replica.batch option;
-}
-
-(* commit one op on [key] at [rep], prepared against its current view;
-   [None] when the ledger refuses it (the transaction is aborted) *)
-let commit_guarded rep key prepare : Replica.batch option =
-  let tx = Txn.begin_ rep in
-  match prepare (Obj.as_bcounter (Txn.get tx key Obj.T_bcounter)) with
-  | op ->
-      Txn.update tx key (Obj.Op_bcounter op);
-      Txn.commit tx
-  | exception
-      (Bcounter.Insufficient_rights _ | Bcounter.Insufficient_headroom _) ->
-      Txn.abort tx;
-      None
-
-(** Consume one unit of [side] at [rep]: a decrement guarded by rights,
-    or an increment guarded by headroom.  Covered locally it is a
-    [`Hit]; otherwise the richest other replica (by its own view of its
-    holding, cluster order, first maximum wins) commits a [Transfer]
-    (or [Hmove]) of half its holding, at least one, delivered at once,
-    and the op is retried — [`Miss n].  [`Miss 0] is a global
-    stock-out: no peer holds anything and nothing is committed. *)
-let fetch (cluster : Cluster.t) (side : side) (rep : Replica.t)
-    ~(key : string) : fetched =
-  let me = rep.Replica.id in
-  let guarded c =
-    match side with
-    | Rights -> Bcounter.prepare_dec c ~rep:me 1
-    | Headroom -> Bcounter.prepare_inc c ~rep:me 1
-  in
-  match commit_guarded rep key guarded with
-  | Some _ as batch -> { attempt = `Hit; batch }
-  | None -> (
-      let richest =
-        List.fold_left
-          (fun best (peer : Replica.t) ->
-            if peer.Replica.id = me then best
-            else
-              match Replica.peek peer key with
-              | None -> best
-              | Some o -> (
-                  let c = Obj.as_bcounter o in
-                  let have =
-                    match side with
-                    | Rights -> Bcounter.local_rights c peer.Replica.id
-                    | Headroom -> Bcounter.local_headroom c peer.Replica.id
-                  in
-                  match best with
-                  | Some (_, top) when have <= top -> best
-                  | _ -> if have > 0 then Some (peer, have) else best))
-          None cluster.Cluster.replicas
-      in
-      let stockout = { attempt = `Miss 0; batch = None } in
-      match richest with
-      | None -> stockout
-      | Some (peer, have) -> (
-          let n = max 1 (have / 2) in
-          let from_ = peer.Replica.id in
-          match
-            commit_guarded peer key (fun c ->
-                match side with
-                | Rights -> Bcounter.prepare_transfer c ~from_ ~to_:me n
-                | Headroom -> Bcounter.prepare_hmove c ~from_ ~to_:me n)
-          with
-          | None -> stockout
-          | Some moved ->
-              Cluster.broadcast_now cluster moved;
-              { attempt = `Miss n; batch = commit_guarded rep key guarded }))
-
-(** The fetch as an operation outcome: any miss pays one WAN round-trip. *)
-let outcome (f : fetched) : Config.outcome =
+(** A {!Rights.fetch} as an operation outcome: any miss pays one WAN
+    round-trip. *)
+let outcome (f : Rights.fetched) : Config.outcome =
   Config.outcome
-    ~extra_rtts:(match f.attempt with `Hit -> 0 | `Miss _ -> 1)
-    f.batch
+    ~extra_rtts:(match f.Rights.attempt with `Hit -> 0 | `Miss _ -> 1)
+    f.Rights.batch
 
 (* ------------------------------------------------------------------ *)
 (* Piggyback wiring                                                    *)

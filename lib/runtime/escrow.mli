@@ -14,9 +14,9 @@
     is what removes the blocking WAN round-trip on exhaustion.
 
     The module also holds the two pieces every escrow user shares: the
-    reactive {!fetch} an operation falls back on when its replica's
-    holding runs out, and the {!piggyback} wiring of the ticks into
-    anti-entropy rounds. *)
+    {!outcome} of the reactive {!Ipa_store.Rights.fetch} an operation
+    falls back on when its replica's holding runs out, and the
+    {!piggyback} wiring of the ticks into anti-entropy rounds. *)
 
 open Ipa_crdt
 
@@ -91,35 +91,12 @@ val seed :
     so the sequence can never overdraw this replica's ledgers. *)
 val tick : t -> now:float -> key:string -> Bcounter.t -> Bcounter.op list
 
-(** {1 Reactive fetch}
+(** {1 Reactive fetch} *)
 
-    The blocking half of escrow, shared by every escrow-guarded
-    operation: when a replica's holding runs out it takes half of the
-    richest peer's in one WAN round-trip. *)
-
-(** Which ledger guards the operation: decrement rights, or increment
-    headroom of a capped counter. *)
-type side = Rights | Headroom
-
-type fetched = {
-  attempt : [ `Hit | `Miss of int ];
-      (** [`Hit]: covered locally; [`Miss n]: [n] units fetched first;
-          [`Miss 0]: global stock-out, nothing committed *)
-  batch : Ipa_store.Replica.batch option;  (** the committed unit op *)
-}
-
-(** Consume one unit of [side] at a replica (decrement by one, or
-    increment by one).  Tries locally; on [Insufficient_rights] /
-    [Insufficient_headroom] the richest other replica (by its own view
-    of its holding, in cluster order, first maximum wins, holding > 0)
-    commits a [Transfer] / [Hmove] of [max 1 (have / 2)] to this one,
-    delivered with {!Ipa_store.Cluster.broadcast_now}, and the op is
-    retried once. *)
-val fetch :
-  Ipa_store.Cluster.t -> side -> Ipa_store.Replica.t -> key:string -> fetched
-
-(** The fetch as an operation outcome: any miss costs [extra_rtts = 1]. *)
-val outcome : fetched -> Config.outcome
+(** A {!Ipa_store.Rights.fetch} — the blocking half of escrow, shared by
+    every escrow-guarded operation — as an operation outcome: any miss
+    costs [extra_rtts = 1]. *)
+val outcome : Ipa_store.Rights.fetched -> Config.outcome
 
 (** {1 Piggyback wiring} *)
 

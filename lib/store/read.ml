@@ -92,10 +92,7 @@ let route ~(home : Replica.t) (candidates : Replica.t list) (b : Vclock.t) :
     of their missing predecessors drains them. *)
 let catch_up (c : Cluster.t) (home : Replica.t) : unit =
   List.iter
-    (fun (peer : Replica.t) ->
-      if not (covers home peer.Replica.vv) then
-        List.iter (Replica.receive home)
-          (Sync.missing_for ~src:peer (Sync.digest_of home)))
+    (fun peer -> Sync.pull ~src:peer home)
     (Cluster.others c home.Replica.id)
 
 (* ------------------------------------------------------------------ *)

@@ -82,6 +82,10 @@ let missing_for ~(src : Replica.t) (d : digest) : Replica.batch list =
          :: acc)
        src.Replica.log [])
 
+let pull ~(src : Replica.t) (dst : Replica.t) : unit =
+  if not (Ipa_crdt.Vclock.leq src.Replica.vv dst.Replica.vv) then
+    List.iter (Replica.receive dst) (missing_for ~src (digest_of dst))
+
 (* ------------------------------------------------------------------ *)
 (* Digest-tree descent                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -41,6 +41,11 @@ val digest_of : Replica.t -> digest
 (** Batches in [src]'s log that the digest's owner is missing. *)
 val missing_for : src:Replica.t -> digest -> Replica.batch list
 
+(** [pull ~src dst] hands [dst] every logged batch of [src]'s it misses,
+    over the reliable control channel, so [dst]'s clock covers [src]'s
+    afterwards; a no-op when it already does.  Only [dst] changes. *)
+val pull : src:Replica.t -> Replica.t -> unit
+
 (** Digest-tree comparison result: the divergent keys and the number of
     tree nodes examined to find them (root + shard digests + sub-bucket
     digests inside divergent shards + per-key hashes inside divergent

@@ -116,8 +116,11 @@ let test_indigo_shared_reservations_stay () =
     }
   in
   let _ = execute_sync engine cfg ~region:"us-west" (op "w") in
-  (* first fetch from the existing sharer pays, afterwards both hold it *)
-  let _ = execute_sync engine cfg ~region:"us-east" (op "e1") in
+  (* first fetch from the existing sharer pays a WAN round-trip to it,
+     afterwards both hold it *)
+  let lat_e1, _ = execute_sync engine cfg ~region:"us-east" (op "e1") in
+  Alcotest.(check bool) "fetching a share pays the WAN RTT" true
+    (lat_e1 > 79.0);
   let lat_e, _ = execute_sync engine cfg ~region:"us-east" (op "e2") in
   let lat_w, _ = execute_sync engine cfg ~region:"us-west" (op "w2") in
   Alcotest.(check bool) "shared rights do not ping-pong" true
@@ -138,6 +141,113 @@ let test_indigo_exclusive_revokes_shares () =
   (* exclusive from eu-west must revoke both shares *)
   let lat, _ = execute_sync engine cfg ~region:"eu-west" ex in
   Alcotest.(check bool) "revocation pays a WAN RTT" true (lat > 79.0)
+
+(* Reservations as rights: random Shared/Exclusive acquisitions from
+   random regions, with random outage windows, through Indigo and
+   through Hybrid (flagged ops forced Exclusive).  After every executed
+   op the replica holds what its kind promises, the N units are
+   conserved, and a blocked op commits nothing; after quiescence every
+   replica's view passes the conservation audit. *)
+let prop_reservations_are_rights =
+  let step =
+    QCheck.Gen.(
+      map
+        (fun (kind, region, res, (flagged, ms)) -> (kind, region, res, flagged, ms))
+        (quad (int_bound 3) (int_bound 2) (int_bound 1)
+           (pair bool (int_range 20 400))))
+  in
+  QCheck.Test.make ~name:"reservations are conserved Bcounter rights"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 24) step))
+    (fun script ->
+      let regions = [| "us-east"; "us-west"; "eu-west" |] in
+      let run mode =
+        let engine, cfg, cluster = make mode in
+        let reps = cluster.Cluster.replicas in
+        let n = List.length reps in
+        let held res (r : Replica.t) =
+          Rights.held Rights.Rights r (Config.reservation_key res)
+        in
+        let total res = List.fold_left (fun a r -> a + held res r) 0 reps in
+        let committed () =
+          List.fold_left (fun a (r : Replica.t) -> a + r.Replica.committed) 0 reps
+        in
+        let coordinated flagged =
+          match mode with Config.Hybrid _ -> flagged | _ -> true
+        in
+        List.for_all
+          (fun (kind, ri, res_i, flagged, ms) ->
+            let region = regions.(ri) and res = Fmt.str "res%d" res_i in
+            let acquired =
+              match kind with
+              | 0 ->
+                  Config.fail_region cfg region ~for_ms:(float_of_int ms);
+                  false
+              | 1 ->
+                  Engine.run_until engine
+                    (Engine.now engine +. float_of_int ms);
+                  false
+              | _ ->
+                let declared = if kind = 2 then Config.Shared else Config.Exclusive in
+                let op =
+                  {
+                    (incr_op ()) with
+                    Config.op_name = (if flagged then "flagged" else "plain");
+                    reservations = [ (res, declared) ];
+                  }
+                in
+                let before = committed () in
+                let result = ref None in
+                Config.execute cfg ~client_region:region op ~complete:(fun _ o ->
+                    result := Some o);
+                Engine.run_until engine (Engine.now engine +. 400.0);
+                let o = Option.get !result in
+                let me = Config.replica_in cfg region in
+                let effective =
+                  match mode with Config.Hybrid _ -> Config.Exclusive | _ -> declared
+                in
+                if o.Config.unavailable then begin
+                  Alcotest.(check int) "a blocked op commits nothing" before
+                    (committed ());
+                  false
+                end
+                else if coordinated flagged then begin
+                  (match effective with
+                  | Config.Shared ->
+                      Alcotest.(check bool) "shared: holds a unit" true
+                        (held res me >= 1)
+                  | Config.Exclusive ->
+                      List.iter
+                        (fun (r : Replica.t) ->
+                          Alcotest.(check int)
+                            ("exclusive: holdings at " ^ r.Replica.id)
+                            (if r == me then n else 0)
+                            (held res r))
+                        reps);
+                  true
+                end
+                else false
+            in
+            (* Σ holdings = N once a reservation exists, 0 before *)
+            List.for_all
+              (fun res -> List.mem (total res) [ 0; n ])
+              [ "res0"; "res1" ]
+            && ((not acquired) || total res = n))
+          script
+        &&
+        (Engine.run engine;
+         ignore (Read.quiesce cluster);
+         List.for_all
+           (fun (r : Replica.t) ->
+             List.for_all
+               (fun res ->
+                 match Replica.peek r (Config.reservation_key res) with
+                 | None -> true
+                 | Some o -> Bcounter.audit (Obj.as_bcounter o) = None)
+               [ "res0"; "res1" ])
+           reps)
+      in
+      run Config.Indigo && run (Config.Hybrid (fun name -> name = "flagged")))
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid mode                                                         *)
@@ -583,8 +693,8 @@ let bc cluster r =
 
 (* fetch one unit at [r], deliver the retried op, audit every replica *)
 let fetch_at cluster side r =
-  let f = Escrow.fetch cluster side (Cluster.replica cluster r) ~key:"k" in
-  Option.iter (Cluster.broadcast_now cluster) f.Escrow.batch;
+  let f = Rights.fetch cluster side (Cluster.replica cluster r) ~key:"k" in
+  Option.iter (Cluster.broadcast_now cluster) f.Rights.batch;
   List.iter
     (fun (rep : Replica.t) ->
       Alcotest.(check (option string))
@@ -604,47 +714,47 @@ let rights cluster r = Bcounter.local_rights (bc cluster r) r
 let test_fetch_richest_peer () =
   (* r2 and r3 tie at 4: the first in cluster order lends *)
   let cluster = fetch_cluster [ ("r1", 0); ("r2", 4); ("r3", 4) ] 8 in
-  let f = fetch_at cluster Escrow.Rights "r1" in
-  Alcotest.check attempt "tie: half of r2's" (`Miss 2) f.Escrow.attempt;
+  let f = fetch_at cluster Rights.Rights "r1" in
+  Alcotest.check attempt "tie: half of r2's" (`Miss 2) f.Rights.attempt;
   Alcotest.(check int) "one rtt" 1 (Escrow.outcome f).Config.extra_rtts;
   Alcotest.(check (list int)) "r1 spent one, r2 lent two" [ 1; 2; 4 ]
     (List.map (rights cluster) [ "r1"; "r2"; "r3" ]);
   Alcotest.(check int) "value" 7 (Bcounter.value (bc cluster "r2"));
   (* covered locally now *)
-  let f = fetch_at cluster Escrow.Rights "r1" in
-  Alcotest.check attempt "hit" `Hit f.Escrow.attempt;
+  let f = fetch_at cluster Rights.Rights "r1" in
+  Alcotest.check attempt "hit" `Hit f.Rights.attempt;
   Alcotest.(check int) "no rtt" 0 (Escrow.outcome f).Config.extra_rtts;
   (* r1 and r2 hold less than r3: r3 is the richest *)
-  let f = fetch_at cluster Escrow.Rights "r1" in
-  Alcotest.check attempt "richest is r3" (`Miss 2) f.Escrow.attempt;
+  let f = fetch_at cluster Rights.Rights "r1" in
+  Alcotest.check attempt "richest is r3" (`Miss 2) f.Rights.attempt;
   Alcotest.(check (list int)) "r3 lent two" [ 1; 2; 2 ]
     (List.map (rights cluster) [ "r1"; "r2"; "r3" ])
 
 let test_fetch_half_min_one () =
   let cluster = fetch_cluster [ ("r1", 0); ("r2", 1); ("r3", 0) ] 1 in
-  let f = fetch_at cluster Escrow.Rights "r3" in
+  let f = fetch_at cluster Rights.Rights "r3" in
   Alcotest.check attempt "a single right still moves" (`Miss 1)
-    f.Escrow.attempt;
-  Alcotest.(check bool) "retry committed" true (f.Escrow.batch <> None);
+    f.Rights.attempt;
+  Alcotest.(check bool) "retry committed" true (f.Rights.batch <> None);
   Alcotest.(check int) "sold out" 0 (Bcounter.value (bc cluster "r1"));
   let cluster = fetch_cluster [ ("r1", 0); ("r2", 5) ] 5 in
   Alcotest.check attempt "half rounds down" (`Miss 2)
-    (fetch_at cluster Escrow.Rights "r1").Escrow.attempt;
+    (fetch_at cluster Rights.Rights "r1").Rights.attempt;
   Alcotest.(check int) "r2 keeps three" 3 (rights cluster "r2")
 
 let test_fetch_stockout () =
   let cluster = fetch_cluster [ ("r2", 1) ] 1 in
   Alcotest.check attempt "r2 spends the last" `Hit
-    (fetch_at cluster Escrow.Rights "r2").Escrow.attempt;
+    (fetch_at cluster Rights.Rights "r2").Rights.attempt;
   let committed () =
     List.map
       (fun (r : Replica.t) -> r.Replica.committed)
       cluster.Cluster.replicas
   in
   let before = committed () in
-  let f = fetch_at cluster Escrow.Rights "r1" in
-  Alcotest.check attempt "global stock-out" (`Miss 0) f.Escrow.attempt;
-  Alcotest.(check bool) "no batch" true (f.Escrow.batch = None);
+  let f = fetch_at cluster Rights.Rights "r1" in
+  Alcotest.check attempt "global stock-out" (`Miss 0) f.Rights.attempt;
+  Alcotest.(check bool) "no batch" true (f.Rights.batch = None);
   Alcotest.(check int) "still one rtt" 1 (Escrow.outcome f).Config.extra_rtts;
   Alcotest.(check (list int)) "nothing committed anywhere" before (committed ())
 
@@ -654,14 +764,31 @@ let test_fetch_headroom () =
     fetch_cluster ~cap:6 ~hshares:[ ("r2", 6) ] [ ("r1", 0) ] 0
   in
   let headroom r = Bcounter.local_headroom (bc cluster r) r in
-  let f = fetch_at cluster Escrow.Headroom "r1" in
-  Alcotest.check attempt "half of r2's headroom" (`Miss 3) f.Escrow.attempt;
+  let f = fetch_at cluster Rights.Headroom "r1" in
+  Alcotest.check attempt "half of r2's headroom" (`Miss 3) f.Rights.attempt;
   Alcotest.(check (list int)) "moved by Hmove, one spent" [ 2; 3; 0 ]
     (List.map headroom [ "r1"; "r2"; "r3" ]);
   Alcotest.(check int) "incremented" 1 (Bcounter.value (bc cluster "r3"));
   Alcotest.(check int) "no rights moved" 0 (rights cluster "r2");
   Alcotest.check attempt "hit" `Hit
-    (fetch_at cluster Escrow.Headroom "r2").Escrow.attempt
+    (fetch_at cluster Rights.Headroom "r2").Rights.attempt
+
+(* the lender still has a batch in flight to the requester: the grant
+   must not wait behind it in the requester's pending buffer *)
+let test_fetch_catches_up_from_peer () =
+  let cluster = fetch_cluster [ ("r1", 0); ("r2", 4) ] 4 in
+  let r1 = Cluster.replica cluster "r1" in
+  ignore (Testutil.counter_delta (Cluster.replica cluster "r2") 1 : Replica.batch)
+  (* never delivered *);
+  let f = fetch_at cluster Rights.Rights "r1" in
+  Alcotest.check attempt "half of r2's" (`Miss 2) f.Rights.attempt;
+  Alcotest.(check bool) "retry committed" true (f.Rights.batch <> None);
+  Alcotest.(check (list int)) "r1 spent one of two" [ 1; 2 ]
+    (List.map (rights cluster) [ "r1"; "r2" ]);
+  Alcotest.(check int) "r1 took r2's batch on the way" 1
+    (Testutil.counter_value r1);
+  Alcotest.(check int) "nothing buffered at r1" 0
+    (Replica.pending_count r1)
 
 (* ------------------------------------------------------------------ *)
 (* Consistency-typed reads                                             *)
@@ -872,6 +999,7 @@ let () =
             test_indigo_shared_reservations_stay;
           Alcotest.test_case "exclusive revokes shares" `Quick
             test_indigo_exclusive_revokes_shares;
+          Testutil.to_alcotest ~default:0 prop_reservations_are_rights;
         ] );
       ( "hybrid",
         [
@@ -934,6 +1062,8 @@ let () =
             test_fetch_stockout;
           Alcotest.test_case "fetch: headroom via Hmove" `Quick
             test_fetch_headroom;
+          Alcotest.test_case "fetch: grant from a peer with batches in flight"
+            `Quick test_fetch_catches_up_from_peer;
         ] );
       ( "reads",
         [

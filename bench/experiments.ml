@@ -26,23 +26,68 @@ let mode_of = function
 let regions =
   [ ("dc-east", "us-east"); ("dc-west", "us-west"); ("dc-eu", "eu-west") ]
 
+(* one simulated deployment; [seed] seeds its network and its clients *)
 type env = {
+  seed : int;
   engine : Engine.t;
   net : Net.t;
   cluster : Cluster.t;
   cfg : Config.t;
 }
 
+(* The three DCs of §5.2.1 under [mode], on a network seeded with [seed]
+   that carries the fault [plan]; [sync_interval_ms] turns anti-entropy
+   on.  The run's metrics accumulate in [cfg]. *)
 let make_env ?(seed = 42) ?service_per_object ?service_per_update
-    ?service_base ?(mode_of = mode_of) (sys : sys) : env =
+    ?service_base ?plan ?sync_interval_ms (mode : Config.mode) : env =
   let engine = Engine.create () in
-  let net = Net.create ~seed () in
+  let net = Net.create ~seed ?plan () in
   let cluster = Cluster.create regions in
   let cfg =
     Config.create ?service_per_object ?service_per_update ?service_base
-      ~mode:(mode_of sys) ~engine ~net ~cluster ()
+      ?sync_interval_ms ~mode ~engine ~net ~cluster ()
   in
-  { engine; net; cluster; cfg }
+  { seed; engine; net; cluster; cfg }
+
+(* One closed-loop client run on [env]: [seed_data], when given, fills
+   the store and gets 500 ms to replicate; [setup] runs next; then
+   [clients] per region (only [only_region]'s, when given) draw ops from
+   [next_op] for [duration] ms after a [warmup], with a mean [think]
+   pause between ops.  Returns the run's metrics. *)
+let run_clients ?seed_data ?(setup = ignore) ?(duration = 8_000.0)
+    ?(warmup = 1_000.0) ?(think = 0.0) ?only_region (env : env)
+    ~(clients : int) next_op : Metrics.t =
+  Option.iter
+    (fun seed_data ->
+      seed_data env.cluster;
+      Engine.run_until env.engine 500.0)
+    seed_data;
+  setup ();
+  Driver.run ~seed:env.seed env.cfg
+    {
+      Driver.clients_per_region = clients;
+      duration_ms = duration;
+      warmup_ms = warmup;
+      think_time_ms = think;
+      only_region;
+      next_op;
+    }
+
+(* One transaction at [rep] adding [n] to the PN-counter at each of
+   [keys], [times] times per key; returns its batch. *)
+let pn_incr ?(times = 1) ?(n = 1) (rep : Replica.t) (keys : string list) :
+    Replica.batch option =
+  let tx = Txn.begin_ rep in
+  List.iter
+    (fun key ->
+      let c = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
+      for _ = 1 to times do
+        Txn.update tx key
+          (Obj.Op_pncounter
+             (Ipa_crdt.Pncounter.prepare c ~rep:rep.Replica.id n))
+      done)
+    keys;
+  Txn.commit tx
 
 let pr fmt = Fmt.pr fmt
 
@@ -101,6 +146,34 @@ let write_bench_json ~(quick : bool) ~(file : string) ~(experiment : string)
   close_out oc;
   pr "(wrote %s)@." path
 
+let time_it f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* One fuzz campaign per catalog app, [campaign app] running it: a
+   failed schedule fails [experiment]; otherwise [pp] prints the app's
+   line and [row] gives the fields of its BENCH row. *)
+let fuzz_sweep ~(experiment : string)
+    ~(pp : string -> Ipa_check.Fuzz.report -> float -> unit) ~row campaign :
+    string list =
+  let open Ipa_check in
+  List.map
+    (fun app ->
+      let r, wall = time_it (fun () -> campaign app) in
+      if r.Fuzz.failed_runs > 0 then
+        failwith
+          (Fmt.str "%s: %s failed %d of %d fuzz schedules" experiment app
+             r.Fuzz.failed_runs r.Fuzz.runs);
+      pp app r wall;
+      bench_row ~experiment (row app r wall))
+    Harness.app_names
+
+(* a sweep line of the [fuzz] and [durability] tables *)
+let pp_fuzz_row app (r : Ipa_check.Fuzz.report) wall =
+  pr "%-12s %8d %8d %9.3f@." app r.Ipa_check.Fuzz.runs
+    r.Ipa_check.Fuzz.failed_runs wall
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -140,31 +213,19 @@ let fig2 () =
 (* Figure 4: Tournament latency vs throughput                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [mode_of] overrides the system's configuration, and [setup] runs
-   once the seed data has replicated *)
-let tournament_metrics ?(seed = 42) ?(duration = 8_000.0) ?(warmup = 1_000.0)
-    ?(think = 0.0) ?mode_of ?(setup = fun (_ : env) -> ()) (sys : sys)
-    ~(clients : int) : Metrics.t =
-  let env = make_env ~seed ?mode_of sys in
-  let variant =
-    match sys with Ipa -> Tournament.Ipa | _ -> Tournament.Causal
+(* Tournament's seeding and op mix under [sys]: the IPA variant for IPA,
+   the causal app otherwise *)
+let tournament (sys : sys) =
+  let app =
+    Tournament.create (if sys = Ipa then Tournament.Ipa else Tournament.Causal)
   in
-  let app = Tournament.create variant in
   let params = Tournament.default_params in
-  Tournament.seed_data app params env.cluster;
-  Engine.run_until env.engine 500.0 (* let seeding replicate *);
-  setup env;
-  let w =
-    {
-      Driver.clients_per_region = clients;
-      duration_ms = duration;
-      warmup_ms = warmup;
-      think_time_ms = think;
-      only_region = None;
-      next_op = Tournament.next_op app params;
-    }
-  in
-  Driver.run ~seed env.cfg w
+  (Tournament.seed_data app params, Tournament.next_op app params)
+
+let tournament_metrics (sys : sys) ~(clients : int) : Metrics.t =
+  let env = make_env (mode_of sys) in
+  let seed_data, next_op = tournament sys in
+  run_clients ~seed_data env ~clients next_op
 
 let fig4 ?(client_counts = [ 1; 2; 4; 8; 16; 32; 64 ]) () =
   pr "== Figure 4: peak throughput for Tournament (35%% writes) ==@.";
@@ -216,24 +277,12 @@ let fig5 ?(clients = 8) () =
 (* Figure 6: per-operation latency in Twitter                          *)
 (* ------------------------------------------------------------------ *)
 
-let twitter_metrics ?(seed = 42) (variant : Twitter.variant)
-    ~(clients : int) : Metrics.t =
-  let env = make_env ~seed Causal (* all Twitter variants run Local *) in
+let twitter_metrics (variant : Twitter.variant) ~(clients : int) : Metrics.t =
+  let env = make_env Config.Local (* all Twitter variants run Local *) in
   let app = Twitter.create variant in
   let params = Twitter.default_params in
-  Twitter.seed_data app params env.cluster;
-  Engine.run_until env.engine 500.0;
-  let w =
-    {
-      Driver.clients_per_region = clients;
-      duration_ms = 8_000.0;
-      warmup_ms = 1_000.0;
-      think_time_ms = 0.0;
-      only_region = None;
-      next_op = Twitter.next_op app params;
-    }
-  in
-  Driver.run ~seed env.cfg w
+  run_clients ~seed_data:(Twitter.seed_data app params) env ~clients
+    (Twitter.next_op app params)
 
 let fig6 ?(clients = 4) () =
   pr "== Figure 6: latency of individual operations, Twitter ==@.";
@@ -261,37 +310,31 @@ let fig6 ?(clients = 4) () =
 (* Figure 7: Ticket throughput + invariant violations                  *)
 (* ------------------------------------------------------------------ *)
 
-let ticket_metrics ?(seed = 42) (variant : Ticket.variant) ~(clients : int) :
-    Metrics.t * int =
-  let env = make_env ~seed Causal in
-  (* a fixed pool of tickets per event (FusionTicket): high load sells
-     out during the divergence window and oversells proportionally *)
+(* a fixed pool of tickets per event (FusionTicket): high load sells
+   out during the divergence window and oversells proportionally *)
+let ticket_params =
+  {
+    Ticket.n_events = 5;
+    buy_ratio = 0.5;
+    restock_ratio = 0.0;
+    restock_amount = 0;
+  }
+
+(* Ticket's [variant] with [clients] per region on [env]: the run's
+   metrics, and a probe of the end state — the oversold tickets a user
+   can observe *)
+let ticket_metrics (env : env) (variant : Ticket.variant) ~(clients : int) :
+    Metrics.t * (unit -> int) =
   let app = Ticket.create ~initial_stock:2000 variant in
-  let params =
-    {
-      Ticket.n_events = 5;
-      buy_ratio = 0.5;
-      restock_ratio = 0.0;
-      restock_amount = 0;
-    }
+  let m =
+    run_clients ~seed_data:(Ticket.seed_data app ticket_params) env ~clients
+      (Ticket.next_op app ticket_params)
   in
-  Ticket.seed_data app params env.cluster;
-  Engine.run_until env.engine 500.0;
-  let events = List.init params.Ticket.n_events (fun i -> Fmt.str "e%d" i) in
-  let w =
-    {
-      Driver.clients_per_region = clients;
-      duration_ms = 8_000.0;
-      warmup_ms = 1_000.0;
-      think_time_ms = 0.0;
-      only_region = None;
-      next_op = Ticket.next_op app params;
-    }
+  let events =
+    List.init ticket_params.Ticket.n_events (fun i -> Fmt.str "e%d" i)
   in
-  let m = Driver.run ~seed env.cfg w in
-  (* end-state check: total oversold tickets a user can observe *)
   let rep = List.hd env.cluster.Cluster.replicas in
-  (m, Ticket.oversell_depth app rep events)
+  (m, fun () -> Ticket.oversell_depth app rep events)
 
 let fig7 ?(client_counts = [ 1; 2; 4; 8; 16; 32 ]) () =
   pr "== Figure 7: Ticket benchmark — latency and invariant violations ==@.";
@@ -301,7 +344,10 @@ let fig7 ?(client_counts = [ 1; 2; 4; 8; 16; 32 ]) () =
     (fun variant ->
       List.iter
         (fun clients ->
-          let m, oversold = ticket_metrics variant ~clients in
+          let m, oversold =
+            ticket_metrics (make_env Config.Local) variant ~clients
+          in
+          let oversold = oversold () in
           let name =
             match variant with
             | Ticket.Causal -> "Causal"
@@ -330,50 +376,27 @@ let fig7 ?(client_counts = [ 1; 2; 4; 8; 16; 32 ]) () =
 (* Figure 8: speed-up of IPA vs Strong microbenchmarks                 *)
 (* ------------------------------------------------------------------ *)
 
-(* a synthetic op performing [k] counter updates over [keys] objects *)
+(* a synthetic op performing [updates_per_key] counter updates on each
+   of [keys] objects *)
 let synthetic_op ~name ~(keys : int) ~(updates_per_key : int) : Config.op_exec
     =
-  {
-    Config.op_name = name;
-    is_update = true;
-    reservations = [];
-    run =
-      (fun rep ->
-        let tx = Txn.begin_ rep in
-        for key_i = 0 to keys - 1 do
-          let key = Fmt.str "mb:%d" key_i in
-          let c =
-            Ipa_store.Obj.as_pncounter (Txn.get tx key Ipa_store.Obj.T_pncounter)
-          in
-          for _ = 1 to updates_per_key do
-            Txn.update tx key
-              (Ipa_store.Obj.Op_pncounter
-                 (Ipa_crdt.Pncounter.prepare c ~rep:rep.Replica.id 1))
-          done
-        done;
-        Config.outcome (Txn.commit tx));
-  }
+  App_ops.mk name true [] (fun rep ->
+      Config.outcome
+        (pn_incr ~times:updates_per_key rep
+           (List.init keys (fun i -> Fmt.str "mb:%d" i))))
 
-let micro_latency ?(seed = 7) (sys : sys) (op : Config.op_exec) : float =
+let micro_latency (sys : sys) (op : Config.op_exec) : float =
   (* measure the client-perceived latency from a non-primary region (the
      paper's microbenchmark client), with a single client and the
      storage-cost model calibrated in EXPERIMENTS.md *)
   let env =
-    make_env ~seed ~service_base:1.15 ~service_per_update:0.018
-      ~service_per_object:1.25 sys
+    make_env ~seed:7 ~service_base:1.15 ~service_per_update:0.018
+      ~service_per_object:1.25 (mode_of sys)
   in
-  let w =
-    {
-      Driver.clients_per_region = 1;
-      duration_ms = 4_000.0;
-      warmup_ms = 500.0;
-      think_time_ms = 20.0;
-      only_region = Some "us-west";
-      next_op = (fun _rng ~region:_ -> op);
-    }
-  in
-  let m = Driver.run ~seed env.cfg w in
-  Metrics.mean_latency m ()
+  Metrics.mean_latency
+    (run_clients ~duration:4_000.0 ~warmup:500.0 ~think:20.0
+       ~only_region:"us-west" env ~clients:1 (fun _rng ~region:_ -> op))
+    ()
 
 let fig8 () =
   pr "== Figure 8 (top): speed-up, k updates to a single object ==@.";
@@ -415,39 +438,17 @@ let contention_op ~(pct : int) (rng : Rng.t) ~(region : string) :
     if Rng.int rng 100 < pct then Fmt.str "shared:%d" (Rng.int rng 4)
     else Fmt.str "local:%s:%d" region (Rng.int rng 16)
   in
-  {
-    Config.op_name = "update";
-    is_update = true;
-    reservations = [ (key, Config.Exclusive) ];
-    run =
-      (fun rep ->
-        let tx = Txn.begin_ rep in
-        let c =
-          Ipa_store.Obj.as_pncounter (Txn.get tx key Ipa_store.Obj.T_pncounter)
-        in
-        Txn.update tx key
-          (Ipa_store.Obj.Op_pncounter
-             (Ipa_crdt.Pncounter.prepare c ~rep:rep.Replica.id 1));
-        Config.outcome (Txn.commit tx));
-  }
+  App_ops.mk "update" true [ (key, Config.Exclusive) ] (fun rep ->
+      Config.outcome (pn_incr rep [ key ]))
 
 let fig9 () =
   pr "== Figure 9: latency vs reservation contention ==@.";
   pr "%-12s %12s %12s@." "contention" "IPA[ms]" "Indigo[ms]";
   let run sys pct =
-    let env = make_env ~seed:11 sys in
-    let w =
-      {
-        Driver.clients_per_region = 4;
-        duration_ms = 8_000.0;
-        warmup_ms = 1_000.0;
-        think_time_ms = 5.0;
-        only_region = None;
-        next_op = contention_op ~pct;
-      }
-    in
-    let m = Driver.run ~seed:11 env.cfg w in
-    Metrics.mean_latency m ()
+    let env = make_env ~seed:11 (mode_of sys) in
+    Metrics.mean_latency
+      (run_clients ~think:5.0 env ~clients:4 (contention_op ~pct))
+      ()
   in
   (* "N/A" row: IPA does not use reservations at all *)
   pr "%-12s %12.2f %12s@." "N/A" (run Ipa 0) "-";
@@ -573,15 +574,6 @@ operation enroll(P:x, T:y)
   benchmark (Test.make_grouped ~name:"ipa" tests)
 
 (* ------------------------------------------------------------------ *)
-(* Ablations: the design choices DESIGN.md calls out                   *)
-(* ------------------------------------------------------------------ *)
-
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* ------------------------------------------------------------------ *)
 (* Analysis pipeline: instrumented vs uninstrumented (paper Table 3)   *)
 (* ------------------------------------------------------------------ *)
 
@@ -673,36 +665,31 @@ let analysis () =
      range, and the@. caches/pruning are exact: identical resolutions, \
      flagged pairs and@. patched specifications in both modes.)@."
 
+(* ------------------------------------------------------------------ *)
+(* Ablations: the design choices DESIGN.md calls out                   *)
+(* ------------------------------------------------------------------ *)
+
 (* store-level GC: metadata growth with and without stability GC *)
 let ablation_gc () =
   pr "-- ablation: causal-stability garbage collection --@.";
   let run ~gc_period =
-    let env = make_env ~seed:5 Causal in
-    let app = Tournament.create Tournament.Causal in
-    let params = Tournament.default_params in
-    Tournament.seed_data app params env.cluster;
-    Engine.run_until env.engine 500.0;
-    (match gc_period with
-    | Some p ->
-        let rec tick () =
-          List.iter
-            (fun r -> ignore (Ipa_store.Replica.gc r))
-            env.cluster.Cluster.replicas;
-          Engine.schedule env.engine ~delay:p tick
-        in
-        Engine.schedule env.engine ~delay:p tick
-    | None -> ());
-    let w =
-      {
-        Driver.clients_per_region = 4;
-        duration_ms = 6_000.0;
-        warmup_ms = 500.0;
-        think_time_ms = 0.0;
-        only_region = None;
-        next_op = Tournament.next_op app params;
-      }
+    let env = make_env ~seed:5 Config.Local in
+    let seed_data, next_op = tournament Causal in
+    let setup () =
+      Option.iter
+        (fun p ->
+          let rec tick () =
+            List.iter
+              (fun r -> ignore (Ipa_store.Replica.gc r))
+              env.cluster.Cluster.replicas;
+            Engine.schedule env.engine ~delay:p tick
+          in
+          Engine.schedule env.engine ~delay:p tick)
+        gc_period
     in
-    let _ = Driver.run ~seed:5 env.cfg w in
+    ignore
+      (run_clients ~seed_data ~setup ~duration:6_000.0 ~warmup:500.0 env
+         ~clients:4 next_op);
     (* total rem-wins metadata on one replica (the "active" set) *)
     let rep = List.hd env.cluster.Cluster.replicas in
     match Ipa_store.Replica.peek rep "active" with
@@ -722,9 +709,11 @@ let ablation_hybrid () =
   pr "   (begin/finish flagged under all-add-wins rules; everything else@.";
   pr "    runs IPA-locally — vs full Indigo coordination)@.";
   let run mode =
+    let env = make_env ~seed:21 mode in
+    let seed_data, next_op = tournament Ipa in
     let m =
-      tournament_metrics ~seed:21 ~duration:6_000.0 ~warmup:500.0
-        ~mode_of:(fun _ -> mode) Ipa ~clients:8
+      run_clients ~seed_data ~duration:6_000.0 ~warmup:500.0 env ~clients:8
+        next_op
     in
     (Metrics.mean_latency m (), Metrics.throughput m)
   in
@@ -788,44 +777,12 @@ let faultnet () =
     "vis-p50" "vis-p95" "conv";
   List.iter
     (fun (label, plan) ->
-      let seed = 97 in
-      let engine = Engine.create () in
-      let net = Net.create ~seed ~plan () in
-      let cluster = Cluster.create regions in
-      let cfg =
-        Config.create ~sync_interval_ms:250.0 ~mode:Config.Local ~engine ~net
-          ~cluster ()
+      let env =
+        make_env ~seed:97 ~plan ~sync_interval_ms:250.0 Config.Local
       in
-      let app = Ticket.create ~initial_stock:2000 Ticket.Ipa in
-      let params =
-        {
-          Ticket.n_events = 5;
-          buy_ratio = 0.5;
-          restock_ratio = 0.0;
-          restock_amount = 0;
-        }
-      in
-      Ticket.seed_data app params cluster;
-      Engine.run_until engine 500.0;
-      let w =
-        {
-          Driver.clients_per_region = 4;
-          duration_ms = 8_000.0;
-          warmup_ms = 1_000.0;
-          think_time_ms = 0.0;
-          only_region = None;
-          next_op = Ticket.next_op app params;
-        }
-      in
-      let m = Driver.run ~seed cfg w in
-      (* extra settle beyond the driver's 10 s so capped-backoff
-         retransmissions finish closing gaps after the partition heals *)
-      Engine.run_until engine 40_000.0;
-      let events =
-        List.init params.Ticket.n_events (fun i -> Fmt.str "e%d" i)
-      in
-      let rep = List.hd cluster.Cluster.replicas in
-      let oversold = Ticket.oversell_depth app rep events in
+      let m, oversold = ticket_metrics env Ticket.Ipa ~clients:4 in
+      (* visibility as the driver's window saw it: the settle below
+         keeps recording into the same metrics *)
       let p50, p95 =
         match
           Metrics.percentiles [ 50.0; 95.0 ] m.Metrics.delivery.visibility
@@ -833,11 +790,15 @@ let faultnet () =
         | [ a; b ] -> (a, b)
         | _ -> (0.0, 0.0)
       in
+      let delivery = Fmt.str "%a" Metrics.pp_delivery m in
+      (* extra settle beyond the driver's 10 s so capped-backoff
+         retransmissions finish closing gaps after the partition heals *)
+      Engine.run_until env.engine 40_000.0;
       pr "%-28s %7.1f%% %6d %8d %7.0fms %7.0fms %5s@." label
         (100.0 *. Metrics.availability m)
-        m.Metrics.violations oversold p50 p95
-        (if Cluster.quiescent cluster then "yes" else "NO");
-      pr "%-28s   %a@." "" Metrics.pp_delivery m)
+        m.Metrics.violations (oversold ()) p50 p95
+        (if Cluster.quiescent env.cluster then "yes" else "NO");
+      pr "%-28s   %s@." "" delivery)
     scenarios;
   pr "@.(Convergence after heal relies on exactly-once delivery plus\
       @. anti-entropy; dup-suppressed counts the duplicates the store\
@@ -858,13 +819,15 @@ let fault () =
   pr "%-8s %14s %12s %10s@." "system" "availability" "lat[ms]" "failures";
   List.iter
     (fun sys ->
-      let setup env =
+      let env = make_env ~seed:33 (mode_of sys) in
+      let seed_data, next_op = tournament sys in
+      let setup () =
         Engine.schedule env.engine ~delay:2_000.0 (fun () ->
             Config.fail_region env.cfg "us-east" ~for_ms:3_000.0)
       in
       let m =
-        tournament_metrics ~seed:33 ~duration:7_000.0 ~warmup:500.0 ~think:1.0
-          ~setup sys ~clients:4
+        run_clients ~seed_data ~setup ~duration:7_000.0 ~warmup:500.0
+          ~think:1.0 env ~clients:4 next_op
       in
       let availability = Metrics.availability m in
       pr "%-8s %13.1f%% %12.2f %10d@." (sys_name sys)
@@ -925,14 +888,7 @@ let runtime_run ~(replicas : int) ~(batch : int) ~(batches : int) () :
   in
   let key i = keys.(i mod runtime_population) in
   let commit_batch (r : Replica.t) ~start ~k =
-    let tx = Txn.begin_ r in
-    for j = 0 to k - 1 do
-      let key = key (start + j) in
-      let ctr = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-      Txn.update tx key
-        (Obj.Op_pncounter (Ipa_crdt.Pncounter.prepare ctr ~rep:r.Replica.id 1))
-    done;
-    Option.get (Txn.commit tx)
+    Option.get (pn_incr r (List.init k (fun j -> key (start + j))))
   in
   (* seed the full key population (untimed warmup): every poll then
      compares a large store, of which only the keys the last commit
@@ -1111,14 +1067,7 @@ let scale ?(quick = false) () =
   let keys = Array.init n_keys (fun i -> Printf.sprintf "k-%07d" i) in
   let commit_ranks (r : Replica.t) (ranks : int array) ~(from : int)
       ~(len : int) =
-    let tx = Txn.begin_ r in
-    for j = from to from + len - 1 do
-      let key = keys.(ranks.(j)) in
-      let ctr = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-      Txn.update tx key
-        (Obj.Op_pncounter (Ipa_crdt.Pncounter.prepare ctr ~rep:r.Replica.id 1))
-    done;
-    Option.get (Txn.commit tx)
+    Option.get (pn_incr r (List.init len (fun j -> keys.(ranks.(from + j)))))
   in
   (* phase 1 — populate: seed every key so the store really holds
      [n_keys] live objects (a Zipfian stream alone never reaches the
@@ -1349,14 +1298,7 @@ let durability ?(quick = false) () =
     done;
     Option.get (Txn.commit tx)
   in
-  let bump rep key n =
-    let tx = Txn.begin_ rep in
-    let ctr = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-    Txn.update tx key
-      (Obj.Op_pncounter
-         (Ipa_crdt.Pncounter.prepare ctr ~rep:rep.Replica.id n));
-    Option.get (Txn.commit tx)
-  in
+  let bump rep key n = Option.get (pn_incr ~n rep [ key ]) in
   let ctr_key k = Printf.sprintf "ctr-%02d" k in
   (* converged bulk state: a big set + warmed hot counters everywhere *)
   let seeded = ref 0 in
@@ -1515,30 +1457,20 @@ let durability ?(quick = false) () =
   let open Ipa_check in
   let runs = if quick then 25 else 200 in
   pr "%-12s %8s %8s %9s@." "app" "runs" "failed" "wall[s]";
-  List.iter
-    (fun app ->
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Fuzz.campaign ~app ~repaired:true ~seed:1 ~runs ~crashes:2
-          ~stop_on_failure:false ()
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      if r.Fuzz.failed_runs > 0 then
-        failwith
-          (Fmt.str "durability: %s failed %d crash-recovery schedules" app
-             r.Fuzz.failed_runs);
-      pr "%-12s %8d %8d %9.3f@." app r.Fuzz.runs r.Fuzz.failed_runs wall;
-      push
-        (bench_row ~experiment:"durability"
-           [
-             ("phase", S "crash_fuzz");
-             ("app", S app);
-             ("runs", I r.Fuzz.runs);
-             ("crashes_per_run", I 2);
-             ("failed", I r.Fuzz.failed_runs);
-             ("wall_s", F wall);
-           ]))
-    Harness.app_names;
+  List.iter push
+    (fuzz_sweep ~experiment:"durability" ~pp:pp_fuzz_row
+       ~row:(fun app r wall ->
+         [
+           ("phase", S "crash_fuzz");
+           ("app", S app);
+           ("runs", I r.Fuzz.runs);
+           ("crashes_per_run", I 2);
+           ("failed", I r.Fuzz.failed_runs);
+           ("wall_s", F wall);
+         ])
+       (fun app ->
+         Fuzz.campaign ~app ~repaired:true ~seed:1 ~runs ~crashes:2
+           ~stop_on_failure:false ()));
   write_bench_json ~quick ~file:"BENCH_DURABILITY.json" ~experiment:"durability"
     [
       ("bulk_elements", I n_bulk);
@@ -1563,29 +1495,20 @@ let fuzz ?(quick = false) () =
   let open Ipa_check in
   pr "== Simulation fuzzing: repaired sweep + oracle teeth ==@.";
   let runs = if quick then 25 else 200 in
-  let ok = ref true in
   pr "%-12s %8s %8s %9s@." "app" "runs" "failed" "wall[s]";
-  List.iter
-    (fun app ->
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Fuzz.campaign ~app ~repaired:true ~seed:1 ~runs
-          ~stop_on_failure:false ()
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      if r.Fuzz.failed_runs > 0 then ok := false;
-      pr "%-12s %8d %8d %9.3f@." app r.Fuzz.runs r.Fuzz.failed_runs wall;
-      ignore
-        (bench_row ~experiment:"fuzz"
-           [
-             ("app", S app);
-             ("repaired", B true);
-             ("runs", I r.Fuzz.runs);
-             ("failed", I r.Fuzz.failed_runs);
-             ("wall_s", F wall);
-           ]))
-    Harness.app_names;
-  if not !ok then failwith "fuzz: a repaired catalog app failed its oracle";
+  ignore
+    (fuzz_sweep ~experiment:"fuzz" ~pp:pp_fuzz_row
+       ~row:(fun app r wall ->
+         [
+           ("app", S app);
+           ("repaired", B true);
+           ("runs", I r.Fuzz.runs);
+           ("failed", I r.Fuzz.failed_runs);
+           ("wall_s", F wall);
+         ])
+       (fun app ->
+         Fuzz.campaign ~app ~repaired:true ~seed:1 ~runs
+           ~stop_on_failure:false ()));
   (* teeth: the fuzzer must find the paper's tournament anomaly in the
      causal baseline, shrink it, and replay it bit-identically *)
   let t0 = Unix.gettimeofday () in
@@ -1902,7 +1825,7 @@ let consistency ?(quick = false) () =
   let region_names = Array.of_list (List.map snd regions) in
   (* one pass per level over the byte-identical write stream *)
   let run_level (level : Config.read_level) =
-    let env = make_env ~seed:42 Causal in
+    let env = make_env Config.Local in
     let cfg = env.cfg in
     let shadow = Replica.create ~region:"shadow" "shadow" in
     shadow.Replica.peers <- List.map fst regions;
@@ -1913,24 +1836,10 @@ let consistency ?(quick = false) () =
       | None -> 0
     in
     let write rank : Config.op_exec =
-      {
-        Config.op_name = "w";
-        is_update = true;
-        reservations = [];
-        run =
-          (fun rep ->
-            let tx = Txn.begin_ rep in
-            let key = keys.(rank) in
-            let c = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-            Txn.update tx key
-              (Obj.Op_pncounter
-                 (Ipa_crdt.Pncounter.prepare c ~rep:rep.Replica.id 1));
-            match Txn.commit tx with
-            | Some b ->
-                Replica.receive shadow b;
-                Config.outcome (Some b)
-            | None -> Config.outcome None);
-      }
+      App_ops.mk "w" true [] (fun rep ->
+          let b = pn_incr rep [ keys.(rank) ] in
+          Option.iter (Replica.receive shadow) b;
+          Config.outcome b)
     in
     let z = Workload.zipf ~theta n_keys in
     (* probes: each carries its own observation cell, so overlapping
@@ -2173,31 +2082,22 @@ let consistency ?(quick = false) () =
   let fuzz_runs = if quick then 25 else 200 in
   let open Ipa_check in
   let fuzz_rows =
-    List.map
-      (fun app ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Fuzz.campaign ~app ~repaired:true ~seed:1 ~runs:fuzz_runs ~reads:12
-            ~stop_on_failure:false ()
-        in
-        let wall = Unix.gettimeofday () -. t0 in
+    fuzz_sweep ~experiment:"consistency"
+      ~pp:(fun app r wall ->
         pr "fuzz+reads %-12s %d/%d schedules passed (%.1fs)@." app
-          (r.Fuzz.runs - r.Fuzz.failed_runs)
-          r.Fuzz.runs wall;
-        if r.Fuzz.failed_runs > 0 then
-          failwith
-            (Fmt.str "consistency: %s failed %d read-oracle schedules" app
-               r.Fuzz.failed_runs);
-        bench_row ~experiment:"consistency"
-          [
-            ("phase", S "fuzz");
-            ("app", S app);
-            ("reads_per_schedule", I 12);
-            ("runs", I r.Fuzz.runs);
-            ("failed", I r.Fuzz.failed_runs);
-            ("wall_s", F wall);
-          ])
-      Harness.app_names
+          r.Fuzz.runs r.Fuzz.runs wall)
+      ~row:(fun app r wall ->
+        [
+          ("phase", S "fuzz");
+          ("app", S app);
+          ("reads_per_schedule", I 12);
+          ("runs", I r.Fuzz.runs);
+          ("failed", I r.Fuzz.failed_runs);
+          ("wall_s", F wall);
+        ])
+      (fun app ->
+        Fuzz.campaign ~app ~repaired:true ~seed:1 ~runs:fuzz_runs ~reads:12
+          ~stop_on_failure:false ())
   in
   write_bench_json ~quick ~file:"BENCH_CONSISTENCY.json" ~experiment:"consistency"
     [
@@ -2273,96 +2173,148 @@ let escrow ?(quick = false) () =
            (e.Workload.rank, region, restock))
          events)
   in
-  let run_system ~events ~(plan : (int * string * bool) array) (sysv : esys) =
-    let engine = Engine.create () in
-    let net = Net.create ~seed:11 () in
-    let cluster = Cluster.create regions in
-    let mode = if sysv = E_strong then Config.Strong else Config.Local in
-    let cfg =
-      Config.create ~sync_interval_ms:250.0 ~mode ~engine ~net ~cluster ()
-    in
-    let reps = Array.of_list cluster.Cluster.replicas in
-    let em = Metrics.create () in
-    (* steady-state accounting, same rule for every system: attempts
-       inside the warmup window (seed-pool stock-outs) don't count *)
-    let note_attempt a =
-      if Engine.now engine >= warmup then Metrics.record_escrow_attempt em a
-    in
-    let truth = Array.make n_keys 0 in
-    let oversold = ref 0 in
-    let horizon_ms =
-      List.fold_left
-        (fun acc (e : Workload.event) -> Float.max acc e.Workload.at_ms)
-        0.0 events
-    in
-    (* seed: value pool0 per key; Planned places rights by the demand
-       forecast (the plan's 0.7 home-market bias), the escrow baselines
-       hold everything at the warehouse *)
+  (* one transaction at [rep] applying [ops] to escrow counter [key] *)
+  let bc_commit (rep : Replica.t) key ops =
+    let tx = Txn.begin_ rep in
+    ignore (Txn.get tx key Obj.T_bcounter);
+    List.iter (fun op -> Txn.update tx key (Obj.Op_bcounter op)) ops;
+    Txn.commit tx
+  in
+  (* low hysteresis: transfers ride anti-entropy rounds already being
+     paid for, so topping a replica up early costs nothing and the
+     burst headroom prevents between-tick exhaustion *)
+  let policy =
+    { Escrow.default_policy with hysteresis = 0.02; min_batch = 1; slack = 4 }
+  in
+  (* One escrow deployment: the three DCs in [mode] with anti-entropy
+     every 250 ms, and [seed_key rep k key] committed at dc-east and
+     delivered everywhere for each key [k].  Every replica gets a
+     migration manager; when [planned], the planner's demand forecast
+     (0.8 of key [k]'s demand at [hot k], 0.1 elsewhere) primes each
+     manager's estimate, and the managers tick from the anti-entropy
+     rounds, so migrations ride rounds already being paid for.  Returns
+     the deployment, its replicas and its guarded op on [side]: covered
+     by units held locally or through Rights.fetch's blocking WAN round
+     trip, its attempt counted from [count_from] ms on and [committed]
+     run when it commits. *)
+  let deploy ~seed ~mode ~side ~planned ~hot ~count_from keys seed_key =
+    let env = make_env ~seed ~sync_interval_ms:250.0 mode in
+    let reps = Array.of_list env.cluster.Cluster.replicas in
     Array.iteri
       (fun k key ->
-        let tx = Txn.begin_ reps.(0) in
-        (match sysv with
-        | E_causal ->
-            let c = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-            Txn.update tx key
-              (Obj.Op_pncounter
-                 (Ipa_crdt.Pncounter.prepare c ~rep:reps.(0).Replica.id pool0))
-        | _ ->
-            let shares =
-              match sysv with
-              | E_planned ->
-                  let hot = rep_ids.(k mod 3) in
-                  let others =
-                    List.filter (fun r -> r <> hot) (Array.to_list rep_ids)
-                  in
-                  Ipa_core.Escrow_plan.apportion ~total:pool0
-                    ((hot, 0.7) :: List.map (fun r -> (r, 0.15)) others)
-              | _ -> [ (rep_ids.(0), pool0) ]
-            in
-            ignore (Txn.get tx key Obj.T_bcounter);
-            List.iter
-              (fun op -> Txn.update tx key (Obj.Op_bcounter op))
-              (Escrow.seed ~shares ~value:pool0 ()));
-        (match Txn.commit tx with
-        | Some b -> Cluster.broadcast_now cluster b
-        | None -> assert false);
-        truth.(k) <- pool0)
+        match seed_key reps.(0) k key with
+        | Some b -> Cluster.broadcast_now env.cluster b
+        | None -> assert false)
       keys;
-    (* planned: per-replica managers, ticked from the anti-entropy
-       piggyback so migrations ride rounds already being paid for *)
     let mgrs = Hashtbl.create 8 in
-    (* low hysteresis: transfers ride anti-entropy rounds already being
-       paid for, so topping a replica up early costs nothing and the
-       burst headroom prevents between-tick exhaustion *)
-    let policy =
-      { Escrow.default_policy with hysteresis = 0.02; min_batch = 1; slack = 4 }
-    in
     Array.iter
-      (fun r ->
+      (fun (r : Replica.t) ->
         let mgr = Escrow.create ~policy ~rep:r.Replica.id () in
-        (* the planner's per-key demand forecast primes the migration
-           EWMA — the same prediction that sized the seed shares *)
-        if sysv = E_planned then
+        if planned then
           Array.iteri
             (fun k key ->
-              let hot = rep_ids.(k mod 3) in
-              Escrow.forecast mgr ~key
+              Escrow.forecast mgr ~key ~headroom:(side = Rights.Headroom)
                 (List.map
-                   (fun rid -> (rid, if rid = hot then 0.8 else 0.1))
+                   (fun rid -> (rid, if rid = hot k then 0.8 else 0.1))
                    (Array.to_list rep_ids)))
             keys;
         Hashtbl.replace mgrs r.Replica.id mgr)
       reps;
-    if sysv = E_planned then
-      Escrow.piggyback cfg ~manager:(Hashtbl.find mgrs)
-        ~keys:(Array.to_list keys) em;
+    if planned then
+      Escrow.piggyback env.cfg ~manager:(Hashtbl.find mgrs)
+        ~keys:(Array.to_list keys);
+    let guarded name k ~committed =
+      App_ops.mk name true [] (fun rep ->
+          let key = keys.(k) in
+          let mgr = Hashtbl.find mgrs rep.Replica.id in
+          if planned then
+            if side = Rights.Rights then Escrow.note_dec mgr ~key 1
+            else Escrow.note_inc mgr ~key 1;
+          let f = Rights.fetch env.cluster side rep ~key in
+          if Engine.now env.engine >= count_from then
+            Metrics.record_escrow_attempt env.cfg.Config.metrics
+              f.Rights.attempt;
+          if f.Rights.batch <> None then committed ();
+          Escrow.outcome f)
+    in
+    (env, reps, guarded)
+  in
+  (* [rep]'s view [c] of escrow counter [key] must conserve rights *)
+  let audit name (rep : Replica.t) key c =
+    match Ipa_crdt.Bcounter.audit c with
+    | Some msg ->
+        failwith
+          (Fmt.str "escrow %s: conservation broke at %s/%s: %s" name
+             rep.Replica.id key msg)
+    | None -> ()
+  in
+  (* convergence + final conservation audit: every replica's view of
+     key [k] passes the audit and holds [truth k] *)
+  let check_final name reps keys truth =
+    Array.iteri
+      (fun k key ->
+        Array.iter
+          (fun (rep : Replica.t) ->
+            let v =
+              match Replica.peek rep key with
+              | None -> 0
+              | Some (Obj.O_pncounter c) -> Ipa_crdt.Pncounter.value c
+              | Some o ->
+                  let c = Obj.as_bcounter o in
+                  audit name rep key c;
+                  Ipa_crdt.Bcounter.quick_value c
+            in
+            if v <> truth k then
+              failwith
+                (Fmt.str "escrow %s: %s diverged at %s: sees %d, truth %d"
+                   name key rep.Replica.id v (truth k)))
+          reps)
+      keys
+  in
+  let run_system ~events ~(plan : (int * string * bool) array) (sysv : esys) =
+    let name = esys_name sysv in
+    let truth = Array.make n_keys pool0 in
+    let oversold = ref 0 in
+    (* seed: value pool0 per key; Planned places rights by the demand
+       forecast (the plan's 0.7 home-market bias), the escrow baselines
+       hold everything at the warehouse *)
+    let seed_key rep k key =
+      let escrow shares =
+        bc_commit rep key (Escrow.seed ~shares ~value:pool0 ())
+      in
+      match sysv with
+      | E_causal -> pn_incr ~n:pool0 rep [ key ]
+      | E_planned ->
+          let hot = rep_ids.(k mod 3) in
+          let others =
+            List.filter (fun r -> r <> hot) (Array.to_list rep_ids)
+          in
+          escrow
+            (Ipa_core.Escrow_plan.apportion ~total:pool0
+               ((hot, 0.7) :: List.map (fun r -> (r, 0.15)) others))
+      | E_strong | E_reactive -> escrow [ (rep_ids.(0), pool0) ]
+    in
+    (* steady-state accounting, same rule for every system: attempts
+       inside the warmup window (seed-pool stock-outs) don't count *)
+    let env, reps, guarded =
+      deploy ~seed:11
+        ~mode:(if sysv = E_strong then Config.Strong else Config.Local)
+        ~side:Rights.Rights ~planned:(sysv = E_planned)
+        ~hot:(fun k -> rep_ids.(k mod 3))
+        ~count_from:warmup keys seed_key
+    in
     (* conservation probes: audit every replica's causally consistent
        view of every counter twice per sync interval, all run long *)
     let audits = ref 0 in
     if sysv <> E_causal then begin
+      let horizon_ms =
+        List.fold_left
+          (fun acc (e : Workload.event) -> Float.max acc e.Workload.at_ms)
+          0.0 events
+      in
       let n_aud = int_of_float ((horizon_ms -. warmup) /. 500.0) in
       for i = 0 to n_aud - 1 do
-        Engine.schedule engine
+        Engine.schedule env.engine
           ~delay:(warmup +. (float_of_int i *. 500.0))
           (fun () ->
             Array.iter
@@ -2371,83 +2323,47 @@ let escrow ?(quick = false) () =
                   (fun key ->
                     match Replica.peek rep key with
                     | None -> ()
-                    | Some o -> (
+                    | Some o ->
                         Stdlib.incr audits;
-                        match Ipa_crdt.Bcounter.audit (Obj.as_bcounter o) with
-                        | Some msg ->
-                            failwith
-                              (Fmt.str
-                                 "escrow %s: conservation broke at %s/%s: %s"
-                                 (esys_name sysv) rep.Replica.id key msg)
-                        | None -> ()))
+                        audit name rep key (Obj.as_bcounter o))
                   keys)
               reps)
       done
     end;
-    (* the guarded decrement: covered locally or through Rights.fetch's
-       blocking WAN round-trip *)
-    let dec_op k : Config.op_exec =
-      {
-        Config.op_name = "buy";
-        is_update = true;
-        reservations = [];
-        run =
-          (fun rep ->
-            let key = keys.(k) in
-            if sysv = E_causal then begin
-              let tx = Txn.begin_ rep in
-              let c = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-              Txn.update tx key
-                (Obj.Op_pncounter
-                   (Ipa_crdt.Pncounter.prepare c ~rep:rep.Replica.id (-1)));
-              match Txn.commit tx with
-              | Some b ->
-                  truth.(k) <- truth.(k) - 1;
-                  if truth.(k) < 0 then begin
-                    Stdlib.incr oversold;
-                    Config.outcome ~violations:1 (Some b)
-                  end
-                  else Config.outcome (Some b)
-              | None -> Config.outcome None
-            end
-            else begin
-              if sysv = E_planned then
-                Escrow.note_dec (Hashtbl.find mgrs rep.Replica.id) ~key 1;
-              let f = Rights.fetch cluster Rights.Rights rep ~key in
-              note_attempt f.Rights.attempt;
-              if f.Rights.batch <> None then truth.(k) <- truth.(k) - 1;
-              Escrow.outcome f
-            end);
-      }
-    in
-    let restock_op k : Config.op_exec =
-      {
-        Config.op_name = "restock";
-        is_update = true;
-        reservations = [];
-        run =
-          (fun rep ->
-            let key = keys.(k) in
-            let tx = Txn.begin_ rep in
-            (match sysv with
-            | E_causal ->
-                let c = Obj.as_pncounter (Txn.get tx key Obj.T_pncounter) in
-                Txn.update tx key
-                  (Obj.Op_pncounter
-                     (Ipa_crdt.Pncounter.prepare c ~rep:rep.Replica.id
-                        restock_n))
-            | _ ->
-                let c = Obj.as_bcounter (Txn.get tx key Obj.T_bcounter) in
-                Txn.update tx key
-                  (Obj.Op_bcounter
-                     (Ipa_crdt.Bcounter.prepare_inc c ~rep:rep.Replica.id
-                        restock_n)));
-            match Txn.commit tx with
+    (* the decrement: guarded by escrow, except Causal's unguarded
+       PN-counter, which can oversell *)
+    let dec_op k =
+      if sysv <> E_causal then
+        guarded "buy" k ~committed:(fun () -> truth.(k) <- truth.(k) - 1)
+      else
+        App_ops.mk "buy" true [] (fun rep ->
+            match pn_incr ~n:(-1) rep [ keys.(k) ] with
             | Some b ->
-                truth.(k) <- truth.(k) + restock_n;
-                Config.outcome (Some b)
-            | None -> Config.outcome None);
-      }
+                truth.(k) <- truth.(k) - 1;
+                if truth.(k) < 0 then begin
+                  Stdlib.incr oversold;
+                  Config.outcome ~violations:1 (Some b)
+                end
+                else Config.outcome (Some b)
+            | None -> Config.outcome None)
+    in
+    let restock_op k =
+      App_ops.mk "restock" true [] (fun rep ->
+          let key = keys.(k) in
+          let b =
+            if sysv = E_causal then pn_incr ~n:restock_n rep [ key ]
+            else begin
+              let tx = Txn.begin_ rep in
+              let c = Obj.as_bcounter (Txn.get tx key Obj.T_bcounter) in
+              Txn.update tx key
+                (Obj.Op_bcounter
+                   (Ipa_crdt.Bcounter.prepare_inc c ~rep:rep.Replica.id
+                      restock_n));
+              Txn.commit tx
+            end
+          in
+          if Option.is_some b then truth.(k) <- truth.(k) + restock_n;
+          Config.outcome b)
     in
     let cursor = ref 0 in
     let op_of (_e : Workload.event) =
@@ -2455,47 +2371,10 @@ let escrow ?(quick = false) () =
       Stdlib.incr cursor;
       (rg, if restock then restock_op k else dec_op k)
     in
-    let m = Driver.run_stream ~warmup_ms:warmup cfg ~events ~op_of in
-    (* convergence + final conservation audit at every replica *)
-    Array.iteri
-      (fun k key ->
-        Array.iter
-          (fun rep ->
-            let v =
-              match Replica.peek rep key with
-              | None -> 0
-              | Some o ->
-                  if sysv = E_causal then
-                    Ipa_crdt.Pncounter.value (Obj.as_pncounter o)
-                  else begin
-                    let c = Obj.as_bcounter o in
-                    (match Ipa_crdt.Bcounter.audit c with
-                    | Some msg ->
-                        failwith
-                          (Fmt.str "escrow %s: final audit %s/%s: %s"
-                             (esys_name sysv) rep.Replica.id key msg)
-                    | None -> ());
-                    Ipa_crdt.Bcounter.quick_value c
-                  end
-            in
-            if v <> truth.(k) then
-              failwith
-                (Fmt.str "escrow %s: %s diverged at %s: sees %d, truth %d"
-                   (esys_name sysv) key rep.Replica.id v truth.(k)))
-          reps)
-      keys;
-    (* fold the op-path escrow accounting (a separate record: run_stream
-       builds its own Metrics.t) into the run's metrics *)
-    let e = m.Metrics.escrow and es = em.Metrics.escrow in
-    e.Metrics.blocking_misses <- es.Metrics.blocking_misses;
-    e.Metrics.stockouts <- es.Metrics.stockouts;
-    e.Metrics.piggyback_hits <- es.Metrics.piggyback_hits;
-    e.Metrics.rights_transfers <- es.Metrics.rights_transfers;
-    e.Metrics.rights_shipped <- es.Metrics.rights_shipped;
-    e.Metrics.migrations <- es.Metrics.migrations;
-    e.Metrics.migrated_rights <- es.Metrics.migrated_rights;
+    let m = Driver.run_stream ~warmup_ms:warmup env.cfg ~events ~op_of in
+    check_final name reps keys (Array.get truth);
     if sysv <> E_causal then
-      e.Metrics.rights_hist <-
+      m.Metrics.escrow.Metrics.rights_hist <-
         List.init (min 3 n_keys) (fun k ->
             ( keys.(k),
               match Replica.peek reps.(0) keys.(k) with
@@ -2572,7 +2451,10 @@ let escrow ?(quick = false) () =
     failwith
       (Fmt.str "escrow: planned p99 %.2fms not below Strong %.2fms"
          planned_p99 strong_p99);
-  (* --- closed loop: same comparison under client feedback --------- *)
+  (* --- closed loop: the same comparison over a think-time schedule -- *)
+  (* each client issues an exponential think time after its previous
+     issue, not its completion, and the stream is replayed open-loop:
+     the offered load does not react to latency *)
   let closed_rows =
     let cl_events =
       Workload.closed_loop
@@ -2621,15 +2503,6 @@ let escrow ?(quick = false) () =
      cap over every player — an Escrow_plan wildcard resource); demand
      is increments, and what migrates is headroom via Hmove *)
   let run_headroom planned =
-    let engine = Engine.create () in
-    let net = Net.create ~seed:23 () in
-    let cluster = Cluster.create regions in
-    let cfg =
-      Config.create ~sync_interval_ms:250.0 ~mode:Config.Local ~engine ~net
-        ~cluster ()
-    in
-    let reps = Array.of_list cluster.Cluster.replicas in
-    let em = Metrics.create () in
     let key = "enrolled*" in
     let hrate = if quick then 60.0 else 120.0 in
     let cap = int_of_float (hrate *. horizon /. 1000.0) + 200 in
@@ -2647,46 +2520,15 @@ let escrow ?(quick = false) () =
                (Array.to_list rep_ids))
       else [ (rep_ids.(0), cap) ]
     in
-    (let tx = Txn.begin_ reps.(0) in
-     ignore (Txn.get tx key Obj.T_bcounter);
-     List.iter
-       (fun op -> Txn.update tx key (Obj.Op_bcounter op))
-       (Escrow.seed ~shares:[ (rep_ids.(0), 0) ] ~value:0 ~cap ~hshares ());
-     match Txn.commit tx with
-     | Some b -> Cluster.broadcast_now cluster b
-     | None -> assert false);
-    let mgrs = Hashtbl.create 8 in
-    let policy =
-      { Escrow.default_policy with hysteresis = 0.02; min_batch = 1; slack = 4 }
-    in
-    Array.iter
-      (fun r ->
-        let mgr = Escrow.create ~policy ~rep:r.Replica.id () in
-        if planned then
-          Escrow.forecast mgr ~key ~headroom:true
-            (List.map
-               (fun rid -> (rid, if rid = hot then 0.8 else 0.1))
-               (Array.to_list rep_ids));
-        Hashtbl.replace mgrs r.Replica.id mgr)
-      reps;
-    if planned then
-      Escrow.piggyback cfg ~manager:(Hashtbl.find mgrs) ~keys:[ key ] em;
     let truth = ref 0 in
-    let enroll : Config.op_exec =
-      {
-        Config.op_name = "enroll";
-        is_update = true;
-        reservations = [];
-        run =
-          (fun rep ->
-            if planned then
-              Escrow.note_inc (Hashtbl.find mgrs rep.Replica.id) ~key 1;
-            let f = Rights.fetch cluster Rights.Headroom rep ~key in
-            Metrics.record_escrow_attempt em f.Rights.attempt;
-            if f.Rights.batch <> None then Stdlib.incr truth;
-            Escrow.outcome f);
-      }
+    let env, reps, guarded =
+      deploy ~seed:23 ~mode:Config.Local ~side:Rights.Headroom ~planned
+        ~hot:(fun _ -> hot) ~count_from:0.0 [| key |] (fun rep _ key ->
+          bc_commit rep key
+            (Escrow.seed ~shares:[ (rep_ids.(0), 0) ] ~value:0 ~cap ~hshares
+               ()))
     in
+    let enroll = guarded "enroll" 0 ~committed:(fun () -> Stdlib.incr truth) in
     let hz = Workload.zipf 1 in
     let events =
       Workload.open_loop
@@ -2708,27 +2550,9 @@ let escrow ?(quick = false) () =
       Stdlib.incr cursor;
       (rg, enroll)
     in
-    let m = Driver.run_stream ~warmup_ms:warmup cfg ~events ~op_of in
-    Array.iter
-      (fun rep ->
-        match Replica.peek rep key with
-        | None -> failwith "escrow: headroom counter missing"
-        | Some o ->
-            let c = Obj.as_bcounter o in
-            (match Ipa_crdt.Bcounter.audit c with
-            | Some msg ->
-                failwith
-                  (Fmt.str "escrow headroom: final audit %s: %s"
-                     rep.Replica.id msg)
-            | None -> ());
-            if Ipa_crdt.Bcounter.quick_value c <> !truth then
-              failwith
-                (Fmt.str "escrow headroom: %s sees %d, truth %d"
-                   rep.Replica.id
-                   (Ipa_crdt.Bcounter.quick_value c)
-                   !truth))
-      reps;
-    let es = em.Metrics.escrow in
+    let m = Driver.run_stream ~warmup_ms:warmup env.cfg ~events ~op_of in
+    check_final "headroom" reps [| key |] (fun _ -> !truth);
+    let es = m.Metrics.escrow in
     ( es.Metrics.blocking_misses,
       es.Metrics.piggyback_hits,
       es.Metrics.migrated_rights,
@@ -2793,31 +2617,22 @@ let escrow ?(quick = false) () =
   let fuzz_runs = if quick then 25 else 200 in
   let open Ipa_check in
   let fuzz_rows =
-    List.map
-      (fun app ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Fuzz.campaign ~app ~repaired:true ~seed:3 ~runs:fuzz_runs
-            ~escrow_skew:10 ~stop_on_failure:false ()
-        in
-        let wall = Unix.gettimeofday () -. t0 in
+    fuzz_sweep ~experiment:"escrow"
+      ~pp:(fun app r wall ->
         pr "fuzz+escrow %-12s %d/%d schedules conserve rights (%.1fs)@." app
-          (r.Fuzz.runs - r.Fuzz.failed_runs)
-          r.Fuzz.runs wall;
-        if r.Fuzz.failed_runs > 0 then
-          failwith
-            (Fmt.str "escrow: %s failed %d demand-skewed schedules" app
-               r.Fuzz.failed_runs);
-        bench_row ~experiment:"escrow"
-          [
-            ("phase", S "fuzz");
-            ("app", S app);
-            ("escrow_skew", I 10);
-            ("runs", I r.Fuzz.runs);
-            ("failed", I r.Fuzz.failed_runs);
-            ("wall_s", F wall);
-          ])
-      Harness.app_names
+          r.Fuzz.runs r.Fuzz.runs wall)
+      ~row:(fun app r wall ->
+        [
+          ("phase", S "fuzz");
+          ("app", S app);
+          ("escrow_skew", I 10);
+          ("runs", I r.Fuzz.runs);
+          ("failed", I r.Fuzz.failed_runs);
+          ("wall_s", F wall);
+        ])
+      (fun app ->
+        Fuzz.campaign ~app ~repaired:true ~seed:3 ~runs:fuzz_runs
+          ~escrow_skew:10 ~stop_on_failure:false ())
   in
   write_bench_json ~quick ~file:"BENCH_ESCROW.json" ~experiment:"escrow"
     [

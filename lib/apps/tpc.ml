@@ -18,11 +18,13 @@ open App_ops
 
 type variant = Causal | Ipa
 
-type t = { variant : variant; initial_stock : int; restock_amount : int }
+type t = { variant : variant; initial_stock : int }
 
-let create ?(initial_stock = 50) ?(restock_amount = 20) (variant : variant) : t
-    =
-  { variant; initial_stock; restock_amount }
+let create ?(initial_stock = 50) (variant : variant) : t =
+  { variant; initial_stock }
+
+(* units a compensating restock adds back to an oversold item *)
+let restock_amount = 20
 
 let k_items = "items"
 let k_orders = "orders"
@@ -130,7 +132,7 @@ let check_stock (app : t) (item : string) : Config.op_exec =
           let _v, comp_ops, violations = Compcounter.read c ~rep:rep.Replica.id in
           List.iter (fun op -> Txn.update tx key (Obj.Op_compcounter op)) comp_ops;
           (* the restock itself *)
-          if violations > 0 then stock_delta app tx key app.restock_amount;
+          if violations > 0 then stock_delta app tx key restock_amount;
           Config.outcome ~violations ~extra_work:1 (Txn.commit tx))
 
 (** Dangling order lines + stock under-runs visible at a replica. *)

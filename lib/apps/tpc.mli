@@ -12,7 +12,7 @@ type variant = Causal | Ipa
 
 type t
 
-val create : ?initial_stock:int -> ?restock_amount:int -> variant -> t
+val create : ?initial_stock:int -> variant -> t
 
 val add_item : t -> string -> Config.op_exec
 val rem_item : t -> string -> Config.op_exec

@@ -40,7 +40,7 @@ let counterexample_of (env : Oracle.env) (tr : Trace.t)
   { trace = shrunk; failures = outcome.Oracle.failures; outcome }
 
 (** Run a campaign.  [stop_on_failure] (default true) stops at the
-    first counterexample; [on_run] is a per-trace progress hook.
+    first counterexample.
 
     [jobs > 1] shards the run range across a domain pool.  Each worker
     owns a private harness/cluster environment (the substrate is not
@@ -49,13 +49,11 @@ let counterexample_of (env : Oracle.env) (tr : Trace.t)
     the sharding cannot change any outcome.  The sequential early-stop
     semantics are reconstructed exactly: the report covers the prefix up
     to and including the earliest failing run index (later speculative
-    runs are discarded), the counterexample is shrunk for that earliest
-    failure on the caller's environment, and [on_run] fires on the
-    caller, in run order, for exactly the reported prefix. *)
+    runs are discarded) and the counterexample is shrunk for that
+    earliest failure on the caller's environment. *)
 let campaign ~(app : string) ~(repaired : bool) ~(seed : int) ~(runs : int)
     ?(n_ops = 40) ?(crashes = 0) ?(reads = 0) ?(escrow_skew = 0)
-    ?(stop_on_failure = true)
-    ?(on_run = fun (_ : int) (_ : Oracle.outcome) -> ()) ?jobs () : report =
+    ?(stop_on_failure = true) ?jobs () : report =
   let jobs =
     match jobs with
     | Some j -> max 1 (min Ipa_par.Pool.cap j)
@@ -74,7 +72,6 @@ let campaign ~(app : string) ~(repaired : bool) ~(seed : int) ~(runs : int)
          in
          let o = Oracle.run env tr in
          incr executed;
-         on_run (seed + i) o;
          if o.Oracle.failures <> [] then begin
            incr failed;
            failed_seeds := (seed + i) :: !failed_seeds;
@@ -122,9 +119,6 @@ let campaign ~(app : string) ~(repaired : bool) ~(seed : int) ~(runs : int)
       | m :: _ when stop_on_failure -> m + 1
       | _ -> runs
     in
-    for i = 0 to executed - 1 do
-      on_run (seed + i) outcomes.(i)
-    done;
     let failing_ix = List.filter (fun i -> i < executed) failing_ix in
     let first =
       match failing_ix with

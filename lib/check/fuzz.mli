@@ -45,7 +45,6 @@ val campaign :
   ?reads:int ->
   ?escrow_skew:int ->
   ?stop_on_failure:bool ->
-  ?on_run:(int -> Oracle.outcome -> unit) ->
   ?jobs:int ->
   unit ->
   report

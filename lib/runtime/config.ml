@@ -116,9 +116,10 @@ type t = {
   sync : Sync.t option;  (** anti-entropy, when enabled *)
   sent_at : (string * int, float) Hashtbl.t;
       (** batch key → commit time, for visibility-latency measurement *)
-  mutable vis_samples : float list;
-      (** visibility latencies: commit at origin → apply at a remote
-          replica *)
+  metrics : Metrics.t;
+      (** the run's measurements: every remote apply's visibility
+          latency lands here as it happens; {!Driver} adds the
+          operations' latencies and the delivery counters *)
   history : Read.history;
       (** every committed batch's after-clock, timestamped — what
           {!bound_clock} resolves staleness budgets against *)
@@ -131,13 +132,10 @@ let server_threads = 8
 let reservation_rtt_overhead = 1.0
 
 let create ?(service_base = 1.0) ?(service_per_update = 0.05)
-    ?(service_per_object = 0.3) ?(sync_interval_ms = 0.0)
-    ?sync_base_backoff_ms ~(mode : mode) ~(engine : Engine.t) ~(net : Net.t)
-    ~(cluster : Cluster.t) () : t =
+    ?(service_per_object = 0.3) ?(sync_interval_ms = 0.0) ~(mode : mode)
+    ~(engine : Engine.t) ~(net : Net.t) ~(cluster : Cluster.t) () : t =
   let sync =
-    if sync_interval_ms > 0.0 then
-      Some (Sync.create ?base_backoff_ms:sync_base_backoff_ms cluster)
-    else None
+    if sync_interval_ms > 0.0 then Some (Sync.create cluster) else None
   in
   let cfg =
     {
@@ -152,7 +150,7 @@ let create ?(service_base = 1.0) ?(service_per_update = 0.05)
       down_until = Hashtbl.create 4;
       sync;
       sent_at = Hashtbl.create 1024;
-      vis_samples = [];
+      metrics = Metrics.create ();
       history = Read.history ();
     }
   in
@@ -166,7 +164,7 @@ let create ?(service_base = 1.0) ?(service_per_update = 0.05)
             Hashtbl.find_opt cfg.sent_at (b.Replica.b_origin, b.Replica.b_seq)
           with
           | Some t0 ->
-              cfg.vis_samples <- (Engine.now engine -. t0) :: cfg.vis_samples
+              Metrics.record_visibility cfg.metrics (Engine.now engine -. t0)
           | None -> ()))
     cluster.Cluster.replicas;
   (* anti-entropy: a recurring round whose retransmissions travel the
@@ -481,31 +479,3 @@ let execute_read (cfg : t) ~(client_region : string) ~(level : read_level)
               let lat = hop +. barrier +. svc in
               Engine.schedule cfg.engine ~delay:(hop +. svc) (fun () ->
                   complete lat o)))
-
-(* ------------------------------------------------------------------ *)
-(* Delivery observability                                              *)
-(* ------------------------------------------------------------------ *)
-
-(** Fold the replication-layer delivery statistics (network counters,
-    anti-entropy retransmissions, per-replica duplicate suppression and
-    pending-buffer high-water marks, visibility-latency samples) into a
-    metrics record — called by {!Driver.run} after the workload ends. *)
-let collect_delivery (cfg : t) (m : Metrics.t) : unit =
-  let d = m.Metrics.delivery in
-  let ns = Net.stats cfg.net in
-  d.Metrics.batches_sent <- d.Metrics.batches_sent + ns.Net.sent;
-  d.Metrics.batches_dropped <- d.Metrics.batches_dropped + ns.Net.dropped;
-  d.Metrics.batches_duplicated <-
-    d.Metrics.batches_duplicated + ns.Net.duplicated;
-  (match cfg.sync with
-  | Some s ->
-      d.Metrics.batches_retransmitted <-
-        d.Metrics.batches_retransmitted + s.Sync.retransmitted
-  | None -> ());
-  List.iter
-    (fun (r : Replica.t) ->
-      d.Metrics.duplicates_suppressed <-
-        d.Metrics.duplicates_suppressed + r.Replica.duplicates_dropped;
-      d.Metrics.pending_hwm <- max d.Metrics.pending_hwm r.Replica.pending_hwm)
-    cfg.cluster.Cluster.replicas;
-  List.iter (Metrics.record_visibility m) cfg.vis_samples

@@ -85,8 +85,10 @@ type t = {
   down_until : (string, float) Hashtbl.t;
   sync : Sync.t option;  (** anti-entropy, when enabled *)
   sent_at : (string * int, float) Hashtbl.t;
-  mutable vis_samples : float list;
-      (** visibility latencies: commit at origin → remote apply *)
+  metrics : Metrics.t;
+      (** the run's measurements: visibility latencies (commit at
+          origin → remote apply) are recorded as they happen, and
+          {!Driver} adds op latencies and delivery counters *)
   history : Read.history;  (** timestamped committed clocks *)
 }
 
@@ -99,7 +101,6 @@ val create :
   ?service_per_update:float ->
   ?service_per_object:float ->
   ?sync_interval_ms:float ->
-  ?sync_base_backoff_ms:float ->
   mode:mode ->
   engine:Engine.t ->
   net:Net.t ->
@@ -143,8 +144,3 @@ val execute_read :
   op_exec ->
   complete:(float -> outcome -> unit) ->
   unit
-
-(** Fold the replication-layer delivery statistics (network counters,
-    retransmissions, duplicate suppression, pending high-water marks,
-    visibility latencies) into a metrics record. *)
-val collect_delivery : t -> Metrics.t -> unit

@@ -20,9 +20,10 @@ type workload = {
 
 (* Run [op] for a client in [region] through {!Config.execute} and, if
    [in_window] holds at completion, record its latency and violations
-   (or its failure) in [m]; [k] then sees the outcome. *)
-let dispatch (cfg : Config.t) (m : Metrics.t) ~in_window ~region
-    (op : Config.op_exec) (k : Config.outcome -> unit) : unit =
+   (or its failure) in the run's metrics; [k] then sees the outcome. *)
+let dispatch (cfg : Config.t) ~in_window ~region (op : Config.op_exec)
+    (k : Config.outcome -> unit) : unit =
+  let m = cfg.Config.metrics in
   Config.execute cfg ~client_region:region op ~complete:(fun lat outcome ->
       if in_window (Engine.now cfg.Config.engine) then
         if outcome.Config.unavailable then Metrics.record_failure m
@@ -32,10 +33,33 @@ let dispatch (cfg : Config.t) (m : Metrics.t) ~in_window ~region
         end;
       k outcome)
 
-(** Run a workload against a configuration; returns the metrics of the
-    measured window. *)
+(* Copy the deployment's cumulative delivery counters (network,
+   anti-entropy retransmissions, duplicate suppression, pending-buffer
+   high-water marks) into the run's metrics once the run has settled,
+   and return them. *)
+let finish (cfg : Config.t) : Metrics.t =
+  let m = cfg.Config.metrics in
+  let d = m.Metrics.delivery in
+  let ns = Net.stats cfg.Config.net in
+  let reps = cfg.Config.cluster.Ipa_store.Cluster.replicas in
+  let over f = List.fold_left f 0 reps in
+  d.Metrics.batches_sent <- ns.Net.sent;
+  d.Metrics.batches_dropped <- ns.Net.dropped;
+  d.Metrics.batches_duplicated <- ns.Net.duplicated;
+  Option.iter
+    (fun s ->
+      d.Metrics.batches_retransmitted <- s.Ipa_store.Sync.retransmitted)
+    cfg.Config.sync;
+  d.Metrics.duplicates_suppressed <-
+    over (fun acc r -> acc + r.Ipa_store.Replica.duplicates_dropped);
+  d.Metrics.pending_hwm <-
+    over (fun acc r -> max acc r.Ipa_store.Replica.pending_hwm);
+  m
+
+(** Run a workload against a configuration; returns the configuration's
+    metrics, windowed to the measured interval. *)
 let run ?(seed = 42) (cfg : Config.t) (w : workload) : Metrics.t =
-  let m = Metrics.create () in
+  let m = cfg.Config.metrics in
   let engine = cfg.Config.engine in
   m.Metrics.started_at <- w.warmup_ms;
   m.Metrics.finished_at <- w.warmup_ms +. w.duration_ms;
@@ -58,7 +82,7 @@ let run ?(seed = 42) (cfg : Config.t) (w : workload) : Metrics.t =
         let rec loop () =
           if Engine.now engine < t_end then begin
             let op = w.next_op rng ~region in
-            dispatch cfg m
+            dispatch cfg
               ~in_window:(fun t -> t >= w.warmup_ms && t <= t_end)
               ~region op (fun outcome ->
                 (* an unavailable op retries after a back-off *)
@@ -80,17 +104,16 @@ let run ?(seed = 42) (cfg : Config.t) (w : workload) : Metrics.t =
      settles (with faults enabled this window also lets anti-entropy
      close any remaining delivery gaps) *)
   Engine.run_until engine (t_end +. 10_000.0);
-  Config.collect_delivery cfg m;
-  m
+  finish cfg
 
 (** Drive a precomputed {!Ipa_sim.Workload} event stream (open-loop
     Poisson arrivals or closed-loop think-time schedules, typically
     Zipfian over keys) through a configuration.  [op_of] maps each
     event to the issuing client's region and the operation to execute;
-    per-event latencies land in the returned metrics (events completing
-    before [warmup_ms] are discarded), and the engine runs [settle_ms]
-    past the last arrival so replication settles before delivery
-    statistics are collected.
+    per-event latencies land in the configuration's metrics, which it
+    returns (events completing before [warmup_ms] are discarded), and
+    the engine runs [settle_ms] past the last arrival so replication
+    settles before delivery statistics are collected.
 
     This is the open-loop complement of {!run}: arrival times come from
     the stream, not from client loops, so offered load stays fixed no
@@ -99,7 +122,7 @@ let run ?(seed = 42) (cfg : Config.t) (w : workload) : Metrics.t =
 let run_stream ?(warmup_ms = 0.0) ?(settle_ms = 10_000.0) (cfg : Config.t)
     ~(events : Workload.event list)
     ~(op_of : Workload.event -> string * Config.op_exec) : Metrics.t =
-  let m = Metrics.create () in
+  let m = cfg.Config.metrics in
   let engine = cfg.Config.engine in
   let horizon =
     List.fold_left
@@ -112,9 +135,8 @@ let run_stream ?(warmup_ms = 0.0) ?(settle_ms = 10_000.0) (cfg : Config.t)
     (fun (e : Workload.event) ->
       Engine.schedule engine ~delay:e.Workload.at_ms (fun () ->
           let region, op = op_of e in
-          dispatch cfg m ~in_window:(fun t -> t >= warmup_ms) ~region op
+          dispatch cfg ~in_window:(fun t -> t >= warmup_ms) ~region op
             ignore))
     events;
   Engine.run_until engine (horizon +. settle_ms);
-  Config.collect_delivery cfg m;
-  m
+  finish cfg

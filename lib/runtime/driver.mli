@@ -14,9 +14,10 @@ type workload = {
   next_op : Rng.t -> region:string -> Config.op_exec;
 }
 
-(** Run a workload through {!Config.execute}; returns the metrics of
-    the measured window (the engine runs 10 s past the end so
-    replication settles). *)
+(** Run a workload through {!Config.execute}; returns the
+    configuration's metrics ({!Config.t.metrics}), windowed to the
+    measured interval, once the engine has run 10 s past the end so
+    replication settles. *)
 val run :
   ?seed:int ->
   Config.t ->
@@ -28,7 +29,8 @@ val run :
     keys) through a configuration: [op_of] maps each event to the
     issuing client's region and operation; completions before
     [warmup_ms] are discarded; the engine runs [settle_ms] (default
-    10 s) past the last arrival before delivery stats are collected.
+    10 s) past the last arrival before delivery stats are collected
+    and the configuration's metrics are returned.
     Open-loop complement of {!run}: offered load is fixed by the
     stream, not by client feedback. *)
 val run_stream :

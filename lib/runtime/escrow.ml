@@ -354,7 +354,7 @@ let outcome (f : Rights.fetched) : Config.outcome =
 (** Tick every replica's manager for every key at each anti-entropy
     round, committing the resulting ops as a ["migrate"] operation. *)
 let piggyback (cfg : Config.t) ~(manager : string -> t) ~(keys : string list)
-    (metrics : Ipa_sim.Metrics.t) : unit =
+    : unit =
   let sync =
     match cfg.Config.sync with
     | Some s -> s
@@ -370,7 +370,8 @@ let piggyback (cfg : Config.t) ~(manager : string -> t) ~(keys : string list)
           List.iter
             (function
               | Bcounter.Transfer { n; _ } | Bcounter.Hmove { n; _ } ->
-                  Ipa_sim.Metrics.record_escrow_migration metrics ~rights:n
+                  Ipa_sim.Metrics.record_escrow_migration cfg.Config.metrics
+                    ~rights:n
               | _ -> ())
             ops;
           Config.outcome (Some b)

@@ -105,11 +105,8 @@ val outcome : Ipa_store.Rights.fetched -> Config.outcome
     ([manager] by replica id) ticks each of [keys] against that
     replica's view, and non-empty results commit there as a ["migrate"]
     operation through {!Config.execute}, recording each [Transfer] /
-    [Hmove] with {!Ipa_sim.Metrics.record_escrow_migration}.  Raises
+    [Hmove] in the configuration's metrics with
+    {!Ipa_sim.Metrics.record_escrow_migration}.  Raises
     [Invalid_argument] when anti-entropy is off. *)
 val piggyback :
-  Config.t ->
-  manager:(string -> t) ->
-  keys:string list ->
-  Ipa_sim.Metrics.t ->
-  unit
+  Config.t -> manager:(string -> t) -> keys:string list -> unit

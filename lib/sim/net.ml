@@ -51,8 +51,6 @@ type stats = {
 }
 
 type t = {
-  rtts : ((string * string) * float) list;  (** mean RTT in ms *)
-  lan_rtt : float;
   jitter : float;  (** relative, e.g. 0.1 = ±10% *)
   rng : Rng.t;
   plan : plan;
@@ -69,11 +67,12 @@ let paper_rtts =
     (("us-west", "eu-west"), 160.0);
   ]
 
-let create ?(rtts = paper_rtts) ?(lan_rtt = 0.5) ?(jitter = 0.1)
-    ?(plan = no_faults) ?(phases = []) ~(seed : int) () : t =
+(* client ↔ co-located server round trip (ms) *)
+let lan_rtt = 0.5
+
+let create ?(jitter = 0.1) ?(plan = no_faults) ?(phases = [])
+    ~(seed : int) () : t =
   {
-    rtts;
-    lan_rtt;
     jitter;
     rng = Rng.create seed;
     plan;
@@ -92,12 +91,11 @@ let faults_at (n : t) ~(now : float) : faults =
 
 let stats (n : t) : stats = n.stats
 
-let mean_rtt (n : t) (a : string) (b : string) : float =
-  if a = b then n.lan_rtt
+let mean_rtt (_ : t) (a : string) (b : string) : float =
+  if a = b then lan_rtt
   else
     match
-      ( List.assoc_opt (a, b) n.rtts,
-        List.assoc_opt (b, a) n.rtts )
+      (List.assoc_opt (a, b) paper_rtts, List.assoc_opt (b, a) paper_rtts)
     with
     | Some r, _ | _, Some r -> r
     | None, None -> invalid_arg (Fmt.str "Net: no RTT between %s and %s" a b)

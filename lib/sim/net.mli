@@ -44,8 +44,6 @@ val paper_regions : string list
 val paper_rtts : ((string * string) * float) list
 
 val create :
-  ?rtts:((string * string) * float) list ->
-  ?lan_rtt:float ->
   ?jitter:float ->
   ?plan:plan ->
   ?phases:phase list ->

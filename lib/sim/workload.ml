@@ -17,8 +17,10 @@
       arrivals are independent of completions, the usual model for
       aggregate external demand.
     - {b closed loop}: a fixed population of clients, each issuing its
-      next request a think time after the previous one — throughput is
-      bounded by [clients / think], the usual model for sessions.
+      next request a think time after the previous one's issue (not its
+      completion: the schedule is precomputed, so replaying it does not
+      slow the clients down when the system does) — the offered rate is
+      about [clients / think].
 
     Every event carries the issuing client and the sampled key {e rank}
     (0 = most popular); mapping ranks to key names is the caller's

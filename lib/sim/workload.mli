@@ -8,7 +8,9 @@
     fast as small ones.  Arrival generators model the two canonical load
     shapes: {e open loop} (Poisson arrivals at a fixed offered rate,
     independent of completions) and {e closed loop} (a fixed client
-    population, each pausing a think time between requests). *)
+    population, each issuing its next request a think time after its
+    previous issue).  Both are precomputed schedules: neither reacts to
+    how long a request takes to complete. *)
 
 (** A prepared Zipfian distribution over ranks [0 .. n-1]
     (0 = most popular). *)
@@ -40,9 +42,13 @@ val open_loop :
   event list
 
 (** [clients] independent sessions, each issuing its next request an
-    exponential think time (mean [think_ms]) after the previous one,
-    until [horizon_ms].  Per-client streams are {!Rng.split} forks, so
-    adding a client never perturbs the others.  Time-ordered. *)
+    exponential think time (mean [think_ms]) after the previous one was
+    {e issued}, until [horizon_ms].  Arrivals never wait for
+    completions: replayed through [Driver.run_stream], the schedule is
+    open-loop with a think-time arrival pattern, offering about
+    [clients / think_ms] requests per ms whatever the latency.
+    Per-client streams are {!Rng.split} forks, so adding a client never
+    perturbs the others.  Time-ordered. *)
 val closed_loop :
   rng:Rng.t ->
   clients:int ->

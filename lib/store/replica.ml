@@ -168,10 +168,10 @@ type t = {
 
 let default_shards = 8
 
-(** Default sub-buckets per shard (the digest tree's third level). *)
-let default_subs = 32
+(* sub-buckets per shard (the digest tree's third level) *)
+let subs = 32
 
-let make_shard ~(subs : int) () : shard =
+let make_shard () : shard =
   {
     sh_data = Hashtbl.create 64;
     sh_types = Hashtbl.create 64;
@@ -185,17 +185,15 @@ let make_shard ~(subs : int) () : shard =
     sh_sub_entries = Array.make subs 0;
   }
 
-let create ?(region = "local") ?(shards = default_shards)
-    ?(subs = default_subs) (id : string) : t =
+let create ?(region = "local") ?(shards = default_shards) (id : string) : t =
   let shards = max 1 shards in
-  let subs = max 1 subs in
   {
     id;
     region;
     vv = Vclock.empty;
     seq = 0;
     lamport = 0;
-    shards = Array.init shards (fun _ -> make_shard ~subs ());
+    shards = Array.init shards (fun _ -> make_shard ());
     pending = Hashtbl.create 8;
     pending_n = 0;
     pending_hwm = 0;
@@ -216,8 +214,8 @@ let create ?(region = "local") ?(shards = default_shards)
 
 let shard_count (r : t) : int = Array.length r.shards
 
-(** Sub-buckets per shard (≥ 1, fixed at creation). *)
-let sub_count (r : t) : int = Array.length r.shards.(0).sh_sub_xor
+(** Sub-buckets per shard. *)
+let sub_count (_ : t) : int = subs
 
 (* route an interned key id to its shard: a multiplicative mix spreads
    the dense sequential ids the interner hands out, so consecutive keys

@@ -124,15 +124,12 @@ type t = {
 (** Default keyspace partition count when [?shards] is omitted. *)
 val default_shards : int
 
-(** Default sub-buckets per shard when [?subs] is omitted. *)
-val default_subs : int
-
-val create : ?region:string -> ?shards:int -> ?subs:int -> string -> t
+val create : ?region:string -> ?shards:int -> string -> t
 
 (** Number of keyspace partitions (≥ 1, fixed at creation). *)
 val shard_count : t -> int
 
-(** Sub-buckets per shard (≥ 1, fixed at creation). *)
+(** Sub-buckets per shard (32, the same at every replica). *)
 val sub_count : t -> int
 
 (** The shard a key routes to — a pure function of the key and the

@@ -790,6 +790,73 @@ let test_fetch_catches_up_from_peer () =
   Alcotest.(check int) "nothing buffered at r1" 0
     (Replica.pending_count r1)
 
+(* the piggyback path through a whole run: every right starts at dc-east
+   while all demand comes from us-west, and the managers tick from the
+   anti-entropy rounds of a [Driver.run_stream] run *)
+let test_escrow_piggyback_run () =
+  let _, cfg, cluster = Testutil.make_faulty ~seed:1 Net.no_faults in
+  let east = Cluster.replica cluster "dc-east" in
+  let tx = Txn.begin_ east in
+  ignore (Txn.get tx "k" Obj.T_bcounter);
+  List.iter
+    (fun op -> Txn.update tx "k" (Obj.Op_bcounter op))
+    (Escrow.seed ~shares:[ ("dc-east", 60) ] ~value:60 ());
+  Cluster.broadcast_now cluster (Option.get (Txn.commit tx));
+  let mgrs = Hashtbl.create 3 in
+  List.iter
+    (fun (r : Replica.t) ->
+      Hashtbl.replace mgrs r.Replica.id (Escrow.create ~rep:r.Replica.id ()))
+    cluster.Cluster.replicas;
+  Escrow.piggyback cfg ~manager:(Hashtbl.find mgrs) ~keys:[ "k" ];
+  (* a buyer notes its demand and spends a unit only if its replica
+     holds one: no reactive fetch, so every Transfer is a migration *)
+  let buy : Config.op_exec =
+    {
+      Config.op_name = "buy";
+      is_update = true;
+      reservations = [];
+      run =
+        (fun rep ->
+          Escrow.note_dec (Hashtbl.find mgrs rep.Replica.id) ~key:"k" 1;
+          let tx = Txn.begin_ rep in
+          let c = Obj.as_bcounter (Txn.get tx "k" Obj.T_bcounter) in
+          if Bcounter.local_rights c rep.Replica.id > 0 then
+            Txn.update tx "k"
+              (Obj.Op_bcounter (Bcounter.prepare_dec c ~rep:rep.Replica.id 1));
+          Config.outcome (Txn.commit tx));
+    }
+  in
+  let events =
+    Workload.open_loop ~rng:(Rng.create 7) ~rate_per_s:20.0
+      ~horizon_ms:4_000.0 (Workload.zipf 1)
+  in
+  let m = Driver.run_stream cfg ~events ~op_of:(fun _ -> ("us-west", buy)) in
+  let e = m.Metrics.escrow in
+  Alcotest.(check bool) "migrations counted" true (e.Metrics.migrations > 0);
+  let transferred =
+    List.fold_left
+      (fun acc (r : Replica.t) ->
+        Replica.log_after r ~origin:r.Replica.id ~known:0
+        |> List.concat_map (fun (b : Replica.batch) -> b.Replica.b_updates)
+        |> List.fold_left
+             (fun acc -> function
+               | _, Obj.Op_bcounter (Bcounter.Transfer { n; _ }) -> acc + n
+               | _ -> acc)
+             acc)
+      0 cluster.Cluster.replicas
+  in
+  Alcotest.(check int) "migrated rights = committed Transfer units"
+    transferred e.Metrics.migrated_rights;
+  let view r = Obj.as_bcounter (Option.get (Replica.peek r "k")) in
+  Alcotest.(check bool) "us-west sold migrated units" true
+    (Bcounter.quick_value (view east) < 60);
+  List.iter
+    (fun (r : Replica.t) ->
+      Alcotest.(check (option string))
+        (r.Replica.id ^ " audit clean") None
+        (Bcounter.audit (view r)))
+    cluster.Cluster.replicas
+
 (* ------------------------------------------------------------------ *)
 (* Consistency-typed reads                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1064,6 +1131,8 @@ let () =
             test_fetch_headroom;
           Alcotest.test_case "fetch: grant from a peer with batches in flight"
             `Quick test_fetch_catches_up_from_peer;
+          Alcotest.test_case "piggyback: migrations counted in the run"
+            `Quick test_escrow_piggyback_run;
         ] );
       ( "reads",
         [

@@ -127,16 +127,16 @@ let make (mode : Config.mode) : Engine.t * Config.t * Cluster.t =
   let cfg = Config.create ~mode ~engine ~net ~cluster () in
   (engine, cfg, cluster)
 
-(** Same, but with a fault plan on the wire and anti-entropy tuned for
-    short test runs. *)
+(** Same, but with a fault plan on the wire and anti-entropy every
+    250 ms. *)
 let make_faulty ~(seed : int) (plan : Net.plan) :
     Engine.t * Config.t * Cluster.t =
   let engine = Engine.create () in
   let net = Net.create ~jitter:0.0 ~plan ~seed () in
   let cluster = Cluster.create regions in
   let cfg =
-    Config.create ~sync_interval_ms:250.0 ~sync_base_backoff_ms:300.0
-      ~mode:Config.Local ~engine ~net ~cluster ()
+    Config.create ~sync_interval_ms:250.0 ~mode:Config.Local ~engine ~net
+      ~cluster ()
   in
   (engine, cfg, cluster)
 

@@ -129,23 +129,6 @@ let add_tickets (app : t) (e : string) (n : int) : Config.op_exec =
       avail_delta app tx (k_avail e) n;
       Config.outcome (Txn.commit tx))
 
-(** Number of events whose availability invariant is violated in the
-    state visible at a replica.  For IPA the {e observable} value is the
-    compensated one, so a user never sees a violation (reads repair);
-    for Causal the raw negative value is what a user reads. *)
-let count_violations (app : t) (rep : Replica.t) (events : string list) : int =
-  ignore app;
-  List.fold_left
-    (fun acc e ->
-      match Replica.peek rep (k_avail e) with
-      | Some (Obj.O_pncounter c) -> if Pncounter.value c < 0 then acc + 1 else acc
-      | Some (Obj.O_bcounter c) -> if Bcounter.value c < 0 then acc + 1 else acc
-      | Some (Obj.O_compcounter _) ->
-          (* reads run the compensation: the observed value is clamped *)
-          acc
-      | _ -> acc)
-    0 events
-
 (** Total oversold tickets in the state a user observes at [rep]: the
     sum of negative availabilities.  For IPA the observable state is the
     read-repaired one (never negative); for Causal the anomaly is

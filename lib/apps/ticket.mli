@@ -20,9 +20,6 @@ val buy_ticket : t -> string -> Config.op_exec
 val read_event : t -> string -> Config.op_exec
 val add_tickets : t -> string -> int -> Config.op_exec
 
-(** Events whose invariant is violated in the state a user observes. *)
-val count_violations : t -> Replica.t -> string list -> int
-
 (** Total oversold tickets a user can observe. *)
 val oversell_depth : t -> Replica.t -> string list -> int
 

@@ -292,73 +292,6 @@ let status (app : t) (tname : string) : Config.op_exec =
       Config.outcome ~violations ~extra_work (Txn.commit tx))
 
 (* ------------------------------------------------------------------ *)
-(* Invariant checking (over a replica's full state)                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Count invariant-violation instances visible at a replica: dangling
-    enrollments/matches, over-capacity tournaments, active-but-missing
-    tournaments, active∧finished. *)
-let count_violations (app : t) (rep : Replica.t) : int =
-  let awset key =
-    match Replica.peek rep key with
-    | Some (Obj.O_awset s) -> s
-    | Some (Obj.O_compset c) -> Compset.raw_set c
-    | _ -> Awset.empty
-  in
-  let rwset key =
-    match Replica.peek rep key with
-    | Some (Obj.O_rwset s) -> s
-    | _ -> Rwset.empty
-  in
-  let players = awset k_players in
-  let tournaments = awset k_tournaments in
-  let active = rwset k_active in
-  let finished = awset k_finished in
-  let count = ref 0 in
-  List.iter
-    (fun tname ->
-      (* enrolled(p,t) => player(p) and tournament(t) *)
-      let enrolled = awset (k_enrolled tname) in
-      List.iter
-        (fun p ->
-          if not (Awset.mem p players) then incr count;
-          if not (Awset.mem tname tournaments) then incr count)
-        (Awset.elements enrolled);
-      (* capacity *)
-      if Awset.size enrolled > app.capacity then incr count;
-      (* matches *)
-      List.iter
-        (fun pq ->
-          match String.split_on_char '|' pq with
-          | [ p; q ] ->
-              if not (Awset.mem p enrolled) then incr count;
-              if not (Awset.mem q enrolled) then incr count;
-              if
-                (not (Rwset.mem tname active))
-                && not (Awset.mem tname finished)
-              then incr count
-          | _ -> ())
-        (Awset.elements (awset (k_matches tname))))
-    (List.sort_uniq String.compare
-       (Awset.elements tournaments
-       @ List.filter_map
-           (fun (k : string) ->
-             if String.length k > 9 && String.sub k 0 9 = "enrolled:" then
-               Some (String.sub k 9 (String.length k - 9))
-             else None)
-           (Replica.fold_data rep (fun k _ acc -> k :: acc) [])));
-  (* active(t) => tournament(t); finished(t) => tournament(t); not both *)
-  List.iter
-    (fun tname ->
-      if not (Awset.mem tname tournaments) then incr count;
-      if Awset.mem tname finished then incr count)
-    (Rwset.elements active);
-  List.iter
-    (fun tname -> if not (Awset.mem tname tournaments) then incr count)
-    (Awset.elements finished);
-  !count
-
-(* ------------------------------------------------------------------ *)
 (* Workload (§5.2.2: 35% writes, the Figure 5 operation mix)           *)
 (* ------------------------------------------------------------------ *)
 

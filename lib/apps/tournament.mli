@@ -31,9 +31,6 @@ val do_match : t -> string -> string -> string -> Config.op_exec
 (** Read-only status; triggers the capacity compensation in IPA mode. *)
 val status : t -> string -> Config.op_exec
 
-(** Invariant-violation instances visible at a replica. *)
-val count_violations : t -> Replica.t -> int
-
 (** {1 Workload (§5.2.2: 35% writes, the Figure 5 mix)} *)
 
 type workload_params = {

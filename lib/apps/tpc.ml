@@ -135,32 +135,6 @@ let check_stock (app : t) (item : string) : Config.op_exec =
           if violations > 0 then stock_delta app tx key restock_amount;
           Config.outcome ~violations ~extra_work:1 (Txn.commit tx))
 
-(** Dangling order lines + stock under-runs visible at a replica. *)
-let count_violations (_ : t) (rep : Replica.t) : int =
-  let awset key =
-    match Replica.peek rep key with
-    | Some (Obj.O_awset s) -> s
-    | _ -> Awset.empty
-  in
-  let items = awset k_items in
-  let violations = ref 0 in
-  Replica.iter_data rep
-    (fun key obj ->
-      if String.length key > 6 && String.sub key 0 6 = "lines:" then
-        match obj with
-        | Obj.O_awset lines ->
-            List.iter
-              (fun i -> if not (Awset.mem i items) then incr violations)
-              (Awset.elements lines)
-        | _ -> ()
-      else if String.length key > 6 && String.sub key 0 6 = "stock:" then
-        match obj with
-        | Obj.O_pncounter c -> violations := !violations + max 0 (-Pncounter.value c)
-        | Obj.O_compcounter c ->
-            violations := !violations + max 0 (-Compcounter.raw_value c)
-        | _ -> ());
-  !violations
-
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 (* ------------------------------------------------------------------ *)

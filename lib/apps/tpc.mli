@@ -19,9 +19,6 @@ val rem_item : t -> string -> Config.op_exec
 val new_order : t -> order_id:string -> string -> string -> Config.op_exec
 val check_stock : t -> string -> Config.op_exec
 
-(** Dangling order lines + stock under-runs visible at a replica. *)
-val count_violations : t -> Replica.t -> int
-
 type workload_params = {
   n_items : int;
   n_customers : int;

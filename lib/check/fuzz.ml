@@ -42,15 +42,17 @@ let counterexample_of (env : Oracle.env) (tr : Trace.t)
 (** Run a campaign.  [stop_on_failure] (default true) stops at the
     first counterexample.
 
-    [jobs > 1] shards the run range across a domain pool.  Each worker
-    owns a private harness/cluster environment (the substrate is not
-    domain-safe beyond the interner) and executes complete runs; since
-    every run is a pure function of [(app, repaired, seed + i, n_ops)],
-    the sharding cannot change any outcome.  The sequential early-stop
-    semantics are reconstructed exactly: the report covers the prefix up
-    to and including the earliest failing run index (later speculative
-    runs are discarded) and the counterexample is shrunk for that
-    earliest failure on the caller's environment. *)
+    Runs go through a domain pool of [jobs] workers (at [jobs = 1] the
+    pool spawns no domain and runs them in order on the caller).  Each
+    worker owns a private harness/cluster environment (the substrate is
+    not domain-safe beyond the interner) and executes complete runs;
+    since every run is a pure function of [(app, repaired, seed + i,
+    n_ops)], the sharding cannot change any outcome.  Under
+    [stop_on_failure] the runs go in chunks of [jobs] and the loop stops
+    after the first chunk holding a failure; the report covers the
+    prefix up to and including the earliest failing run index (later
+    runs of that chunk are discarded) and the counterexample is shrunk
+    for that earliest failure on worker 0's environment. *)
 let campaign ~(app : string) ~(repaired : bool) ~(seed : int) ~(runs : int)
     ?(n_ops = 40) ?(crashes = 0) ?(reads = 0) ?(escrow_skew = 0)
     ?(stop_on_failure = true) ?jobs () : report =
@@ -59,86 +61,57 @@ let campaign ~(app : string) ~(repaired : bool) ~(seed : int) ~(runs : int)
     | Some j -> max 1 (min Ipa_par.Pool.cap j)
     | None -> Ipa_par.Pool.env_jobs ()
   in
-  if jobs <= 1 || runs <= 1 then begin
-    let h = Harness.make ~app ~repaired in
-    let env = Oracle.make_env h in
-    let failed = ref 0 and first = ref None and executed = ref 0 in
-    let failed_seeds = ref [] in
-    (try
-       for i = 0 to runs - 1 do
-         let tr =
-           Gen.generate ~app ~repaired ~seed:(seed + i) ~n_ops ~crashes ~reads
-             ~escrow_skew ()
-         in
-         let o = Oracle.run env tr in
-         incr executed;
-         if o.Oracle.failures <> [] then begin
-           incr failed;
-           failed_seeds := (seed + i) :: !failed_seeds;
-           if !first = None then
-             first := Some (counterexample_of env tr o.Oracle.failures);
-           if stop_on_failure then raise Exit
-         end
-       done
-     with Exit -> ());
-    { app; repaired; seed; runs = !executed; failed_runs = !failed;
-      failed_seeds = List.rev !failed_seeds; first = !first }
-  end
-  else
-    Ipa_par.Pool.with_pool ~jobs @@ fun pool ->
-    (* worker → its lazily created private environment.  Only the owning
-       worker index touches its slot during the batch; the caller reads
-       them afterwards (the pool's completion barrier orders both). *)
-    let envs : Oracle.env option array = Array.make jobs None in
-    let env_for w =
-      match envs.(w) with
-      | Some e -> e
-      | None ->
-          let e = Oracle.make_env (Harness.make ~app ~repaired) in
-          envs.(w) <- Some e;
-          e
-    in
-    let outcomes =
-      Array.of_list
-        (Ipa_par.Pool.map_worker pool
-           ~f:(fun ~worker i ->
-             let tr =
-               Gen.generate ~app ~repaired ~seed:(seed + i) ~n_ops ~crashes
-                 ~reads ~escrow_skew ()
-             in
-             Oracle.run (env_for worker) tr)
-           (List.init runs Fun.id))
-    in
-    let failing_ix =
-      List.filter
-        (fun i -> outcomes.(i).Oracle.failures <> [])
-        (List.init runs Fun.id)
-    in
-    let executed =
-      match failing_ix with
-      | m :: _ when stop_on_failure -> m + 1
-      | _ -> runs
-    in
-    let failing_ix = List.filter (fun i -> i < executed) failing_ix in
-    let first =
-      match failing_ix with
+  Ipa_par.Pool.with_pool ~jobs @@ fun pool ->
+  (* worker → its lazily created private environment.  Only the owning
+     worker index touches its slot during a batch; the caller reads
+     them afterwards (the pool's completion barrier orders both). *)
+  let envs : Oracle.env option array = Array.make jobs None in
+  let env_for w =
+    match envs.(w) with
+    | Some e -> e
+    | None ->
+        let e = Oracle.make_env (Harness.make ~app ~repaired) in
+        envs.(w) <- Some e;
+        e
+  in
+  let trace i =
+    Gen.generate ~app ~repaired ~seed:(seed + i) ~n_ops ~crashes ~reads
+      ~escrow_skew ()
+  in
+  let chunk = if stop_on_failure then jobs else max 1 runs in
+  (* the failing runs, as (index, failures), newest first *)
+  let rec loop lo failing =
+    if lo >= runs then failing
+    else
+      let hi = min runs (lo + chunk) in
+      let failed =
+        Ipa_par.Pool.filter_map_worker pool
+          ~f:(fun ~worker i ->
+            match (Oracle.run (env_for worker) (trace i)).Oracle.failures with
+            | [] -> None
+            | fs -> Some (i, fs))
+          (List.init (hi - lo) (fun k -> lo + k))
+      in
+      let failing = List.rev_append failed failing in
+      if stop_on_failure && failed <> [] then failing else loop hi failing
+  in
+  let failing, executed =
+    match List.rev (loop 0 []) with
+    | (m, fs) :: _ when stop_on_failure -> ([ (m, fs) ], m + 1)
+    | l -> (l, runs)
+  in
+  {
+    app;
+    repaired;
+    seed;
+    runs = executed;
+    failed_runs = List.length failing;
+    failed_seeds = List.map (fun (i, _) -> seed + i) failing;
+    first =
+      (match failing with
       | [] -> None
-      | m :: _ ->
-          let tr =
-            Gen.generate ~app ~repaired ~seed:(seed + m) ~n_ops ~crashes
-              ~reads ~escrow_skew ()
-          in
-          Some (counterexample_of (env_for 0) tr outcomes.(m).Oracle.failures)
-    in
-    {
-      app;
-      repaired;
-      seed;
-      runs = executed;
-      failed_runs = List.length failing_ix;
-      failed_seeds = List.map (fun i -> seed + i) failing_ix;
-      first;
-    }
+      | (m, fs) :: _ -> Some (counterexample_of (env_for 0) (trace m) fs));
+  }
 
 (** Result of replaying a saved trace. *)
 type replay_result = {

@@ -26,15 +26,14 @@ type report = {
     many demand-skewed escrow events per trace (one hot replica,
     decrement-heavy mix, advisory demand publications), arming the
     conservation oracle ({!Oracle.Rights_leak}).  [jobs] (default: the
-    [IPA_JOBS]
-    environment override, else 1) shards the run range over a domain
-    pool, each
-    worker executing complete runs against its own private
-    harness/cluster environment.  Every run is a pure function of its
-    seed ([seed + i]), so a parallel campaign reports the identical
-    [failed_seeds] set, counterexample and counts as a sequential one —
-    including the early-stop semantics of [stop_on_failure], which are
-    reconstructed from the earliest failing run index. *)
+    [IPA_JOBS] environment override, else 1) is the width of the domain
+    pool the runs go through, each worker executing complete runs
+    against its own private harness/cluster environment.  Every run is
+    a pure function of its seed ([seed + i]), so every [jobs] level
+    reports the identical [failed_seeds] set, counterexample and counts
+    — including the early stop of [stop_on_failure], which runs chunks
+    of [jobs] runs and keeps the prefix up to the earliest failing run
+    index. *)
 val campaign :
   app:string ->
   repaired:bool ->

@@ -59,7 +59,7 @@ let compensations (r : report) : Compensation.t list =
 type workers = { pool : Ipa_par.Pool.t; wctxs : Anactx.t array }
 
 (** Run [f] with the domain pool and per-worker contexts for [jobs]
-    workers ([None] when sequential); fold worker counters back into
+    workers ([None] at [jobs = 1]); fold worker counters back into
     [ctx] afterwards, also on exceptions. *)
 let with_workers ~(jobs : int) (ctx : Anactx.t) (f : workers option -> 'a) :
     'a =
@@ -91,7 +91,7 @@ let with_workers ~(jobs : int) (ctx : Anactx.t) (f : workers option -> 'a) :
     analysis outcome is identical at every [jobs] level (the verdict of
     a pair is a deterministic function of the current spec — the caches
     and pruning are exact — so checking {e more} pairs per iteration
-    than the sequential early-exit scan, and remembering their safe
+    than the [jobs = 1] early-exit scan, and remembering their safe
     verdicts, can never change which conflict is found next). *)
 let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
     ?(max_size = 3) ?(max_iterations = 64) ?ctx ?jobs (spec : Types.t) :
@@ -144,14 +144,114 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
       let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
       (not (Hashtbl.mem ignored key)) && not (Hashtbl.mem known_safe key)
     in
-    let conflict =
-      match workers with
-      | None ->
-          (* sequential: scan lazily, stop at the first conflict *)
-          List.find_map
-            (fun ((o1 : Detect.aop), (o2 : Detect.aop)) ->
-              if not (unhandled o1 o2) then None
-              else
+    let candidates =
+      List.filter (fun (o1, o2) -> unhandled o1 o2) (pairs !ops)
+    in
+    (* With workers, fan out per-clause proof obligations, not whole
+       pairs.  A block of candidate pairs is sized by its obligation
+       count (pairs differ wildly in unification cases × relevant
+       clauses, so pair-granular blocks load-balance poorly); the
+       block's obligations are discharged concurrently into the worker
+       contexts, absorbed into the parent, and the pairs are then
+       concluded on the parent in deterministic specification order —
+       every obligation lookup a cache hit, only a conflicting case's
+       witness extraction still solving.  The block bounds speculation:
+       at most one block's tail beyond the first conflict is solved, and
+       those verdicts are valid under the current spec/rules, so caching
+       them is sound — [invalidate] and the rules-change reset below
+       stale them exactly as the concluded ones.  Without workers the
+       block is every remaining candidate and nothing is prefetched, so
+       the scan checks pairs lazily and stops at the first conflict.
+
+       Each block shares a fresh frozen snapshot of the parent's caches
+       with workers 1.. (worker 0 is the parent and reads its live
+       tables directly), so obligation and grounding work any worker
+       paid for in block [i] is a hit for every worker in block [i+1].
+       Blocks whose obligation count cannot keep the pool busy skip the
+       fork/join barrier entirely and run on the parent — this is what
+       post-repair re-scans (a handful of invalidated pairs, everything
+       else cached) hit, where the barrier used to cost more than the
+       work. *)
+    let take_block { pool; _ } cands =
+      let target_obls = 16 * Ipa_par.Pool.jobs pool in
+      (* only *fresh* obligations (verdict not already cached on the
+         parent) count toward the block size and enter the fan-out:
+         cached ones cost a barrier round-trip just to hit in the
+         shared snapshot.  On a warm re-scan this collapses the whole
+         iteration into one barrier-free block. *)
+      let rec go nobls acc = function
+        | [] -> (List.rev acc, [])
+        | (((o1, o2) : Detect.aop * Detect.aop) :: rest) as l ->
+            if nobls >= target_obls && acc <> [] then (List.rev acc, l)
+            else
+              let obls =
+                List.filter
+                  (fun (ob : Detect.oblig) ->
+                    not (Anactx.oblig_cached ctx ob.Detect.ob_key))
+                  (Detect.obligations spec_now o1 o2)
+              in
+              go (nobls + List.length obls) (((o1, o2), obls) :: acc) rest
+      in
+      go 0 [] cands
+    in
+    (* snapshot the parent's caches at most once per iteration, lazily —
+       the copy is linear in the cache size, so paying it per block
+       would dominate warm re-scans.  Workers keep their private
+       discoveries for the whole iteration; block verdicts flow back to
+       the parent by value (oblig_put), and the tables merge once in the
+       iteration-end absorb. *)
+    let shared = ref false in
+    let solve_block { pool; wctxs } items =
+      if List.length items < 2 * Ipa_par.Pool.jobs pool then
+        (* not enough work to pay for the barrier: the parent discharges
+           the obligations itself *)
+        List.iter
+          (fun (ob : Detect.oblig) ->
+            let key =
+              ( ob.Detect.ob_o1.Detect.cur.oname,
+                ob.Detect.ob_o2.Detect.cur.oname )
+            in
+            ignore
+              (Anactx.time ctx key (fun () ->
+                   Detect.solve_obligation ~ctx spec_now ob)))
+          items
+      else begin
+        if not !shared then begin
+          shared := true;
+          let ro = Anactx.freeze ctx in
+          Array.iteri (fun i c -> if i > 0 then Anactx.share c ro) wctxs
+        end;
+        let verdicts =
+          Ipa_par.Pool.map_worker pool
+            ~f:(fun ~worker (ob : Detect.oblig) ->
+              let c = wctxs.(worker) in
+              let key =
+                ( ob.Detect.ob_o1.Detect.cur.oname,
+                  ob.Detect.ob_o2.Detect.cur.oname )
+              in
+              ( ob.Detect.ob_key,
+                Anactx.time c key (fun () ->
+                    Detect.solve_obligation ~ctx:c spec_now ob) ))
+            items
+        in
+        List.iter (fun (key, v) -> Anactx.oblig_put ctx key v) verdicts
+      end
+    in
+    let rec scan = function
+      | [] -> None
+      | cands ->
+          let blk, rest =
+            match workers with
+            | None -> (cands, [])
+            | Some w ->
+                let blk, rest = take_block w cands in
+                solve_block w (List.concat_map snd blk);
+                (List.map fst blk, rest)
+          in
+          (* conclude in specification order on the parent *)
+          let rec conclude = function
+            | [] -> scan rest
+            | ((o1 : Detect.aop), (o2 : Detect.aop)) :: more -> (
                 let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
                 match
                   Anactx.time ctx key (fun () ->
@@ -160,137 +260,18 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                 | Detect.Conflict w -> Some (o1, o2, w)
                 | Detect.Safe ->
                     Hashtbl.replace known_safe key ();
-                    None)
-            (pairs !ops)
-      | Some { pool; wctxs } ->
-          (* parallel: fan out per-clause proof obligations, not whole
-             pairs.  A block of candidate pairs is sized by its
-             obligation count (pairs differ wildly in unification cases
-             × relevant clauses, so pair-granular blocks load-balance
-             poorly); the block's obligations are discharged
-             concurrently into the worker contexts, absorbed into the
-             parent, and the pairs are then concluded on the parent in
-             deterministic specification order — every obligation lookup
-             a cache hit, only a conflicting case's witness extraction
-             still solving.  The block bounds speculation: at most one
-             block's tail beyond the first conflict is solved, and those
-             verdicts are valid under the current spec/rules, so caching
-             them is sound — [invalidate] and the rules-change reset
-             below stale them exactly as the sequential ones.
-
-             Each block shares a fresh frozen snapshot of the parent's
-             caches with workers 1.. (worker 0 is the parent and reads
-             its live tables directly), so obligation and grounding work
-             any worker paid for in block [i] is a hit for every worker
-             in block [i+1].  Blocks whose obligation count cannot keep
-             the pool busy skip the fork/join barrier entirely and run
-             on the parent — this is what post-repair re-scans (a
-             handful of invalidated pairs, everything else cached) hit,
-             where the barrier used to cost more than the work. *)
-          let candidates =
-            List.filter (fun (o1, o2) -> unhandled o1 o2) (pairs !ops)
+                    conclude more)
           in
-          let jobs_n = Ipa_par.Pool.jobs pool in
-          let target_obls = 16 * jobs_n in
-          (* only *fresh* obligations (verdict not already cached on the
-             parent) count toward the block size and enter the fan-out:
-             cached ones cost a barrier round-trip just to hit in the
-             shared snapshot.  On a warm re-scan this collapses the whole
-             iteration into one barrier-free block. *)
-          let rec take_block nobls acc = function
-            | [] -> (List.rev acc, [])
-            | (((o1, o2) : Detect.aop * Detect.aop) :: rest) as l ->
-                if nobls >= target_obls && acc <> [] then (List.rev acc, l)
-                else
-                  let obls =
-                    List.filter
-                      (fun (ob : Detect.oblig) ->
-                        not (Anactx.oblig_cached ctx ob.Detect.ob_key))
-                      (Detect.obligations spec_now o1 o2)
-                  in
-                  take_block
-                    (nobls + List.length obls)
-                    (((o1, o2), obls) :: acc)
-                    rest
-          in
-          (* snapshot the parent's caches at most once per iteration,
-             lazily — the copy is linear in the cache size, so paying
-             it per block would dominate warm re-scans.  Workers keep
-             their private discoveries for the whole iteration; block
-             verdicts flow back to the parent by value (oblig_put), and
-             the tables merge once in the iteration-end absorb. *)
-          let shared = ref false in
-          let ensure_shared () =
-            if not !shared then begin
-              shared := true;
-              let ro = Anactx.freeze ctx in
-              Array.iteri (fun i c -> if i > 0 then Anactx.share c ro) wctxs
-            end
-          in
-          let solve_block items =
-            if List.length items < 2 * jobs_n then
-              (* not enough work to pay for the barrier: the parent
-                 discharges the obligations itself *)
-              List.iter
-                (fun (ob : Detect.oblig) ->
-                  let key =
-                    ( ob.Detect.ob_o1.Detect.cur.oname,
-                      ob.Detect.ob_o2.Detect.cur.oname )
-                  in
-                  ignore
-                    (Anactx.time ctx key (fun () ->
-                         Detect.solve_obligation ~ctx spec_now ob)))
-                items
-            else begin
-              ensure_shared ();
-              let verdicts =
-                Ipa_par.Pool.map_worker pool
-                  ~f:(fun ~worker (ob : Detect.oblig) ->
-                    let c = wctxs.(worker) in
-                    let key =
-                      ( ob.Detect.ob_o1.Detect.cur.oname,
-                        ob.Detect.ob_o2.Detect.cur.oname )
-                    in
-                    ( ob.Detect.ob_key,
-                      Anactx.time c key (fun () ->
-                          Detect.solve_obligation ~ctx:c spec_now ob) ))
-                  items
-              in
-              List.iter
-                (fun (key, v) -> Anactx.oblig_put ctx key v)
-                verdicts
-            end
-          in
-          let rec scan = function
-            | [] -> None
-            | cands ->
-                let blk, rest = take_block 0 [] cands in
-                solve_block (List.concat_map snd blk);
-                (* conclude in specification order on the parent *)
-                let rec conclude = function
-                  | [] -> scan rest
-                  | (((o1 : Detect.aop), (o2 : Detect.aop)), _) :: more -> (
-                      let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
-                      match
-                        Anactx.time ctx key (fun () ->
-                            Detect.check_pair ~ctx spec_now o1 o2)
-                      with
-                      | Detect.Conflict w -> Some (o1, o2, w)
-                      | Detect.Safe ->
-                          Hashtbl.replace known_safe key ();
-                          conclude more)
-                in
-                conclude blk
-          in
-          let found = scan candidates in
-          (* merge every worker's private discoveries (grounding,
-             obligations solved for its blocks, witness cases) into the
-             parent so the next iteration's snapshot carries them *)
-          Array.iteri
-            (fun i c -> if i > 0 then Anactx.absorb ~into:ctx c)
-            wctxs;
-          found
+          conclude blk
     in
+    let conflict = scan candidates in
+    (* merge every worker's private discoveries (grounding, obligations
+       solved for its blocks, witness cases) into the parent so the next
+       iteration's snapshot carries them *)
+    Option.iter
+      (fun { wctxs; _ } ->
+        Array.iteri (fun i c -> if i > 0 then Anactx.absorb ~into:ctx c) wctxs)
+      workers;
     match conflict with
     | None -> continue_ := false
     | Some (o1, o2, w) -> (
@@ -361,7 +342,7 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
 
 (** All conflicting pairs of the unmodified specification — the
     diagnosis step, useful on its own.  Pair checks are independent, so
-    [jobs > 1] simply fans them out, one fresh context per worker; the
+    the pool simply fans them out, one fresh context per worker; the
     result list is in pair order at every level. *)
 let diagnose ?jobs (spec : Types.t) :
     (string * string * Detect.witness) list =
@@ -380,10 +361,8 @@ let diagnose ?jobs (spec : Types.t) :
     | Detect.Conflict w -> Some (o1.Detect.cur.oname, o2.Detect.cur.oname, w)
     | Detect.Safe -> None
   in
-  if jobs <= 1 then List.filter_map (check (Anactx.create ())) (pairs ops)
-  else
-    Ipa_par.Pool.with_pool ~jobs (fun pool ->
-        let wctxs = Array.init jobs (fun _ -> Anactx.create ()) in
-        Ipa_par.Pool.filter_map_worker pool
-          ~f:(fun ~worker pair -> check wctxs.(worker) pair)
-          (pairs ops))
+  Ipa_par.Pool.with_pool ~jobs (fun pool ->
+      let wctxs = Array.init jobs (fun _ -> Anactx.create ()) in
+      Ipa_par.Pool.filter_map_worker pool
+        ~f:(fun ~worker pair -> check wctxs.(worker) pair)
+        (pairs ops))

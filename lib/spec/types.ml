@@ -189,7 +189,6 @@ let pp_operation ppf (op : operation) =
     op.oeffects
 
 let operation_to_string op = Fmt.str "%a" pp_operation op
-let effect_to_string e = Fmt.str "%a" pp_effect e
 
 (* ------------------------------------------------------------------ *)
 (* Builders                                                            *)

@@ -95,7 +95,6 @@ val pp_effect : Format.formatter -> effect -> unit
 val pp_annotated_effect : Format.formatter -> annotated_effect -> unit
 val pp_operation : Format.formatter -> operation -> unit
 val operation_to_string : operation -> string
-val effect_to_string : effect -> string
 
 (** {1 Builders} *)
 

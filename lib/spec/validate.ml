@@ -10,8 +10,6 @@ type error = { where : string; what : string }
 
 let err where fmt = Fmt.kstr (fun what -> { where; what }) fmt
 
-let pp_error ppf e = Fmt.pf ppf "%s: %s" e.where e.what
-
 (* sort of each argument position must exist; terms must be parameters of
    the operation, constants, or stars *)
 let check_effect (spec : t) (op : operation) (ae : annotated_effect) :

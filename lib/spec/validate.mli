@@ -4,8 +4,6 @@
 
 type error = { where : string; what : string }
 
-val pp_error : Format.formatter -> error -> unit
-
 (** All violations of a specification (empty = valid). *)
 val check : Types.t -> error list
 

@@ -11,8 +11,6 @@ type t =
   | O_rwset of Rwset.t
   | O_pncounter of Pncounter.t
   | O_bcounter of Bcounter.t
-  | O_lww of Lww.t
-  | O_mvreg of Mvreg.t
   | O_compset of Compset.t
   | O_compcounter of Compcounter.t
 
@@ -22,8 +20,6 @@ type otype =
   | T_rwset
   | T_pncounter
   | T_bcounter
-  | T_lww
-  | T_mvreg
   | T_compset of { max_size : int }
   | T_compcounter of { min_value : int }
 
@@ -32,8 +28,6 @@ type op =
   | Op_rwset of Rwset.op
   | Op_pncounter of Pncounter.op
   | Op_bcounter of Bcounter.op
-  | Op_lww of Lww.op
-  | Op_mvreg of Mvreg.op
   | Op_compset of Compset.op
   | Op_compcounter of Compcounter.op
   | Op_join of delta
@@ -42,7 +36,7 @@ type op =
 
 (** A joinable state fragment.  Only the set CRDTs ship true deltas:
     their fragments carry causal metadata (dots / contexts / barriers)
-    that makes the join idempotent.  Counter and register ops are
+    that makes the join idempotent.  Counter ops are
     additive or already tiny, so a compacted interval carries them as
     (summed) ops instead; a counter fragment is a full-state repair's
     whole counter. *)
@@ -59,8 +53,6 @@ let init (ty : otype) : t =
   | T_rwset -> O_rwset Rwset.empty
   | T_pncounter -> O_pncounter Pncounter.empty
   | T_bcounter -> O_bcounter Bcounter.empty
-  | T_lww -> O_lww Lww.empty
-  | T_mvreg -> O_mvreg Mvreg.empty
   | T_compset { max_size } -> O_compset (Compset.create ~max_size)
   | T_compcounter { min_value } -> O_compcounter (Compcounter.create ~min_value ())
 
@@ -70,8 +62,6 @@ let apply (o : t) (op : op) : t =
   | O_rwset s, Op_rwset x -> O_rwset (Rwset.apply s x)
   | O_pncounter s, Op_pncounter x -> O_pncounter (Pncounter.apply s x)
   | O_bcounter s, Op_bcounter x -> O_bcounter (Bcounter.apply s x)
-  | O_lww s, Op_lww x -> O_lww (Lww.apply s x)
-  | O_mvreg s, Op_mvreg x -> O_mvreg (Mvreg.apply s x)
   | O_compset s, Op_compset x -> O_compset (Compset.apply s x)
   | O_compcounter s, Op_compcounter x -> O_compcounter (Compcounter.apply s x)
   | O_awset s, Op_join (D_awset f) -> O_awset (Awset.merge s f)
@@ -113,9 +103,6 @@ let as_pncounter = function
 let as_bcounter = function
   | O_bcounter s -> s
   | _ -> raise (Type_mismatch "bcounter")
-
-let as_lww = function O_lww s -> s | _ -> raise (Type_mismatch "lww")
-let as_mvreg = function O_mvreg s -> s | _ -> raise (Type_mismatch "mvreg")
 
 let as_compset = function
   | O_compset s -> s

@@ -10,8 +10,6 @@ type t =
   | O_rwset of Rwset.t
   | O_pncounter of Pncounter.t
   | O_bcounter of Bcounter.t
-  | O_lww of Lww.t
-  | O_mvreg of Mvreg.t
   | O_compset of Compset.t
   | O_compcounter of Compcounter.t
 
@@ -21,8 +19,6 @@ type otype =
   | T_rwset
   | T_pncounter
   | T_bcounter
-  | T_lww
-  | T_mvreg
   | T_compset of { max_size : int }
   | T_compcounter of { min_value : int }
 
@@ -31,8 +27,6 @@ type op =
   | Op_rwset of Rwset.op
   | Op_pncounter of Pncounter.op
   | Op_bcounter of Bcounter.op
-  | Op_lww of Lww.op
-  | Op_mvreg of Mvreg.op
   | Op_compset of Compset.op
   | Op_compcounter of Compcounter.op
   | Op_join of delta
@@ -41,7 +35,7 @@ type op =
 
 (** A joinable state fragment.  Only the set CRDTs ship true deltas
     (their fragments carry the causal metadata that makes the join
-    idempotent); counter and register ops are additive or tiny, so a
+    idempotent); counter ops are additive or tiny, so a
     compacted interval carries those as summed or raw ops instead.  A
     counter fragment is a full-state repair's whole counter. *)
 and delta =
@@ -76,7 +70,5 @@ val as_awset : t -> Awset.t
 val as_rwset : t -> Rwset.t
 val as_pncounter : t -> Pncounter.t
 val as_bcounter : t -> Bcounter.t
-val as_lww : t -> Lww.t
-val as_mvreg : t -> Mvreg.t
 val as_compset : t -> Compset.t
 val as_compcounter : t -> Compcounter.t

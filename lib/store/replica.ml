@@ -382,8 +382,6 @@ let apply_update_kid (r : t) (kid : int) (op : Obj.op) : unit =
         | Obj.Op_rwset _ -> Obj.T_rwset
         | Obj.Op_pncounter _ -> Obj.T_pncounter
         | Obj.Op_bcounter _ -> Obj.T_bcounter
-        | Obj.Op_lww _ -> Obj.T_lww
-        | Obj.Op_mvreg _ -> Obj.T_mvreg
         | Obj.Op_compset o -> Obj.T_compset { max_size = Compset.op_bound o }
         | Obj.Op_compcounter o ->
             Obj.T_compcounter { min_value = Compcounter.op_bound o }
@@ -405,11 +403,6 @@ let apply_updates (r : t) (b : batch) : unit =
       apply_update_kid r b.b_kids.(!i) op;
       incr i)
     b.b_updates
-
-(** Fresh Lamport timestamp (for LWW registers). *)
-let next_lamport (r : t) : int =
-  r.lamport <- r.lamport + 1;
-  r.lamport
 
 (* ------------------------------------------------------------------ *)
 (* Batch log                                                           *)
@@ -670,15 +663,12 @@ let obs_string (o : Obj.t) : string option =
   | Obj.O_awset s -> set "aw" (Awset.elements s)
   | Obj.O_rwset s -> set "rw" (Rwset.elements s)
   | Obj.O_compset s -> set "cs" (Compset.raw_elements s)
-  | Obj.O_mvreg m -> set "mv" (Mvreg.values m)
   | Obj.O_pncounter c ->
       let v = Pncounter.value c in
       if v = 0 then None else Some (Fmt.str "pn:%d" v)
   | Obj.O_bcounter c ->
       let v = Bcounter.value c in
       if v = 0 then None else Some (Fmt.str "bc:%d" v)
-  | Obj.O_lww l -> (
-      match Lww.value l with None -> None | Some v -> Some ("lww:" ^ v))
   | Obj.O_compcounter c ->
       let v = Compcounter.raw_value c in
       if v = 0 then None else Some (Fmt.str "cc:%d" v)
@@ -738,8 +728,7 @@ let set_hash (c : cell) (tag : int) : int =
 (* hash of one key's observable state, 0 when indistinguishable from
    the empty object (matching [obs_string]'s [None] cases exactly).  A
    pure function of (key id, observable value): counters hash their
-   value, sets and multi-value registers their members.  No string is
-   rendered *)
+   value, sets their members.  No string is rendered *)
 let obs_hash (c : cell) : int =
   let kid = c.c_kid in
   let num tag v = if v = 0 then 0 else mix (key_hash kid tag lxor v) in
@@ -750,13 +739,6 @@ let obs_hash (c : cell) : int =
   | Obj.O_awset _ -> set_hash c 4
   | Obj.O_rwset _ -> set_hash c 5
   | Obj.O_compset _ -> set_hash c 6
-  | Obj.O_lww l -> (
-      match Lww.value l with
-      | None -> 0
-      | Some v -> mix (key_hash kid 0 lxor elt_hash v))
-  | Obj.O_mvreg m ->
-      let sum, n = List.fold_right add_member (Mvreg.values m) (0, 0) in
-      members_hash kid 7 sum n
 
 (* recompute the observable-state hash of every dirty key of one shard,
    updating the per-key cache and the rolling digest — O(changed keys
@@ -794,9 +776,6 @@ let refresh_shard_s (sh : shard) : unit =
     done;
     sh.sh_dirty_n <- 0
   end
-
-(** Refresh one shard's digest caches (re-hashing its dirty keys). *)
-let refresh_shard (r : t) (i : int) : unit = refresh_shard_s r.shards.(i)
 
 let refresh_digest (r : t) : unit = Array.iter refresh_shard_s r.shards
 
@@ -1119,17 +1098,27 @@ let replay_batch (r : t) (b : batch) : bool =
 (* Log compaction (delta-state anti-entropy; see Sync)                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Compact the batches [origin] committed beyond [known] origin-events
-    into one batch covering their whole interval ([None] if the log
-    holds none): set effects joined into one fragment per key
-    ([Obj.Op_join]), counter ops summed to one op per (key, replica
-    slot), the other types' ops raw in application order.  Its
-    dependencies are the newest covered batch's clock with the origin's
-    entry of the oldest's, so it is deliverable exactly where its first
-    commit would be.  It ships in place of the covered batches and is
-    delivered, logged, WAL-written and replayed as any batch is. *)
-let compact_after (r : t) ~(origin : string) ~(known : int) : batch option =
-  match log_after r ~origin ~known with
+(** Compact the batches [origin] committed beyond a destination's clock
+    [have] into one batch ([None] if the log holds none it can apply):
+    set effects joined into one fragment per key ([Obj.Op_join]),
+    counter ops summed to one op per (key, replica slot), the other
+    types' ops raw in application order.  It covers the longest prefix
+    of those batches whose other-origin dependencies [have] already
+    covers, and its dependencies are the newest covered batch's clock
+    with the origin's entry of the oldest's, so the destination can
+    apply it at once: an interval that needed another origin's later
+    commits would be dropped there, and two origins each waiting on the
+    other's would never make progress.  It ships in place of the
+    covered batches and is delivered, logged, WAL-written and replayed
+    as any batch is. *)
+let compact_after (r : t) ~(origin : string) ~(have : Vclock.t) :
+    batch option =
+  let applicable (b : batch) = Vclock.leq (Vclock.set b.b_deps origin 0) have in
+  let rec prefix = function
+    | b :: rest when applicable b -> b :: prefix rest
+    | _ -> []
+  in
+  match prefix (log_after r ~origin ~known:(Vclock.get have origin)) with
   | [] -> None
   | first :: _ as batches ->
       let deltas : (int, Obj.delta) Hashtbl.t = Hashtbl.create 16 in

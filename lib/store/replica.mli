@@ -160,9 +160,6 @@ val fold_data : t -> (string -> Obj.t -> 'a -> 'a) -> 'a -> 'a
 (** Number of objects stored (across all shards). *)
 val obj_count : t -> int
 
-(** Fresh Lamport timestamp (for LWW registers). *)
-val next_lamport : t -> int
-
 (** Apply a single update effect, creating the object (with the op's
     carried bounds, for compensation objects, or the type an
     [Obj.Op_join] fragment joins into) if the effect arrives before any
@@ -214,9 +211,6 @@ val quick_digest : t -> string
 (** [quick_digest a = quick_digest b] without building the strings —
     the allocation-free comparison convergence polls use. *)
 val digest_equal : t -> t -> bool
-
-(** Refresh one shard's digest caches (re-hashing its dirty keys). *)
-val refresh_shard : t -> int -> unit
 
 (** Refresh every shard's digest caches. *)
 val refresh_digest : t -> unit
@@ -276,11 +270,12 @@ val replay_batch : t -> batch -> bool
 
 (** {1 Log compaction} (delta-state anti-entropy; see {!Sync}) *)
 
-(** Compact the log entries [origin] committed beyond [known]
-    origin-events into one batch covering their whole interval ([None]
-    if the log holds none): set effects joined into one
-    [Obj.Op_join] fragment per key, counter ops summed per key and
-    replica slot, other types' ops raw.  Deliverable exactly where its
-    first covered commit would be; {!receive} delivers it, the log and
-    WAL record it and {!replay_batch} replays it like any batch. *)
-val compact_after : t -> origin:string -> known:int -> batch option
+(** Compact the log entries [origin] committed beyond a destination's
+    clock [have] into one batch ([None] if the log holds none it can
+    apply): set effects joined into one [Obj.Op_join] fragment per key,
+    counter ops summed per key and replica slot, other types' ops raw.
+    It covers the longest prefix of those entries whose other-origin
+    dependencies [have] covers, so the destination applies it at once;
+    {!receive} delivers it, the log and WAL record it and
+    {!replay_batch} replays it like any batch. *)
+val compact_after : t -> origin:string -> have:Vclock.t -> batch option

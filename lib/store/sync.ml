@@ -29,13 +29,14 @@ type t = {
           retransmit time, backoff to apply after it) *)
   mutable rounds : int;
   mutable retransmitted : int;
-  delta_buf : (string * string, int * Replica.batch) Hashtbl.t;
+  delta_buf :
+    (string * string, (Ipa_crdt.Vclock.t * int) * Replica.batch) Hashtbl.t;
       (** per-peer compacted-interval buffer: (destination, origin) →
           the compacted batch last built for that peer, keyed by the
-          [known] event count it was built against.  Reused while the
-          peer has not acknowledged progress (its clock entry is
-          unchanged) and the interval has not grown; evicted on
-          acknowledgement *)
+          peer's clock and the origin's last logged commit it was built
+          against.  Reused while the peer has not acknowledged progress
+          (its clock is unchanged) and the origin's log has not grown;
+          evicted on acknowledgement *)
   mutable delta_buf_hits : int;
       (** compacted batches served from the buffer *)
   mutable on_round : (now:float -> unit) option;
@@ -200,23 +201,26 @@ let wire_bytes (v : 'a) : int =
   String.length (Marshal.to_string v [ Marshal.Closures ])
 
 (* the compacted batch of [origin]'s commits [dst] lacks, served from
-   the per-peer interval buffer when [dst] has not advanced and the
-   interval has not grown *)
+   the per-peer interval buffer when [dst]'s clock has not moved and the
+   origin's log has not grown *)
 let compacted (s : t) ~(src : Replica.t) ~(dst : Replica.t) (origin : string)
     : Replica.batch option =
-  let known = Ipa_crdt.Vclock.get dst.Replica.vv origin in
+  let have = dst.Replica.vv in
+  let max_seq =
+    match Hashtbl.find_opt src.Replica.log origin with
+    | Some ol -> ol.Replica.max_seq
+    | None -> 0
+  in
   let bkey = (dst.Replica.id, origin) in
   match Hashtbl.find_opt s.delta_buf bkey with
-  | Some (k, b)
-    when k = known
-         && (match Hashtbl.find_opt src.Replica.log origin with
-            | Some ol -> b.Replica.b_seq = ol.Replica.max_seq
-            | None -> false) ->
+  | Some ((vv, m), b) when m = max_seq && Ipa_crdt.Vclock.equal vv have ->
       s.delta_buf_hits <- s.delta_buf_hits + 1;
       Some b
   | _ ->
-      let b = Replica.compact_after src ~origin ~known in
-      Option.iter (fun b -> Hashtbl.replace s.delta_buf bkey (known, b)) b;
+      let b = Replica.compact_after src ~origin ~have in
+      Option.iter
+        (fun b -> Hashtbl.replace s.delta_buf bkey ((have, max_seq), b))
+        b;
       b
 
 (** Repair [dst] from [src] directly (over the reliable control

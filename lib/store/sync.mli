@@ -17,11 +17,12 @@ type t = {
   next_retry : (string * string * int, float * float) Hashtbl.t;
   mutable rounds : int;
   mutable retransmitted : int;
-  delta_buf : (string * string, int * Replica.batch) Hashtbl.t;
+  delta_buf :
+    (string * string, (Ipa_crdt.Vclock.t * int) * Replica.batch) Hashtbl.t;
       (** per-peer compacted-interval buffer: (destination, origin) →
-          last compacted batch built for that peer, keyed by the event
-          count it was built against; evicted when the peer
-          acknowledges *)
+          last compacted batch built for that peer, keyed by the peer's
+          clock and the origin's last logged commit it was built
+          against; evicted when the peer acknowledges *)
   mutable delta_buf_hits : int;
       (** compacted batches served from the buffer *)
   mutable on_round : (now:float -> unit) option;

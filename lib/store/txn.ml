@@ -17,12 +17,13 @@ type t = {
           key strings *)
   mutable n_updates : int;  (** length of [updates] *)
   view : (string, Obj.t) Hashtbl.t;
-      (** key → base state with this txn's buffered updates replayed,
-          populated only for keys read {e after} a write: it keeps such
-          reads O(1) instead of replaying the whole update list per read
-          (quadratic in large batches).  Clean reads go straight to the
-          replica — caching them too would cost a table write per read
-          for entries a following write immediately invalidates *)
+      (** key → base state with this txn's buffered updates applied,
+          populated only for keys read {e after} a write and kept
+          current by later writes: it keeps such reads O(1) instead of
+          replaying the whole update list per read (quadratic in large
+          batches).  Clean reads go straight to the replica — caching
+          them too would cost a table write per read for keys never
+          written again *)
   written : (int, unit) Hashtbl.t;
       (** interned ids of keys with at least one buffered update — a
           [get] of a key never written skips the replay entirely (int
@@ -45,8 +46,8 @@ let begin_ (rep : Replica.t) : t =
 
 (** The transaction's view of an object: replica state with the
     transaction's own buffered updates for that key replayed on top
-    (read-your-writes).  Replayed results are cached per key (and
-    invalidated by {!update}), so repeated reads after a write cost one
+    (read-your-writes).  Replayed results are cached per key (and kept
+    current by {!update}), so repeated reads after a write cost one
     table lookup. *)
 let get (tx : t) (key : string) (ty : Obj.otype) : Obj.t =
   let kid = Ipa_crdt.Intern.id key in
@@ -94,21 +95,23 @@ let fresh_vv (tx : t) : Vclock.t =
   tx.events <- tx.events + 1;
   current_vv tx
 
-let lamport (tx : t) : int = Replica.next_lamport tx.rep
-
-(** Buffer an update effect.  The cached view entry is invalidated
-    rather than updated in place: a key written once and never re-read
-    (the common shape of a large batch) then pays a single [Obj.apply]
-    at commit, and a read-after-write rebuilds its view through the
+(** Buffer an update effect.  A key with a cached view has the op
+    applied to it, so k read-modify-write rounds on one key cost O(k).
+    A key without one pays nothing here: written once and never re-read
+    (the common shape of a large batch), it pays a single [Obj.apply] at
+    commit, and its first read-after-write builds the view through the
     replay path in [get]. *)
 let update (tx : t) (key : string) (op : Obj.op) : unit =
   tx.updates <- (key, op) :: tx.updates;
   tx.kids <- Ipa_crdt.Intern.id key :: tx.kids;
   tx.n_updates <- tx.n_updates + 1;
   Hashtbl.replace tx.written (List.hd tx.kids) ();
-  (* the view only ever holds replayed read-after-write entries; skip
-     the string hash entirely while it is empty (the common case) *)
-  if Hashtbl.length tx.view > 0 then Hashtbl.remove tx.view key
+  (* the view only ever holds read-after-write entries; skip the string
+     hash entirely while it is empty (the common case) *)
+  if Hashtbl.length tx.view > 0 then
+    match Hashtbl.find_opt tx.view key with
+    | Some o -> Hashtbl.replace tx.view key (Obj.apply o op)
+    | None -> ()
 
 (** Number of updates buffered so far. *)
 let update_count (tx : t) : int = tx.n_updates

@@ -38,8 +38,6 @@ val current_vv : t -> Vclock.t
     everything the source has seen. *)
 val fresh_vv : t -> Vclock.t
 
-val lamport : t -> int
-
 (** Buffer an update effect. *)
 val update : t -> string -> Obj.op -> unit
 

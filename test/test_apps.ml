@@ -32,9 +32,37 @@ let run_concurrent cluster rep1 op1 rep2 op2 =
   | None -> ());
   (o1, o2)
 
+(* The names of the catalog spec's invariants (those the fuzz harness
+   checks) that do not hold in [rep], grounded over the test's own
+   domain [dom].  The unrepaired harness's valuation reads the stored
+   CRDT state, not the read-repaired view, so a compensation counts
+   only once a read has applied it.  [consts] overrides spec constants,
+   e.g. [Capacity] for an app built with another capacity. *)
+let violated ~app ?(consts = []) ~dom rep =
+  let h = Ipa_check.Harness.make ~app ~repaired:false in
+  let batom, bnum = h.valuation rep in
+  List.filter_map
+    (fun (i : Ipa_spec.Types.invariant) ->
+      let g =
+        Ipa_logic.Ground.ground ~sg:h.sg ~consts:(consts @ h.consts) ~dom
+          i.iformula
+      in
+      if Ipa_logic.Ground.eval ~batom ~bnum g then None else Some i.iname)
+    h.checked
+
+let names = Alcotest.(list string)
+
 (* ------------------------------------------------------------------ *)
 (* Tournament                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* [Tournament.create]'s default capacity *)
+let tournament_violated ?(capacity = 10) ?(players = [ "alice"; "bob" ])
+    ?(tourns = [ "cup" ]) rep =
+  violated ~app:"tournament"
+    ~consts:[ ("Capacity", capacity) ]
+    ~dom:[ ("Player", players); ("Tournament", tourns) ]
+    rep
 
 let setup_tournament variant =
   let cluster = three () in
@@ -55,8 +83,8 @@ let test_tournament_figure2_causal () =
       (Tournament.rem_tourn app "cup")
   in
   (* dangling enrollment: alice enrolled in a removed tournament *)
-  Alcotest.(check bool) "causal violates" true
-    (Tournament.count_violations app east > 0)
+  Alcotest.check names "causal violates" [ "enroll_ref" ]
+    (tournament_violated east)
 
 let test_tournament_figure2_ipa () =
   let cluster, app, east, west = setup_tournament Tournament.Ipa in
@@ -67,7 +95,7 @@ let test_tournament_figure2_ipa () =
       (Tournament.rem_tourn app "cup")
   in
   (* the touch on the tournament index restores it: no violation *)
-  Alcotest.(check int) "ipa preserves" 0 (Tournament.count_violations app east);
+  Alcotest.check names "ipa preserves" [] (tournament_violated east);
   (match Replica.peek east "tournaments" with
   | Some o ->
       Alcotest.(check bool) "tournament restored" true
@@ -82,8 +110,8 @@ let test_tournament_rem_player_ipa () =
       west
       (Tournament.rem_player app "alice")
   in
-  Alcotest.(check int) "player restored by touch" 0
-    (Tournament.count_violations app east)
+  Alcotest.check names "player restored by touch" []
+    (tournament_violated east)
 
 let test_tournament_capacity_compensation () =
   let cluster = three () in
@@ -113,8 +141,8 @@ let test_tournament_capacity_compensation () =
   | Some (Obj.O_compset c) ->
       Alcotest.(check int) "compensated to capacity" 2 (Compset.size c)
   | _ -> Alcotest.fail "expected compset");
-  Alcotest.(check int) "no violations after compensation" 0
-    (Tournament.count_violations app east)
+  Alcotest.check names "no violations after compensation" []
+    (tournament_violated ~capacity:2 ~players:[ "p1"; "p2"; "p3"; "p4" ] east)
 
 let test_tournament_do_match_requires_enrollment () =
   let cluster, app, east, _ = setup_tournament Tournament.Ipa in
@@ -128,7 +156,7 @@ let test_tournament_do_match_requires_enrollment () =
   let o2 = run_sync cluster east (Tournament.do_match app "alice" "bob" "cup") in
   Alcotest.(check bool) "succeeds when active" true
     (o2.Ipa_runtime.Config.batch <> None);
-  Alcotest.(check int) "no violations" 0 (Tournament.count_violations app east)
+  Alcotest.check names "no violations" [] (tournament_violated east)
 
 let test_tournament_disenroll_vs_match_ipa () =
   let cluster, app, east, west = setup_tournament Tournament.Ipa in
@@ -142,8 +170,26 @@ let test_tournament_disenroll_vs_match_ipa () =
       (Tournament.disenroll app "alice" "cup")
   in
   (* the match's enrolled-touch wins over the concurrent disenroll *)
-  Alcotest.(check int) "ipa keeps match valid" 0
-    (Tournament.count_violations app east)
+  Alcotest.check names "ipa keeps match valid" [] (tournament_violated east)
+
+(* Every tournament invariant holds vacuously for a player in no
+   enrollment and no match, so the workload's domain is every
+   tournament and the players [rep] names in one. *)
+let workload_violated (wp : Tournament.workload_params) rep =
+  let named =
+    Replica.fold_data rep
+      (fun key obj acc ->
+        match (String.split_on_char ':' key, obj) with
+        | [ "enrolled"; _ ], Obj.O_compset c -> Compset.raw_elements c @ acc
+        | [ "matches"; _ ], Obj.O_awset s ->
+            List.concat_map (String.split_on_char '|') (Awset.elements s) @ acc
+        | _ -> acc)
+      []
+  in
+  tournament_violated
+    ~players:(List.sort_uniq String.compare named)
+    ~tourns:(List.init wp.Tournament.n_tournaments (Fmt.str "t%d"))
+    rep
 
 let test_tournament_workload_smoke () =
   (* run a few hundred random ops; the IPA variant stays invariant-clean
@@ -165,8 +211,7 @@ let test_tournament_workload_smoke () =
     ignore (run_sync cluster east (Tournament.status app (Fmt.str "t%d" i)))
   done;
   let east = Cluster.replica cluster "dc-east" in
-  Alcotest.(check int) "ipa workload clean" 0
-    (Tournament.count_violations app east)
+  Alcotest.check names "ipa workload clean" [] (workload_violated wp east)
 
 let test_tournament_chaos_delivery () =
   (* batches collected during a burst of concurrent activity and
@@ -217,10 +262,7 @@ let test_tournament_chaos_delivery () =
   List.iter
     (fun id ->
       let rep = Cluster.replica cluster id in
-      Alcotest.(check int)
-        (id ^ " invariant-clean")
-        0
-        (Tournament.count_violations app rep))
+      Alcotest.check names (id ^ " invariant-clean") [] (workload_violated wp rep))
     ids
 
 (* ------------------------------------------------------------------ *)
@@ -245,8 +287,8 @@ let test_ticket_oversell_causal () =
   in
   Alcotest.(check int) "oversold by one" 1
     (Ticket.oversell_depth app east [ "e0" ]);
-  Alcotest.(check int) "violated event count" 1
-    (Ticket.count_violations app east [ "e0" ])
+  Alcotest.check names "violated invariant" [ "no_oversell" ]
+    (violated ~app:"ticket" ~dom:[ ("Event", [ "e0" ]) ] east)
 
 let test_ticket_oversell_ipa_repaired () =
   let cluster, app = setup_ticket Ticket.Ipa 1 in
@@ -447,6 +489,11 @@ let setup_tpc variant =
     cluster;
   (cluster, app)
 
+let tpc_violated rep =
+  violated ~app:"tpcw"
+    ~dom:[ ("Item", [ "i0"; "i1" ]); ("Order", [ "o1" ]) ]
+    rep
+
 let test_tpc_rem_item_vs_order_causal () =
   let cluster, app = setup_tpc Tpc.Causal in
   let east = Cluster.replica cluster "dc-east" in
@@ -456,8 +503,8 @@ let test_tpc_rem_item_vs_order_causal () =
       (Tpc.new_order app ~order_id:"o1" "c1" "i0")
       west (Tpc.rem_item app "i0")
   in
-  Alcotest.(check bool) "dangling order line" true
-    (Tpc.count_violations app east > 0)
+  Alcotest.check names "dangling order line" [ "line_ref" ]
+    (tpc_violated east)
 
 let test_tpc_rem_item_vs_order_ipa () =
   let cluster, app = setup_tpc Tpc.Ipa in
@@ -468,8 +515,7 @@ let test_tpc_rem_item_vs_order_ipa () =
       (Tpc.new_order app ~order_id:"o1" "c1" "i0")
       west (Tpc.rem_item app "i0")
   in
-  Alcotest.(check int) "touch restores listing" 0
-    (Tpc.count_violations app east)
+  Alcotest.check names "touch restores listing" [] (tpc_violated east)
 
 let test_tpc_stock_restock_compensation () =
   let cluster, app = setup_tpc Tpc.Ipa in

@@ -408,43 +408,6 @@ let prop_bcounter_conservation =
         script)
 
 (* ------------------------------------------------------------------ *)
-(* Registers                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_lww () =
-  let r = Lww.empty in
-  let r = Lww.apply r (Lww.prepare r ~ts:1 ~rep:"r1" "a") in
-  let r = Lww.apply r (Lww.prepare r ~ts:2 ~rep:"r2" "b") in
-  Alcotest.(check (option string)) "last wins" (Some "b") (Lww.value r);
-  (* an older write does not clobber *)
-  let r = Lww.apply r (Lww.prepare r ~ts:1 ~rep:"r3" "c") in
-  Alcotest.(check (option string)) "older ignored" (Some "b") (Lww.value r)
-
-let test_lww_tiebreak () =
-  let w1 = Lww.prepare Lww.empty ~ts:1 ~rep:"r1" "a" in
-  let w2 = Lww.prepare Lww.empty ~ts:1 ~rep:"r2" "b" in
-  let ra = Lww.apply (Lww.apply Lww.empty w1) w2 in
-  let rb = Lww.apply (Lww.apply Lww.empty w2) w1 in
-  Alcotest.(check (option string)) "deterministic tiebreak" (Lww.value ra)
-    (Lww.value rb)
-
-let test_mvreg_concurrent () =
-  let w1 =
-    Mvreg.prepare Mvreg.empty ~dot:(dot "r1" 1) ~vv:(vv [ ("r1", 1) ]) "a"
-  in
-  let w2 =
-    Mvreg.prepare Mvreg.empty ~dot:(dot "r2" 1) ~vv:(vv [ ("r2", 1) ]) "b"
-  in
-  let r = Mvreg.apply (Mvreg.apply Mvreg.empty w1) w2 in
-  Alcotest.(check (list string)) "both siblings" [ "a"; "b" ] (Mvreg.values r);
-  (* a later write that saw both replaces them *)
-  let w3 =
-    Mvreg.prepare r ~dot:(dot "r1" 2) ~vv:(vv [ ("r1", 2); ("r2", 1) ]) "c"
-  in
-  let r = Mvreg.apply r w3 in
-  Alcotest.(check (list string)) "dominating write" [ "c" ] (Mvreg.values r)
-
-(* ------------------------------------------------------------------ *)
 (* Compensation CRDTs                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -592,33 +555,6 @@ let prop_rwset_concurrent_convergence =
       Rwset.elements s1 = Rwset.elements s2)
 
 (* ------------------------------------------------------------------ *)
-(* Unique identifiers (pre-partitioned)                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_idgen_unique_across_replicas () =
-  let g1 = Idgen.create "r1" and g2 = Idgen.create "r2" in
-  let ids =
-    List.init 100 (fun _ -> Idgen.fresh g1)
-    @ List.init 100 (fun _ -> Idgen.fresh g2)
-  in
-  Alcotest.(check int) "no collisions" 200
-    (List.length (List.sort_uniq String.compare ids))
-
-let test_idgen_blocks_disjoint () =
-  let b0 = Idgen.block ~index:0 ~n_replicas:3 in
-  let b1 = Idgen.block ~index:1 ~n_replicas:3 in
-  let b2 = Idgen.block ~index:2 ~n_replicas:3 in
-  let ids =
-    List.concat_map (fun b -> List.init 50 (fun _ -> Idgen.fresh_int b))
-      [ b0; b1; b2 ]
-  in
-  Alcotest.(check int) "disjoint partitions" 150
-    (List.length (List.sort_uniq compare ids));
-  match Idgen.block ~index:3 ~n_replicas:3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range index must be rejected"
-
-(* ------------------------------------------------------------------ *)
 (* Garbage collection at the CRDT level                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -708,18 +644,6 @@ let () =
             test_bcounter_demand_advisory;
           Alcotest.test_case "compcounter quick raw value" `Quick
             test_compcounter_quick_raw_value;
-        ] );
-      ( "registers",
-        [
-          Alcotest.test_case "lww" `Quick test_lww;
-          Alcotest.test_case "lww tiebreak" `Quick test_lww_tiebreak;
-          Alcotest.test_case "mvreg" `Quick test_mvreg_concurrent;
-        ] );
-      ( "idgen",
-        [
-          Alcotest.test_case "unique across replicas" `Quick
-            test_idgen_unique_across_replicas;
-          Alcotest.test_case "disjoint blocks" `Quick test_idgen_blocks_disjoint;
         ] );
       ( "gc",
         [

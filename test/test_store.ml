@@ -432,6 +432,51 @@ let test_txn_counts () =
   Alcotest.(check int) "distinct keys" 2 (Txn.keys_written tx);
   ignore (Txn.commit tx)
 
+let test_txn_repeated_read_modify_write () =
+  (* 1,000 get+increment rounds on one key: each read sees every earlier
+     increment, and the commit is the batch a transaction buffering the
+     same increments without reading commits *)
+  let commit_increments ~read =
+    let east = Cluster.replica (three ()) "dc-east" in
+    let tx = Txn.begin_ east in
+    let value () =
+      Pncounter.value (Obj.as_pncounter (Txn.get tx "ctr" Obj.T_pncounter))
+    in
+    for i = 1 to 1000 do
+      if read then
+        Alcotest.(check int) "reads every earlier increment" (i - 1) (value ());
+      Txn.update tx "ctr"
+        (Obj.Op_pncounter (Pncounter.prepare Pncounter.empty ~rep:"dc-east" 1))
+    done;
+    let v = value () in
+    (v, Option.get (Txn.commit tx))
+  in
+  let v, b = commit_increments ~read:true in
+  Alcotest.(check int) "reads back 1,000" 1000 v;
+  Alcotest.(check bool) "same batch as the write-only transaction" true
+    (b = snd (commit_increments ~read:false))
+
+let test_txn_set_view_matches_replay () =
+  (* interleaved adds and removes on a read set key: after every write
+     the transaction's view equals the replay of its buffered ops *)
+  let east = Cluster.replica (three ()) "dc-east" in
+  let tx = Txn.begin_ east in
+  let view () = Obj.as_awset (Txn.get tx "k" Obj.T_awset) in
+  let ops = ref [] in
+  List.iteri
+    (fun i x ->
+      let s = view () in
+      let op =
+        if i mod 3 = 2 then Awset.prepare_remove s x
+        else Awset.prepare_add s ~dot:(Txn.fresh_dot tx) x
+      in
+      Txn.update tx "k" (Obj.Op_awset op);
+      ops := op :: !ops;
+      Alcotest.(check (list string)) "view = replay"
+        (Awset.elements (List.fold_left Awset.apply Awset.empty (List.rev !ops)))
+        (Awset.elements (view ())))
+    [ "a"; "b"; "a"; "c"; "d"; "c"; "a"; "e"; "b"; "b" ]
+
 let test_txn_double_commit_rejected () =
   let c = three () in
   let east = Cluster.replica c "dc-east" in
@@ -1210,7 +1255,8 @@ let test_delta_group_supersedes_pending () =
   let w2 = dec_stock west 2 in
   let _w3 = dec_stock west 4 in
   let g =
-    Option.get (Replica.compact_after west ~origin:"dc-west" ~known:0)
+    Option.get
+      (Replica.compact_after west ~origin:"dc-west" ~have:east.Replica.vv)
   in
   Alcotest.(check (pair int int)) "covers commits 1..3" (1, 3)
     (g.Replica.b_first, g.Replica.b_seq);
@@ -1245,8 +1291,10 @@ let test_blocked_group_not_buffered () =
   Replica.receive west e1;
   let w1 = dec_stock west 2 in
   let _w2 = dec_stock west 4 in
+  (* built for east, which has e1: eu lacks it *)
   let g =
-    Option.get (Replica.compact_after west ~origin:"dc-west" ~known:0)
+    Option.get
+      (Replica.compact_after west ~origin:"dc-west" ~have:east.Replica.vv)
   in
   Replica.receive eu w1;
   Alcotest.(check int) "w1 waits for e1" 1 (Replica.pending_count eu);
@@ -1260,9 +1308,33 @@ let test_blocked_group_not_buffered () =
   Alcotest.(check int) "a stale group is a duplicate" 1
     eu.Replica.duplicates_dropped;
   Option.iter (Replica.receive eu)
-    (Replica.compact_after west ~origin:"dc-west"
-       ~known:(Vclock.get eu.Replica.vv "dc-west"));
+    (Replica.compact_after west ~origin:"dc-west" ~have:eu.Replica.vv);
   Alcotest.(check int) "the rest applies" 7 (stock_value eu)
+
+let test_delta_repair_crossing_origins () =
+  (* commits a1 <- b1 <- a2 <- b2 alternate between east and west, so
+     each origin's lagging interval needs the other's later commit: a
+     compacted batch of a whole interval could never apply at eu.  Each
+     repair ships the prefixes eu can apply, and makes progress *)
+  let c = three () in
+  let east = Cluster.replica c "dc-east" in
+  let west = Cluster.replica c "dc-west" in
+  let eu = Cluster.replica c "dc-eu" in
+  List.iteri
+    (fun i (src, dst) -> Replica.receive dst (dec_stock src (1 lsl i)))
+    [ (east, west); (west, east); (east, west); (west, east) ];
+  let s = Sync.create c in
+  let rec heal calls =
+    if Replica.state_digest eu <> Replica.state_digest east then begin
+      Alcotest.(check bool) "converges within four calls" true (calls < 4);
+      let st = Sync.repair s ~mode:Sync.Deltas ~src:east ~dst:eu in
+      Alcotest.(check bool) "each call accepts a batch" true
+        (st.Sync.r_accepted >= 1);
+      heal (calls + 1)
+    end
+  in
+  heal 0;
+  Alcotest.(check int) "all four commits" 15 (stock_value eu)
 
 let test_compacted_batch_survives_crash () =
   (* east applies a compacted batch of west's commits 1..2 and then
@@ -1396,12 +1468,13 @@ let prop_store_convergence =
         (fun (id, b) ->
           let dst = Cluster.replica c id in
           let origin = b.Replica.b_origin in
-          (* one delivery in three first ships the origin's whole
-             interval beyond dst's clock as one compacted batch *)
+          (* one delivery in three first ships the origin's interval
+             beyond dst's clock that dst can apply as one compacted
+             batch *)
           if next_int 3 = 0 then
             Option.iter (Replica.receive dst)
               (Replica.compact_after (Cluster.replica c origin) ~origin
-                 ~known:(Vclock.get dst.Replica.vv origin));
+                 ~have:dst.Replica.vv);
           Replica.receive dst b)
         arr;
       (* all replicas must agree *)
@@ -2236,6 +2309,10 @@ let () =
           Alcotest.test_case "atomic batch" `Quick test_txn_atomic_batch;
           Alcotest.test_case "read-only" `Quick test_txn_readonly_no_batch;
           Alcotest.test_case "counts" `Quick test_txn_counts;
+          Alcotest.test_case "repeated read-modify-write" `Quick
+            test_txn_repeated_read_modify_write;
+          Alcotest.test_case "set view matches replay" `Quick
+            test_txn_set_view_matches_replay;
           Alcotest.test_case "double commit" `Quick
             test_txn_double_commit_rejected;
         ] );
@@ -2300,6 +2377,8 @@ let () =
             test_delta_group_supersedes_pending;
           Alcotest.test_case "blocked group dropped, not buffered" `Quick
             test_blocked_group_not_buffered;
+          Alcotest.test_case "crossing origins make progress" `Quick
+            test_delta_repair_crossing_origins;
           Alcotest.test_case "compacted batch survives a crash" `Quick
             test_compacted_batch_survives_crash;
           Alcotest.test_case "compacted batch truncates like its commits"

@@ -472,6 +472,47 @@ let fig9 () =
 (* §5.1.3: analysis cost microbenchmarks (Bechamel)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The SAT kernel alone: the cold Tournament obligation that takes the
+   most conflicts on a fresh context, re-solved on a fresh context per
+   run.  Too slow per run for Bechamel's quota, so it reports the median
+   of 7 runs and the kernel's propagation rate. *)
+let sat_kernel_row () =
+  let open Ipa_core in
+  let spec = Ipa_spec.Catalog.tournament () in
+  let solve ob =
+    let ctx = Anactx.create () in
+    let (_ : bool), dt =
+      time_it (fun () -> Detect.solve_obligation ~ctx spec ob)
+    in
+    (dt, Anactx.stats ctx)
+  in
+  let ops = List.map Detect.aop_of spec.Ipa_spec.Types.operations in
+  let obs =
+    List.concat
+      (List.mapi
+         (fun i o1 ->
+           List.concat
+             (List.filteri (fun j _ -> j >= i) ops
+             |> List.map (fun o2 -> Detect.obligations spec o1 o2)))
+         ops)
+  in
+  let hardest, _ =
+    List.fold_left
+      (fun (best, most) ob ->
+        let c = (snd (solve ob)).Anactx.sat_conflicts in
+        if c > most then (ob, c) else (best, most))
+      (List.hd obs, -1) obs
+  in
+  let runs = List.init 7 (fun _ -> solve hardest) in
+  let med = List.nth (List.sort compare (List.map fst runs)) 3 in
+  let st = snd (List.hd runs) in
+  pr "%-40s %12.1f ms/run  (%s/%s clause %d: %d conflicts, %d propagations, %.2f M propagations/s)@."
+    "sat: hardest cold tournament obligation" (1000. *. med)
+    hardest.Detect.ob_o1.base.Ipa_spec.Types.oname
+    hardest.Detect.ob_o2.base.Ipa_spec.Types.oname hardest.Detect.ob_clause
+    st.Anactx.sat_conflicts st.Anactx.sat_propagations
+    (float_of_int st.Anactx.sat_propagations /. med /. 1e6)
+
 let micro () =
   pr "== Analysis & substrate microbenchmarks (Bechamel) ==@.";
   let open Bechamel in
@@ -571,7 +612,8 @@ operation enroll(P:x, T:y)
         | _ -> pr "%-40s (no estimate)@." name)
       results
   in
-  benchmark (Test.make_grouped ~name:"ipa" tests)
+  benchmark (Test.make_grouped ~name:"ipa" tests);
+  sat_kernel_row ()
 
 (* ------------------------------------------------------------------ *)
 (* Analysis pipeline: instrumented vs uninstrumented (paper Table 3)   *)

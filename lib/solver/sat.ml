@@ -6,11 +6,27 @@
     CNF solved here.
 
     Features: two-watched-literal unit propagation, first-UIP conflict
-    analysis with clause learning, VSIDS-style activity decision heuristic,
-    phase saving, geometric restarts, and activity-based learnt-clause DB
-    reduction.  The solver is incremental in the
-    sense that clauses and variables may be added between [solve] calls
-    (used for model enumeration via blocking clauses). *)
+    analysis with clause learning, an activity-windowed rotating decision
+    cursor, phase saving, geometric restarts, and activity-based
+    learnt-clause DB reduction.  The solver is incremental in the sense
+    that clauses and variables may be added between [solve] calls (used
+    for model enumeration via blocking clauses).
+
+    Layout: inside the solver a literal [+v]/[-v] is coded [2v]/[2v+1],
+    so negation is [lxor 1] and the code indexes the per-literal value
+    and watch arrays directly.  A clause is an int id into a flat arena:
+    its coded literals sit back to back in [arena] from [cstart.(c)] for
+    [clen.(c)] entries, and its activity is [cact.(c)].  Watch lists, the
+    learnt list, reasons and decision-level boundaries are int vectors or
+    int arrays, so the search loop allocates nothing but vector growth.
+
+    Exact replay: the search (decisions, conflicts, learnt clauses and
+    their literal order) is the one the list-based solver in
+    [test/sat_ref.ml] makes, and the analysis reports pin it, since every
+    SAT model becomes a witness.  The rules that keep it so are noted
+    where they apply: watch-list visit order, the literal 0/1 swap on
+    every visit, the learnt clause's second watch and [reduce_db]'s sort
+    input order. *)
 
 (** A literal: [+v] for the positive literal of variable [v >= 1],
     [-v] for its negation. *)
@@ -18,26 +34,51 @@ type lit = int
 
 type result = Sat | Unsat
 
-type clause = { lits : lit array; mutable activity : float }
+(* A growable int vector.  Watch lists and the learnt list are stacks
+   whose top ([data.(size - 1)]) is the head of the list the reference
+   solver keeps, so "prepend" is [push]. *)
+type vec = { mutable data : int array; mutable size : int }
+
+let vec () = { data = [||]; size = 0 }
+
+let push v x =
+  if v.size = Array.length v.data then begin
+    let d = Array.make (max 4 (2 * v.size)) 0 in
+    Array.blit v.data 0 d 0 v.size;
+    v.data <- d
+  end;
+  v.data.(v.size) <- x;
+  v.size <- v.size + 1
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause list;  (** original clauses *)
-  mutable learnts : clause list;
-  mutable n_learnts : int;  (** live learnt clauses (length of [learnts]) *)
+  mutable hwm : int;  (** highest variable sized for since the last scrub *)
+  mutable n_orig : int;  (** original clauses of >= 2 literals *)
+  (* clause arena *)
+  mutable arena : int array;  (** literal codes *)
+  mutable arena_len : int;
+  mutable cstart : int array;
+  mutable clen : int array;
+  mutable cact : float array;
+  mutable n_cls : int;  (** clause ids handed out *)
+  learnts : vec;  (** live learnt clause ids *)
   mutable max_learnts : int;  (** reduce the learnt DB past this size *)
   mutable learnts_total : int;  (** learnt clauses ever created *)
   mutable learnts_removed : int;  (** learnt clauses deleted by reduction *)
+  mutable value : int array;
+      (** by literal code: -1 unassigned, 0 false, 1 true *)
   (* var-indexed state; index 0 unused *)
-  mutable assign : int array;  (** -1 unassigned, 0 false, 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;  (** clause id, -1 = none *)
   mutable activity : float array;
   mutable phase : bool array;  (** saved phase *)
-  mutable watches : clause list array;  (** indexed by literal encoding *)
-  mutable trail : lit array;
+  mutable seen : bool array;  (** [analyze]'s marks; all false between calls *)
+  mutable watches : vec array;  (** by literal code *)
+  mutable wscratch : int array;  (** copy of the watch list being visited *)
+  lbuf : vec;  (** the learnt clause [analyze] builds *)
+  mutable trail : int array;  (** literal codes *)
   mutable trail_len : int;
-  mutable trail_lim : int list;  (** decision level boundaries *)
+  trail_lim : vec;  (** trail length at the start of each decision level *)
   mutable qhead : int;
   mutable var_inc : float;
   mutable cla_inc : float;
@@ -49,30 +90,37 @@ type t = {
   mutable propagations : int;
 }
 
-let lit_var (l : lit) = abs l
-let lit_sign (l : lit) = l > 0
-
-(* watch-list index for a literal: positive lits at 2v, negative at 2v+1 *)
-let widx (l : lit) = if l > 0 then 2 * l else (-2 * l) + 1
+(* the code of a literal: +v is 2v, -v is 2v+1 *)
+let code (l : lit) = if l > 0 then 2 * l else (-2 * l) + 1
+let var x = x lsr 1
 
 let fresh () =
   {
     nvars = 0;
-    clauses = [];
-    learnts = [];
-    n_learnts = 0;
+    hwm = 0;
+    n_orig = 0;
+    arena = Array.make 64 0;
+    arena_len = 0;
+    cstart = Array.make 16 0;
+    clen = Array.make 16 0;
+    cact = Array.make 16 0.0;
+    n_cls = 0;
+    learnts = vec ();
     max_learnts = 0;
     learnts_total = 0;
     learnts_removed = 0;
-    assign = Array.make 16 (-1);
+    value = Array.make 32 (-1);
     level = Array.make 16 0;
-    reason = Array.make 16 None;
+    reason = Array.make 16 (-1);
     activity = Array.make 16 0.0;
     phase = Array.make 16 false;
-    watches = Array.make 32 [];
+    seen = Array.make 16 false;
+    watches = Array.init 32 (fun _ -> vec ());
+    wscratch = Array.make 16 0;
+    lbuf = vec ();
     trail = Array.make 16 0;
     trail_len = 0;
-    trail_lim = [];
+    trail_lim = vec ();
     qhead = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
@@ -95,9 +143,10 @@ let fresh () =
 (* field back to its [fresh] default, so a recycled solver is          *)
 (* observationally identical to a new one (capacity is the only        *)
 (* difference, and capacity is invisible: arrays grow on demand and    *)
-(* nothing scans past [nvars]).  The list is domain-local (DLS), so    *)
-(* recycling needs no synchronization and cannot leak instances        *)
-(* across concurrent workers.                                          *)
+(* nothing reads past the variables, clauses or trail entries in use). *)
+(* The list is domain-local (DLS), so recycling needs no               *)
+(* synchronization and cannot leak instances across concurrent         *)
+(* workers.                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let pool_key : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
@@ -111,25 +160,34 @@ let n_reused = Atomic.make 0
     [create]) over the whole process — monotone, cross-domain. *)
 let recycle_stats () = (Atomic.get n_released, Atomic.get n_reused)
 
-(* scrub every field back to the value [fresh] would give it; arrays
-   are cleared in place up to their (retained) capacity *)
+(* scrub every field back to the value [fresh] would give it.  Only the
+   prefix up to [hwm] can differ from the default: var-indexed arrays
+   are written only for variables [ensure_capacity] has seen, and grown
+   arrays start at the default.  Arena, clause and scratch contents past
+   their (reset) lengths are never read. *)
 let scrub (s : t) : unit =
+  let n = s.hwm + 1 in
   s.nvars <- 0;
-  s.clauses <- [];
-  s.learnts <- [];
-  s.n_learnts <- 0;
+  s.hwm <- 0;
+  s.n_orig <- 0;
+  s.arena_len <- 0;
+  s.n_cls <- 0;
+  s.learnts.size <- 0;
   s.max_learnts <- 0;
   s.learnts_total <- 0;
   s.learnts_removed <- 0;
-  Array.fill s.assign 0 (Array.length s.assign) (-1);
-  Array.fill s.level 0 (Array.length s.level) 0;
-  Array.fill s.reason 0 (Array.length s.reason) None;
-  Array.fill s.activity 0 (Array.length s.activity) 0.0;
-  Array.fill s.phase 0 (Array.length s.phase) false;
-  Array.fill s.watches 0 (Array.length s.watches) [];
-  Array.fill s.trail 0 (Array.length s.trail) 0;
+  Array.fill s.value 0 (2 * n) (-1);
+  Array.fill s.level 0 n 0;
+  Array.fill s.reason 0 n (-1);
+  Array.fill s.activity 0 n 0.0;
+  Array.fill s.phase 0 n false;
+  Array.fill s.seen 0 n false;
+  for i = 0 to (2 * n) - 1 do
+    s.watches.(i).size <- 0
+  done;
+  s.lbuf.size <- 0;
   s.trail_len <- 0;
-  s.trail_lim <- [];
+  s.trail_lim.size <- 0;
   s.qhead <- 0;
   s.var_inc <- 1.0;
   s.cla_inc <- 1.0;
@@ -162,7 +220,8 @@ let create () =
   | [] -> fresh ()
 
 let ensure_capacity s n =
-  let cap = Array.length s.assign in
+  if n > s.hwm then s.hwm <- n;
+  let cap = Array.length s.level in
   if n >= cap then begin
     let ncap = max (n + 1) (2 * cap) in
     let grow a def =
@@ -170,18 +229,20 @@ let ensure_capacity s n =
       Array.blit a 0 b 0 cap;
       b
     in
-    s.assign <- grow s.assign (-1);
+    let nv = Array.make (2 * ncap) (-1) in
+    Array.blit s.value 0 nv 0 (2 * cap);
+    s.value <- nv;
     s.level <- grow s.level 0;
-    s.reason <- grow s.reason None;
+    s.reason <- grow s.reason (-1);
     s.activity <- grow s.activity 0.0;
     s.phase <- grow s.phase false;
+    s.seen <- grow s.seen false;
     s.trail <- grow s.trail 0;
     let wcap = Array.length s.watches in
-    if 2 * n + 1 >= wcap then begin
-      let nw = Array.make (max (2 * n + 2) (2 * wcap)) [] in
-      Array.blit s.watches 0 nw 0 wcap;
-      s.watches <- nw
-    end
+    if 2 * n + 1 >= wcap then
+      s.watches <-
+        Array.init (max (2 * n + 2) (2 * wcap)) (fun i ->
+            if i < wcap then s.watches.(i) else vec ())
   end
 
 (** Allocate a fresh variable, returning its index ([>= 1]). *)
@@ -190,12 +251,35 @@ let new_var s =
   ensure_capacity s s.nvars;
   s.nvars
 
-let value (s : t) (l : lit) : int =
-  (* -1 unassigned, 1 true, 0 false, from the literal's viewpoint *)
-  let v = s.assign.(lit_var l) in
-  if v = -1 then -1 else if lit_sign l then v else 1 - v
+let decision_level s = s.trail_lim.size
 
-let decision_level s = List.length s.trail_lim
+(* Append a clause of [n] literals, written by [fill] at arena offset
+   [st], and return its id. *)
+let new_clause s n act (fill : int -> unit) : int =
+  let st = s.arena_len in
+  if st + n > Array.length s.arena then begin
+    let a = Array.make (max (st + n) (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 st;
+    s.arena <- a
+  end;
+  fill st;
+  s.arena_len <- st + n;
+  let c = s.n_cls in
+  if c = Array.length s.cstart then begin
+    let grow a def =
+      let b = Array.make (2 * c) def in
+      Array.blit a 0 b 0 c;
+      b
+    in
+    s.cstart <- grow s.cstart 0;
+    s.clen <- grow s.clen 0;
+    s.cact <- grow s.cact 0.0
+  end;
+  s.cstart.(c) <- st;
+  s.clen.(c) <- n;
+  s.cact.(c) <- act;
+  s.n_cls <- c + 1;
+  c
 
 let var_bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -208,125 +292,142 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
-let cla_bump s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    List.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
+(* Original clauses carry an activity too and are bumped when analysis
+   meets them, but only learnt clauses are rescaled: an original clause
+   past 1e20 rescales the learnts on every later bump, as in the
+   reference solver. *)
+let cla_bump s c =
+  s.cact.(c) <- s.cact.(c) +. s.cla_inc;
+  if s.cact.(c) > 1e20 then begin
+    for i = 0 to s.learnts.size - 1 do
+      let d = s.learnts.data.(i) in
+      s.cact.(d) <- s.cact.(d) *. 1e-20
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
 let cla_decay s = s.cla_inc <- s.cla_inc /. 0.999
 
-let enqueue s (l : lit) (from : clause option) =
-  let v = lit_var l in
-  s.assign.(v) <- (if lit_sign l then 1 else 0);
-  s.level.(v) <- decision_level s;
+let enqueue s x (from : int) =
+  let v = var x in
+  s.value.(x) <- 1;
+  s.value.(x lxor 1) <- 0;
+  s.level.(v) <- s.trail_lim.size;
   s.reason.(v) <- from;
-  s.phase.(v) <- lit_sign l;
-  s.trail.(s.trail_len) <- l;
+  s.phase.(v) <- x land 1 = 0;
+  s.trail.(s.trail_len) <- x;
   s.trail_len <- s.trail_len + 1
 
-(* Propagate all enqueued facts. Returns the conflicting clause, if any. *)
-let propagate s : clause option =
-  let conflict = ref None in
-  while !conflict = None && s.qhead < s.trail_len do
-    let l = s.trail.(s.qhead) in
+(* Propagate all enqueued facts.  Returns the conflicting clause, or -1.
+
+   Visit order is the reference solver's: the watchers of the falsified
+   literal are visited top first (list head first); survivors are pushed
+   back in visit order, so the list reverses on each visit; a clause
+   that moves its watch is pushed on the new literal's list; on a
+   conflict the unvisited rest goes back on top of the survivors. *)
+let propagate s : int =
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < s.trail_len do
+    let x = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    (* clauses watching ¬l must be inspected *)
-    let falsified = -l in
-    let ws = s.watches.(widx falsified) in
-    s.watches.(widx falsified) <- [];
-    let rec go = function
-      | [] -> ()
-      | c :: rest -> (
-          if !conflict <> None then
-            (* keep remaining watchers *)
-            s.watches.(widx falsified) <-
-              c :: (rest @ s.watches.(widx falsified))
-          else
-            (* make sure falsified literal is at position 1 *)
-            let lits = c.lits in
-            (if lits.(0) = falsified then begin
-               lits.(0) <- lits.(1);
-               lits.(1) <- falsified
-             end);
-            if value s lits.(0) = 1 then begin
-              (* clause satisfied; keep watching *)
-              s.watches.(widx falsified) <- c :: s.watches.(widx falsified);
-              go rest
-            end
-            else begin
-              (* search a new literal to watch *)
-              let n = Array.length lits in
-              let found = ref false in
-              let i = ref 2 in
-              while (not !found) && !i < n do
-                if value s lits.(!i) <> 0 then begin
-                  lits.(1) <- lits.(!i);
-                  lits.(!i) <- falsified;
-                  s.watches.(widx lits.(1)) <- c :: s.watches.(widx lits.(1));
-                  found := true
-                end;
-                incr i
-              done;
-              if !found then go rest
-              else begin
-                (* unit or conflicting *)
-                s.watches.(widx falsified) <- c :: s.watches.(widx falsified);
-                if value s lits.(0) = 0 then begin
-                  conflict := Some c;
-                  s.qhead <- s.trail_len;
-                  go rest
-                end
-                else begin
-                  enqueue s lits.(0) (Some c);
-                  go rest
-                end
-              end
-            end)
-    in
-    go ws
+    (* clauses watching ¬x must be inspected *)
+    let falsified = x lxor 1 in
+    let value = s.value in
+    let w = s.watches.(falsified) in
+    let n = w.size in
+    if Array.length s.wscratch < n then s.wscratch <- Array.make (2 * n) 0;
+    let ws = s.wscratch in
+    Array.blit w.data 0 ws 0 n;
+    w.size <- 0;
+    let i = ref (n - 1) in
+    while !i >= 0 && !confl < 0 do
+      let c = ws.(!i) in
+      decr i;
+      let arena = s.arena in
+      let st = s.cstart.(c) in
+      (* make sure the falsified literal is at position 1 *)
+      if arena.(st) = falsified then begin
+        arena.(st) <- arena.(st + 1);
+        arena.(st + 1) <- falsified
+      end;
+      let first = arena.(st) in
+      if value.(first) = 1 then (* clause satisfied; keep watching *)
+        push w c
+      else begin
+        (* search a new literal to watch *)
+        let stop = st + s.clen.(c) in
+        let k = ref (st + 2) in
+        while !k < stop && value.(arena.(!k)) = 0 do
+          incr k
+        done;
+        if !k < stop then begin
+          let lk = arena.(!k) in
+          arena.(st + 1) <- lk;
+          arena.(!k) <- falsified;
+          push s.watches.(lk) c
+        end
+        else begin
+          (* unit or conflicting *)
+          push w c;
+          if value.(first) = 0 then begin
+            confl := c;
+            s.qhead <- s.trail_len
+          end
+          else enqueue s first c
+        end
+      end
+    done;
+    (* keep the watchers a conflict left unvisited *)
+    for j = 0 to !i do
+      push w ws.(j)
+    done
   done;
-  !conflict
+  !confl
 
 let attach_clause s c =
-  s.watches.(widx c.lits.(0)) <- c :: s.watches.(widx c.lits.(0));
-  s.watches.(widx c.lits.(1)) <- c :: s.watches.(widx c.lits.(1))
+  push s.watches.(s.arena.(s.cstart.(c))) c;
+  push s.watches.(s.arena.(s.cstart.(c) + 1)) c
 
 let detach_clause s c =
-  let rm l = s.watches.(widx l) <- List.filter (fun c' -> c' != c) s.watches.(widx l) in
-  rm c.lits.(0);
-  rm c.lits.(1)
+  let rm x =
+    let w = s.watches.(x) in
+    let k = ref 0 in
+    for i = 0 to w.size - 1 do
+      let d = w.data.(i) in
+      if d <> c then begin
+        w.data.(!k) <- d;
+        incr k
+      end
+    done;
+    w.size <- !k
+  in
+  rm s.arena.(s.cstart.(c));
+  rm s.arena.(s.cstart.(c) + 1)
 
 (* a clause currently acting as the reason of an assignment must not be
    deleted: conflict analysis may still traverse it *)
-let locked s (c : clause) =
-  match s.reason.(lit_var c.lits.(0)) with
-  | Some r -> r == c
-  | None -> false
+let locked s c = s.reason.(var s.arena.(s.cstart.(c))) = c
 
 (** Activity-based learnt-clause DB reduction: drop the low-activity half
     of the learnt clauses (keeping locked and binary ones) so the DB —
-    and unit-propagation cost — stays bounded on long searches. *)
+    and unit-propagation cost — stays bounded on long searches.  The
+    sort (a heap sort, so not stable) sees the learnts newest first, the
+    reference solver's list order, so ties break the same way. *)
 let reduce_db s =
-  let arr = Array.of_list s.learnts in
-  Array.sort (fun (a : clause) b -> compare a.activity b.activity) arr;
-  let n = Array.length arr in
-  let kept = ref [] and n_kept = ref 0 in
+  let l = s.learnts in
+  let n = l.size in
+  let arr = Array.init n (fun i -> l.data.(n - 1 - i)) in
+  Array.sort (fun a b -> Float.compare s.cact.(a) s.cact.(b)) arr;
+  l.size <- 0;
   Array.iteri
     (fun i c ->
-      if i >= n / 2 || Array.length c.lits <= 2 || locked s c then begin
-        kept := c :: !kept;
-        incr n_kept
-      end
+      if i >= n / 2 || s.clen.(c) <= 2 || locked s c then push l c
       else begin
         detach_clause s c;
         s.learnts_removed <- s.learnts_removed + 1
       end)
     arr;
-  s.learnts <- !kept;
-  s.n_learnts <- !n_kept;
   (* geometric growth of the allowance, so reductions stay rare *)
   s.max_learnts <- s.max_learnts + (s.max_learnts / 2)
 
@@ -338,19 +439,22 @@ let add_clause s (lits : lit list) =
     let lits = List.sort_uniq compare lits in
     let taut =
       List.exists (fun l -> List.mem (-l) lits) lits
-      || List.exists (fun l -> value s l = 1) lits
+      || List.exists (fun l -> s.value.(code l) = 1) lits
     in
     if not taut then begin
-      let lits = List.filter (fun l -> value s l <> 0) lits in
-      List.iter (fun l -> ensure_capacity s (lit_var l)) lits;
+      let lits = List.filter (fun l -> s.value.(code l) <> 0) lits in
+      List.iter (fun l -> ensure_capacity s (abs l)) lits;
       match lits with
       | [] -> s.ok <- false
-      | [ l ] -> (
-          enqueue s l None;
-          match propagate s with Some _ -> s.ok <- false | None -> ())
+      | [ l ] ->
+          enqueue s (code l) (-1);
+          if propagate s >= 0 then s.ok <- false
       | _ ->
-          let c = { lits = Array.of_list lits; activity = 0.0 } in
-          s.clauses <- c :: s.clauses;
+          let c =
+            new_clause s (List.length lits) 0.0 (fun st ->
+                List.iteri (fun i l -> s.arena.(st + i) <- code l) lits)
+          in
+          s.n_orig <- s.n_orig + 1;
           attach_clause s c
     end
   end
@@ -358,107 +462,132 @@ let add_clause s (lits : lit list) =
 (* backtrack to a given decision level *)
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let rec boundary lim n =
-      (* trail length at start of level lvl+1 *)
-      match lim with
-      | [] -> 0
-      | b :: rest -> if n = lvl + 1 then b else boundary rest (n - 1)
-    in
-    let b = boundary s.trail_lim (decision_level s) in
+    (* trail length at the start of level lvl+1 *)
+    let b = s.trail_lim.data.(lvl) in
     for i = s.trail_len - 1 downto b do
-      let v = lit_var s.trail.(i) in
-      s.assign.(v) <- -1;
-      s.reason.(v) <- None
+      let x = s.trail.(i) in
+      s.value.(x) <- -1;
+      s.value.(x lxor 1) <- -1;
+      s.reason.(var x) <- -1
     done;
     s.trail_len <- b;
     s.qhead <- b;
-    let rec drop lim n = if n = lvl then lim else drop (List.tl lim) (n - 1) in
-    s.trail_lim <- drop s.trail_lim (decision_level s)
+    s.trail_lim.size <- lvl
   end
 
-(* First-UIP conflict analysis. Returns (learnt clause lits, backtrack level).
-   learnt.(0) is the asserting literal. *)
-let analyze s (confl : clause) : lit list * int =
-  let seen = Hashtbl.create 32 in
+(* First-UIP conflict analysis.  Leaves the learnt clause in [lbuf]
+   (slot 0 the asserting literal, then the lower-level literals in the
+   reverse of their discovery order) and returns the backtrack level.
+   Reason literals are read in arena order. *)
+let analyze s (confl : int) : int =
+  let lbuf = s.lbuf in
+  lbuf.size <- 0;
+  push lbuf 0;
   let counter = ref 0 in
-  let learnt = ref [] in
   let btlevel = ref 0 in
   let cur_level = decision_level s in
-  let p = ref 0 in
-  (* 0 = undefined *)
+  let p = ref (-1) in
+  (* -1 = undefined *)
   let c = ref confl in
   let idx = ref (s.trail_len - 1) in
   let continue_ = ref true in
   while !continue_ do
     (* bump + process reason clause *)
     cla_bump s !c;
-    Array.iter
-      (fun q ->
-        let v = lit_var q in
-        if (not (Hashtbl.mem seen v)) && s.level.(v) > 0 && q <> !p then begin
-          Hashtbl.add seen v ();
-          var_bump s v;
-          if s.level.(v) >= cur_level then incr counter
-          else begin
-            learnt := q :: !learnt;
-            if s.level.(v) > !btlevel then btlevel := s.level.(v)
-          end
-        end)
-      !c.lits;
+    let st = s.cstart.(!c) in
+    for k = st to st + s.clen.(!c) - 1 do
+      let q = s.arena.(k) in
+      let v = var q in
+      if (not s.seen.(v)) && s.level.(v) > 0 && q <> !p then begin
+        s.seen.(v) <- true;
+        var_bump s v;
+        if s.level.(v) >= cur_level then incr counter
+        else begin
+          push lbuf q;
+          if s.level.(v) > !btlevel then btlevel := s.level.(v)
+        end
+      end
+    done;
     (* select next literal to look at *)
-    let rec find_next () =
-      let l = s.trail.(!idx) in
-      decr idx;
-      if Hashtbl.mem seen (lit_var l) then l else find_next ()
-    in
-    let l = find_next () in
-    Hashtbl.remove seen (lit_var l);
+    while not s.seen.(var s.trail.(!idx)) do
+      decr idx
+    done;
+    let l = s.trail.(!idx) in
+    decr idx;
+    s.seen.(var l) <- false;
     decr counter;
     if !counter = 0 then begin
-      learnt := -l :: !learnt;
+      lbuf.data.(0) <- l lxor 1;
       continue_ := false
     end
     else begin
       p := l;
-      c :=
-        (match s.reason.(lit_var l) with
-        | Some r -> r
-        | None -> assert false)
+      c := s.reason.(var l);
+      assert (!c >= 0)
     end
   done;
-  (!learnt, !btlevel)
+  let d = lbuf.data and n = lbuf.size in
+  for i = 1 to n - 1 do
+    s.seen.(var d.(i)) <- false
+  done;
+  (* reverse slots 1..n-1 *)
+  let i = ref 1 and j = ref (n - 1) in
+  while !i < !j do
+    let tmp = d.(!i) in
+    d.(!i) <- d.(!j);
+    d.(!j) <- tmp;
+    incr i;
+    decr j
+  done;
+  !btlevel
 
 (* Decision heuristic: scan from a rotating cursor for the next
    unassigned variable, preferring recently-bumped (high-activity)
    variables seen in a bounded window.  This keeps decisions O(1)
    amortized on the large, mostly-easy instances produced by grounding,
-   while still following conflict activity. *)
-let pick_branch_var s : int option =
-  (* first try: highest-activity var among those bumped since the last
-     conflict (cheap approximation of VSIDS) *)
+   while still following conflict activity.  Returns 0 when every
+   variable is assigned. *)
+let pick_branch_var s : int =
   let best = ref 0 in
   let best_act = ref 0.0 in
   let scanned = ref 0 in
   let v = ref s.next_var_hint in
   let n = s.nvars in
-  if n = 0 then None
-  else begin
-    (* bounded scan window for an active variable *)
-    while !scanned < n && (!best = 0 || !scanned < 64) do
-      incr scanned;
-      let cand = !v in
-      v := if cand >= n then 1 else cand + 1;
-      if s.assign.(cand) = -1 && (!best = 0 || s.activity.(cand) > !best_act)
-      then begin
-        best := cand;
-        best_act := s.activity.(cand)
-      end
-    done;
-    if !best = 0 then None
-    else begin
-      s.next_var_hint <- !best;
-      Some !best
+  (* bounded scan window for an active variable *)
+  while !scanned < n && (!best = 0 || !scanned < 64) do
+    incr scanned;
+    let cand = !v in
+    v := if cand >= n then 1 else cand + 1;
+    if s.value.(2 * cand) = -1 && (!best = 0 || s.activity.(cand) > !best_act)
+    then begin
+      best := cand;
+      best_act := s.activity.(cand)
     end
+  done;
+  if !best <> 0 then s.next_var_hint <- !best;
+  !best
+
+(* Store the clause [analyze] left in [lbuf] as a learnt clause and
+   assert its first literal. *)
+let learn s =
+  let d = s.lbuf.data and n = s.lbuf.size in
+  if n = 1 then enqueue s d.(0) (-1)
+  else begin
+    let c = new_clause s n s.cla_inc (fun st -> Array.blit d 0 s.arena st n) in
+    (* ensure second watched literal is from the conflict level: the
+       first index at the maximal level *)
+    let a = s.arena and st = s.cstart.(c) in
+    let max_i = ref (st + 1) in
+    for i = st + 2 to st + n - 1 do
+      if s.level.(var a.(i)) > s.level.(var a.(!max_i)) then max_i := i
+    done;
+    let tmp = a.(st + 1) in
+    a.(st + 1) <- a.(!max_i);
+    a.(!max_i) <- tmp;
+    push s.learnts c;
+    s.learnts_total <- s.learnts_total + 1;
+    attach_clause s c;
+    enqueue s a.(st) c
   end
 
 (** Decide satisfiability of the clauses added so far. After [Sat],
@@ -466,70 +595,47 @@ let pick_branch_var s : int option =
 let solve s : result =
   if not s.ok then Unsat
   else begin
-    (match propagate s with Some _ -> s.ok <- false | None -> ());
+    if propagate s >= 0 then s.ok <- false;
     if not s.ok then Unsat
     else begin
-      if s.max_learnts = 0 then
-        s.max_learnts <- max 256 (List.length s.clauses / 3);
+      if s.max_learnts = 0 then s.max_learnts <- max 256 (s.n_orig / 3);
       let status = ref None in
       let conflicts_since_restart = ref 0 in
       let restart_limit = ref 100 in
       while !status = None do
-        match propagate s with
-        | Some confl ->
-            s.conflicts <- s.conflicts + 1;
-            incr conflicts_since_restart;
-            if decision_level s = 0 then begin
-              s.ok <- false;
-              status := Some Unsat
-            end
-            else begin
-              let learnt, btlevel = analyze s confl in
-              cancel_until s btlevel;
-              (match learnt with
-              | [] -> assert false
-              | [ l ] -> enqueue s l None
-              | l :: _ ->
-                  let c =
-                    { lits = Array.of_list learnt; activity = s.cla_inc }
-                  in
-                  (* ensure second watched literal is from the conflict level *)
-                  let lits = c.lits in
-                  let max_i = ref 1 in
-                  for i = 2 to Array.length lits - 1 do
-                    if s.level.(lit_var lits.(i)) > s.level.(lit_var lits.(!max_i))
-                    then max_i := i
-                  done;
-                  let tmp = lits.(1) in
-                  lits.(1) <- lits.(!max_i);
-                  lits.(!max_i) <- tmp;
-                  s.learnts <- c :: s.learnts;
-                  s.n_learnts <- s.n_learnts + 1;
-                  s.learnts_total <- s.learnts_total + 1;
-                  attach_clause s c;
-                  enqueue s l (Some c));
-              var_decay s;
-              cla_decay s;
-              if s.n_learnts > s.max_learnts then reduce_db s
-            end
-        | None ->
-            if
-              !conflicts_since_restart >= !restart_limit
-              && decision_level s > 0
-            then begin
-              conflicts_since_restart := 0;
-              restart_limit := !restart_limit * 3 / 2;
-              cancel_until s 0
-            end
-            else begin
-              match pick_branch_var s with
-              | None -> status := Some Sat
-              | Some v ->
-                  s.decisions <- s.decisions + 1;
-                  s.trail_lim <- s.trail_len :: s.trail_lim;
-                  let l = if s.phase.(v) then v else -v in
-                  enqueue s l None
-            end
+        let confl = propagate s in
+        if confl >= 0 then begin
+          s.conflicts <- s.conflicts + 1;
+          incr conflicts_since_restart;
+          if decision_level s = 0 then begin
+            s.ok <- false;
+            status := Some Unsat
+          end
+          else begin
+            let btlevel = analyze s confl in
+            cancel_until s btlevel;
+            learn s;
+            var_decay s;
+            cla_decay s;
+            if s.learnts.size > s.max_learnts then reduce_db s
+          end
+        end
+        else if
+          !conflicts_since_restart >= !restart_limit && decision_level s > 0
+        then begin
+          conflicts_since_restart := 0;
+          restart_limit := !restart_limit * 3 / 2;
+          cancel_until s 0
+        end
+        else begin
+          let v = pick_branch_var s in
+          if v = 0 then status := Some Sat
+          else begin
+            s.decisions <- s.decisions + 1;
+            push s.trail_lim s.trail_len;
+            enqueue s (if s.phase.(v) then 2 * v else (2 * v) + 1) (-1)
+          end
+        end
       done;
       (match !status with
       | Some Sat -> ()
@@ -540,9 +646,7 @@ let solve s : result =
 
 (** Truth value of a literal in the model found by the last [Sat] answer.
     Unassigned variables (don't-cares) read as [false]. *)
-let model_value s (l : lit) : bool =
-  let v = value s l in
-  v = 1
+let model_value s (l : lit) : bool = s.value.(code l) = 1
 
 (** Reset the assignment to level 0 so further clauses can be added.
     Call after reading the model of a [Sat] answer. *)
@@ -567,3 +671,4 @@ let stats s =
 
 let true_lit_get s = s.true_lit
 let true_lit_set s v = s.true_lit <- v
+let max_learnts_set s n = s.max_learnts <- n

@@ -70,3 +70,7 @@ val recycle_stats : unit -> int * int
 (* internal, used by Cnf's true-literal allocation *)
 val true_lit_get : t -> int
 val true_lit_set : t -> int -> unit
+
+(* internal, for tests: set the learnt-clause allowance before the first
+   [solve] (0, the default, derives it from the clause count) *)
+val max_learnts_set : t -> int -> unit

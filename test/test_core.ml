@@ -784,6 +784,25 @@ let test_stats_counters () =
   Alcotest.(check bool) "stats render" true
     (Astring.String.is_infix ~affix:"SAT solves" printed)
 
+(* The solver's search, pinned: a cold [Ipa.run ~jobs:1] makes exactly
+   these SAT conflicts/decisions/propagations.  Every SAT model becomes a
+   report witness, so a change to the solver's search moves reports; a
+   change that alters the search on purpose updates these pins. *)
+let test_search_pinned () =
+  List.iter
+    (fun (name, spec, expect) ->
+      let ctx = fresh () in
+      let s = (Ipa.run ~jobs:1 ~ctx (spec ())).Ipa.stats in
+      Alcotest.(check (list int))
+        (name ^ " conflicts/decisions/propagations")
+        expect
+        [ s.Anactx.sat_conflicts; s.Anactx.sat_decisions; s.Anactx.sat_propagations ])
+    [
+      ("ticket", Catalog.ticket, [ 117; 140; 10_232 ]);
+      ("twitter", Catalog.twitter, [ 869; 1_441; 63_907 ]);
+      ("tpcw", Catalog.tpcw, [ 166; 340; 14_949 ]);
+    ]
+
 let test_rule_choices_dedupe () =
   let spec = mini () in
   (* one opposing predicate: the spec's rules (e: add-wins among them)
@@ -1305,6 +1324,7 @@ let () =
           Alcotest.test_case "cache/prune equivalence (tournament)" `Slow
             test_cache_equivalence_tournament;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "search pinned" `Quick test_search_pinned;
           Alcotest.test_case "rule choices deduplicated" `Quick
             test_rule_choices_dedupe;
           Alcotest.test_case "rules_equal is set equality" `Quick

@@ -145,6 +145,189 @@ let prop_sat_model_satisfies =
             clauses)
 
 (* ------------------------------------------------------------------ *)
+(* Exact replay of the reference solver                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A solver input as a script, so the kernel and the reference solver
+   ([Sat_ref]) receive the same calls.  [Solve] solves, records the
+   answer, the model over every variable and the stats, and resets after
+   [Sat] so later clauses are added after a [Sat] answer. *)
+type op = Var | Clause of int list | Solve
+
+(* [learnt_limit] 0 keeps the solver's own allowance *)
+type script = { learnt_limit : int; ops : op list }
+
+module type SOLVER = sig
+  type t
+  type result = Sat | Unsat
+
+  type stats = {
+    n_conflicts : int;
+    n_decisions : int;
+    n_propagations : int;
+    n_learnts : int;
+    n_removed : int;
+  }
+
+  val create : unit -> t
+  val new_var : t -> int
+  val add_clause : t -> int list -> unit
+  val solve : t -> result
+  val model_value : t -> int -> bool
+  val reset : t -> unit
+  val stats : t -> stats
+  val max_learnts_set : t -> int -> unit
+end
+
+module Replay (S : SOLVER) = struct
+  let run ?(release = ignore) sc =
+    let s = S.create () in
+    S.max_learnts_set s sc.learnt_limit;
+    let nv = ref 0 in
+    let out =
+      List.filter_map
+        (function
+          | Var ->
+              nv := S.new_var s;
+              None
+          | Clause c ->
+              S.add_clause s c;
+              None
+          | Solve ->
+              let r = S.solve s in
+              let model =
+                if r = S.Sat then List.init !nv (fun i -> S.model_value s (i + 1))
+                else []
+              in
+              let st = S.stats s in
+              S.reset s;
+              Some
+                ( r = S.Sat,
+                  model,
+                  [ st.n_conflicts; st.n_decisions; st.n_propagations;
+                    st.n_learnts; st.n_removed ] ))
+        sc.ops
+    in
+    release s;
+    out
+end
+
+module Kernel = Replay (Sat)
+module Reference = Replay (Sat_ref)
+
+(* Records what [Cnf]'s encodings ask of a solver, as a script. *)
+module Recorder = struct
+  type t = { mutable nv : int; mutable rev_ops : op list; mutable tl : int }
+
+  let new_var r =
+    r.nv <- r.nv + 1;
+    r.rev_ops <- Var :: r.rev_ops;
+    r.nv
+
+  let add_clause r c = r.rev_ops <- Clause c :: r.rev_ops
+  let true_lit_get r = r.tl
+  let true_lit_set r v = r.tl <- v
+end
+
+module Rcnf = Cnf.Make (Recorder)
+
+let gen_lit nvars =
+  QCheck.Gen.(map2 (fun v b -> if b then v + 1 else -(v + 1)) (int_bound (nvars - 1)) bool)
+
+let gen_learnt_limit = QCheck.Gen.(oneof [ return 0; int_range 2 12 ])
+
+(* random 3-CNF near the threshold ratio, with a second round of
+   clauses after the first answer *)
+let gen_3cnf =
+  let open QCheck.Gen in
+  int_range 10 50 >>= fun nvars ->
+  let clause = list_repeat 3 (gen_lit nvars) in
+  int_range (4 * nvars) (9 * nvars / 2) >>= fun m ->
+  list_repeat m clause >>= fun cs ->
+  list_size (int_range 0 8) clause >>= fun extra ->
+  gen_learnt_limit >|= fun learnt_limit ->
+  {
+    learnt_limit;
+    ops =
+      List.init nvars (fun _ -> Var)
+      @ List.map (fun c -> Clause c) cs
+      @ [ Solve ]
+      @ List.map (fun c -> Clause c) extra
+      @ [ Solve ];
+  }
+
+(* PHP(n+1, n) for n <= 5, clauses in a random order *)
+let gen_php =
+  let open QCheck.Gen in
+  int_range 1 5 >>= fun n ->
+  let p i h = (i * n) + h + 1 in
+  let rows = List.init (n + 1) (fun i -> List.init n (fun h -> p i h)) in
+  let excl =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j -> if j > i then Some [ -p i h; -p j h ] else None)
+              (List.init (n + 1) Fun.id))
+          (List.init (n + 1) Fun.id))
+      (List.init n Fun.id)
+  in
+  shuffle_l (rows @ excl) >>= fun cs ->
+  int_range 2 8 >|= fun learnt_limit ->
+  {
+    learnt_limit;
+    ops = List.init ((n + 1) * n) (fun _ -> Var) @ List.map (fun c -> Clause c) cs @ [ Solve ];
+  }
+
+(* [Cnf.at_least] constraints over overlapping input sets, asserted or
+   negated, plus random 3-clauses; after each answer another round of
+   random 3-clauses arrives *)
+let gen_at_least_mix =
+  let open QCheck.Gen in
+  int_range 12 30 >>= fun nx ->
+  let card =
+    list_size (int_range 4 nx) (int_bound (nx - 1)) >>= fun ins ->
+    let n = List.length ins in
+    pair (int_range (n / 3) (2 * n / 3)) bool >|= fun (k, pos) -> (ins, k, pos)
+  in
+  list_size (int_range 3 8) card >>= fun cards ->
+  let clause3 = list_repeat 3 (gen_lit nx) in
+  list_size (int_range nx (3 * nx)) clause3 >>= fun cs ->
+  list_repeat 3 (list_size (int_range 1 4) clause3) >>= fun later ->
+  int_range 2 12 >|= fun learnt_limit ->
+  let r = { Recorder.nv = 0; rev_ops = []; tl = 0 } in
+  let xs = Array.init nx (fun _ -> Recorder.new_var r) in
+  List.iter
+    (fun (ins, k, pos) ->
+      let z = Rcnf.at_least r (List.map (fun i -> xs.(i)) ins) k in
+      Recorder.add_clause r [ (if pos then z else -z) ])
+    cards;
+  List.iter (Recorder.add_clause r) cs;
+  List.iter
+    (fun round ->
+      r.rev_ops <- Solve :: r.rev_ops;
+      List.iter (Recorder.add_clause r) round)
+    later;
+  r.rev_ops <- Solve :: r.rev_ops;
+  { learnt_limit; ops = List.rev r.rev_ops }
+
+let print_script sc =
+  Printf.sprintf "learnt_limit=%d\n%s" sc.learnt_limit
+    (String.concat "\n"
+       (List.map
+          (function
+            | Var -> "var"
+            | Solve -> "solve"
+            | Clause c -> String.concat " " (List.map string_of_int c))
+          sc.ops))
+
+let prop_replays_reference name count gen =
+  QCheck.Test.make ~name:("kernel = reference: " ^ name) ~count
+    (QCheck.make ~print:print_script gen)
+    (fun sc -> Kernel.run ~release:Sat.release sc = Reference.run sc)
+
+(* ------------------------------------------------------------------ *)
 (* Cardinality (totalizer)                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -524,6 +707,9 @@ let prop_cardinality_matches_eval =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sat_matches_bruteforce; prop_sat_model_satisfies;
+      prop_replays_reference "random 3-CNF" 300 gen_3cnf;
+      prop_replays_reference "PHP(n+1,n)" 100 gen_php;
+      prop_replays_reference "at_least mixes" 300 gen_at_least_mix;
       prop_encode_matches_eval; prop_cardinality_matches_eval ]
 
 let () =

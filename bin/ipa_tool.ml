@@ -31,7 +31,7 @@ open Ipa_core
 let load_spec = Serve.load_spec
 
 (* the shared [--jobs N] option: CLI flag beats IPA_JOBS beats the
-   machine's recommended domain count; always clamped to the pool cap *)
+   machine's recommended domain count; the pool clamps it to its cap *)
 let jobs_arg =
   Arg.(
     value
@@ -42,9 +42,8 @@ let jobs_arg =
            $(b,IPA_JOBS) if set, else the machine's recommended domain \
            count, capped).  Results are bit-identical at every level.")
 
-let resolve_jobs = function
-  | Some n -> max 1 (min Ipa_par.Pool.cap n)
-  | None -> Ipa_par.Pool.default_jobs ()
+let resolve_jobs jobs =
+  Option.value jobs ~default:(Ipa_par.Pool.default_jobs ())
 
 let policy_of_string s =
   if s = "fewest" then Repair.Fewest_effects

@@ -56,12 +56,8 @@ let counterexample_of (env : Oracle.env) (tr : Trace.t)
 let campaign ~(app : string) ~(repaired : bool) ~(seed : int) ~(runs : int)
     ?(n_ops = 40) ?(crashes = 0) ?(reads = 0) ?(escrow_skew = 0)
     ?(stop_on_failure = true) ?jobs () : report =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 (min Ipa_par.Pool.cap j)
-    | None -> Ipa_par.Pool.env_jobs ()
-  in
-  Ipa_par.Pool.with_pool ~jobs @@ fun pool ->
+  Ipa_par.Pool.with_pool ?jobs @@ fun pool ->
+  let jobs = Ipa_par.Pool.jobs pool in
   (* worker → its lazily created private environment.  Only the owning
      worker index touches its slot during a batch; the caller reads
      them afterwards (the pool's completion barrier orders both). *)

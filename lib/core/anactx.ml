@@ -1,4 +1,4 @@
-(** Shared analysis context: caches and statistics for one analysis run.
+(** Analysis context: caches and statistics for one analysis run.
 
     Every stage of the pipeline ({!Detect}, {!Repair}, {!Ipa}) takes a
     context.  It provides
@@ -18,8 +18,10 @@
       cache hit rates, candidates generated/pruned/checked, and per-pair
       wall time.
 
-    A context may be reused across runs (counters accumulate) but must
-    not be shared between different specifications: the grounding cache
+    A context belongs to one domain (its tables are plain [Hashtbl]s):
+    a parallel [Ipa.run] gives each worker its own for the whole call.
+    It may be reused across runs (counters accumulate) but must not be
+    shared between different specifications: the grounding cache
     assumes the signature and constants are fixed — only operations and
     convergence rules may vary, which the cache keys account for. *)
 
@@ -62,22 +64,7 @@ type t = {
   case_tbl : (Oblig.key, Oblig.witness option) Hashtbl.t;
       (** whole-case witness extractions ([k_clause = -1]) — replaying
           the exact solver query keeps reports bit-identical *)
-  mutable frozen : ro option;
-      (** read-only snapshot of another context's caches, consulted on
-          a private-table miss; see {!freeze}/{!share} *)
   stats : stats;
-}
-
-(** An immutable snapshot of a context's caches.  Workers of a parallel
-    scan all {!share} one snapshot: reads of a frozen [Hashtbl] from
-    many domains are safe precisely because nobody writes it — every
-    insertion goes to the sharing worker's private tables instead. *)
-and ro = {
-  ro_ground : (Ast.formula * Ground.domain, Ground.gformula) Hashtbl.t;
-  ro_seq : (verdict_key, bool) Hashtbl.t;
-  ro_intent : (verdict_key, bool) Hashtbl.t;
-  ro_oblig : (Oblig.key, bool) Hashtbl.t;
-  ro_case : (Oblig.key, Oblig.witness option) Hashtbl.t;
 }
 
 (** Everything a per-operation verdict can depend on besides the fixed
@@ -123,31 +110,15 @@ let create ?(cache = true) ?(prune = true) () =
     intent_tbl = Hashtbl.create 64;
     oblig_tbl = Hashtbl.create 256;
     case_tbl = Hashtbl.create 64;
-    frozen = None;
     stats = fresh_stats ();
   }
 
 (** A context with the same cache/prune switches as [like] but empty
     caches and zeroed counters — per-domain state for parallel analysis
     (the mutable hashtables are not domain-safe and must never be
-    shared; a {!frozen} snapshot may be). *)
+    shared). *)
 let fresh ~(like : t) : t =
   create ~cache:like.cache ~prune:like.prune ()
-
-(** Snapshot [t]'s caches for read-only sharing.  The copies belong to
-    the snapshot alone: [t] may keep mutating its live tables. *)
-let freeze (t : t) : ro =
-  {
-    ro_ground = Hashtbl.copy t.ground_tbl;
-    ro_seq = Hashtbl.copy t.seq_tbl;
-    ro_intent = Hashtbl.copy t.intent_tbl;
-    ro_oblig = Hashtbl.copy t.oblig_tbl;
-    ro_case = Hashtbl.copy t.case_tbl;
-  }
-
-(** Point [t]'s miss path at a frozen snapshot (replacing any previous
-    one).  [t] itself stays private to its worker. *)
-let share (t : t) (ro : ro) : unit = t.frozen <- Some ro
 
 (** Fold [child]'s counters (and per-pair wall times) into [into]. *)
 let merge_stats ~(into : t) (child : t) : unit =
@@ -179,50 +150,6 @@ let merge_stats ~(into : t) (child : t) : unit =
     b.pair_seconds;
   a.total_seconds <- a.total_seconds +. b.total_seconds
 
-(** Move [child]'s cache entries and counters into [into], leaving
-    [child] empty (tables cleared, counters zeroed, snapshot dropped).
-    After a parallel scan the parent absorbs every worker, so the next
-    {!freeze} hands all of this round's discoveries to all of the next
-    round's workers — without absorption each worker re-derives what
-    its siblings already paid for.  Zeroing [child]'s counters keeps a
-    later {!merge_stats} of the same child (e.g. the pool teardown's
-    final sweep) from double-counting this round's work. *)
-let absorb ~(into : t) (child : t) : unit =
-  let move src dst =
-    Hashtbl.iter
-      (fun k v -> if not (Hashtbl.mem dst k) then Hashtbl.add dst k v)
-      src;
-    Hashtbl.reset src
-  in
-  move child.ground_tbl into.ground_tbl;
-  move child.seq_tbl into.seq_tbl;
-  move child.intent_tbl into.intent_tbl;
-  move child.oblig_tbl into.oblig_tbl;
-  move child.case_tbl into.case_tbl;
-  child.frozen <- None;
-  merge_stats ~into child;
-  let s = child.stats in
-  s.sat_calls <- 0;
-  s.sat_conflicts <- 0;
-  s.sat_decisions <- 0;
-  s.sat_propagations <- 0;
-  s.sat_learnts <- 0;
-  s.sat_removed <- 0;
-  s.ground_hits <- 0;
-  s.ground_misses <- 0;
-  s.verdict_hits <- 0;
-  s.verdict_misses <- 0;
-  s.cands_generated <- 0;
-  s.cands_pruned <- 0;
-  s.cands_checked <- 0;
-  s.pairs_checked <- 0;
-  s.oblig_hits <- 0;
-  s.oblig_misses <- 0;
-  s.case_hits <- 0;
-  s.case_misses <- 0;
-  Hashtbl.reset s.pair_seconds;
-  s.total_seconds <- 0.0
-
 let stats t = t.stats
 let prune_enabled t = t.prune
 
@@ -230,23 +157,14 @@ let prune_enabled t = t.prune
 (* Cache operations                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* a cached value, if caching is on: the private table first, then the
-   shared frozen snapshot (a frozen hit is still a hit — the work was
-   saved).  Each memoizing helper below counts a hit or a miss, and on a
-   miss inserts into the private table only, so the snapshot stays
-   read-only across domains. *)
-let find (c : t) (tbl : ('k, 'v) Hashtbl.t) (proj : ro -> ('k, 'v) Hashtbl.t)
-    (key : 'k) : 'v option =
-  if not c.cache then None
-  else
-    match (Hashtbl.find_opt tbl key, c.frozen) with
-    | (Some _ as hit), _ -> hit
-    | None, None -> None
-    | None, Some ro -> Hashtbl.find_opt (proj ro) key
+(* a cached value, if caching is on.  Each memoizing helper below
+   counts a hit or a miss, and on a miss inserts the computed value. *)
+let find (c : t) (tbl : ('k, 'v) Hashtbl.t) (key : 'k) : 'v option =
+  if c.cache then Hashtbl.find_opt tbl key else None
 
 let ground (c : t) ~sg ~consts ~dom (f : Ast.formula) : Ground.gformula =
   let key = (f, dom) in
-  match find c c.ground_tbl (fun ro -> ro.ro_ground) key with
+  match find c c.ground_tbl key with
   | Some g ->
       c.stats.ground_hits <- c.stats.ground_hits + 1;
       g
@@ -267,9 +185,8 @@ let verdict_key (spec : Types.t) (base : Types.operation)
 let cached_verdict (c : t) which (spec : Types.t) (base : Types.operation)
     (cur : Types.operation) (f : unit -> bool) : bool =
   let tbl = match which with `Seq -> c.seq_tbl | `Intent -> c.intent_tbl in
-  let proj ro = match which with `Seq -> ro.ro_seq | `Intent -> ro.ro_intent in
   let key = verdict_key spec base cur in
-  match find c tbl proj key with
+  match find c tbl key with
   | Some v ->
       c.stats.verdict_hits <- c.stats.verdict_hits + 1;
       v
@@ -280,7 +197,7 @@ let cached_verdict (c : t) which (spec : Types.t) (base : Types.operation)
       v
 
 let oblig_lookup (c : t) (key : Oblig.key) (f : unit -> bool) : bool =
-  match find c c.oblig_tbl (fun ro -> ro.ro_oblig) key with
+  match find c c.oblig_tbl key with
   | Some v ->
       c.stats.oblig_hits <- c.stats.oblig_hits + 1;
       v
@@ -290,19 +207,17 @@ let oblig_lookup (c : t) (key : Oblig.key) (f : unit -> bool) : bool =
       if c.cache then Hashtbl.add c.oblig_tbl key v;
       v
 
-(** Is this obligation's verdict already cached (private table or
-    shared snapshot)?  A pure query: no counters move — the eventual
-    {!oblig_lookup} that consumes the entry counts the hit.  The
-    parallel scan uses it to keep cached obligations out of the
-    fan-out: a warm re-scan then crosses no barrier at all. *)
+(** Is this obligation's verdict already cached?  A pure query: no
+    counters move — the eventual {!oblig_lookup} that consumes the entry
+    counts the hit.  The parallel scan uses it to keep cached
+    obligations out of the fan-out. *)
 let oblig_cached (c : t) (key : Oblig.key) : bool =
-  find c c.oblig_tbl (fun ro -> ro.ro_oblig) key <> None
+  find c c.oblig_tbl key <> None
 
 (** Seed an obligation verdict computed elsewhere (a parallel worker)
-    into the private table, without touching the hit/miss counters —
-    the computing context already counted the miss.  Lets the parent of
-    a fan-out record a block's verdicts directly instead of paying a
-    snapshot copy per block. *)
+    without touching the hit/miss counters — the computing context
+    already counted the miss.  This is how a fan-out's verdicts reach
+    the parent that concludes the pairs. *)
 let oblig_put (c : t) (key : Oblig.key) (v : bool) : unit =
   if c.cache && not (Hashtbl.mem c.oblig_tbl key) then
     Hashtbl.add c.oblig_tbl key v
@@ -312,7 +227,7 @@ let oblig_put (c : t) (key : Oblig.key) (v : bool) : unit =
    cache keep reports bit-identical to a from-scratch run *)
 let case_lookup (c : t) (key : Oblig.key) (f : unit -> Oblig.witness option)
     : Oblig.witness option =
-  match find c c.case_tbl (fun ro -> ro.ro_case) key with
+  match find c c.case_tbl key with
   | Some v ->
       c.stats.case_hits <- c.stats.case_hits + 1;
       v

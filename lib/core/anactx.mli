@@ -1,8 +1,13 @@
-(** Shared analysis context threaded through {!Detect}, {!Repair} and
-    {!Ipa}: a grounding cache, verdict caches, the witness-pruning
-    switch, and aggregated solver/cache statistics.  Every analysis
-    entry point takes one; [Ipa.run] creates it when the caller does
-    not.
+(** Analysis context threaded through {!Detect}, {!Repair} and {!Ipa}:
+    a grounding cache, verdict caches, the witness-pruning switch, and
+    aggregated solver/cache statistics.  Every analysis entry point
+    takes one; [Ipa.run] creates it when the caller does not.
+
+    A context belongs to one domain: its tables are plain [Hashtbl]s.
+    A parallel [Ipa.run] gives each worker its own context for the
+    whole call ({!fresh}); verdicts reach the caller's context by value
+    ({!oblig_put}) and counters fold in once, at the end
+    ({!merge_stats}).
 
     A context may be reused across runs (counters accumulate) but must
     not be shared between different specifications: the grounding cache
@@ -51,29 +56,6 @@ val create : ?cache:bool -> ?prune:bool -> unit -> t
     with {!merge_stats}. *)
 val fresh : like:t -> t
 
-(** An immutable snapshot of a context's caches, safe to read from many
-    domains at once precisely because nobody writes it. *)
-type ro
-
-(** Snapshot [t]'s caches.  The copies belong to the snapshot alone:
-    [t] may keep mutating its live tables afterwards. *)
-val freeze : t -> ro
-
-(** [share t ro] points [t]'s cache-miss path at the snapshot: lookups
-    consult [t]'s private tables first, then [ro]; insertions go to the
-    private tables only.  Workers of a parallel scan each {!share} one
-    {!freeze} of the parent context, so siblings reuse everything the
-    parent has already paid for without any cross-domain mutation. *)
-val share : t -> ro -> unit
-
-(** [absorb ~into child] moves [child]'s cache entries (added when
-    absent) and counters into [into], leaving [child] with empty tables,
-    zeroed counters and no shared snapshot.  Run after each parallel
-    scan so the next {!freeze} carries every worker's discoveries;
-    zeroing keeps a later {!merge_stats} of the same child from
-    double-counting. *)
-val absorb : into:t -> t -> unit
-
 (** [merge_stats ~into child] adds [child]'s counters (and per-pair
     wall times) into [into]'s statistics.  Summing the per-domain
     contexts of a parallel run over a partition of the work yields the
@@ -113,7 +95,8 @@ val cached_verdict :
 val oblig_lookup : t -> Oblig.key -> (unit -> bool) -> bool
 
 (** Seed an obligation verdict computed elsewhere (a parallel worker)
-    without touching the hit/miss counters. *)
+    without touching the hit/miss counters: the worker's context
+    already counted the miss. *)
 val oblig_put : t -> Oblig.key -> bool -> unit
 
 (** Is this obligation's verdict already cached?  Pure query — no

@@ -5,7 +5,14 @@
     unhandled conflicts remain.  Pairs whose conflicts cannot be repaired
     by extra effects are handed to the compensation synthesizer (§3.4);
     if that fails too, the pair is flagged for the programmer to protect
-    with coordination (§3, step 3). *)
+    with coordination (§3, step 3).
+
+    The conflict search is one function, {!verdicts}: {!run} takes its
+    first conflict each iteration and {!diagnose} reads it to the end.
+    With [jobs > 1] it fans per-clause proof obligations out over a
+    domain pool whose workers each own one context for the whole call;
+    the pairs are concluded in order on the caller's context, so the
+    outcome is identical at every [jobs] level. *)
 
 open Ipa_spec
 
@@ -54,28 +61,117 @@ let compensations (r : report) : Compensation.t list =
     r.resolutions
 
 (** Per-worker analysis state of a parallel run: the pool plus one
-    context per worker (index 0 is the caller's — the parent context
-    itself, so its caches keep warming across iterations). *)
+    context per worker, owned by that worker for the whole call (index
+    0 is the caller's — the parent context itself). *)
 type workers = { pool : Ipa_par.Pool.t; wctxs : Anactx.t array }
 
-(** Run [f] with the domain pool and per-worker contexts for [jobs]
-    workers ([None] at [jobs = 1]); fold worker counters back into
-    [ctx] afterwards, also on exceptions. *)
-let with_workers ~(jobs : int) (ctx : Anactx.t) (f : workers option -> 'a) :
-    'a =
-  if jobs <= 1 then f None
+(** Run [f] with the domain pool and per-worker contexts ([None] when
+    the pool has one worker); fold worker counters into [ctx] once, at
+    teardown, also on exceptions. *)
+let with_workers ?jobs (ctx : Anactx.t) (f : workers option -> 'a) : 'a =
+  Ipa_par.Pool.with_pool ?jobs @@ fun pool ->
+  let jobs = Ipa_par.Pool.jobs pool in
+  if jobs = 1 then f None
   else
-    Ipa_par.Pool.with_pool ~jobs (fun pool ->
-        let wctxs =
-          Array.init jobs (fun i ->
-              if i = 0 then ctx else Anactx.fresh ~like:ctx)
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            for i = 1 to jobs - 1 do
-              Anactx.merge_stats ~into:ctx wctxs.(i)
-            done)
-          (fun () -> f (Some { pool; wctxs })))
+    let wctxs =
+      Array.init jobs (fun i -> if i = 0 then ctx else Anactx.fresh ~like:ctx)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        for i = 1 to jobs - 1 do
+          Anactx.merge_stats ~into:ctx wctxs.(i)
+        done)
+      (fun () -> f (Some { pool; wctxs }))
+
+let rec pairs = function
+  | [] -> []
+  | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
+
+let names ((o1, o2) : Detect.aop * Detect.aop) =
+  (o1.Detect.cur.oname, o2.Detect.cur.oname)
+
+(** The conflict search of Algorithm 1 ([isConflicting] over [cands]):
+    each pair's verdict, in order, concluded by [Detect.check_pair] on
+    [ctx].  The sequence is lazy: a consumer that stops at the first
+    [Conflict] ({!run}) checks nothing past it, one that reads to the
+    end ({!diagnose}) checks every pair.
+
+    Without workers nothing is prefetched.  With workers, the search
+    fans out per-clause proof obligations, not whole pairs (pairs
+    differ wildly in unification cases × relevant clauses, so
+    pair-granular blocks load-balance poorly).  A leading pair whose
+    obligations are all cached on [ctx] is concluded at once; a pair
+    with a fresh obligation starts a block, which takes the following
+    pairs until it holds ~16·jobs fresh obligations.  The block's fresh
+    obligations are discharged concurrently, each worker in its own
+    context, and their verdicts put into [ctx]; the block's pairs are
+    then concluded in order on [ctx], where every obligation lookup
+    hits and only a conflicting case's witness extraction still solves.
+    A block too small to keep the pool busy is discharged on [ctx]
+    without crossing the barrier.
+
+    An obligation's verdict is a function of its content-addressed key,
+    so solving a block's tail past the first conflict changes no
+    verdict, only cost, and caching it is sound.  Speculation is bounded
+    by one block; a warm re-scan whose pairs are all cached forms no
+    block and solves nothing. *)
+let verdicts ~(ctx : Anactx.t) (workers : workers option) (spec : Types.t)
+    (cands : (Detect.aop * Detect.aop) list) :
+    ((Detect.aop * Detect.aop) * Detect.verdict) Seq.t =
+  let conclude ((o1, o2) as p) =
+    ( p,
+      Anactx.time ctx (names p) (fun () -> Detect.check_pair ~ctx spec o1 o2)
+    )
+  in
+  match workers with
+  | None -> Seq.map conclude (List.to_seq cands)
+  | Some { pool; wctxs } ->
+      let jobs = Ipa_par.Pool.jobs pool in
+      let fresh (o1, o2) =
+        List.filter
+          (fun (ob : Detect.oblig) ->
+            not (Anactx.oblig_cached ctx ob.Detect.ob_key))
+          (Detect.obligations spec o1 o2)
+      in
+      let solve c (ob : Detect.oblig) =
+        Anactx.time c
+          (names (ob.Detect.ob_o1, ob.Detect.ob_o2))
+          (fun () -> Detect.solve_obligation ~ctx:c spec ob)
+      in
+      let solve_block obls =
+        if List.length obls < 2 * jobs then
+          List.iter (fun ob -> ignore (solve ctx ob)) obls
+        else
+          Ipa_par.Pool.map_worker pool
+            ~f:(fun ~worker (ob : Detect.oblig) ->
+              (ob.Detect.ob_key, solve wctxs.(worker) ob))
+            obls
+          |> List.iter (fun (key, v) -> Anactx.oblig_put ctx key v)
+      in
+      (* extend a block (pairs and their fresh obligations, newest
+         first) until it holds [16 * jobs] fresh obligations *)
+      let rec take n blk obls = function
+        | p :: rest when n < 16 * jobs ->
+            let f = fresh p in
+            take (n + List.length f) (p :: blk) (f :: obls) rest
+        | rest -> (List.rev blk, List.concat (List.rev obls), rest)
+      in
+      let rec scan cands () =
+        match cands with
+        | [] -> Seq.Nil
+        | p :: rest -> (
+            match fresh p with
+            | [] -> Seq.Cons (conclude p, scan rest)
+            | f ->
+                let blk, obls, rest =
+                  take (List.length f) [ p ] [ f ] rest
+                in
+                solve_block obls;
+                Seq.append
+                  (Seq.map conclude (List.to_seq blk))
+                  (scan rest) ())
+      in
+      scan cands
 
 (** Run the IPA analysis.
 
@@ -86,23 +182,19 @@ let with_workers ~(jobs : int) (ctx : Anactx.t) (f : workers option -> 'a) :
     grounding/verdict caches and instrumentation; a fresh one (caching
     and pruning enabled) is created when absent.
 
-    [jobs] spreads each iteration's pair checks over a domain pool; the
-    first conflicting pair in specification order is selected, so the
-    analysis outcome is identical at every [jobs] level (the verdict of
-    a pair is a deterministic function of the current spec — the caches
-    and pruning are exact — so checking {e more} pairs per iteration
-    than the [jobs = 1] early-exit scan, and remembering their safe
-    verdicts, can never change which conflict is found next). *)
+    [jobs] spreads each iteration's search over a domain pool
+    ({!verdicts}); the first conflicting pair in specification order is
+    selected, so the analysis outcome is identical at every [jobs] level
+    (the verdict of a pair is a deterministic function of the current
+    spec — the caches and pruning are exact — so checking {e more} pairs
+    per iteration than the [jobs = 1] early-exit scan, and remembering
+    their safe verdicts, can never change which conflict is found
+    next). *)
 let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
     ?(max_size = 3) ?(max_iterations = 64) ?ctx ?jobs (spec : Types.t) :
     report =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 (min Ipa_par.Pool.cap j)
-    | None -> Ipa_par.Pool.env_jobs ()
-  in
   let ctx = match ctx with Some c -> c | None -> Anactx.create () in
-  with_workers ~jobs ctx @@ fun workers ->
+  with_workers ?jobs ctx @@ fun workers ->
   let ops = ref (List.map Detect.aop_of spec.operations) in
   let rules = ref spec.rules in
   let resolutions = ref [] in
@@ -135,143 +227,20 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
   while !continue_ && !iterations < max_iterations do
     incr iterations;
     let spec_now = { spec with rules = !rules } in
-    (* find the first conflicting pair that is not already handled *)
-    let rec pairs = function
-      | [] -> []
-      | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
+    (* the first conflicting pair that is not already handled *)
+    let unhandled p =
+      (not (Hashtbl.mem ignored (names p)))
+      && not (Hashtbl.mem known_safe (names p))
     in
-    let unhandled (o1 : Detect.aop) (o2 : Detect.aop) =
-      let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
-      (not (Hashtbl.mem ignored key)) && not (Hashtbl.mem known_safe key)
+    let conflict =
+      verdicts ~ctx workers spec_now (List.filter unhandled (pairs !ops))
+      |> Seq.find_map (fun (((o1, o2) as p), v) ->
+             match v with
+             | Detect.Conflict w -> Some (o1, o2, w)
+             | Detect.Safe ->
+                 Hashtbl.replace known_safe (names p) ();
+                 None)
     in
-    let candidates =
-      List.filter (fun (o1, o2) -> unhandled o1 o2) (pairs !ops)
-    in
-    (* With workers, fan out per-clause proof obligations, not whole
-       pairs.  A block of candidate pairs is sized by its obligation
-       count (pairs differ wildly in unification cases × relevant
-       clauses, so pair-granular blocks load-balance poorly); the
-       block's obligations are discharged concurrently into the worker
-       contexts, absorbed into the parent, and the pairs are then
-       concluded on the parent in deterministic specification order —
-       every obligation lookup a cache hit, only a conflicting case's
-       witness extraction still solving.  The block bounds speculation:
-       at most one block's tail beyond the first conflict is solved, and
-       those verdicts are valid under the current spec/rules, so caching
-       them is sound — [invalidate] and the rules-change reset below
-       stale them exactly as the concluded ones.  Without workers the
-       block is every remaining candidate and nothing is prefetched, so
-       the scan checks pairs lazily and stops at the first conflict.
-
-       Each block shares a fresh frozen snapshot of the parent's caches
-       with workers 1.. (worker 0 is the parent and reads its live
-       tables directly), so obligation and grounding work any worker
-       paid for in block [i] is a hit for every worker in block [i+1].
-       Blocks whose obligation count cannot keep the pool busy skip the
-       fork/join barrier entirely and run on the parent — this is what
-       post-repair re-scans (a handful of invalidated pairs, everything
-       else cached) hit, where the barrier used to cost more than the
-       work. *)
-    let take_block { pool; _ } cands =
-      let target_obls = 16 * Ipa_par.Pool.jobs pool in
-      (* only *fresh* obligations (verdict not already cached on the
-         parent) count toward the block size and enter the fan-out:
-         cached ones cost a barrier round-trip just to hit in the
-         shared snapshot.  On a warm re-scan this collapses the whole
-         iteration into one barrier-free block. *)
-      let rec go nobls acc = function
-        | [] -> (List.rev acc, [])
-        | (((o1, o2) : Detect.aop * Detect.aop) :: rest) as l ->
-            if nobls >= target_obls && acc <> [] then (List.rev acc, l)
-            else
-              let obls =
-                List.filter
-                  (fun (ob : Detect.oblig) ->
-                    not (Anactx.oblig_cached ctx ob.Detect.ob_key))
-                  (Detect.obligations spec_now o1 o2)
-              in
-              go (nobls + List.length obls) (((o1, o2), obls) :: acc) rest
-      in
-      go 0 [] cands
-    in
-    (* snapshot the parent's caches at most once per iteration, lazily —
-       the copy is linear in the cache size, so paying it per block
-       would dominate warm re-scans.  Workers keep their private
-       discoveries for the whole iteration; block verdicts flow back to
-       the parent by value (oblig_put), and the tables merge once in the
-       iteration-end absorb. *)
-    let shared = ref false in
-    let solve_block { pool; wctxs } items =
-      if List.length items < 2 * Ipa_par.Pool.jobs pool then
-        (* not enough work to pay for the barrier: the parent discharges
-           the obligations itself *)
-        List.iter
-          (fun (ob : Detect.oblig) ->
-            let key =
-              ( ob.Detect.ob_o1.Detect.cur.oname,
-                ob.Detect.ob_o2.Detect.cur.oname )
-            in
-            ignore
-              (Anactx.time ctx key (fun () ->
-                   Detect.solve_obligation ~ctx spec_now ob)))
-          items
-      else begin
-        if not !shared then begin
-          shared := true;
-          let ro = Anactx.freeze ctx in
-          Array.iteri (fun i c -> if i > 0 then Anactx.share c ro) wctxs
-        end;
-        let verdicts =
-          Ipa_par.Pool.map_worker pool
-            ~f:(fun ~worker (ob : Detect.oblig) ->
-              let c = wctxs.(worker) in
-              let key =
-                ( ob.Detect.ob_o1.Detect.cur.oname,
-                  ob.Detect.ob_o2.Detect.cur.oname )
-              in
-              ( ob.Detect.ob_key,
-                Anactx.time c key (fun () ->
-                    Detect.solve_obligation ~ctx:c spec_now ob) ))
-            items
-        in
-        List.iter (fun (key, v) -> Anactx.oblig_put ctx key v) verdicts
-      end
-    in
-    let rec scan = function
-      | [] -> None
-      | cands ->
-          let blk, rest =
-            match workers with
-            | None -> (cands, [])
-            | Some w ->
-                let blk, rest = take_block w cands in
-                solve_block w (List.concat_map snd blk);
-                (List.map fst blk, rest)
-          in
-          (* conclude in specification order on the parent *)
-          let rec conclude = function
-            | [] -> scan rest
-            | ((o1 : Detect.aop), (o2 : Detect.aop)) :: more -> (
-                let key = (o1.Detect.cur.oname, o2.Detect.cur.oname) in
-                match
-                  Anactx.time ctx key (fun () ->
-                      Detect.check_pair ~ctx spec_now o1 o2)
-                with
-                | Detect.Conflict w -> Some (o1, o2, w)
-                | Detect.Safe ->
-                    Hashtbl.replace known_safe key ();
-                    conclude more)
-          in
-          conclude blk
-    in
-    let conflict = scan candidates in
-    (* merge every worker's private discoveries (grounding, obligations
-       solved for its blocks, witness cases) into the parent so the next
-       iteration's snapshot carries them *)
-    Option.iter
-      (fun { wctxs; _ } ->
-        Array.iteri (fun i c -> if i > 0 then Anactx.absorb ~into:ctx c) wctxs)
-      workers;
     match conflict with
     | None -> continue_ := false
     | Some (o1, o2, w) -> (
@@ -341,28 +310,17 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
   }
 
 (** All conflicting pairs of the unmodified specification — the
-    diagnosis step, useful on its own.  Pair checks are independent, so
-    the pool simply fans them out, one fresh context per worker; the
-    result list is in pair order at every level. *)
+    diagnosis step, useful on its own: {!verdicts} read to the end, so
+    the result list is in pair order at every [jobs] level. *)
 let diagnose ?jobs (spec : Types.t) :
     (string * string * Detect.witness) list =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 (min Ipa_par.Pool.cap j)
-    | None -> Ipa_par.Pool.env_jobs ()
-  in
-  let ops = List.map Detect.aop_of spec.operations in
-  let rec pairs = function
-    | [] -> []
-    | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
-  in
-  let check ctx ((o1 : Detect.aop), (o2 : Detect.aop)) =
-    match Detect.check_pair ~ctx spec o1 o2 with
-    | Detect.Conflict w -> Some (o1.Detect.cur.oname, o2.Detect.cur.oname, w)
-    | Detect.Safe -> None
-  in
-  Ipa_par.Pool.with_pool ~jobs (fun pool ->
-      let wctxs = Array.init jobs (fun _ -> Anactx.create ()) in
-      Ipa_par.Pool.filter_map_worker pool
-        ~f:(fun ~worker pair -> check wctxs.(worker) pair)
-        (pairs ops))
+  let ctx = Anactx.create () in
+  with_workers ?jobs ctx @@ fun workers ->
+  verdicts ~ctx workers spec (pairs (List.map Detect.aop_of spec.operations))
+  |> Seq.filter_map (fun (p, v) ->
+         match v with
+         | Detect.Conflict w ->
+             let n1, n2 = names p in
+             Some (n1, n2, w)
+         | Detect.Safe -> None)
+  |> List.of_seq

@@ -38,12 +38,14 @@ val compensations : report -> Compensation.t list
     enabled is created when absent).
 
     [jobs] (default: the [IPA_JOBS] environment override, else 1)
-    spreads each iteration's pair checks over a domain pool: every
-    worker gets its own fresh context (per-domain caches), the first
-    conflict {e in specification pair order} is selected, and worker
-    counters are folded back into [ctx] — so the report's resolutions,
-    operations, rules and iteration count are bit-identical at every
-    [jobs] level, while wall time scales with cores. *)
+    spreads each iteration's per-clause proof obligations over a domain
+    pool: every worker owns a fresh context for the whole call, the
+    verdicts are put into [ctx], the pairs are concluded on [ctx] and
+    the first conflict {e in specification pair order} is selected, and
+    worker counters are folded into [ctx] when the call ends — so the
+    report's resolutions, operations, rules and iteration count are
+    bit-identical at every [jobs] level, while wall time scales with
+    cores.  A re-run on a warm [ctx] solves nothing at any level. *)
 val run :
   ?policy:Repair.policy ->
   ?search_rules:bool ->
@@ -54,6 +56,8 @@ val run :
   Types.t ->
   report
 
-(** All conflicting pairs of the unmodified specification.  [jobs] as
-    in {!run}; the conflict list is in pair order at every level. *)
+(** All conflicting pairs of the unmodified specification, each with
+    the witness {!run} would report.  The same search as {!run}'s, read
+    to the end; [jobs] as in {!run}, and the list is in pair order and
+    identical at every level. *)
 val diagnose : ?jobs:int -> Types.t -> (string * string * Detect.witness) list

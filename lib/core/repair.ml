@@ -190,6 +190,9 @@ let rec valuations : _ -> _ Seq.t = function
           List.to_seq [ ((p, args), true) :: t; ((p, args), false) :: t ])
         (valuations rest)
 
+(* the repair search consumes at most this many candidates per pair *)
+let max_candidates = 4000
+
 (** Generate candidate modifications, ordered by increasing number of
     added effects (paper line 29); each candidate modifies exactly one
     operation of the pair (lines 27–28).  Added [:= true] effects use
@@ -336,9 +339,8 @@ let is_subset_of added sol_added =
     every witness came from a pair sharing the same base operations, so
     the exactness argument applies to each one individually and the
     solution set is unchanged. *)
-let repair_conflicts ?(max_size = 3) ?(max_candidates = 4000)
-    ?(search_rules = false) ~ctx ?witness (spec : Types.t)
-    ((o1, o2) : Detect.aop * Detect.aop) : solution list =
+let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx ?witness
+    (spec : Types.t) ((o1, o2) : Detect.aop * Detect.aop) : solution list =
   let clauses = relevant_clauses spec o1.Detect.cur o2.Detect.cur in
   let pool1 = pool_for spec clauses o1.Detect.cur in
   let pool2 = pool_for spec clauses o2.Detect.cur in

@@ -51,11 +51,10 @@ val rule_choices :
     solution already found on the same target.  [witness] (the conflict
     that triggered the repair) enables exact witness-guided candidate
     pruning when [ctx] has pruning on; candidate generation is lazy, so
-    the exponential powerset is never materialized past
-    [max_candidates]. *)
+    the exponential powerset is never materialized past its first
+    4000 candidates. *)
 val repair_conflicts :
   ?max_size:int ->
-  ?max_candidates:int ->
   ?search_rules:bool ->
   ctx:Anactx.t ->
   ?witness:Detect.witness ->

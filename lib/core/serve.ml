@@ -193,7 +193,7 @@ let exec (t : t) ~(readline : unit -> string option) (line : string) :
       match int_of_string_opt n with
       | None -> ([ "err jobs bad count" ], true)
       | Some n ->
-          t.jobs <- max 1 (min Ipa_par.Pool.cap n);
+          t.jobs <- Ipa_par.Pool.clamp n;
           ([ Fmt.str "ok jobs n=%d" t.jobs ], true))
   | [ "reset" ] ->
       t.ctx <- Anactx.create ();

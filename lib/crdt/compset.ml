@@ -47,9 +47,6 @@ let touched (Set_op { o; _ } : op) : string list = Awset.touched o
 (** Raw elements, possibly over the bound (diagnostics only). *)
 let raw_elements (c : t) : string list = Awset.elements c.set
 
-(** The underlying add-wins set (diagnostics / invariant checkers). *)
-let raw_set (c : t) : Awset.t = c.set
-
 (** Whether the underlying state currently violates the bound — the
     signal counted as an "invariant violation" when no compensation runs
     (Figure 7's red dots for the Causal configuration). *)

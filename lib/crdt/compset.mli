@@ -33,9 +33,6 @@ val touched : op -> string list
 (** Raw members, possibly over the bound (diagnostics only). *)
 val raw_elements : t -> string list
 
-(** The underlying add-wins set (diagnostics / invariant checkers). *)
-val raw_set : t -> Awset.t
-
 (** Does the raw state currently violate the bound? (What a Causal
     configuration would expose — Figure 7's red dots.) *)
 val violated : t -> bool

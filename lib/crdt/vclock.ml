@@ -115,7 +115,6 @@ let pp ppf (vv : t) =
     Fmt.(list ~sep:(any ", ") (pair ~sep:(any ":") string int))
     (to_list vv)
 
-let pp_dot ppf (d : dot) = Fmt.pf ppf "%s#%d" d.rep d.cnt
 let dot_compare (a : dot) (b : dot) = compare (a.rep, a.cnt) (b.rep, b.cnt)
 
 module DotSet = Set.Make (struct

@@ -57,7 +57,6 @@ val total : t -> int
 val to_list : t -> (string * int) list
 val of_list : (string * int) list -> t
 val pp : Format.formatter -> t -> unit
-val pp_dot : Format.formatter -> dot -> unit
 
 (** Total order on dots (replica id, then counter). *)
 val dot_compare : dot -> dot -> int

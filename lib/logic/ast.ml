@@ -101,9 +101,6 @@ let exists vs f = if vs = [] then f else Exists (vs, f)
 (** N-ary conjunction of a list of formulas. *)
 let conj_l = List.fold_left conj True
 
-(** N-ary disjunction of a list of formulas. *)
-let disj_l = List.fold_left disj False
-
 (* ------------------------------------------------------------------ *)
 (* Traversals                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -207,10 +204,3 @@ let free_vars f =
   in
   let acc, _ = go S.empty ([], S.empty) f in
   List.rev acc
-
-(* ------------------------------------------------------------------ *)
-(* Equality                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let term_equal (a : term) (b : term) = a = b
-let formula_equal (a : formula) (b : formula) = a = b

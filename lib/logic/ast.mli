@@ -59,7 +59,6 @@ val implies : formula -> formula -> formula
 val forall : tvar list -> formula -> formula
 val exists : tvar list -> formula -> formula
 val conj_l : formula list -> formula
-val disj_l : formula list -> formula
 
 (** {1 Traversals} *)
 
@@ -80,6 +79,3 @@ val has_nfun : formula -> bool
 
 (** Free variables, in first-occurrence order. *)
 val free_vars : formula -> string list
-
-val term_equal : term -> term -> bool
-val formula_equal : formula -> formula -> bool

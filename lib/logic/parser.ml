@@ -393,12 +393,3 @@ let parse_formula (s : string) : formula =
   | EOF -> ()
   | t -> fail "trailing input after formula: %a" pp_token t);
   f
-
-(** Parse a single term (for tool inputs). *)
-let parse_term (s : string) : term =
-  let st = { toks = tokenize s } in
-  let t = parse_term_tok st in
-  (match peek st with
-  | EOF -> ()
-  | tk -> fail "trailing input after term: %a" pp_token tk);
-  t

@@ -33,6 +33,3 @@ val tokenize : string -> token list
 
 (** Parse a complete formula; raises {!Parse_error}. *)
 val parse_formula : string -> Ast.formula
-
-(** Parse a single term. *)
-val parse_term : string -> Ast.term

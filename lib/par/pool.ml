@@ -15,12 +15,12 @@
     caller while a batch drains.
 
     Determinism: the pool runs {e which} item {e where} and {e when}
-    nondeterministically, but [map]/[filter_map] return results in input
-    order, so any caller whose per-item function is a pure function of
-    the item (per-worker caches may memoize but must not change results)
-    gets output independent of the schedule.  That is the contract the
-    parallel analysis and fuzzing layers build their bit-identical
-    guarantees on. *)
+    nondeterministically, but [map_worker]/[filter_map_worker] return
+    results in input order, so any caller whose per-item function is a
+    pure function of the item (per-worker caches may memoize but must
+    not change results) gets output independent of the schedule.  That
+    is the contract the parallel analysis and fuzzing layers build
+    their bit-identical guarantees on. *)
 
 (* ------------------------------------------------------------------ *)
 (* Job-count policy                                                    *)
@@ -106,7 +106,7 @@ let worker_loop (t : t) ~(worker : int) : unit =
   loop 0
 
 let create ?jobs () : t =
-  let n_jobs = clamp (match jobs with Some j -> j | None -> default_jobs ()) in
+  let n_jobs = match jobs with Some j -> clamp j | None -> env_jobs () in
   let t =
     {
       n_jobs;
@@ -191,12 +191,6 @@ let map_worker (t : t) ~(f : worker:int -> 'a -> 'b) (xs : 'a list) : 'b list
       List.init n (fun i ->
           match res.(i) with Some v -> v | None -> assert false)
 
-let map (t : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  map_worker t ~f:(fun ~worker:_ x -> f x) xs
-
 let filter_map_worker (t : t) ~(f : worker:int -> 'a -> 'b option)
     (xs : 'a list) : 'b list =
   List.filter_map Fun.id (map_worker t ~f xs)
-
-let filter_map (t : t) (f : 'a -> 'b option) (xs : 'a list) : 'b list =
-  filter_map_worker t ~f:(fun ~worker:_ x -> f x) xs

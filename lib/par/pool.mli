@@ -4,8 +4,8 @@
     worker 0) and hands them batches of indexed tasks through a shared
     claim counter — chunk-free self-scheduling, so an expensive item
     never strands the rest of the batch behind it.  Results are written
-    into per-index slots, making {!map} and {!filter_map} preserve input
-    order regardless of completion order.
+    into per-index slots, making {!map_worker} and {!filter_map_worker}
+    preserve input order regardless of completion order.
 
     A pool with [jobs = 1] spawns no domains and runs every batch
     sequentially on the caller — the zero-overhead fallback used by the
@@ -17,10 +17,14 @@
 type t
 
 (** [create ~jobs ()] spawns [jobs - 1] worker domains.  [jobs] is
-    clamped to [\[1, cap\]].  Default: {!default_jobs}. *)
+    clamped to [\[1, cap\]] ({!clamp}); absent, it is {!env_jobs}.
+    This is the one place a requested worker count is resolved: every
+    pooled entry point ([Ipa.run], [Ipa.diagnose], [Fuzz.campaign])
+    passes its [?jobs] through and reads the result back with {!jobs}. *)
 val create : ?jobs:int -> unit -> t
 
-(** Number of concurrent workers (caller included). *)
+(** Number of concurrent workers (caller included), as resolved by
+    {!create}. *)
 val jobs : t -> int
 
 (** Join the worker domains.  The pool must not be used afterwards.
@@ -39,13 +43,8 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
     the batch drains. *)
 val map_worker : t -> f:(worker:int -> 'a -> 'b) -> 'a list -> 'b list
 
-(** Order-preserving parallel map. *)
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Order-preserving parallel filter-map. *)
-val filter_map : t -> ('a -> 'b option) -> 'a list -> 'b list
-
-(** Like {!filter_map}, with the worker index. *)
+(** Order-preserving parallel filter-map, with the worker index as in
+    {!map_worker}. *)
 val filter_map_worker : t -> f:(worker:int -> 'a -> 'b option) -> 'a list -> 'b list
 
 (* ------------------------------------------------------------------ *)
@@ -55,6 +54,9 @@ val filter_map_worker : t -> f:(worker:int -> 'a -> 'b option) -> 'a list -> 'b 
 (** Hard cap on pool width (memory per worker context dominates past
     this; see DESIGN.md §8). *)
 val cap : int
+
+(** [max 1 (min cap n)] — the pool's width for a requested [n]. *)
+val clamp : int -> int
 
 (** [Domain.recommended_domain_count ()] clamped to [\[1, cap\]] — the
     default for the command-line tools. *)

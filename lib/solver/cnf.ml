@@ -145,12 +145,3 @@ end
 
 include Make (Sat)
 
-(* Link-layout pad, ROADMAP (g).  Perfbench's [reanalyze-edits] read
-   7-30% slower when the code linked after this module ([Encode],
-   [ipa_spec], [ipa_logic]) shifted by 16 bytes mod 64.  The flat-arena
-   [Sat] and the [Make] functor grew [ipa_solver] by 1,232 bytes (16 mod
-   64); this never-called function adds the 48 bytes that bring the
-   shift to 1,280, so those modules keep their offsets mod 64.  Check
-   with [nm -n] on the perfbench executable and resize or drop the pad
-   whenever [ipa_solver]'s code size changes. *)
-let[@warning "-32"] layout_pad x = x + 1

@@ -202,6 +202,3 @@ let set_false ?(mode = Write) p args = effect ~mode p args (Set false)
 let delta p args d = effect p args (Delta d)
 
 let operation oname oparams oeffects = { oname; oparams; oeffects }
-
-let invariant ?tag iname s =
-  { iname; iformula = Parser.parse_formula s; itag = tag }

@@ -106,6 +106,3 @@ val set_true : ?mode:effect_mode -> string -> Ast.term list -> annotated_effect
 val set_false : ?mode:effect_mode -> string -> Ast.term list -> annotated_effect
 val delta : string -> Ast.term list -> int -> annotated_effect
 val operation : string -> Ast.tvar list -> annotated_effect list -> operation
-
-(** Build an invariant by parsing the formula. *)
-val invariant : ?tag:inv_tag -> string -> string -> invariant

@@ -125,7 +125,6 @@ type t = {
   region : string;  (** data-center name, used by the simulator *)
   mutable vv : Vclock.t;
   mutable seq : int;
-  mutable lamport : int;
   shards : shard array;  (** keyspace partitions; length fixed at create *)
   pending : (string, (int, batch) Hashtbl.t) Hashtbl.t;
       (** per-origin buffered batches keyed by first covered commit
@@ -192,7 +191,6 @@ let create ?(region = "local") ?(shards = default_shards) (id : string) : t =
     region;
     vv = Vclock.empty;
     seq = 0;
-    lamport = 0;
     shards = Array.init shards (fun _ -> make_shard ());
     pending = Hashtbl.create 8;
     pending_n = 0;
@@ -265,13 +263,6 @@ let peek (r : t) (key : string) : Obj.t option =
         (fun c -> c.c_obj)
         (Hashtbl.find_opt
            r.shards.(shard_of_id (Array.length r.shards) kid).sh_data kid)
-
-(** Iterate every (key, object) pair across all shards. *)
-let iter_data (r : t) (f : string -> Obj.t -> unit) : unit =
-  Array.iter
-    (fun sh ->
-      Hashtbl.iter (fun kid c -> f (Intern.name kid) c.c_obj) sh.sh_data)
-    r.shards
 
 (** Fold over every (key, object) pair across all shards. *)
 let fold_data (r : t) (f : string -> Obj.t -> 'a -> 'a) (acc : 'a) : 'a =
@@ -532,8 +523,8 @@ let buffer (r : t) (b : batch) : unit =
 
 (* The one move of the per-origin delivery cursor, shared by batch
    delivery and recovery replay: [origin]'s commits up to [upto] are
-   applied and its clock reached [after].  The replica's clock and
-   Lamport time absorb [after], which also proves the origin knew it
+   applied and its clock reached [after].  The replica's clock absorbs
+   [after], which also proves the origin knew it
    (stability tracking), and buffered batches of the origin starting at
    or below the new cursor are dropped — they are applied now, and the
    buffer only ever holds batches starting above the cursor (the drain
@@ -545,7 +536,6 @@ let advance (r : t) ~(origin : string) ~(upto : int) ~(after : Vclock.t) :
     unit =
   let prev = cursor r origin in
   r.vv <- Vclock.merge r.vv after;
-  r.lamport <- max r.lamport (Vclock.total after);
   let known =
     Option.value ~default:Vclock.empty (Hashtbl.find_opt r.peer_vvs origin)
   in
@@ -915,7 +905,6 @@ let gc (r : t) : int =
 type snapshot = {
   s_vv : Vclock.t;
   s_seq : int;
-  s_lamport : int;
   s_shards : ((int, Obj.t) Hashtbl.t * (int, Obj.otype) Hashtbl.t) array;
   s_pending : batch list;
   s_pending_hwm : int;
@@ -938,7 +927,6 @@ let snapshot (r : t) : snapshot =
   {
     s_vv = r.vv;
     s_seq = r.seq;
-    s_lamport = r.lamport;
     s_shards =
       Array.map
         (fun sh ->
@@ -983,7 +971,6 @@ let restore (r : t) (s : snapshot) : unit =
     invalid_arg "Replica.restore: snapshot has a different shard count";
   r.vv <- s.s_vv;
   r.seq <- s.s_seq;
-  r.lamport <- s.s_lamport;
   Array.iteri
     (fun i sh ->
       let data, types = s.s_shards.(i) in
@@ -1040,7 +1027,6 @@ let reset (r : t) : unit =
     {
       s_vv = Vclock.empty;
       s_seq = 0;
-      s_lamport = 0;
       s_shards =
         Array.map (fun _ -> (Hashtbl.create 1, Hashtbl.create 1)) r.shards;
       s_pending = [];
@@ -1081,7 +1067,6 @@ let replay_batch (r : t) (b : batch) : bool =
     apply_updates r b;
     if own then begin
       r.vv <- Vclock.merge r.vv b.b_after;
-      r.lamport <- max r.lamport (Vclock.total b.b_after);
       r.seq <- b.b_seq;
       r.committed <- r.committed + 1
     end

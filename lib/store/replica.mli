@@ -89,7 +89,6 @@ type t = {
   region : string;  (** data-center name, used by the simulator *)
   mutable vv : Vclock.t;
   mutable seq : int;
-  mutable lamport : int;
   shards : shard array;  (** keyspace partitions; length fixed at create *)
   pending : (string, (int, batch) Hashtbl.t) Hashtbl.t;
       (** per-origin buffered batches keyed by first covered commit
@@ -150,9 +149,6 @@ val get_kid : t -> int -> Obj.otype -> Obj.t
 
 (** Read an object without creating it. *)
 val peek : t -> string -> Obj.t option
-
-(** Iterate every (key, object) pair across all shards. *)
-val iter_data : t -> (string -> Obj.t -> unit) -> unit
 
 (** Fold over every (key, object) pair across all shards. *)
 val fold_data : t -> (string -> Obj.t -> 'a -> 'a) -> 'a -> 'a

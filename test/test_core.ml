@@ -751,8 +751,8 @@ let test_cache_equivalence_tournament () =
 
 (* [~jobs:1] pins the sequential scan whose counters the assertions
    describe: a parallel scan speculatively solves obligations past the
-   first conflict, so its counters (and the warm re-run's solves) vary
-   with the worker count *)
+   first conflict, so its cold counters vary with the worker count (a
+   warm re-run solves nothing at any level; [test_par] checks jobs=2) *)
 let test_stats_counters () =
   let ctx = Anactx.create () in
   let r = Ipa.run ~jobs:1 ~ctx (Catalog.twitter ()) in

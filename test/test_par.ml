@@ -15,7 +15,7 @@ let test_map_order () =
   Alcotest.(check (list int))
     "map preserves input order"
     (List.map (fun x -> x * x) xs)
-    (Pool.map p (fun x -> x * x) xs)
+    (Pool.map_worker p ~f:(fun ~worker:_ x -> x * x) xs)
 
 let test_filter_map_order () =
   Pool.with_pool ~jobs:4 @@ fun p ->
@@ -23,7 +23,7 @@ let test_filter_map_order () =
   let f x = if x mod 3 = 0 then Some (x * 2) else None in
   Alcotest.(check (list int))
     "filter_map preserves input order" (List.filter_map f xs)
-    (Pool.filter_map p f xs)
+    (Pool.filter_map_worker p ~f:(fun ~worker:_ x -> f x) xs)
 
 let test_uneven_work () =
   (* expensive items must not strand the rest of the batch (the claim
@@ -39,7 +39,8 @@ let test_uneven_work () =
     !acc
   in
   Alcotest.(check (list int))
-    "uneven batches keep order" (List.map spin xs) (Pool.map p spin xs)
+    "uneven batches keep order" (List.map spin xs)
+    (Pool.map_worker p ~f:(fun ~worker:_ x -> spin x) xs)
 
 let test_sequential_fallback () =
   Pool.with_pool ~jobs:1 @@ fun p ->
@@ -47,7 +48,8 @@ let test_sequential_fallback () =
   let xs = List.init 50 Fun.id in
   Alcotest.(check (list int))
     "sequential fallback maps correctly"
-    (List.map succ xs) (Pool.map p succ xs)
+    (List.map succ xs)
+    (Pool.map_worker p ~f:(fun ~worker:_ x -> succ x) xs)
 
 let test_jobs_clamped () =
   Pool.with_pool ~jobs:0 (fun p ->
@@ -71,8 +73,8 @@ exception Boom of int
 let test_exception_propagation () =
   Pool.with_pool ~jobs:4 @@ fun p ->
   (match
-     Pool.map p
-       (fun x -> if x = 57 then raise (Boom x) else x)
+     Pool.map_worker p
+       ~f:(fun ~worker:_ x -> if x = 57 then raise (Boom x) else x)
        (List.init 100 Fun.id)
    with
   | _ -> Alcotest.fail "expected the item exception to re-raise"
@@ -80,7 +82,7 @@ let test_exception_propagation () =
   (* the pool survives a failed batch *)
   Alcotest.(check (list int))
     "pool usable after a failed batch" [ 2; 4 ]
-    (Pool.map p (fun x -> x * 2) [ 1; 2 ])
+    (Pool.map_worker p ~f:(fun ~worker:_ x -> x * 2) [ 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Intern under concurrent interning                                   *)
@@ -193,15 +195,16 @@ let check_run_identical name (spec : Ipa_spec.Types.t) =
         Alcotest.failf "%s: Ipa.run ~jobs:%d diverged from ~jobs:1" name jobs)
     [ 2; 4 ]
 
+let catalog =
+  [
+    ("ticket", Ipa_spec.Catalog.ticket);
+    ("tournament", Ipa_spec.Catalog.tournament);
+    ("twitter", Ipa_spec.Catalog.twitter);
+    ("tpcw", Ipa_spec.Catalog.tpcw);
+  ]
+
 let test_run_jobs_identical_catalog () =
-  List.iter
-    (fun (name, mk) -> check_run_identical name (mk ()))
-    [
-      ("ticket", Ipa_spec.Catalog.ticket);
-      ("tournament", Ipa_spec.Catalog.tournament);
-      ("twitter", Ipa_spec.Catalog.twitter);
-      ("tpcw", Ipa_spec.Catalog.tpcw);
-    ]
+  List.iter (fun (name, mk) -> check_run_identical name (mk ())) catalog
 
 let test_run_jobs_identical_mutants seed =
   let rng = Ipa_sim.Rng.create seed in
@@ -212,6 +215,57 @@ let test_run_jobs_identical_mutants seed =
         check_run_identical (Fmt.str "%s/mutant-%d" name i) m
       done)
     [ ("ticket", Ipa_spec.Catalog.ticket); ("twitter", Ipa_spec.Catalog.twitter) ]
+
+(* a warm re-scan forms no block: the second run concludes every pair
+   from the caches the first filled, so it solves nothing *)
+let test_warm_rerun_no_solves () =
+  let open Ipa_core in
+  List.iter
+    (fun (name, mk) ->
+      let ctx = Anactx.create () in
+      ignore (Ipa.run ~jobs:2 ~ctx (mk ()));
+      let before = (Anactx.stats ctx).Anactx.sat_calls in
+      ignore (Ipa.run ~jobs:2 ~ctx (mk ()));
+      Alcotest.(check int)
+        (name ^ ": warm Ipa.run ~jobs:2 adds no SAT calls")
+        before (Anactx.stats ctx).Anactx.sat_calls)
+    catalog
+
+(* ------------------------------------------------------------------ *)
+(* jobs-level determinism: Ipa.diagnose                                *)
+(* ------------------------------------------------------------------ *)
+
+(* the conflicting pairs with their witnesses, as the CLI prints them *)
+let diagnosis spec ~jobs =
+  List.map
+    (fun (o1, o2, w) ->
+      Fmt.str "%a" (Ipa_core.Report.pp_witness ~op1:o1 ~op2:o2) w)
+    (Ipa_core.Ipa.diagnose ~jobs spec)
+
+let check_diagnose_identical name (spec : Ipa_spec.Types.t) =
+  let base = diagnosis spec ~jobs:1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Fmt.str "%s: Ipa.diagnose ~jobs:%d = ~jobs:1" name jobs)
+        base (diagnosis spec ~jobs))
+    [ 2; 4 ]
+
+let test_diagnose_jobs_identical_catalog () =
+  List.iter (fun (name, mk) -> check_diagnose_identical name (mk ())) catalog
+
+let test_diagnose_jobs_identical_mutants seed =
+  let rng = Ipa_sim.Rng.create seed in
+  List.iter
+    (fun (name, mk) ->
+      for i = 1 to 3 do
+        let m = Ipa_check.Specmut.mutations rng (mk ()) (1 + (i mod 2)) in
+        check_diagnose_identical (Fmt.str "%s/mutant-%d" name i) m
+      done)
+    [
+      ("ticket", Ipa_spec.Catalog.ticket);
+      ("twitter", Ipa_spec.Catalog.twitter);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* solver recycling                                                    *)
@@ -304,6 +358,12 @@ let () =
             test_run_jobs_identical_catalog;
           Testutil.seeded_case "Ipa.run jobs-identical (mutants)" `Slow
             ~default:2026 test_run_jobs_identical_mutants;
+          Alcotest.test_case "Ipa.run warm re-run solves nothing (jobs=2)"
+            `Slow test_warm_rerun_no_solves;
+          Alcotest.test_case "Ipa.diagnose jobs-identical (catalog)" `Slow
+            test_diagnose_jobs_identical_catalog;
+          Testutil.seeded_case "Ipa.diagnose jobs-identical (mutants)" `Slow
+            ~default:2026 test_diagnose_jobs_identical_mutants;
           Testutil.seeded_case "campaign jobs-identical (repaired)" `Slow
             ~default:1 test_campaign_jobs_identical_repaired;
           Testutil.seeded_case "campaign jobs-identical (failing)" `Slow

@@ -619,30 +619,6 @@ operation enroll(P:x, T:y)
 (* Analysis pipeline: instrumented vs uninstrumented (paper Table 3)   *)
 (* ------------------------------------------------------------------ *)
 
-(** Full [Ipa.run] over the four catalog applications, once with the
-    analysis caches and witness pruning enabled and once with both
-    disabled.  Asserts that resolutions, flagged pairs and the patched
-    specification are identical in both modes (the optimizations are
-    exact), then reports wall time, SAT-solve counts, cache-hit and
-    pruning rates — the reproduction counterpart of the paper's Table 3
-    analysis-time column.  Emits one machine-readable [BENCH] JSON line
-    per application. *)
-(* the observable outcome of an analysis run: what the exactness
-   assertions of [analysis] and [parallel] compare across modes *)
-let analysis_summary (r : Ipa_core.Ipa.report) =
-  let open Ipa_core in
-  ( List.map
-      (fun (res : Ipa.resolution) ->
-        ( res.Ipa.r_op1,
-          res.Ipa.r_op2,
-          match res.Ipa.r_outcome with
-          | Ipa.Repaired s -> "repaired:" ^ s.Repair.s_op
-          | Ipa.Compensated _ -> "compensated"
-          | Ipa.Flagged -> "flagged" ))
-      r.Ipa.resolutions,
-    Ipa.flagged_pairs r,
-    Ipa.patched_spec r )
-
 let catalog_apps =
   [
     ("ticket", Ipa_spec.Catalog.ticket);
@@ -651,22 +627,30 @@ let catalog_apps =
     ("tpcw", Ipa_spec.Catalog.tpcw);
   ]
 
+(** Full [Ipa.run] over the four catalog applications, once with the
+    analysis caches, frames and witness pruning enabled and once with
+    all of them off ([Anactx.create ~cache:false ~prune:false]).
+    Asserts that the two full reports ([Report.report_to_string],
+    witnesses included) are identical (the optimizations are exact),
+    then reports wall time, SAT-solve counts, cache-hit and pruning
+    rates — the reproduction counterpart of the paper's Table 3
+    analysis-time column.  Emits one machine-readable [BENCH] JSON line
+    per application. *)
 let analysis () =
   let open Ipa_core in
-  pr "== Analysis pipeline: caches + witness pruning vs baseline ==@.";
+  pr "== Analysis pipeline: caches + frames + witness pruning vs baseline ==@.";
   pr "%-12s %9s %9s %9s %9s %8s %8s %8s %8s@." "app" "on[s]" "off[s]"
     "solves" "solves0" "speedup" "pruned" "ground" "verdict";
-  let summary = analysis_summary in
   List.iter
     (fun (name, mk) ->
       let ctx_on = Anactx.create () in
       let r_on, on_s = time_it (fun () -> Ipa.run ~ctx:ctx_on (mk ())) in
       let ctx_off = Anactx.create ~cache:false ~prune:false () in
       let r_off, off_s = time_it (fun () -> Ipa.run ~ctx:ctx_off (mk ())) in
-      if summary r_on <> summary r_off then
+      if Report.report_to_string r_on <> Report.report_to_string r_off then
         failwith
-          (name ^ ": caching/pruning changed the analysis outcome — \
-            the optimizations must be exact");
+          (name ^ ": caching, frames or pruning changed the analysis \
+            report — the optimizations must be exact");
       let s_on = Anactx.stats ctx_on and s_off = Anactx.stats ctx_off in
       let speedup =
         float_of_int s_off.Anactx.sat_calls
@@ -704,8 +688,8 @@ let analysis () =
   pr
     "@.(The paper analyses each application in a few seconds with a \
      Z3-based@. checker; the reproduction's SAT pipeline is in the same \
-     range, and the@. caches/pruning are exact: identical resolutions, \
-     flagged pairs and@. patched specifications in both modes.)@."
+     range, and the@. caches, frames and pruning are exact: identical \
+     full reports,@. witnesses included, in both modes.)@."
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
@@ -1593,7 +1577,7 @@ let fuzz ?(quick = false) () =
     fuzzing sweep (repaired apps plus the unrepaired tournament
     baseline) at jobs = 1/2/4/8 over the same domain pool the CLI's
     [--jobs] flag uses, asserts every parallel run is bit-identical to
-    the jobs=1 baseline — resolutions, flagged pairs, patched specs,
+    the jobs=1 baseline — full analysis reports (witnesses included),
     failing-seed sets and first counterexample traces — and writes the
     per-jobs speedup rows to [BENCH_PARALLEL.json].  The header records
     [host_cores]: on a single-core container the domains serialize and
@@ -1615,7 +1599,8 @@ let parallel ?(quick = false) () =
     time_it (fun () ->
         List.map
           (fun (_, mk) ->
-            analysis_summary (Ipa.run ~jobs ~ctx:(Anactx.create ()) (mk ())))
+            Report.report_to_string
+              (Ipa.run ~jobs ~ctx:(Anactx.create ()) (mk ())))
           apps)
   in
   (* everything a campaign reports except wall time *)

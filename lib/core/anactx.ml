@@ -10,10 +10,19 @@
     - {e verdict caches} for [Detect.sequentially_safe] and
       [Repair.preserves_intent], keyed by the operation's base/current
       effects and the canonical convergence rules;
+    - {e analysis frames} for the verdict-only queries
+      ([Detect.solve_obligation], [Detect.sequentially_safe]): one
+      incremental solver per unification case's frame — its relevant
+      clauses and the base writes' weakest preconditions — keyed by
+      {!Oblig.frame_of}, with the verdict of every conjunct query
+      decided on it.  At most {!frame_max} frames are kept, least
+      recently used evicted first, and an evicted frame's solver is
+      released to the domain's recycling pool;
     - the switches for the caches and for witness-guided candidate
       pruning (both on by default).  [create ~cache:false ~prune:false]
       is the uncached, unpruned reference run that the cache-equivalence
-      test and [bench/main.exe analysis] compare against;
+      test and [bench/main.exe analysis] compare against: it keeps no
+      frame across queries either;
     - aggregated counters: SAT calls/conflicts/decisions/propagations,
       cache hit rates, candidates generated/pruned/checked, and per-pair
       wall time.
@@ -52,6 +61,18 @@ type stats = {
   mutable total_seconds : float;
 }
 
+(** A verdict-only analysis frame: one incremental solver asserting a
+    case's relevant clauses and its base writes' weakest preconditions,
+    and the verdicts of the conjunct queries decided on it. *)
+type frame = {
+  enc : Ipa_solver.Encode.ctx;
+  conjuncts : (Ground.gformula, bool) Hashtbl.t;
+      (** post-write conjunct [c] → can [c] be false in a frame state *)
+}
+
+(* a retained frame and its last use, for least-recently-used eviction *)
+type frame_slot = { frame : frame; mutable used : int }
+
 type t = {
   cache : bool;
   prune : bool;
@@ -64,6 +85,9 @@ type t = {
   case_tbl : (Oblig.key, Oblig.witness option) Hashtbl.t;
       (** whole-case witness extractions ([k_clause = -1]) — replaying
           the exact solver query keeps reports bit-identical *)
+  frame_tbl : (Oblig.key, frame_slot) Hashtbl.t;
+      (** at most [frame_max] frames, keyed by {!Oblig.frame_of} *)
+  mutable frame_clock : int;  (** frame uses so far *)
   stats : stats;
 }
 
@@ -110,6 +134,8 @@ let create ?(cache = true) ?(prune = true) () =
     intent_tbl = Hashtbl.create 64;
     oblig_tbl = Hashtbl.create 256;
     case_tbl = Hashtbl.create 64;
+    frame_tbl = Hashtbl.create 64;
+    frame_clock = 0;
     stats = fresh_stats ();
   }
 
@@ -238,20 +264,78 @@ let case_lookup (c : t) (key : Oblig.key) (f : unit -> Oblig.witness option)
       v
 
 (* ------------------------------------------------------------------ *)
+(* Analysis frames                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** Frames a context retains.  Tournament's cold analysis meets about
+    200 distinct frames, but the repair loop revisits a pair's frames
+    candidate after candidate, so a small window keeps nearly every
+    reuse while bounding the solvers (and their learnt clauses) alive
+    at once: on the catalog pass, 16 frames peak at about 58 MB of heap
+    and 6,500 solver calls, 32 at 95 MB for 6,300 calls (DESIGN.md §2). *)
+let frame_max = 16
+
+let release_frame (f : frame) = Ipa_solver.Encode.release f.enc
+
+let with_frame (c : t) (key : Oblig.key)
+    ~(build : unit -> Ipa_solver.Encode.ctx) (f : frame -> 'a) : 'a =
+  let key = Oblig.frame_of key in
+  let fresh () = { enc = build (); conjuncts = Hashtbl.create 16 } in
+  if not c.cache then begin
+    let fr = fresh () in
+    let v = f fr in
+    release_frame fr;
+    v
+  end
+  else begin
+    c.frame_clock <- c.frame_clock + 1;
+    let slot =
+      match Hashtbl.find_opt c.frame_tbl key with
+      | Some slot -> slot
+      | None ->
+          if Hashtbl.length c.frame_tbl >= frame_max then begin
+            let victim =
+              Hashtbl.fold
+                (fun k slot acc ->
+                  match acc with
+                  | Some (_, old) when old.used <= slot.used -> acc
+                  | _ -> Some (k, slot))
+                c.frame_tbl None
+            in
+            Option.iter
+              (fun (k, slot) ->
+                Hashtbl.remove c.frame_tbl k;
+                release_frame slot.frame)
+              victim
+          end;
+          let slot = { frame = fresh (); used = 0 } in
+          Hashtbl.add c.frame_tbl key slot;
+          slot
+    in
+    slot.used <- c.frame_clock;
+    f slot.frame
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Record one [Encode.solve] call: harvest the (fresh, single-use)
-    solver's counters into the aggregate. *)
-let record_solve (c : t) (enc : Ipa_solver.Encode.ctx) : unit =
-  let st = Ipa_solver.Sat.stats (Ipa_solver.Encode.solver enc) in
+(** Run one solver call [solve] on [enc] and add the counters [enc]'s
+    solver moved since the previous call on it (or since its creation),
+    encoding included.  A frame's solver answers many calls, so these
+    per-call deltas, not the solver's totals, are what is counted. *)
+let record_solve (c : t) (enc : Ipa_solver.Encode.ctx)
+    (solve : unit -> Ipa_solver.Sat.result) : Ipa_solver.Sat.result =
+  let r = solve () in
+  let d = Ipa_solver.Encode.take_stats enc in
   let s = c.stats in
   s.sat_calls <- s.sat_calls + 1;
-  s.sat_conflicts <- s.sat_conflicts + st.Ipa_solver.Sat.n_conflicts;
-  s.sat_decisions <- s.sat_decisions + st.Ipa_solver.Sat.n_decisions;
-  s.sat_propagations <- s.sat_propagations + st.Ipa_solver.Sat.n_propagations;
-  s.sat_learnts <- s.sat_learnts + st.Ipa_solver.Sat.n_learnts;
-  s.sat_removed <- s.sat_removed + st.Ipa_solver.Sat.n_removed
+  s.sat_conflicts <- s.sat_conflicts + d.n_conflicts;
+  s.sat_decisions <- s.sat_decisions + d.n_decisions;
+  s.sat_propagations <- s.sat_propagations + d.n_propagations;
+  s.sat_learnts <- s.sat_learnts + d.n_learnts;
+  s.sat_removed <- s.sat_removed + d.n_removed;
+  r
 
 (** Time [f], attributing the elapsed wall time to [pair]. *)
 let time (c : t) (pair : string * string) (f : unit -> 'a) : 'a =

@@ -1,5 +1,6 @@
 (** Analysis context threaded through {!Detect}, {!Repair} and {!Ipa}:
-    a grounding cache, verdict caches, the witness-pruning switch, and
+    a grounding cache, verdict caches, a bounded set of incremental
+    analysis frames ({!with_frame}), the witness-pruning switch, and
     aggregated solver/cache statistics.  Every analysis entry point
     takes one; [Ipa.run] creates it when the caller does not.
 
@@ -44,7 +45,8 @@ type t
 (** [create ()] — caching and witness pruning both default to on, the
     production analysis.  [create ~cache:false ~prune:false ()] is the
     uncached, unpruned reference: every lookup is a miss that counts
-    and no repair candidate is screened by a stored witness, so the
+    and no repair candidate is screened by a stored witness (nor is a
+    frame kept across queries), so the
     cache-equivalence test and [bench/main.exe analysis] can check that
     the caches and pruning change nothing but cost. *)
 val create : ?cache:bool -> ?prune:bool -> unit -> t
@@ -110,9 +112,36 @@ val case_lookup :
   t -> Oblig.key -> (unit -> Oblig.witness option) ->
   Oblig.witness option
 
-(** Record one [Encode.solve] call: harvest the (fresh, single-use)
-    solver's counters into the aggregate. *)
-val record_solve : t -> Ipa_solver.Encode.ctx -> unit
+(** A verdict-only analysis frame: one incremental solver asserting a
+    unification case's relevant clauses and the weakest preconditions
+    of its base writes, and the verdicts of the conjunct queries
+    decided on it ([true] = the post-write conjunct can be false in
+    some state the frame admits). *)
+type frame = {
+  enc : Ipa_solver.Encode.ctx;
+  conjuncts : (Ground.gformula, bool) Hashtbl.t;
+}
+
+(** Frames a context retains at most (DESIGN.md §2). *)
+val frame_max : int
+
+(** [with_frame t key ~build f] runs [f] on the frame of the case [key]
+    names (any key of the case: {!Oblig.frame_of} blanks what the frame
+    does not depend on), building its solver with [build] on a miss.
+    The least recently used frame is evicted past {!frame_max}, its
+    solver released ({!Ipa_solver.Encode.release}).  With caching off
+    the frame lives for this one call and is released after it. *)
+val with_frame :
+  t -> Oblig.key -> build:(unit -> Ipa_solver.Encode.ctx) -> (frame -> 'a) -> 'a
+
+(** [record_solve t enc solve] runs one solver call on [enc] and adds
+    to the aggregate the counters [enc]'s solver moved since the
+    previous call on it ({!Ipa_solver.Encode.take_stats}): per-call
+    deltas, not the solver's totals, since a frame's solver answers
+    many calls. *)
+val record_solve :
+  t -> Ipa_solver.Encode.ctx -> (unit -> Ipa_solver.Sat.result) ->
+  Ipa_solver.Sat.result
 
 (** Time a computation, attributing elapsed wall time to the pair. *)
 val time : t -> string * string -> (unit -> 'a) -> 'a

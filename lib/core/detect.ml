@@ -6,7 +6,16 @@
     such that merging the effects of their concurrent executions — with
     opposing boolean writes resolved by the convergence rules — yields an
     I-invalid state.  The check is decided by the SAT backend over the
-    small-model domains of {!Pairctx}. *)
+    small-model domains of {!Pairctx}.
+
+    Two kinds of query are posed.  Verdict-only queries (per-clause
+    obligations and sequential safety) run on the case's {e frame}: one
+    incremental solver per (relevant clauses, base weakest
+    preconditions), kept in {!Anactx}, where each conjunct of the target
+    clause that the writes change is decided under one assumption and
+    its verdict kept.  Witness queries (a case whose obligations show a
+    violation) assert the whole violation target on a fresh solver, so
+    the model, and the report's witness, is the reference search's. *)
 
 open Ipa_logic
 open Ipa_solver
@@ -142,17 +151,13 @@ let ground_clauses ~ctx (spec : Types.t) ~(dom : Ground.domain)
       Anactx.ground ctx ~sg ~consts:spec.consts ~dom i.iformula)
     invs
 
-(* The one query encoding every analysis question shares: each clause
-   of [gcs] holds in the pre-state; the weakest precondition of each
-   write set in [bases] holds (only clauses a write affects yield a
-   constraint different from the already-asserted clause); [target] —
-   the violation sought — holds.  [k] reads the result (and, on Sat,
-   the model) before the solver is released.  The assertion order is
-   fixed: witness models depend on it. *)
-let solve_query ~ctx (spec : Types.t) (gcs : Ground.gformula list)
-    ~(bases : Effects.writes list) (target : Ground.gformula)
-    (k : Encode.ctx -> Sat.result -> 'a) : 'a =
-  let enc = Encode.create ~int_bounds:(Types.int_bounds spec) () in
+(* Assert a frame on [enc]: each clause of [gcs] holds in the
+   pre-state, and the weakest precondition of each write set in [bases]
+   holds (only clauses a write affects yield a constraint different
+   from the already-asserted clause).  The assertion order is fixed:
+   witness models depend on it. *)
+let assert_frame enc (gcs : Ground.gformula list)
+    ~(bases : Effects.writes list) : unit =
   List.iter (Encode.assert_formula enc) gcs;
   List.iter
     (fun w ->
@@ -161,13 +166,67 @@ let solve_query ~ctx (spec : Types.t) (gcs : Ground.gformula list)
           let t = Effects.apply_writes w gc in
           if t <> gc then Encode.assert_formula enc t)
         gcs)
-    bases;
+    bases
+
+(* The witness query: the frame, then [target] — the violation sought —
+   on a fresh solver.  [k] reads the result (and, on Sat, the model)
+   before the solver is released. *)
+let solve_query ~ctx (spec : Types.t) (gcs : Ground.gformula list)
+    ~(bases : Effects.writes list) (target : Ground.gformula)
+    (k : Encode.ctx -> Sat.result -> 'a) : 'a =
+  let enc = Encode.create ~int_bounds:(Types.int_bounds spec) () in
+  assert_frame enc gcs ~bases;
   Encode.assert_formula enc target;
-  let result = Encode.solve enc in
-  Anactx.record_solve ctx enc;
+  let result = Anactx.record_solve ctx enc (fun () -> Encode.solve enc) in
   let v = k enc result in
   Encode.release enc;
   v
+
+(* Verdict-only queries run on the case's frame ({!Anactx.with_frame}),
+   one incremental solver per frame.  Whether clause [gc] can be false
+   after writes [w] splits over its conjuncts: SAT(F ∧ ¬∧ᵢcᵢ[w]) iff
+   SAT(F ∧ ¬cᵢ[w]) for some i.  A conjunct the writes leave unchanged
+   is asserted by the frame, so it cannot be false; each changed one is
+   Tseitin-encoded into the frame's solver (gate definitions only
+   extend it, so learnt clauses stay valid) and decided under the one
+   assumption that its gate is false.  Each verdict is kept on the
+   frame. *)
+let with_frame ~ctx (spec : Types.t) (key : Oblig.key)
+    (gcs : Ground.gformula list) ~(bases : Effects.writes list)
+    (f : Anactx.frame -> 'a) : 'a =
+  Anactx.with_frame ctx key
+    ~build:(fun () ->
+      let enc = Encode.create ~int_bounds:(Types.int_bounds spec) () in
+      assert_frame enc gcs ~bases;
+      enc)
+    f
+
+let rec conjuncts (g : Ground.gformula) : Ground.gformula list =
+  match g with GAnd (a, b) -> conjuncts a @ conjuncts b | g -> [ g ]
+
+let conjunct_violable ~ctx (fr : Anactx.frame) (c : Ground.gformula) : bool =
+  match Hashtbl.find_opt fr.conjuncts c with
+  | Some v -> v
+  | None ->
+      let enc = fr.enc in
+      let l = Encode.encode enc c in
+      let r =
+        Anactx.record_solve ctx enc (fun () ->
+            Encode.solve ~assumptions:[ -l ] enc)
+      in
+      Sat.reset (Encode.solver enc);
+      let v = r = Sat.Sat in
+      Hashtbl.add fr.conjuncts c v;
+      v
+
+(* can frame clause [gc] be false after the writes [w]? *)
+let clause_violable ~ctx (fr : Anactx.frame) (w : Effects.writes)
+    (gc : Ground.gformula) : bool =
+  List.exists
+    (fun c ->
+      let t = Effects.apply_writes w c in
+      t <> c && conjunct_violable ~ctx fr t)
+    (conjuncts gc)
 
 (* "some clause the writes affect is false afterwards" *)
 let violation (w : Effects.writes) (gcs : Ground.gformula list) :
@@ -251,13 +310,12 @@ let check_case ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
   if invs = [] then None else check_case_grounded ~ctx spec o1 o2 u ~invs ~dom
 
 (* discharge one clause obligation: can some merged outcome of the
-   pair's concurrent effects falsify clause [idx] of the frame?  Same
-   pre-state and weakest-precondition assertions as the whole-case
-   query, but the violation target is a single clause, so the query —
-   and its verdict — depends on nothing outside its {!Oblig.key}. *)
+   pair's concurrent effects falsify clause [idx] of the frame?  Posed
+   on the case's frame ([key] is any key of the case), so the verdict
+   depends on nothing outside the obligation's {!Oblig.key}. *)
 let oblig_solve ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
     (u : Pairctx.unification) ~(invs : Types.invariant list)
-    ~(dom : Ground.domain) (idx : int) : bool =
+    ~(dom : Ground.domain) ~(key : Oblig.key) (idx : int) : bool =
   let gcs = ground_clauses ~ctx spec ~dom invs in
   let target = List.nth gcs idx in
   let bases =
@@ -268,14 +326,9 @@ let oblig_solve ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
   in
   let w1 = Effects.ground_writes spec dom o1.cur u.binding1 in
   let w2 = Effects.ground_writes spec dom o2.cur u.binding2 in
+  with_frame ~ctx spec key gcs ~bases @@ fun fr ->
   List.exists
-    (fun merged ->
-      let t = Effects.apply_writes merged target in
-      (* a clause the merged writes leave alone still holds in the
-         post-state: no solver query needed *)
-      t <> target
-      && solve_query ~ctx spec gcs ~bases (Ground.gnot t) (fun _ r ->
-             r = Sat.Sat))
+    (fun merged -> clause_violable ~ctx fr merged target)
     (Effects.merge_writes spec w1 w2)
 
 (** One per-clause proof obligation of a pair, enumerated without solver
@@ -323,7 +376,7 @@ let obligations (spec : Types.t) (o1 : aop) (o2 : aop) : oblig list =
 let solve_obligation ~ctx (spec : Types.t) (ob : oblig) : bool =
   Anactx.oblig_lookup ctx ob.ob_key @@ fun () ->
   oblig_solve ~ctx spec ob.ob_o1 ob.ob_o2 ob.ob_unif ~invs:ob.ob_invs
-    ~dom:ob.ob_dom ob.ob_clause
+    ~dom:ob.ob_dom ~key:ob.ob_key ob.ob_clause
 
 (** [check_pair ~ctx spec o1 o2] decides whether the pair conflicts under
     any parameter unification (paper: [isConflicting]).  Each (case ×
@@ -349,7 +402,7 @@ let check_pair ~ctx (spec : Types.t) (o1 : aop) (o2 : aop) : verdict =
             List.exists
               (fun idx ->
                 Anactx.oblig_lookup ctx (Oblig.with_clause ck idx) (fun () ->
-                    oblig_solve ~ctx spec o1 o2 u ~invs ~dom idx))
+                    oblig_solve ~ctx spec o1 o2 u ~invs ~dom ~key:ck idx))
               (List.init (List.length invs) Fun.id)
           in
           if not violable then go rest
@@ -378,8 +431,14 @@ let sequentially_safe ~ctx (spec : Types.t) (o : aop) : bool =
          let gcs = ground_clauses ~ctx spec ~dom invs in
          let w_base = Effects.ground_writes spec dom o.base u.binding1 in
          let w_cur = Effects.ground_writes spec dom o.cur u.binding1 in
-         solve_query ~ctx spec gcs ~bases:[ w_base ] (violation w_cur gcs)
-           (fun _ r -> r = Sat.Unsat))
+         (* the frame of [o] paired with the no-op *)
+         let key =
+           Oblig.case_key spec ~base1:o.base ~cur1:o.cur ~base2:noop
+             ~cur2:noop ~binding1:u.binding1 ~binding2:u.binding2 ~dom
+             ~frame:invs
+         in
+         with_frame ~ctx spec key gcs ~bases:[ w_base ] @@ fun fr ->
+         not (List.exists (clause_violable ~ctx fr w_cur) gcs))
        (Pairctx.unifications spec o.cur noop)
 
 (** Witness-guided candidate screening: does the stored counterexample

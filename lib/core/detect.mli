@@ -2,7 +2,8 @@
     convergence rules): a pair conflicts if some I-valid pre-state,
     admissible for both operations, merges their concurrent effects into
     an I-invalid state.  Decided by the SAT backend over small-model
-    domains. *)
+    domains: verdict-only queries on incremental per-case frames kept in
+    {!Anactx}, witness queries on a fresh solver each. *)
 
 open Ipa_logic
 open Ipa_spec
@@ -70,13 +71,18 @@ type oblig = {
 val obligations : Types.t -> aop -> aop -> oblig list
 
 (** Discharge one obligation through the context's verdict cache:
-    [true] means the pair's merged effects can falsify the clause. *)
+    [true] means the pair's merged effects can falsify the clause.
+    Decided on the case's analysis frame ({!Anactx.with_frame}): each
+    conjunct of the clause that the merged writes change is one
+    assumption query on the frame's incremental solver. *)
 val solve_obligation : ctx:Anactx.t -> Types.t -> oblig -> bool
 
 (** Executing the (possibly modified) operation alone from any state
     admissible for its {e original} precondition preserves the
     invariant (Theorem 1's sequential half).  The verdict is memoized in
-    [ctx] per (operation effects, canonical rules). *)
+    [ctx] per (operation effects, canonical rules); each case is decided
+    on the frame of the operation paired with a no-op, like an
+    obligation. *)
 val sequentially_safe : ctx:Anactx.t -> Types.t -> aop -> bool
 
 (** Witness-guided candidate screening: does the stored counterexample

@@ -104,7 +104,9 @@ let names ((o1, o2) : Detect.aop * Detect.aop) =
     with a fresh obligation starts a block, which takes the following
     pairs until it holds ~16·jobs fresh obligations.  The block's fresh
     obligations are discharged concurrently, each worker in its own
-    context, and their verdicts put into [ctx]; the block's pairs are
+    context and one work item per analysis frame (so a frame is built
+    once per block, on the worker that takes it), and their verdicts
+    put into [ctx]; the block's pairs are
     then concluded in order on [ctx], where every obligation lookup
     hits and only a conflicting case's witness extraction still solves.
     A block too small to keep the pool busy is discharged on [ctx]
@@ -138,15 +140,37 @@ let verdicts ~(ctx : Anactx.t) (workers : workers option) (spec : Types.t)
           (names (ob.Detect.ob_o1, ob.Detect.ob_o2))
           (fun () -> Detect.solve_obligation ~ctx:c spec ob)
       in
+      (* the block's obligations grouped by analysis frame, in order of
+         first appearance *)
+      let by_frame obls =
+        let groups = Hashtbl.create 16 in
+        List.filter_map
+          (fun (ob : Detect.oblig) ->
+            let k = Oblig.frame_of ob.Detect.ob_key in
+            match Hashtbl.find_opt groups k with
+            | Some g ->
+                g := ob :: !g;
+                None
+            | None ->
+                let g = ref [ ob ] in
+                Hashtbl.add groups k g;
+                Some g)
+          obls
+        |> List.map (fun g -> List.rev !g)
+      in
       let solve_block obls =
         if List.length obls < 2 * jobs then
           List.iter (fun ob -> ignore (solve ctx ob)) obls
         else
           Ipa_par.Pool.map_worker pool
-            ~f:(fun ~worker (ob : Detect.oblig) ->
-              (ob.Detect.ob_key, solve wctxs.(worker) ob))
-            obls
-          |> List.iter (fun (key, v) -> Anactx.oblig_put ctx key v)
+            ~f:(fun ~worker group ->
+              List.map
+                (fun (ob : Detect.oblig) ->
+                  (ob.Detect.ob_key, solve wctxs.(worker) ob))
+                group)
+            (by_frame obls)
+          |> List.iter
+               (List.iter (fun (key, v) -> Anactx.oblig_put ctx key v))
       in
       (* extend a block (pairs and their fresh obligations, newest
          first) until it holds [16 * jobs] fresh obligations *)

@@ -98,3 +98,12 @@ let case_key (spec : Types.t) ~(base1 : Types.operation)
   }
 
 let with_clause (k : key) (i : int) : key = { k with k_clause = i }
+
+(** The key of a case's analysis frame: [k] with what the frame does not
+    depend on blanked.  A frame asserts the case's relevant clauses and
+    the weakest preconditions of the {e base} writes, so the current
+    effects, the merge rules and the clause choice drop out; every
+    repair candidate of a pair, which only extends the current effects,
+    shares its case's frame. *)
+let frame_of (k : key) : key =
+  { k with k_cur1 = []; k_cur2 = []; k_rules = []; k_clause = -1 }

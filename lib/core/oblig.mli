@@ -56,3 +56,8 @@ val case_key :
 
 (** Refocus a case key on one clause obligation. *)
 val with_clause : key -> int -> key
+
+(** The key of the case's analysis frame (its relevant clauses and base
+    weakest preconditions): [k] with the current effects, the rules and
+    the clause choice blanked. *)
+val frame_of : key -> key

@@ -333,8 +333,15 @@ let pp_gformula ppf g =
    structural comparison, allocation) shifts by 16 bytes mod 64.  This
    never-called function is the last code of [ipa_logic], the last
    analysis library linked; it is sized so that the code after it keeps
-   its offset mod 64.  Check [camlFmt.code_begin] with [nm -n] on the
-   perfbench executable against the parent commit and resize or drop
-   the pad whenever an analysis or store library's code size changes. *)
-let[@warning "-32"] layout_pad (x : int) (y : int) =
-  (x * y) + (x lsl 3) - (y lxor x)
+   its offset mod 64.  It takes eight arguments so that the program
+   keeps the startup's eight-argument currying helpers ([caml_curry8]),
+   which precede every OCaml module: without them the perfbench
+   executable's own modules and the store and CRDT libraries move by
+   32 bytes mod 64.  Check [camlStd_exit.code_begin] and
+   [camlFmt.code_begin] with [nm -n] on the perfbench executable against
+   the parent commit and resize or drop the pad whenever an analysis or
+   store library's code size changes. *)
+let[@warning "-32"] layout_pad (x : int) (y : int) (a : int) (b : int)
+    (c : int) (d : int) (e : int) (f : int) =
+  (x * y) + (x lsl 3) - (y lxor x) + (a * b) - (c lxor d) + (e lor f)
+  + (a land c) - (b lor d)

@@ -23,7 +23,12 @@ type ctx = {
   atoms : (Ground.gatom, lit) AtomTbl.t;
   nums : (Ground.gnum, intvar) NumTbl.t;
   int_bounds : Ground.gnum -> int * int;
+  mutable taken : Sat.stats;  (** the solver's counters at the last take *)
 }
+
+let no_stats : Sat.stats =
+  { n_conflicts = 0; n_decisions = 0; n_propagations = 0; n_learnts = 0;
+    n_removed = 0 }
 
 (** Default integer bounds for numeric state functions: [0, 16]. *)
 let default_bounds (_ : Ground.gnum) = (0, 16)
@@ -34,9 +39,24 @@ let create ?(int_bounds = default_bounds) () =
     atoms = AtomTbl.create 64;
     nums = NumTbl.create 16;
     int_bounds;
+    taken = no_stats;
   }
 
 let solver ctx = ctx.sat
+
+(** The solver's counters moved since the last [take_stats] (since
+    creation for the first): encoding and solving both, each counted
+    once however many queries the context answers. *)
+let take_stats ctx : Sat.stats =
+  let now = Sat.stats ctx.sat and was = ctx.taken in
+  ctx.taken <- now;
+  {
+    n_conflicts = now.n_conflicts - was.n_conflicts;
+    n_decisions = now.n_decisions - was.n_decisions;
+    n_propagations = now.n_propagations - was.n_propagations;
+    n_learnts = now.n_learnts - was.n_learnts;
+    n_removed = now.n_removed - was.n_removed;
+  }
 
 (** Release the context's solver back to this domain's recycling pool
     ({!Sat.release}).  Call once the query's result, stats and model
@@ -126,8 +146,10 @@ let rec encode ctx (g : Ground.gformula) : lit =
 (** Assert that [g] holds. *)
 let assert_formula ctx g = Sat.add_clause ctx.sat [ encode ctx g ]
 
-(** Decide satisfiability of everything asserted so far. *)
-let solve ctx : Sat.result = Sat.solve ctx.sat
+(** Decide satisfiability of everything asserted so far, under the
+    [assumptions] (literals of {!encode}d formulas, held for this call
+    only). *)
+let solve ?assumptions ctx : Sat.result = Sat.solve ?assumptions ctx.sat
 
 (** Model value of a boolean atom (valid after a [Sat] answer).
     Atoms never mentioned read as [false]. *)

@@ -15,6 +15,11 @@ val default_bounds : Ground.gnum -> int * int
 val create : ?int_bounds:(Ground.gnum -> int * int) -> unit -> ctx
 val solver : ctx -> Sat.t
 
+(** The solver counters moved since the previous [take_stats] on this
+    context (since its creation for the first), so a context that
+    answers many queries has each unit of work counted once. *)
+val take_stats : ctx -> Sat.stats
+
 (** Release the context's solver back to this domain's recycling pool
     ({!Sat.release}) once its result, stats and model values have been
     read; the context must not be used afterwards. *)
@@ -29,7 +34,9 @@ val encode : ctx -> Ground.gformula -> lit
 (** Assert that the formula holds. *)
 val assert_formula : ctx -> Ground.gformula -> unit
 
-val solve : ctx -> Sat.result
+(** Decide everything asserted so far, under [assumptions] (literals
+    from {!encode}, held for this call only — see {!Sat.solve}). *)
+val solve : ?assumptions:lit list -> ctx -> Sat.result
 
 (** Model values (valid after a [Sat] answer); unmentioned atoms read
     [false], unmentioned numerics read their lower bound. *)

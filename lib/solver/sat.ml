@@ -8,9 +8,12 @@
     Features: two-watched-literal unit propagation, first-UIP conflict
     analysis with clause learning, an activity-windowed rotating decision
     cursor, phase saving, geometric restarts, and activity-based
-    learnt-clause DB reduction.  The solver is incremental in the sense
-    that clauses and variables may be added between [solve] calls (used
-    for model enumeration via blocking clauses).
+    learnt-clause DB reduction.  The solver is incremental: clauses and
+    variables may be added between [solve] calls (model enumeration via
+    blocking clauses), and [solve ~assumptions] decides the clauses under
+    temporary unit assumptions, so one instance answers a sequence of
+    queries over a shared clause set with its learnt clauses kept
+    (the analysis frames of DESIGN.md §2).
 
     Layout: inside the solver a literal [+v]/[-v] is coded [2v]/[2v+1],
     so negation is [lxor 1] and the code indexes the per-literal value
@@ -135,12 +138,12 @@ let fresh () =
 (* ------------------------------------------------------------------ *)
 (* Per-domain instance recycling                                       *)
 (*                                                                     *)
-(* The analysis allocates one single-use solver per query — thousands  *)
-(* per obligation block — and the dominant allocation cost is the      *)
-(* var-indexed arrays, which grow to the same grounded-formula size    *)
-(* query after query.  Each worker domain keeps a small free list of   *)
-(* released instances; [create] pops one and [release] scrubs every    *)
-(* field back to its [fresh] default, so a recycled solver is          *)
+(* The analysis allocates a solver per witness query and per analysis  *)
+(* frame, evicting frames as it goes, and the dominant allocation cost *)
+(* is the var-indexed arrays, which grow to the same grounded-formula  *)
+(* size solver after solver.  Each worker domain keeps a small free    *)
+(* list of released instances; [create] pops one and [release] scrubs  *)
+(* every field back to its [fresh] default, so a recycled solver is    *)
 (* observationally identical to a new one (capacity is the only        *)
 (* difference, and capacity is invisible: arrays grow on demand and    *)
 (* nothing reads past the variables, clauses or trail entries in use). *)
@@ -590,9 +593,23 @@ let learn s =
     enqueue s a.(st) c
   end
 
-(** Decide satisfiability of the clauses added so far. After [Sat],
-    {!model_value} reads the satisfying assignment. *)
-let solve s : result =
+(** Decide satisfiability of the clauses added so far, under the
+    [assumptions] (literals held true for this call only).  After [Sat],
+    {!model_value} reads the satisfying assignment, which stays on the
+    trail until {!reset}.  An [Unsat] answer caused by the assumptions
+    leaves the solver usable: only a conflict at level 0 (the clauses
+    themselves are unsatisfiable) marks it [Unsat] for good.
+
+    Assumptions are decided first, one per decision level, MiniSat-style
+    (Eén and Sörensson 2003): an assumption already true opens an empty
+    level, one already false answers [Unsat] at once, and a backjump
+    below the assumption levels re-decides them.  Restarts only fire
+    above the assumption levels.  With no assumptions the loop is the
+    reference solver's search, step for step. *)
+let solve ?(assumptions = []) s : result =
+  let assumps = Array.of_list (List.map code assumptions) in
+  let n_assumps = Array.length assumps in
+  cancel_until s 0;
   if not s.ok then Unsat
   else begin
     if propagate s >= 0 then s.ok <- false;
@@ -621,11 +638,21 @@ let solve s : result =
           end
         end
         else if
-          !conflicts_since_restart >= !restart_limit && decision_level s > 0
+          !conflicts_since_restart >= !restart_limit
+          && decision_level s > n_assumps
         then begin
           conflicts_since_restart := 0;
           restart_limit := !restart_limit * 3 / 2;
           cancel_until s 0
+        end
+        else if decision_level s < n_assumps then begin
+          let x = assumps.(decision_level s) in
+          match s.value.(x) with
+          | 0 -> status := Some Unsat
+          | 1 -> push s.trail_lim s.trail_len
+          | _ ->
+              push s.trail_lim s.trail_len;
+              enqueue s x (-1)
         end
         else begin
           let v = pick_branch_var s in

@@ -6,16 +6,22 @@
     analysis with clause learning, activity-guided decisions with phase
     saving, geometric restarts, and activity-based learnt-clause DB
     reduction.  Clauses and variables may be added between [solve] calls
-    (model enumeration via blocking clauses).
+    (model enumeration via blocking clauses), and [solve ~assumptions]
+    decides the clause set under temporary unit assumptions, MiniSat
+    style: one instance then answers a sequence of queries over a shared
+    clause set and keeps its learnt clauses between them.  The analysis
+    gives each frame (a unification case's pre-state clauses and base
+    weakest preconditions) one such solver and asks each verdict-only
+    query as one assumption over a Tseitin gate (DESIGN.md §2).
 
     All solver state is per-instance, so distinct domains may each run
     their own solver concurrently — the contract the parallel pair
     analysis (DESIGN.md §8) relies on.  Instances are recycled through
     a small {e domain-local} free list: {!release} scrubs a finished
     solver back to a fresh-equivalent state (retaining its grown
-    arrays) and {!create} prefers a recycled instance, so the
-    one-solver-per-query analysis stops re-growing the same var-indexed
-    arrays thousands of times per obligation block.  Scrubbed state is
+    arrays) and {!create} prefers a recycled instance, so witness
+    queries and evicted frames stop re-growing the same var-indexed
+    arrays solver after solver.  Scrubbed state is
     bit-equivalent to fresh, so recycling can never change a
     verdict. *)
 
@@ -36,8 +42,13 @@ val create : unit -> t
     [solve] calls — use {!reset} after a [Sat] answer). *)
 val add_clause : t -> lit list -> unit
 
-(** Decide satisfiability of the clauses added so far. *)
-val solve : t -> result
+(** Decide satisfiability of the clauses added so far under
+    [assumptions] (default none; literals held true for this call only).
+    Without assumptions the search is the reference solver's, step for
+    step.  After [Sat] the model stays on the trail until {!reset}; an
+    [Unsat] caused by the assumptions leaves the solver usable, and only
+    unsatisfiable clauses make every later answer [Unsat]. *)
+val solve : ?assumptions:lit list -> t -> result
 
 (** Truth value of a literal in the model of the last [Sat] answer
     (don't-cares read as [false]). *)

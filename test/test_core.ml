@@ -787,7 +787,10 @@ let test_stats_counters () =
 (* The solver's search, pinned: a cold [Ipa.run ~jobs:1] makes exactly
    these SAT conflicts/decisions/propagations.  Every SAT model becomes a
    report witness, so a change to the solver's search moves reports; a
-   change that alters the search on purpose updates these pins. *)
+   change that alters the search on purpose updates these pins.  The
+   pins count witness queries (fresh solvers, the reference search) and
+   the verdict-only conjunct queries on analysis frames (one assumption
+   each, learnt clauses kept per frame), encoding work included. *)
 let test_search_pinned () =
   List.iter
     (fun (name, spec, expect) ->
@@ -798,9 +801,9 @@ let test_search_pinned () =
         expect
         [ s.Anactx.sat_conflicts; s.Anactx.sat_decisions; s.Anactx.sat_propagations ])
     [
-      ("ticket", Catalog.ticket, [ 117; 140; 10_232 ]);
-      ("twitter", Catalog.twitter, [ 869; 1_441; 63_907 ]);
-      ("tpcw", Catalog.tpcw, [ 166; 340; 14_949 ]);
+      ("ticket", Catalog.ticket, [ 123; 156; 10_939 ]);
+      ("twitter", Catalog.twitter, [ 140; 42; 13_689 ]);
+      ("tpcw", Catalog.tpcw, [ 66; 60; 3_782 ]);
     ]
 
 let test_rule_choices_dedupe () =
@@ -896,6 +899,155 @@ let test_decompose_equivalence () =
 
 let test_decompose_equivalence_tournament () =
   check_decomposed_pairs (Catalog.tournament ())
+
+(* ------------------------------------------------------------------ *)
+(* Verdict oracle: frame queries against whole-target fresh solves      *)
+(* ------------------------------------------------------------------ *)
+
+(* Decide every obligation of every pair of [ops], and the sequential
+   safety of every op, on [ctx] and by the oracle ([Verdict_ref]);
+   return (disagreements, queries, violable verdicts). *)
+let oracle_check ~ctx (spec : Types.t) (ops : Detect.aop list) =
+  let rec pairs = function
+    | [] -> []
+    | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
+  in
+  let obls =
+    List.concat_map (fun (a, b) -> Detect.obligations spec a b) (pairs ops)
+  in
+  let name (o : Detect.aop) = o.Detect.cur.oname in
+  let bad = ref [] and violable = ref 0 in
+  List.iter
+    (fun (ob : Detect.oblig) ->
+      let v = Detect.solve_obligation ~ctx spec ob in
+      if v then incr violable;
+      if v <> Verdict_ref.obligation spec ob then
+        bad :=
+          Fmt.str "%s/%s clause %d" (name ob.Detect.ob_o1) (name ob.Detect.ob_o2)
+            ob.Detect.ob_clause
+          :: !bad)
+    obls;
+  List.iter
+    (fun o ->
+      let v = Detect.sequentially_safe ~ctx spec o in
+      if not v then incr violable;
+      if v <> Verdict_ref.sequentially_safe spec o then
+        bad := ("sequential " ^ name o) :: !bad)
+    ops;
+  (List.rev !bad, List.length obls + List.length ops, !violable)
+
+(* One context sees the run that analysed [spec] and then three
+   operation sets: the repaired operations (current effects extend the
+   base ones), the original operations and the patched operations
+   (base = current).  The repaired and patched sets share current
+   effects but not base effects, so a frame keyed by anything but the
+   base effects answers one of them from the wrong frame. *)
+let check_against_oracle (spec : Types.t) =
+  let ctx = Anactx.create () in
+  let r = Ipa.run ~jobs:1 ~ctx spec in
+  let patched = Ipa.patched_spec r in
+  let sets =
+    [
+      (spec, r.Ipa.final_ops);
+      (spec, List.map Detect.aop_of spec.Types.operations);
+      (patched, List.map Detect.aop_of patched.Types.operations);
+    ]
+  in
+  List.fold_left
+    (fun (bad, n, v) (sp, ops) ->
+      let b, n', v' = oracle_check ~ctx sp ops in
+      (bad @ b, n + n', v + v'))
+    ([], 0, 0) sets
+
+let assert_oracle name (bad, n, violable) =
+  Alcotest.(check (list string)) (name ^ ": verdicts = oracle") [] bad;
+  Alcotest.(check bool)
+    (Fmt.str "%s: %d queries, %d violable — both verdicts occur" name n
+       violable)
+    true
+    (violable > 0 && violable < n)
+
+let test_oracle_catalog () =
+  List.iter
+    (fun spec ->
+      assert_oracle spec.Types.app_name (check_against_oracle spec))
+    [ Catalog.ticket (); Catalog.twitter (); Catalog.tpcw () ]
+
+let test_oracle_tournament () =
+  assert_oracle "tournament" (check_against_oracle (Catalog.tournament ()))
+
+(* Queries the catalog cannot tell apart from a wrong frame.  In
+   [first] and [second] one touched instance of [imp] can be false and
+   the other cannot, in both instance orders, so a query that skips a
+   touched conjunct misses a violation.  [partial] has [first]'s current
+   effects but a base without [q(a) := false]: it is not sequentially
+   safe, while [first] (base = current) is, so a frame keyed by current
+   rather than base effects answers one of them from the other's
+   frame. *)
+let order_src =
+  {|
+app Order
+sort X
+predicate p(X)
+predicate q(X)
+invariant imp: forall(X:x) :- p(x) => q(x)
+rule p: add-wins
+rule q: add-wins
+operation first(X:a, X:b)
+  q(a) := false
+  p(b) := true
+  q(b) := true
+operation second(X:a, X:b)
+  p(a) := true
+  q(a) := true
+  q(b) := false
+operation add_p(X:x)
+  p(x) := true
+|}
+
+let test_oracle_crafted () =
+  let spec = Spec_parser.parse_string order_src in
+  let first = op spec "first" in
+  let partial =
+    {
+      first with
+      Detect.base =
+        {
+          first.Detect.base with
+          oeffects = List.tl first.Detect.base.oeffects;
+        };
+    }
+  in
+  let ops = [ partial; first; op spec "second"; op spec "add_p" ] in
+  Alcotest.(check bool) "partial is not sequentially safe" false
+    (Verdict_ref.sequentially_safe spec partial);
+  let bad, n, violable = oracle_check ~ctx:(Anactx.create ()) spec ops in
+  assert_oracle "order" (bad, n, violable);
+  (* the other query order on a fresh context *)
+  let bad, n, violable =
+    oracle_check ~ctx:(Anactx.create ()) spec (List.rev ops)
+  in
+  assert_oracle "order (reversed)" (bad, n, violable)
+
+(* a seeded Specmut campaign: 8 mutants (3 mutations each) of each small
+   catalog spec, every one analysed and then checked on the run's
+   context *)
+let test_oracle_specmut () =
+  let rng = Ipa_sim.Rng.create 11 in
+  let bad, n, violable =
+    List.fold_left
+      (fun (bad, n, v) spec ->
+        List.fold_left
+          (fun (bad, n, v) _ ->
+            let b, n', v' =
+              check_against_oracle (Ipa_check.Specmut.mutations rng spec 3)
+            in
+            (bad @ b, n + n', v + v'))
+          (bad, n, v) (List.init 8 Fun.id))
+      ([], 0, 0)
+      [ Catalog.ticket (); Catalog.twitter (); Catalog.tpcw () ]
+  in
+  assert_oracle "specmut campaign" (bad, n, violable)
 
 (* an edit to one operation leaves unrelated obligations' cached
    verdicts untouched: re-checking a pair the edit did not reach adds
@@ -1336,6 +1488,14 @@ let () =
             test_decompose_equivalence;
           Alcotest.test_case "decomposition is exact (tournament)" `Slow
             test_decompose_equivalence_tournament;
+          Alcotest.test_case "frame verdicts = oracle (catalog)" `Quick
+            test_oracle_catalog;
+          Alcotest.test_case "frame verdicts = oracle (tournament)" `Slow
+            test_oracle_tournament;
+          Alcotest.test_case "frame verdicts = oracle (specmut)" `Quick
+            test_oracle_specmut;
+          Alcotest.test_case "frame verdicts = oracle (crafted)" `Quick
+            test_oracle_crafted;
           Alcotest.test_case "edits invalidate only reached obligations"
             `Quick test_incremental_invalidation;
           Alcotest.test_case "serve round-trip" `Quick test_serve_roundtrip;

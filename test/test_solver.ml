@@ -212,7 +212,12 @@ module Replay (S : SOLVER) = struct
     out
 end
 
-module Kernel = Replay (Sat)
+(* assumption-free solving: the search the reference solver replays *)
+module Kernel = Replay (struct
+  include Sat
+
+  let solve s = Sat.solve s
+end)
 module Reference = Replay (Sat_ref)
 
 (* Records what [Cnf]'s encodings ask of a solver, as a script. *)
@@ -584,6 +589,155 @@ let test_sat_learnt_db_reduction () =
   Alcotest.(check bool) "removed at most created" true
     (st.Sat.n_removed < st.Sat.n_learnts)
 
+(* ------------------------------------------------------------------ *)
+(* Assumptions                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* the verdict of a fresh solver given [clauses] plus one unit clause per
+   assumption *)
+let fresh_verdict nvars clauses assumptions =
+  let s = Sat.create () in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s)
+  done;
+  List.iter (Sat.add_clause s) clauses;
+  List.iter (fun a -> Sat.add_clause s [ a ]) assumptions;
+  is_sat (Sat.solve s)
+
+(* on [Sat], the kept model satisfies every clause and assumption *)
+let model_ok s clauses assumptions =
+  List.for_all (fun c -> List.exists (Sat.model_value s) c) clauses
+  && List.for_all (Sat.model_value s) assumptions
+
+let gen_cnf nvars ~clauses =
+  QCheck.Gen.(list_size clauses (list_size (int_range 1 3) (gen_lit nvars)))
+
+let print_assumed (nvars, clauses, assumptions) =
+  Printf.sprintf "nvars=%d\n%s\nassume %s" nvars
+    (String.concat "\n"
+       (List.map (fun c -> String.concat " " (List.map string_of_int c)) clauses))
+    (String.concat " " (List.map string_of_int assumptions))
+
+let prop_assumptions_match_units =
+  QCheck.Test.make ~name:"solve ~assumptions = fresh solver plus unit clauses"
+    ~count:300
+    (QCheck.make ~print:print_assumed
+       QCheck.Gen.(
+         int_range 4 16 >>= fun nvars ->
+         triple (return nvars)
+           (gen_cnf nvars ~clauses:(int_range 1 (4 * nvars)))
+           (list_size (int_range 0 5) (gen_lit nvars))))
+    (fun (nvars, clauses, assumptions) ->
+      let s = Sat.create () in
+      for _ = 1 to nvars do
+        ignore (Sat.new_var s)
+      done;
+      List.iter (Sat.add_clause s) clauses;
+      let r = Sat.solve ~assumptions s in
+      is_sat r = fresh_verdict nvars clauses assumptions
+      && ((not (is_sat r)) || model_ok s clauses assumptions))
+
+(* One instance answers a sequence of steps: clauses arrive between
+   queries, each query under its own assumptions.  Each answer must be
+   the fresh solver's over the clauses so far plus the assumptions.
+   Unit clauses make later assumptions already false at level 0, and
+   enough of them make the clauses themselves unsatisfiable. *)
+type step = Add of int list | Query of int list
+
+let print_steps (nvars, steps) =
+  Printf.sprintf "nvars=%d\n%s" nvars
+    (String.concat "\n"
+       (List.map
+          (function
+            | Add c -> "add " ^ String.concat " " (List.map string_of_int c)
+            | Query a -> "query " ^ String.concat " " (List.map string_of_int a))
+          steps))
+
+let run_steps nvars steps =
+  let s = Sat.create () in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s)
+  done;
+  let clauses = ref [] in
+  let ok =
+    List.for_all
+      (function
+        | Add c ->
+            Sat.reset s;
+            Sat.add_clause s c;
+            clauses := c :: !clauses;
+            true
+        | Query assumptions ->
+            let r = Sat.solve ~assumptions s in
+            is_sat r = fresh_verdict nvars !clauses assumptions
+            && ((not (is_sat r)) || model_ok s !clauses assumptions))
+      steps
+  in
+  (ok, s)
+
+let prop_assumption_sequence =
+  QCheck.Test.make ~name:"assumption queries on one instance = fresh solves"
+    ~count:300
+    (QCheck.make ~print:print_steps
+       QCheck.Gen.(
+         int_range 3 10 >>= fun nvars ->
+         let step =
+           frequency
+             [
+               (3, map (fun c -> Add c) (list_size (int_range 1 3) (gen_lit nvars)));
+               (1, map (fun l -> Add [ l ]) (gen_lit nvars));
+               (4, map (fun a -> Query a) (list_size (int_range 0 4) (gen_lit nvars)));
+             ]
+         in
+         pair (return nvars) (list_size (int_range 1 40) step)))
+    (fun (nvars, steps) -> fst (run_steps nvars steps))
+
+(* the two edge cases the property must cover, spelled out *)
+let test_assumption_edges () =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s in
+  Sat.add_clause s [ a; b ];
+  Sat.add_clause s [ -a ];
+  Alcotest.(check bool) "assumption false at level 0" false
+    (is_sat (Sat.solve ~assumptions:[ a ] s));
+  Alcotest.(check bool) "usable after a failed assumption" true
+    (is_sat (Sat.solve ~assumptions:[ b ] s));
+  Alcotest.(check bool) "model keeps the implied literal" true
+    (Sat.model_value s b);
+  Alcotest.(check bool) "conflicting assumptions" false
+    (is_sat (Sat.solve ~assumptions:[ b; -b ] s));
+  Sat.reset s;
+  Sat.add_clause s [ -b ];
+  Alcotest.(check bool) "level-0 unsat" false (is_sat (Sat.solve s));
+  Alcotest.(check bool) "stays unsat under any assumption" false
+    (is_sat (Sat.solve ~assumptions:[ -a ] s))
+
+(* Learnt clauses pile up across the queries of one instance (an
+   analysis frame's solver keeps them all), so the learnt-clause DB
+   reduction must run, and the answers after it must still be the fresh
+   solver's.  A random 3-CNF near the threshold with many variables
+   and a long sequence of 3-literal assumption queries crosses the
+   default allowance of [max 256 (clauses / 3)] learnt clauses. *)
+let test_assumptions_reduce_db () =
+  let nvars = 150 in
+  let rng = Random.State.make [| 11 |] in
+  let lit () =
+    let v = 1 + Random.State.int rng nvars in
+    if Random.State.bool rng then v else -v
+  in
+  let clauses = List.init (41 * nvars / 10) (fun _ -> [ lit (); lit (); lit () ]) in
+  let steps =
+    List.map (fun c -> Add c) clauses
+    @ List.init 400 (fun _ -> Query [ lit (); lit (); lit () ])
+  in
+  let ok, s = run_steps nvars steps in
+  let st = Sat.stats s in
+  Alcotest.(check bool) "every answer = fresh solve" true ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "learnt DB reduced (%d learnt, %d removed)" st.Sat.n_learnts
+       st.Sat.n_removed)
+    true (st.Sat.n_removed > 0)
+
 (* property: encoder verdict matches direct evaluation search over small
    boolean-only formulas *)
 let gen_bool_formula : Ast.formula QCheck.Gen.t =
@@ -710,6 +864,7 @@ let qcheck_tests =
       prop_replays_reference "random 3-CNF" 300 gen_3cnf;
       prop_replays_reference "PHP(n+1,n)" 100 gen_php;
       prop_replays_reference "at_least mixes" 300 gen_at_least_mix;
+      prop_assumptions_match_units; prop_assumption_sequence;
       prop_encode_matches_eval; prop_cardinality_matches_eval ]
 
 let () =
@@ -727,6 +882,10 @@ let () =
           Alcotest.test_case "incremental" `Quick test_sat_incremental;
           Alcotest.test_case "learnt DB reduction" `Quick
             test_sat_learnt_db_reduction;
+          Alcotest.test_case "assumption edge cases" `Quick
+            test_assumption_edges;
+          Alcotest.test_case "learnt DB reduction across assumptions" `Quick
+            test_assumptions_reduce_db;
         ] );
       ( "cardinality",
         [

@@ -472,44 +472,46 @@ let fig9 () =
 (* §5.1.3: analysis cost microbenchmarks (Bechamel)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The SAT kernel alone: the cold Tournament obligation that takes the
-   most conflicts on a fresh context, re-solved on a fresh context per
-   run.  Too slow per run for Bechamel's quota, so it reports the median
-   of 7 runs and the kernel's propagation rate. *)
+(* The SAT kernel alone: tournament's whole-case witness query (one
+   fresh solver, the whole violation target, no frame or assumption)
+   that takes the most conflicts, re-posed on a fresh context per run.
+   Too slow per run for Bechamel's quota, so it reports the median of 7
+   runs and the kernel's propagation rate. *)
 let sat_kernel_row () =
   let open Ipa_core in
   let spec = Ipa_spec.Catalog.tournament () in
-  let solve ob =
+  let solve (o1, o2, u) =
     let ctx = Anactx.create () in
-    let (_ : bool), dt =
-      time_it (fun () -> Detect.solve_obligation ~ctx spec ob)
+    let (_ : Detect.witness option), dt =
+      time_it (fun () -> Detect.check_case ~ctx spec o1 o2 u)
     in
     (dt, Anactx.stats ctx)
   in
-  let ops = List.map Detect.aop_of spec.Ipa_spec.Types.operations in
-  let obs =
-    List.concat
-      (List.mapi
-         (fun i o1 ->
-           List.concat
-             (List.filteri (fun j _ -> j >= i) ops
-             |> List.map (fun o2 -> Detect.obligations spec o1 o2)))
-         ops)
+  let rec pairs = function
+    | [] -> []
+    | o :: rest -> List.map (fun o' -> (o, o')) (o :: rest) @ pairs rest
+  in
+  let cases =
+    pairs (List.map Detect.aop_of spec.Ipa_spec.Types.operations)
+    |> List.concat_map (fun ((o1 : Detect.aop), (o2 : Detect.aop)) ->
+           List.map
+             (fun u -> (o1, o2, u))
+             (Pairctx.unifications spec o1.cur o2.cur))
   in
   let hardest, _ =
     List.fold_left
-      (fun (best, most) ob ->
-        let c = (snd (solve ob)).Anactx.sat_conflicts in
-        if c > most then (ob, c) else (best, most))
-      (List.hd obs, -1) obs
+      (fun (best, most) case ->
+        let c = (snd (solve case)).Anactx.sat_conflicts in
+        if c > most then (case, c) else (best, most))
+      (List.hd cases, -1) cases
   in
   let runs = List.init 7 (fun _ -> solve hardest) in
   let med = List.nth (List.sort compare (List.map fst runs)) 3 in
   let st = snd (List.hd runs) in
-  pr "%-40s %12.1f ms/run  (%s/%s clause %d: %d conflicts, %d propagations, %.2f M propagations/s)@."
-    "sat: hardest cold tournament obligation" (1000. *. med)
-    hardest.Detect.ob_o1.base.Ipa_spec.Types.oname
-    hardest.Detect.ob_o2.base.Ipa_spec.Types.oname hardest.Detect.ob_clause
+  let (o1 : Detect.aop), (o2 : Detect.aop), _ = hardest in
+  pr "%-40s %12.1f ms/run  (%s/%s: %d conflicts, %d propagations, %.2f M propagations/s)@."
+    "sat: hardest cold tournament witness query" (1000. *. med)
+    o1.base.Ipa_spec.Types.oname o2.base.Ipa_spec.Types.oname
     st.Anactx.sat_conflicts st.Anactx.sat_propagations
     (float_of_int st.Anactx.sat_propagations /. med /. 1e6)
 
@@ -629,7 +631,7 @@ let catalog_apps =
 
 (** Full [Ipa.run] over the four catalog applications, once with the
     analysis caches, frames and witness pruning enabled and once with
-    all of them off ([Anactx.create ~cache:false ~prune:false]).
+    all of them off ([Anactx.create ~cache:false]).
     Asserts that the two full reports ([Report.report_to_string],
     witnesses included) are identical (the optimizations are exact),
     then reports wall time, SAT-solve counts, cache-hit and pruning
@@ -639,13 +641,13 @@ let catalog_apps =
 let analysis () =
   let open Ipa_core in
   pr "== Analysis pipeline: caches + frames + witness pruning vs baseline ==@.";
-  pr "%-12s %9s %9s %9s %9s %8s %8s %8s %8s@." "app" "on[s]" "off[s]"
-    "solves" "solves0" "speedup" "pruned" "ground" "verdict";
+  pr "%-12s %9s %9s %9s %9s %8s %8s %8s@." "app" "on[s]" "off[s]"
+    "solves" "solves0" "speedup" "pruned" "ground";
   List.iter
     (fun (name, mk) ->
       let ctx_on = Anactx.create () in
       let r_on, on_s = time_it (fun () -> Ipa.run ~ctx:ctx_on (mk ())) in
-      let ctx_off = Anactx.create ~cache:false ~prune:false () in
+      let ctx_off = Anactx.create ~cache:false () in
       let r_off, off_s = time_it (fun () -> Ipa.run ~ctx:ctx_off (mk ())) in
       if Report.report_to_string r_on <> Report.report_to_string r_off then
         failwith
@@ -656,11 +658,10 @@ let analysis () =
         float_of_int s_off.Anactx.sat_calls
         /. float_of_int (max 1 s_on.Anactx.sat_calls)
       in
-      pr "%-12s %9.2f %9.2f %9d %9d %7.1fx %7.0f%% %7.0f%% %7.0f%%@." name
-        on_s off_s s_on.Anactx.sat_calls s_off.Anactx.sat_calls speedup
+      pr "%-12s %9.2f %9.2f %9d %9d %7.1fx %7.0f%% %7.0f%%@." name on_s
+        off_s s_on.Anactx.sat_calls s_off.Anactx.sat_calls speedup
         (100. *. Anactx.prune_rate s_on)
-        (100. *. Anactx.ground_hit_rate s_on)
-        (100. *. Anactx.verdict_hit_rate s_on);
+        (100. *. Anactx.ground_hit_rate s_on);
       ignore
         (bench_row ~experiment:"analysis"
            [
@@ -675,7 +676,6 @@ let analysis () =
              ("sat_propagations", I s_on.Anactx.sat_propagations);
              ("prune_rate", F (Anactx.prune_rate s_on));
              ("ground_hit_rate", F (Anactx.ground_hit_rate s_on));
-             ("verdict_hit_rate", F (Anactx.verdict_hit_rate s_on));
              ("cands_generated", I s_on.Anactx.cands_generated);
              ("cands_pruned", I s_on.Anactx.cands_pruned);
              ("cands_checked", I s_on.Anactx.cands_checked);

@@ -7,27 +7,32 @@
       (formula, domain).  The clauses of a pair are identical across all
       repair candidates and rule choices, yet were previously re-ground
       for each of them;
-    - {e verdict caches} for [Detect.sequentially_safe] and
-      [Repair.preserves_intent], keyed by the operation's base/current
-      effects and the canonical convergence rules;
-    - {e analysis frames} for the verdict-only queries
-      ([Detect.solve_obligation], [Detect.sequentially_safe]): one
-      incremental solver per unification case's frame — its relevant
-      clauses and the base writes' weakest preconditions — keyed by
-      {!Oblig.frame_of}, with the verdict of every conjunct query
-      decided on it.  At most {!frame_max} frames are kept, least
-      recently used evicted first, and an evicted frame's solver is
-      released to the domain's recycling pool;
-    - the switches for the caches and for witness-guided candidate
-      pruning (both on by default).  [create ~cache:false ~prune:false]
-      is the uncached, unpruned reference run that the cache-equivalence
-      test and [bench/main.exe analysis] compare against: it keeps no
-      frame across queries either;
+    - the {e obligation table}: the verdict of every per-clause proof
+      obligation ({!Oblig.key}) — pair checks and sequential safety
+      alike are decided through it — and the whole-case witness
+      extractions.  Keys are content-addressed, so entries survive
+      specification edits and invalidate implicitly;
+    - {e analysis frames} for the verdict-only obligation queries
+      ([Detect.solve_obligation]): one incremental solver per
+      unification case's frame — its relevant clauses and the base
+      writes' weakest preconditions — keyed by {!Oblig.frame_of}, with
+      the verdict of every conjunct query decided on it.  At most
+      {!frame_max} frames are kept, least recently used evicted first,
+      and an evicted frame's solver is released to the domain's
+      recycling pool;
+    - one switch for the caches and witness-guided candidate pruning
+      (on by default).  [create ~cache:false] is the uncached, unpruned
+      reference run that the cache-equivalence test and
+      [bench/main.exe analysis] compare against: it keeps no frame
+      across queries either;
     - aggregated counters: SAT calls/conflicts/decisions/propagations,
       cache hit rates, candidates generated/pruned/checked, and per-pair
       wall time.
 
-    A context belongs to one domain (its tables are plain [Hashtbl]s):
+    Every memo table hashes its keys with {!hash}, which reads far
+    deeper into a key than [Hashtbl.hash] (see there).
+
+    A context belongs to one domain (its tables are plain hash tables):
     a parallel [Ipa.run] gives each worker its own for the whole call.
     It may be reused across runs (counters accumulate) but must not be
     shared between different specifications: the grounding cache
@@ -35,7 +40,6 @@
     convergence rules may vary, which the cache keys account for. *)
 
 open Ipa_logic
-open Ipa_spec
 
 type stats = {
   mutable sat_calls : int;  (** [Encode.solve] invocations *)
@@ -46,8 +50,6 @@ type stats = {
   mutable sat_removed : int;  (** learnt clauses deleted by DB reduction *)
   mutable ground_hits : int;
   mutable ground_misses : int;
-  mutable verdict_hits : int;
-  mutable verdict_misses : int;
   mutable cands_generated : int;  (** repair candidates consumed *)
   mutable cands_pruned : int;  (** (candidate, rules) checks skipped *)
   mutable cands_checked : int;  (** (candidate, rules) full SAT checks *)
@@ -61,12 +63,45 @@ type stats = {
   mutable total_seconds : float;
 }
 
+(** The hash of every memo table: [Hashtbl.hash_param 256 256], the
+    widest the runtime allows (it reads at most 256 values of a key,
+    breadth first).  [Hashtbl.hash] stops after 10 meaningful values,
+    which for these keys — effect lists, domains, clause formulas — is
+    the structure they share: a cold tournament run files its 898
+    obligation keys under 162 hashes (largest bucket 34) and its 186
+    frame keys under 10; with this hash every one of them gets its own
+    (test [anactx keys hash apart]). *)
+let hash x = Hashtbl.hash_param 256 256 x
+
+(* a hash table over one key type, hashed by [hash] *)
+module Memo (K : sig
+  type t
+end) =
+Hashtbl.Make (struct
+  type t = K.t
+
+  let equal = ( = )
+  let hash = hash
+end)
+
+module Ground_tbl = Memo (struct
+  type t = Ast.formula * Ground.domain
+end)
+
+module Key_tbl = Memo (struct
+  type t = Oblig.key
+end)
+
+module Conjunct_tbl = Memo (struct
+  type t = Ground.gformula
+end)
+
 (** A verdict-only analysis frame: one incremental solver asserting a
     case's relevant clauses and its base writes' weakest preconditions,
     and the verdicts of the conjunct queries decided on it. *)
 type frame = {
   enc : Ipa_solver.Encode.ctx;
-  conjuncts : (Ground.gformula, bool) Hashtbl.t;
+  conjuncts : bool Conjunct_tbl.t;
       (** post-write conjunct [c] → can [c] be false in a frame state *)
 }
 
@@ -75,31 +110,18 @@ type frame_slot = { frame : frame; mutable used : int }
 
 type t = {
   cache : bool;
-  prune : bool;
-  ground_tbl : (Ast.formula * Ground.domain, Ground.gformula) Hashtbl.t;
-  seq_tbl : (verdict_key, bool) Hashtbl.t;
-  intent_tbl : (verdict_key, bool) Hashtbl.t;
-  oblig_tbl : (Oblig.key, bool) Hashtbl.t;
+  ground_tbl : Ground.gformula Ground_tbl.t;
+  oblig_tbl : bool Key_tbl.t;
       (** per-clause obligation verdicts ([true] = violable), keyed by
           content so specification edits invalidate implicitly *)
-  case_tbl : (Oblig.key, Oblig.witness option) Hashtbl.t;
+  case_tbl : Oblig.witness option Key_tbl.t;
       (** whole-case witness extractions ([k_clause = -1]) — replaying
           the exact solver query keeps reports bit-identical *)
-  frame_tbl : (Oblig.key, frame_slot) Hashtbl.t;
+  frame_tbl : frame_slot Key_tbl.t;
       (** at most [frame_max] frames, keyed by {!Oblig.frame_of} *)
   mutable frame_clock : int;  (** frame uses so far *)
   stats : stats;
 }
-
-(** Everything a per-operation verdict can depend on besides the fixed
-    parts of the spec: the operation's base and current effects, its
-    parameters, and the effective convergence rules. *)
-and verdict_key =
-  string
-  * Ast.tvar list
-  * Types.annotated_effect list
-  * Types.annotated_effect list
-  * (string * Types.conv_rule) list
 
 let fresh_stats () =
   {
@@ -111,8 +133,6 @@ let fresh_stats () =
     sat_removed = 0;
     ground_hits = 0;
     ground_misses = 0;
-    verdict_hits = 0;
-    verdict_misses = 0;
     cands_generated = 0;
     cands_pruned = 0;
     cands_checked = 0;
@@ -125,26 +145,22 @@ let fresh_stats () =
     total_seconds = 0.0;
   }
 
-let create ?(cache = true) ?(prune = true) () =
+let create ?(cache = true) () =
   {
     cache;
-    prune;
-    ground_tbl = Hashtbl.create 64;
-    seq_tbl = Hashtbl.create 64;
-    intent_tbl = Hashtbl.create 64;
-    oblig_tbl = Hashtbl.create 256;
-    case_tbl = Hashtbl.create 64;
-    frame_tbl = Hashtbl.create 64;
+    ground_tbl = Ground_tbl.create 64;
+    oblig_tbl = Key_tbl.create 256;
+    case_tbl = Key_tbl.create 64;
+    frame_tbl = Key_tbl.create 64;
     frame_clock = 0;
     stats = fresh_stats ();
   }
 
-(** A context with the same cache/prune switches as [like] but empty
-    caches and zeroed counters — per-domain state for parallel analysis
-    (the mutable hashtables are not domain-safe and must never be
+(** A context with the same cache switch as [like] but empty caches and
+    zeroed counters — per-domain state for parallel analysis (the
+    mutable hashtables are not domain-safe and must never be
     shared). *)
-let fresh ~(like : t) : t =
-  create ~cache:like.cache ~prune:like.prune ()
+let fresh ~(like : t) : t = create ~cache:like.cache ()
 
 (** Fold [child]'s counters (and per-pair wall times) into [into]. *)
 let merge_stats ~(into : t) (child : t) : unit =
@@ -157,8 +173,6 @@ let merge_stats ~(into : t) (child : t) : unit =
   a.sat_removed <- a.sat_removed + b.sat_removed;
   a.ground_hits <- a.ground_hits + b.ground_hits;
   a.ground_misses <- a.ground_misses + b.ground_misses;
-  a.verdict_hits <- a.verdict_hits + b.verdict_hits;
-  a.verdict_misses <- a.verdict_misses + b.verdict_misses;
   a.cands_generated <- a.cands_generated + b.cands_generated;
   a.cands_pruned <- a.cands_pruned + b.cands_pruned;
   a.cands_checked <- a.cands_checked + b.cands_checked;
@@ -177,60 +191,37 @@ let merge_stats ~(into : t) (child : t) : unit =
   a.total_seconds <- a.total_seconds +. b.total_seconds
 
 let stats t = t.stats
-let prune_enabled t = t.prune
+let cache_enabled t = t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Cache operations                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* a cached value, if caching is on.  Each memoizing helper below
-   counts a hit or a miss, and on a miss inserts the computed value. *)
-let find (c : t) (tbl : ('k, 'v) Hashtbl.t) (key : 'k) : 'v option =
-  if c.cache then Hashtbl.find_opt tbl key else None
+(* Each memoizing helper below counts a hit or a miss, and on a miss
+   inserts the computed value if caching is on (so with caching off
+   every table stays empty and every lookup misses). *)
 
 let ground (c : t) ~sg ~consts ~dom (f : Ast.formula) : Ground.gformula =
   let key = (f, dom) in
-  match find c c.ground_tbl key with
+  match Ground_tbl.find_opt c.ground_tbl key with
   | Some g ->
       c.stats.ground_hits <- c.stats.ground_hits + 1;
       g
   | None ->
       c.stats.ground_misses <- c.stats.ground_misses + 1;
       let g = Ground.ground ~sg ~consts ~dom f in
-      if c.cache then Hashtbl.add c.ground_tbl key g;
+      if c.cache then Ground_tbl.add c.ground_tbl key g;
       g
 
-let verdict_key (spec : Types.t) (base : Types.operation)
-    (cur : Types.operation) : verdict_key =
-  ( base.oname,
-    cur.oparams,
-    base.oeffects,
-    cur.oeffects,
-    Types.canonical_rules spec.rules )
-
-let cached_verdict (c : t) which (spec : Types.t) (base : Types.operation)
-    (cur : Types.operation) (f : unit -> bool) : bool =
-  let tbl = match which with `Seq -> c.seq_tbl | `Intent -> c.intent_tbl in
-  let key = verdict_key spec base cur in
-  match find c tbl key with
-  | Some v ->
-      c.stats.verdict_hits <- c.stats.verdict_hits + 1;
-      v
-  | None ->
-      c.stats.verdict_misses <- c.stats.verdict_misses + 1;
-      let v = f () in
-      if c.cache then Hashtbl.add tbl key v;
-      v
-
 let oblig_lookup (c : t) (key : Oblig.key) (f : unit -> bool) : bool =
-  match find c c.oblig_tbl key with
+  match Key_tbl.find_opt c.oblig_tbl key with
   | Some v ->
       c.stats.oblig_hits <- c.stats.oblig_hits + 1;
       v
   | None ->
       c.stats.oblig_misses <- c.stats.oblig_misses + 1;
       let v = f () in
-      if c.cache then Hashtbl.add c.oblig_tbl key v;
+      if c.cache then Key_tbl.add c.oblig_tbl key v;
       v
 
 (** Is this obligation's verdict already cached?  A pure query: no
@@ -238,29 +229,29 @@ let oblig_lookup (c : t) (key : Oblig.key) (f : unit -> bool) : bool =
     counts the hit.  The parallel scan uses it to keep cached
     obligations out of the fan-out. *)
 let oblig_cached (c : t) (key : Oblig.key) : bool =
-  find c c.oblig_tbl key <> None
+  Key_tbl.mem c.oblig_tbl key
 
 (** Seed an obligation verdict computed elsewhere (a parallel worker)
     without touching the hit/miss counters — the computing context
     already counted the miss.  This is how a fan-out's verdicts reach
     the parent that concludes the pairs. *)
 let oblig_put (c : t) (key : Oblig.key) (v : bool) : unit =
-  if c.cache && not (Hashtbl.mem c.oblig_tbl key) then
-    Hashtbl.add c.oblig_tbl key v
+  if c.cache && not (Key_tbl.mem c.oblig_tbl key) then
+    Key_tbl.add c.oblig_tbl key v
 
 (* memoize a whole-case witness extraction.  The stored value is the
    exact result of the deterministic solver query, so replays from the
    cache keep reports bit-identical to a from-scratch run *)
 let case_lookup (c : t) (key : Oblig.key) (f : unit -> Oblig.witness option)
     : Oblig.witness option =
-  match find c c.case_tbl key with
+  match Key_tbl.find_opt c.case_tbl key with
   | Some v ->
       c.stats.case_hits <- c.stats.case_hits + 1;
       v
   | None ->
       c.stats.case_misses <- c.stats.case_misses + 1;
       let v = f () in
-      if c.cache then Hashtbl.add c.case_tbl key v;
+      if c.cache then Key_tbl.add c.case_tbl key v;
       v
 
 (* ------------------------------------------------------------------ *)
@@ -280,7 +271,7 @@ let release_frame (f : frame) = Ipa_solver.Encode.release f.enc
 let with_frame (c : t) (key : Oblig.key)
     ~(build : unit -> Ipa_solver.Encode.ctx) (f : frame -> 'a) : 'a =
   let key = Oblig.frame_of key in
-  let fresh () = { enc = build (); conjuncts = Hashtbl.create 16 } in
+  let fresh () = { enc = build (); conjuncts = Conjunct_tbl.create 16 } in
   if not c.cache then begin
     let fr = fresh () in
     let v = f fr in
@@ -290,12 +281,12 @@ let with_frame (c : t) (key : Oblig.key)
   else begin
     c.frame_clock <- c.frame_clock + 1;
     let slot =
-      match Hashtbl.find_opt c.frame_tbl key with
+      match Key_tbl.find_opt c.frame_tbl key with
       | Some slot -> slot
       | None ->
-          if Hashtbl.length c.frame_tbl >= frame_max then begin
+          if Key_tbl.length c.frame_tbl >= frame_max then begin
             let victim =
-              Hashtbl.fold
+              Key_tbl.fold
                 (fun k slot acc ->
                   match acc with
                   | Some (_, old) when old.used <= slot.used -> acc
@@ -304,17 +295,28 @@ let with_frame (c : t) (key : Oblig.key)
             in
             Option.iter
               (fun (k, slot) ->
-                Hashtbl.remove c.frame_tbl k;
+                Key_tbl.remove c.frame_tbl k;
                 release_frame slot.frame)
               victim
           end;
           let slot = { frame = fresh (); used = 0 } in
-          Hashtbl.add c.frame_tbl key slot;
+          Key_tbl.add c.frame_tbl key slot;
           slot
     in
     slot.used <- c.frame_clock;
     f slot.frame
   end
+
+let frame_enc (fr : frame) = fr.enc
+
+let conjunct (fr : frame) (c : Ground.gformula) (decide : unit -> bool) : bool
+    =
+  match Conjunct_tbl.find_opt fr.conjuncts c with
+  | Some v -> v
+  | None ->
+      let v = decide () in
+      Conjunct_tbl.add fr.conjuncts c v;
+      v
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -362,7 +364,6 @@ let rate hits misses =
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 let ground_hit_rate s = rate s.ground_hits s.ground_misses
-let verdict_hit_rate s = rate s.verdict_hits s.verdict_misses
 let oblig_hit_rate s = rate s.oblig_hits s.oblig_misses
 let case_hit_rate s = rate s.case_hits s.case_misses
 
@@ -382,23 +383,20 @@ let pair_times (s : stats) : ((string * string) * float) list =
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let pp_stats ppf (s : stats) =
+  Fmt.pf ppf "@[<v>analysis statistics:@,  wall time          %.3f s@,"
+    s.total_seconds;
   Fmt.pf ppf
-    "@[<v>analysis statistics:@,\
-    \  wall time          %.3f s@,\
-    \  pairs checked      %d@,\
+    "  pairs checked      %d@,\
     \  SAT solves         %d  (conflicts %d, decisions %d, propagations %d)@,\
     \  learnt clauses     %d  (%d removed by DB reduction)@,\
     \  grounding cache    %d hits / %d misses  (%.1f%%)@,\
-    \  verdict cache      %d hits / %d misses  (%.1f%%)@,\
     \  obligations        %d hits / %d misses  (%.1f%%)@,\
     \  witness cases      %d hits / %d misses  (%.1f%%)@,\
     \  candidates         %d generated, %d pruned by witness, %d solver-checked@]"
-    s.total_seconds s.pairs_checked s.sat_calls s.sat_conflicts s.sat_decisions
+    s.pairs_checked s.sat_calls s.sat_conflicts s.sat_decisions
     s.sat_propagations s.sat_learnts s.sat_removed s.ground_hits
     s.ground_misses
     (100.0 *. ground_hit_rate s)
-    s.verdict_hits s.verdict_misses
-    (100.0 *. verdict_hit_rate s)
     s.oblig_hits s.oblig_misses
     (100.0 *. oblig_hit_rate s)
     s.case_hits s.case_misses

@@ -1,10 +1,11 @@
 (** Analysis context threaded through {!Detect}, {!Repair} and {!Ipa}:
-    a grounding cache, verdict caches, a bounded set of incremental
-    analysis frames ({!with_frame}), the witness-pruning switch, and
-    aggregated solver/cache statistics.  Every analysis entry point
-    takes one; [Ipa.run] creates it when the caller does not.
+    a grounding cache, the obligation and witness tables, a bounded set
+    of incremental analysis frames ({!with_frame}), the switch for all
+    of them and for witness pruning, and aggregated solver/cache
+    statistics.  Every analysis entry point takes one; [Ipa.run]
+    creates it when the caller does not.
 
-    A context belongs to one domain: its tables are plain [Hashtbl]s.
+    A context belongs to one domain: its tables are plain hash tables.
     A parallel [Ipa.run] gives each worker its own context for the
     whole call ({!fresh}); verdicts reach the caller's context by value
     ({!oblig_put}) and counters fold in once, at the end
@@ -15,7 +16,6 @@
     assumes signature and constants are fixed. *)
 
 open Ipa_logic
-open Ipa_spec
 
 type stats = {
   mutable sat_calls : int;  (** [Encode.solve] invocations *)
@@ -26,8 +26,6 @@ type stats = {
   mutable sat_removed : int;  (** learnt clauses deleted by DB reduction *)
   mutable ground_hits : int;
   mutable ground_misses : int;
-  mutable verdict_hits : int;
-  mutable verdict_misses : int;
   mutable cands_generated : int;  (** repair candidates consumed *)
   mutable cands_pruned : int;  (** (candidate, rules) checks skipped *)
   mutable cands_checked : int;  (** (candidate, rules) full SAT checks *)
@@ -42,16 +40,16 @@ type stats = {
 
 type t
 
-(** [create ()] — caching and witness pruning both default to on, the
-    production analysis.  [create ~cache:false ~prune:false ()] is the
-    uncached, unpruned reference: every lookup is a miss that counts
-    and no repair candidate is screened by a stored witness (nor is a
-    frame kept across queries), so the
-    cache-equivalence test and [bench/main.exe analysis] can check that
-    the caches and pruning change nothing but cost. *)
-val create : ?cache:bool -> ?prune:bool -> unit -> t
+(** [create ()] — caching and witness pruning on, the production
+    analysis.  [create ~cache:false ()] is the uncached, unpruned
+    reference: every lookup is a miss that counts and no repair
+    candidate is screened by a stored witness (nor is a frame kept
+    across queries), so the cache-equivalence test and
+    [bench/main.exe analysis] can check that the caches and pruning
+    change nothing but cost. *)
+val create : ?cache:bool -> unit -> t
 
-(** [fresh ~like] — a context with [like]'s cache/prune switches but
+(** [fresh ~like] — a context with [like]'s cache switch but
     empty caches and zeroed counters.  The parallel analysis gives each
     worker domain its own fresh context (the hashtables are not
     domain-safe and must never be shared) and folds the counters back
@@ -65,7 +63,14 @@ val fresh : like:t -> t
 val merge_stats : into:t -> t -> unit
 
 val stats : t -> stats
-val prune_enabled : t -> bool
+
+(** The [create ~cache] switch: caches kept and witness pruning on. *)
+val cache_enabled : t -> bool
+
+(** The hash of every memo table: [Hashtbl.hash_param 256 256], the
+    widest the runtime allows.  [Hashtbl.hash] reads only the first 10
+    meaningful values of a key, which the keys here share. *)
+val hash : 'a -> int
 
 (** Memoizing wrapper around {!Ground.ground}, keyed by
     (formula, domain). *)
@@ -76,18 +81,6 @@ val ground :
   dom:Ground.domain ->
   Ast.formula ->
   Ground.gformula
-
-(** Memoize a per-operation verdict ([`Seq] = sequential safety,
-    [`Intent] = intent preservation) keyed by the operation's base and
-    current effects plus the canonical convergence rules. *)
-val cached_verdict :
-  t ->
-  [ `Seq | `Intent ] ->
-  Types.t ->
-  Types.operation ->
-  Types.operation ->
-  (unit -> bool) ->
-  bool
 
 (** Memoize a per-clause obligation verdict ([true] = the clause can be
     violated by the pair's merged effects) under its dependency key.
@@ -115,12 +108,16 @@ val case_lookup :
 (** A verdict-only analysis frame: one incremental solver asserting a
     unification case's relevant clauses and the weakest preconditions
     of its base writes, and the verdicts of the conjunct queries
-    decided on it ([true] = the post-write conjunct can be false in
-    some state the frame admits). *)
-type frame = {
-  enc : Ipa_solver.Encode.ctx;
-  conjuncts : (Ground.gformula, bool) Hashtbl.t;
-}
+    decided on it. *)
+type frame
+
+(** The frame's incremental solver. *)
+val frame_enc : frame -> Ipa_solver.Encode.ctx
+
+(** [conjunct fr c decide] — whether post-write conjunct [c] can be
+    false in some state the frame admits, computed by [decide] (on
+    {!frame_enc}) the first time [fr] is asked and kept on [fr]. *)
+val conjunct : frame -> Ground.gformula -> (unit -> bool) -> bool
 
 (** Frames a context retains at most (DESIGN.md §2). *)
 val frame_max : int
@@ -147,7 +144,6 @@ val record_solve :
 val time : t -> string * string -> (unit -> 'a) -> 'a
 
 val ground_hit_rate : stats -> float
-val verdict_hit_rate : stats -> float
 val oblig_hit_rate : stats -> float
 val case_hit_rate : stats -> float
 

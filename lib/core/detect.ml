@@ -8,8 +8,12 @@
     I-invalid state.  The check is decided by the SAT backend over the
     small-model domains of {!Pairctx}.
 
-    Two kinds of query are posed.  Verdict-only queries (per-clause
-    obligations and sequential safety) run on the case's {e frame}: one
+    Every verdict is assembled from per-clause {e obligations}, one per
+    (unification case × relevant clause), enumerated lazily case by
+    case ([cases]) and memoized in {!Anactx}'s obligation table: a pair
+    check walks the pair's, and sequential safety those of the
+    operation paired with a no-op.  Two kinds of query are posed.  An
+    obligation is verdict-only and runs on the case's {e frame}: one
     incremental solver per (relevant clauses, base weakest
     preconditions), kept in {!Anactx}, where each conjunct of the target
     clause that the writes change is decided under one assumption and
@@ -186,18 +190,19 @@ let solve_query ~ctx (spec : Types.t) (gcs : Ground.gformula list)
    one incremental solver per frame.  Whether clause [gc] can be false
    after writes [w] splits over its conjuncts: SAT(F ∧ ¬∧ᵢcᵢ[w]) iff
    SAT(F ∧ ¬cᵢ[w]) for some i.  A conjunct the writes leave unchanged
-   is asserted by the frame, so it cannot be false; each changed one is
+   is asserted by the frame, and one they make constant-true is true in
+   every state, so neither can be false; each other one is
    Tseitin-encoded into the frame's solver (gate definitions only
    extend it, so learnt clauses stay valid) and decided under the one
    assumption that its gate is false.  Each verdict is kept on the
    frame. *)
 let with_frame ~ctx (spec : Types.t) (key : Oblig.key)
-    (gcs : Ground.gformula list) ~(bases : Effects.writes list)
+    ~(clauses : unit -> Ground.gformula list) ~(bases : Effects.writes list)
     (f : Anactx.frame -> 'a) : 'a =
   Anactx.with_frame ctx key
     ~build:(fun () ->
       let enc = Encode.create ~int_bounds:(Types.int_bounds spec) () in
-      assert_frame enc gcs ~bases;
+      assert_frame enc (clauses ()) ~bases;
       enc)
     f
 
@@ -205,27 +210,24 @@ let rec conjuncts (g : Ground.gformula) : Ground.gformula list =
   match g with GAnd (a, b) -> conjuncts a @ conjuncts b | g -> [ g ]
 
 let conjunct_violable ~ctx (fr : Anactx.frame) (c : Ground.gformula) : bool =
-  match Hashtbl.find_opt fr.conjuncts c with
-  | Some v -> v
-  | None ->
-      let enc = fr.enc in
-      let l = Encode.encode enc c in
-      let r =
-        Anactx.record_solve ctx enc (fun () ->
-            Encode.solve ~assumptions:[ -l ] enc)
-      in
-      Sat.reset (Encode.solver enc);
-      let v = r = Sat.Sat in
-      Hashtbl.add fr.conjuncts c v;
-      v
+  Anactx.conjunct fr c @@ fun () ->
+  let enc = Anactx.frame_enc fr in
+  let l = Encode.encode enc c in
+  let r =
+    Anactx.record_solve ctx enc (fun () -> Encode.solve ~assumptions:[ -l ] enc)
+  in
+  Sat.reset (Encode.solver enc);
+  r = Sat.Sat
 
-(* can frame clause [gc] be false after the writes [w]? *)
+(* can frame clause [gc] be false after the writes [w]?  Only the
+   conjuncts the writes change and do not make constant-true are
+   solved *)
 let clause_violable ~ctx (fr : Anactx.frame) (w : Effects.writes)
     (gc : Ground.gformula) : bool =
   List.exists
     (fun c ->
       let t = Effects.apply_writes w c in
-      t <> c && conjunct_violable ~ctx fr t)
+      t <> c && t <> Ground.GTrue && conjunct_violable ~ctx fr t)
     (conjuncts gc)
 
 (* "some clause the writes affect is false afterwards" *)
@@ -238,6 +240,18 @@ let violation (w : Effects.writes) (gcs : Ground.gformula list) :
          if t = gc then None else Some (Ground.gnot t))
        gcs)
 
+(* a case's writes over [dom]: the base writes of both operations,
+   whose weakest preconditions the frame asserts, and their current
+   writes *)
+let case_writes (spec : Types.t) (o1 : aop) (o2 : aop)
+    (u : Pairctx.unification) ~(dom : Ground.domain) =
+  ( [
+      Effects.ground_writes spec dom o1.base u.binding1;
+      Effects.ground_writes spec dom o2.base u.binding2;
+    ],
+    Effects.ground_writes spec dom o1.cur u.binding1,
+    Effects.ground_writes spec dom o2.cur u.binding2 )
+
 (* the whole-case query over an already-computed frame: pre-state and
    weakest preconditions, then the disjunction of per-clause violation
    targets, for each merged outcome in turn; extract a witness on Sat *)
@@ -246,14 +260,7 @@ let check_case_grounded ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
     ~(dom : Ground.domain) : witness option =
   let gcs = ground_clauses ~ctx spec ~dom invs in
   let ig = Ground.gand_l gcs in
-  let bases =
-    [
-      Effects.ground_writes spec dom o1.base u.binding1;
-      Effects.ground_writes spec dom o2.base u.binding2;
-    ]
-  in
-  let w1 = Effects.ground_writes spec dom o1.cur u.binding1 in
-  let w2 = Effects.ground_writes spec dom o2.cur u.binding2 in
+  let bases, w1, w2 = case_writes spec o1 o2 u ~dom in
   let int_bounds = Types.int_bounds spec in
   let extract merged enc =
     let atoms =
@@ -309,28 +316,6 @@ let check_case ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
   let invs, dom = case_frame spec o1 o2 u in
   if invs = [] then None else check_case_grounded ~ctx spec o1 o2 u ~invs ~dom
 
-(* discharge one clause obligation: can some merged outcome of the
-   pair's concurrent effects falsify clause [idx] of the frame?  Posed
-   on the case's frame ([key] is any key of the case), so the verdict
-   depends on nothing outside the obligation's {!Oblig.key}. *)
-let oblig_solve ~ctx (spec : Types.t) (o1 : aop) (o2 : aop)
-    (u : Pairctx.unification) ~(invs : Types.invariant list)
-    ~(dom : Ground.domain) ~(key : Oblig.key) (idx : int) : bool =
-  let gcs = ground_clauses ~ctx spec ~dom invs in
-  let target = List.nth gcs idx in
-  let bases =
-    [
-      Effects.ground_writes spec dom o1.base u.binding1;
-      Effects.ground_writes spec dom o2.base u.binding2;
-    ]
-  in
-  let w1 = Effects.ground_writes spec dom o1.cur u.binding1 in
-  let w2 = Effects.ground_writes spec dom o2.cur u.binding2 in
-  with_frame ~ctx spec key gcs ~bases @@ fun fr ->
-  List.exists
-    (fun merged -> clause_violable ~ctx fr merged target)
-    (Effects.merge_writes spec w1 w2)
-
 (** One per-clause proof obligation of a pair, enumerated without solver
     work and dischargeable independently (e.g. on a worker domain). *)
 type oblig = {
@@ -343,103 +328,99 @@ type oblig = {
   ob_clause : int;
 }
 
-(* the case key of one unification under an already-computed frame *)
-let case_key (spec : Types.t) (o1 : aop) (o2 : aop) (u : Pairctx.unification)
-    ~invs ~dom : Oblig.key =
-  Oblig.case_key spec ~base1:o1.base ~cur1:o1.cur ~base2:o2.base ~cur2:o2.cur
-    ~binding1:u.binding1 ~binding2:u.binding2 ~dom ~frame:invs
+(* The pair's obligations grouped by unification case, in case order:
+   one non-empty list per case with a relevant clause, one obligation
+   per clause.  Lazy, so a walk that stops at its first violable case
+   does not frame or key the rest. *)
+let cases (spec : Types.t) (o1 : aop) (o2 : aop) : oblig list Seq.t =
+  List.to_seq (Pairctx.unifications spec o1.cur o2.cur)
+  |> Seq.filter_map (fun (u : Pairctx.unification) ->
+         let invs, dom = case_frame spec o1 o2 u in
+         if invs = [] then None
+         else
+           let ck =
+             Oblig.case_key spec ~base1:o1.base ~cur1:o1.cur ~base2:o2.base
+               ~cur2:o2.cur ~binding1:u.binding1 ~binding2:u.binding2 ~dom
+               ~frame:invs
+           in
+           Some
+             (List.mapi
+                (fun idx _ ->
+                  {
+                    ob_o1 = o1;
+                    ob_o2 = o2;
+                    ob_unif = u;
+                    ob_invs = invs;
+                    ob_dom = dom;
+                    ob_key = Oblig.with_clause ck idx;
+                    ob_clause = idx;
+                  })
+                invs))
 
 (** Enumerate the pair's obligations: one per (unification case ×
     relevant clause).  Cases with no relevant clause contribute none. *)
 let obligations (spec : Types.t) (o1 : aop) (o2 : aop) : oblig list =
-  Pairctx.unifications spec o1.cur o2.cur
-  |> List.concat_map (fun (u : Pairctx.unification) ->
-         let invs, dom = case_frame spec o1 o2 u in
-         if invs = [] then []
-         else
-           let ck = case_key spec o1 o2 u ~invs ~dom in
-           List.mapi
-             (fun idx _ ->
-               {
-                 ob_o1 = o1;
-                 ob_o2 = o2;
-                 ob_unif = u;
-                 ob_invs = invs;
-                 ob_dom = dom;
-                 ob_key = Oblig.with_clause ck idx;
-                 ob_clause = idx;
-               })
-             invs)
+  List.concat (List.of_seq (cases spec o1 o2))
 
 (** Discharge one obligation through the context's content-addressed
-    verdict cache: [true] means the clause can be violated. *)
+    obligation table: [true] means some merged outcome of the pair's
+    concurrent effects can falsify the clause.  Decided on the case's
+    frame, so the verdict depends on nothing outside the obligation's
+    {!Oblig.key}. *)
 let solve_obligation ~ctx (spec : Types.t) (ob : oblig) : bool =
   Anactx.oblig_lookup ctx ob.ob_key @@ fun () ->
-  oblig_solve ~ctx spec ob.ob_o1 ob.ob_o2 ob.ob_unif ~invs:ob.ob_invs
-    ~dom:ob.ob_dom ~key:ob.ob_key ob.ob_clause
+  let dom = ob.ob_dom in
+  let bases, w1, w2 = case_writes spec ob.ob_o1 ob.ob_o2 ob.ob_unif ~dom in
+  let target =
+    List.hd (ground_clauses ~ctx spec ~dom [ List.nth ob.ob_invs ob.ob_clause ])
+  in
+  (* the whole frame is ground only when it is built *)
+  let clauses () = ground_clauses ~ctx spec ~dom ob.ob_invs in
+  with_frame ~ctx spec ob.ob_key ~clauses ~bases @@ fun fr ->
+  List.exists
+    (fun merged -> clause_violable ~ctx fr merged target)
+    (Effects.merge_writes spec w1 w2)
+
+(* some obligation of the case is violable *)
+let violable ~ctx (spec : Types.t) (case : oblig list) : bool =
+  List.exists (solve_obligation ~ctx spec) case
 
 (** [check_pair ~ctx spec o1 o2] decides whether the pair conflicts under
-    any parameter unification (paper: [isConflicting]).  Each (case ×
-    clause) obligation is decided through the context's
-    content-addressed cache, and the whole-case witness query (also
-    cached) is replayed only where some obligation is satisfiable.
-    Exact: the whole-case query asserts the disjunction of the
-    per-clause violation targets, which is satisfiable iff some
+    any parameter unification (paper: [isConflicting]).  It walks the
+    pair's cases in order, deciding each (case × clause) obligation
+    through the context's obligation table, and replays the whole-case
+    witness query (also cached) only for a case with a violable
+    obligation.  Exact: the whole-case query asserts the disjunction of
+    the per-clause violation targets, which is satisfiable iff some
     obligation is; and the replay runs the very query {!check_case}
     runs, so the verdict and the witness are those of the first case
     whose whole-case query is satisfiable. *)
 let check_pair ~ctx (spec : Types.t) (o1 : aop) (o2 : aop) : verdict =
   let st = Anactx.stats ctx in
   st.Anactx.pairs_checked <- st.Anactx.pairs_checked + 1;
-  let rec go = function
-    | [] -> Safe
-    | (u : Pairctx.unification) :: rest ->
-        let invs, dom = case_frame spec o1 o2 u in
-        if invs = [] then go rest
-        else
-          let ck = case_key spec o1 o2 u ~invs ~dom in
-          let violable =
-            List.exists
-              (fun idx ->
-                Anactx.oblig_lookup ctx (Oblig.with_clause ck idx) (fun () ->
-                    oblig_solve ~ctx spec o1 o2 u ~invs ~dom ~key:ck idx))
-              (List.init (List.length invs) Fun.id)
-          in
-          if not violable then go rest
-          else (
-            match
-              Anactx.case_lookup ctx ck (fun () ->
-                  check_case_grounded ~ctx spec o1 o2 u ~invs ~dom)
-            with
-            | Some w -> Conflict w
-            | None -> go rest)
+  let witness case =
+    if not (violable ~ctx spec case) then None
+    else
+      let ob = List.hd case in
+      Anactx.case_lookup ctx (Oblig.with_clause ob.ob_key (-1)) @@ fun () ->
+      check_case_grounded ~ctx spec o1 o2 ob.ob_unif ~invs:ob.ob_invs
+        ~dom:ob.ob_dom
   in
-  go (Pairctx.unifications spec o1.cur o2.cur)
+  match Seq.find_map witness (cases spec o1 o2) with
+  | Some w -> Conflict w
+  | None -> Safe
+
+let noop = aop_of (Types.operation "__noop" [] [])
 
 (** [sequentially_safe spec o] holds when executing [o] alone from any
     state admissible for its {e original} precondition preserves the
     invariant — IPA modifications must not break sequential executions
-    (paper §2.2, Theorem 1). *)
+    (paper §2.2, Theorem 1).  That is: no obligation of the pair ([o],
+    no-op) is violable.  The no-op writes nothing, so each merged
+    outcome is [o]'s own writes and each frame asserts only [o]'s base
+    weakest preconditions. *)
 let sequentially_safe ~ctx (spec : Types.t) (o : aop) : bool =
-  Anactx.cached_verdict ctx `Seq spec o.base o.cur @@ fun () ->
-  let noop = Types.operation "__noop" [] [] in
-  let invs = relevant_invariants spec o.cur noop in
-  invs = []
-  || List.for_all
-       (fun (u : Pairctx.unification) ->
-         let dom = widen_domain_for spec invs [ o.cur ] u.dom in
-         let gcs = ground_clauses ~ctx spec ~dom invs in
-         let w_base = Effects.ground_writes spec dom o.base u.binding1 in
-         let w_cur = Effects.ground_writes spec dom o.cur u.binding1 in
-         (* the frame of [o] paired with the no-op *)
-         let key =
-           Oblig.case_key spec ~base1:o.base ~cur1:o.cur ~base2:noop
-             ~cur2:noop ~binding1:u.binding1 ~binding2:u.binding2 ~dom
-             ~frame:invs
-         in
-         with_frame ~ctx spec key gcs ~bases:[ w_base ] @@ fun fr ->
-         not (List.exists (clause_violable ~ctx fr w_cur) gcs))
-       (Pairctx.unifications spec o.cur noop)
+  not (Seq.exists (violable ~ctx spec) (cases spec o noop))
 
 (** Witness-guided candidate screening: does the stored counterexample
     [w] (found for the pair [(o1, o2)]) still violate the invariant when

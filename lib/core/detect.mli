@@ -2,8 +2,10 @@
     convergence rules): a pair conflicts if some I-valid pre-state,
     admissible for both operations, merges their concurrent effects into
     an I-invalid state.  Decided by the SAT backend over small-model
-    domains: verdict-only queries on incremental per-case frames kept in
-    {!Anactx}, witness queries on a fresh solver each. *)
+    domains, through per-clause obligations memoized in {!Anactx}'s
+    obligation table: verdict-only queries on incremental per-case
+    frames, witness queries on a fresh solver each.  Sequential safety
+    is the obligations of the operation paired with a no-op. *)
 
 open Ipa_logic
 open Ipa_spec
@@ -70,7 +72,7 @@ type oblig = {
 (** Enumerate the pair's obligations; no solver work happens. *)
 val obligations : Types.t -> aop -> aop -> oblig list
 
-(** Discharge one obligation through the context's verdict cache:
+(** Discharge one obligation through the context's obligation table:
     [true] means the pair's merged effects can falsify the clause.
     Decided on the case's analysis frame ({!Anactx.with_frame}): each
     conjunct of the clause that the merged writes change is one
@@ -79,10 +81,10 @@ val solve_obligation : ctx:Anactx.t -> Types.t -> oblig -> bool
 
 (** Executing the (possibly modified) operation alone from any state
     admissible for its {e original} precondition preserves the
-    invariant (Theorem 1's sequential half).  The verdict is memoized in
-    [ctx] per (operation effects, canonical rules); each case is decided
-    on the frame of the operation paired with a no-op, like an
-    obligation. *)
+    invariant (Theorem 1's sequential half): no obligation of the
+    operation paired with a no-op is violable.  Each is decided by
+    {!solve_obligation}, so the verdicts are memoized in [ctx]'s
+    obligation table like any pair's. *)
 val sequentially_safe : ctx:Anactx.t -> Types.t -> aop -> bool
 
 (** Witness-guided candidate screening: does the stored counterexample

@@ -203,8 +203,8 @@ let verdicts ~(ctx : Anactx.t) (workers : workers option) (spec : Types.t)
     effects).  [search_rules] lets the repair search propose convergence
     rules different from the specification's (the interactive tool mode).
     [max_iterations] bounds the outer loop.  [ctx] carries the
-    grounding/verdict caches and instrumentation; a fresh one (caching
-    and pruning enabled) is created when absent.
+    grounding cache, the obligation table and instrumentation; a fresh
+    one (caching and pruning enabled) is created when absent.
 
     [jobs] spreads each iteration's search over a domain pool
     ({!verdicts}); the first conflicting pair in specification order is

@@ -248,9 +248,7 @@ let apply_candidate ?(self_pair = false) (o1 : Detect.aop) (o2 : Detect.aop)
     with its original value.  This rejects degenerate candidates that
     mask the operation's own effects (e.g. adding [e( *, y) := false] to
     an operation whose purpose is to set [e(x, y) := true]). *)
-let preserves_intent ~ctx (spec : Types.t) (o : Detect.aop) : bool =
-  Anactx.cached_verdict ctx `Intent spec o.Detect.base o.Detect.cur
-  @@ fun () ->
+let preserves_intent (spec : Types.t) (o : Detect.aop) : bool =
   let binding =
     List.map
       (fun (p : Ast.tvar) -> (p.vname, Fmt.str "%s_%s" p.vsort p.vname))
@@ -330,7 +328,7 @@ let is_subset_of added sol_added =
     the solution was validated.
 
     [witness] — the counterexample that triggered the repair — enables
-    witness-guided pruning when [ctx] has it switched on: a candidate
+    witness-guided pruning when [ctx] has caching on: a candidate
     (under a given rule choice) that does not even fix the stored
     counterexample is rejected by concrete re-evaluation
     ({!Detect.witness_refutes}) without touching the solver.  The
@@ -378,7 +376,7 @@ let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx ?witness
       in
       if not subsumed then begin
         let p1, p2 = apply_candidate ~self_pair o1 o2 cand in
-        if preserves_intent ~ctx spec p1 && preserves_intent ~ctx spec p2
+        if preserves_intent spec p1 && preserves_intent spec p2
         then begin
         (* predicates that may now have opposing writes *)
         let opposing =
@@ -395,7 +393,7 @@ let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx ?witness
                  candidate if any stored counterexample provably still
                  applies to it *)
               let pruned =
-                Anactx.prune_enabled ctx
+                Anactx.cache_enabled ctx
                 && List.exists
                      (fun (pair, w) ->
                        Detect.witness_refutes ~ctx spec' pair (p1, p2) w

@@ -31,9 +31,8 @@ val relevant_clauses :
   Types.t -> Types.operation -> Types.operation -> Ast.formula list
 
 (** A modification must not mask the operation's own base effects
-    ("preserving the original semantics when no conflicts occur").
-    The verdict is memoized in [ctx]. *)
-val preserves_intent : ctx:Anactx.t -> Types.t -> Detect.aop -> bool
+    ("preserving the original semantics when no conflicts occur"). *)
+val preserves_intent : Types.t -> Detect.aop -> bool
 
 (** Rule assignments tried per candidate: the specification's rules
     first, then (under [search_rules]) all add-wins/rem-wins assignments
@@ -50,7 +49,7 @@ val rule_choices :
     must preserve intent ({!preserves_intent}) and must not subsume a
     solution already found on the same target.  [witness] (the conflict
     that triggered the repair) enables exact witness-guided candidate
-    pruning when [ctx] has pruning on; candidate generation is lazy, so
+    pruning when [ctx] has caching on; candidate generation is lazy, so
     the exponential powerset is never materialized past its first
     4000 candidates. *)
 val repair_conflicts :

@@ -340,8 +340,9 @@ let pp_gformula ppf g =
    32 bytes mod 64.  Check [camlStd_exit.code_begin] and
    [camlFmt.code_begin] with [nm -n] on the perfbench executable against
    the parent commit and resize or drop the pad whenever an analysis or
-   store library's code size changes. *)
+   store library's code size changes ([Specmut.layout_pad] keeps the
+   store libraries in place). *)
 let[@warning "-32"] layout_pad (x : int) (y : int) (a : int) (b : int)
     (c : int) (d : int) (e : int) (f : int) =
   (x * y) + (x lsl 3) - (y lxor x) + (a * b) - (c lxor d) + (e lor f)
-  + (a land c) - (b lor d)
+  + (a land c) - (b lor d) + (e lxor x) - (f lsr 2) + (y lor c)

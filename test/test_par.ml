@@ -125,7 +125,7 @@ let counters (s : Ipa_core.Anactx.stats) =
   [
     s.sat_calls; s.sat_conflicts; s.sat_decisions; s.sat_propagations;
     s.sat_learnts; s.sat_removed; s.ground_hits; s.ground_misses;
-    s.verdict_hits; s.verdict_misses; s.cands_generated; s.cands_pruned;
+    s.cands_generated; s.cands_pruned;
     s.cands_checked; s.pairs_checked;
   ]
 

@@ -28,7 +28,17 @@ open Cmdliner
 open Ipa_spec
 open Ipa_core
 
-let load_spec = Serve.load_spec
+(* a spec that does not load ends the command: its located faults on
+   stderr, exit 1 *)
+let load_spec path =
+  match Serve.load_spec path with
+  | spec -> spec
+  | exception e -> (
+      match Spec_parser.error_lines ~file:path e with
+      | Some lines ->
+          List.iter prerr_endline lines;
+          exit 1
+      | None -> raise e)
 
 (* the shared [--jobs N] option: CLI flag beats IPA_JOBS beats the
    machine's recommended domain count; the pool clamps it to its cap *)

@@ -72,6 +72,9 @@ val cache_enabled : t -> bool
     meaningful values of a key, which the keys here share. *)
 val hash : 'a -> int
 
+(** A hash table over obligation and frame keys, hashed by {!hash}. *)
+module Key_tbl : Hashtbl.S with type key = Oblig.key
+
 (** Memoizing wrapper around {!Ground.ground}, keyed by
     (formula, domain). *)
 val ground :

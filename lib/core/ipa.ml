@@ -143,17 +143,17 @@ let verdicts ~(ctx : Anactx.t) (workers : workers option) (spec : Types.t)
       (* the block's obligations grouped by analysis frame, in order of
          first appearance *)
       let by_frame obls =
-        let groups = Hashtbl.create 16 in
+        let groups = Anactx.Key_tbl.create 16 in
         List.filter_map
           (fun (ob : Detect.oblig) ->
             let k = Oblig.frame_of ob.Detect.ob_key in
-            match Hashtbl.find_opt groups k with
+            match Anactx.Key_tbl.find_opt groups k with
             | Some g ->
                 g := ob :: !g;
                 None
             | None ->
                 let g = ref [ ob ] in
-                Hashtbl.add groups k g;
+                Anactx.Key_tbl.add groups k g;
                 Some g)
           obls
         |> List.map (fun g -> List.rev !g)

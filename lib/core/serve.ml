@@ -25,8 +25,13 @@
     [ok <cmd> name=<n> ops=<k> invariants=<k> ctx=<kept|reset>] — the
     context is reset only when the edit changed the sort/predicate
     signature or the constants, which the grounding cache assumes fixed;
-    any other edit keeps every cache entry it does not invalidate.
-    [analyze] answers [report <k>] followed by [k] report lines, then
+    any other edit keeps every cache entry it does not invalidate.  A
+    spec that does not load answers [err <cmd> <faults>], its faults
+    located as [ipa_tool] prints them ([<name>:<line>: <msg>] or
+    [<name>: <where>: <what>], joined by ["; "]; a [spec] text is named
+    after the spec last loaded), and the session goes on with the
+    previous spec.  [analyze] answers [report <k>] followed by [k]
+    report lines, then
     [ok analyze iterations=<i> solves=<d> obligations=<hits>/<misses>
     cases=<hits>/<misses> reuse=<pct>%% changed=<bool> seconds=<s>]
     where the counters are {e deltas} for this analysis alone and
@@ -148,6 +153,13 @@ let help_reply : string list =
     "ok help";
   ]
 
+(* the one-line reply to a spec that failed to load: every fault,
+   located as [Spec_parser.error_lines] has it *)
+let load_error verb ~file e =
+  match Spec_parser.error_lines ~file e with
+  | Some lines -> [ Fmt.str "err %s %s" verb (String.concat "; " lines) ]
+  | None -> raise e
+
 (** Execute one request line; [readline] supplies the continuation
     lines of [spec <n>].  Returns the reply lines and whether the
     session continues. *)
@@ -160,11 +172,9 @@ let exec (t : t) ~(readline : unit -> string option) (line : string) :
   match words with
   | [] -> ([], true)
   | [ "load"; arg ] -> (
-      try ([ install t ~verb:"load" ~name:arg (load_spec arg) ], true)
-      with
-      | Spec_parser.Syntax_error { line; msg } ->
-          ([ Fmt.str "err load line %d: %s" line msg ], true)
-      | Sys_error msg | Failure msg -> ([ "err load " ^ msg ], true))
+      match load_spec arg with
+      | spec -> ([ install t ~verb:"load" ~name:arg spec ], true)
+      | exception e -> (load_error "load" ~file:arg e, true))
   | [ "spec"; n ] -> (
       match int_of_string_opt n with
       | None | Some 0 -> ([ "err spec bad line count" ], true)
@@ -180,13 +190,9 @@ let exec (t : t) ~(readline : unit -> string option) (line : string) :
           done;
           if !short then ([ "err spec truncated input" ], true)
           else
-            try
-              let spec = Spec_parser.parse_string (Buffer.contents buf) in
-              ([ install t ~verb:"spec" ~name:t.name spec ], true)
-            with
-            | Spec_parser.Syntax_error { line; msg } ->
-                ([ Fmt.str "err spec line %d: %s" line msg ], true)
-            | Failure msg -> ([ "err spec " ^ msg ], true)))
+            match Spec_parser.parse_string (Buffer.contents buf) with
+            | spec -> ([ install t ~verb:"spec" ~name:t.name spec ], true)
+            | exception e -> (load_error "spec" ~file:t.name e, true)))
   | [ "analyze" ] -> (analyze t, true)
   | [ "stats" ] -> (stats_reply t, true)
   | [ "jobs"; n ] -> (
@@ -202,44 +208,40 @@ let exec (t : t) ~(readline : unit -> string option) (line : string) :
   | [ "quit" ] | [ "exit" ] -> ([ "ok quit" ], false)
   | cmd :: _ -> ([ "err unknown command " ^ cmd ], true)
 
-(** Serve requests from [ic] to [oc] until [quit] or end of input. *)
-let serve ?(jobs = 1) (ic : in_channel) (oc : out_channel) : unit =
+(* answer the requests [readline] supplies until [quit] or end of input *)
+let session ~jobs ~readline ~reply =
   let t = create ~jobs () in
-  let readline () = try Some (input_line ic) with End_of_file -> None in
   let rec loop () =
     match readline () with
     | None -> ()
     | Some line ->
         let out, continue_ = exec t ~readline line in
-        List.iter
-          (fun l ->
-            output_string oc l;
-            output_char oc '\n')
-          out;
-        flush oc;
+        reply out;
         if continue_ then loop ()
   in
   loop ()
 
+(** Serve requests from [ic] to [oc] until [quit] or end of input. *)
+let serve ?(jobs = 1) (ic : in_channel) (oc : out_channel) : unit =
+  session ~jobs
+    ~readline:(fun () -> try Some (input_line ic) with End_of_file -> None)
+    ~reply:(fun out ->
+      List.iter
+        (fun l ->
+          output_string oc l;
+          output_char oc '\n')
+        out;
+      flush oc)
+
 (** Run a whole scripted session (tests): requests in, replies out. *)
 let run_lines ?(jobs = 1) (lines : string list) : string list =
-  let t = create ~jobs () in
-  let input = ref lines in
-  let readline () =
-    match !input with
-    | [] -> None
-    | l :: rest ->
-        input := rest;
-        Some l
-  in
-  let out = ref [] in
-  let rec loop () =
-    match readline () with
-    | None -> ()
-    | Some line ->
-        let o, continue_ = exec t ~readline line in
-        out := List.rev_append o !out;
-        if continue_ then loop ()
-  in
-  loop ();
+  let input = ref lines and out = ref [] in
+  session ~jobs
+    ~readline:(fun () ->
+      match !input with
+      | [] -> None
+      | l :: rest ->
+          input := rest;
+          Some l)
+    ~reply:(fun o -> out := List.rev_append o !out);
   List.rev !out

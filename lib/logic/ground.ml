@@ -346,3 +346,4 @@ let[@warning "-32"] layout_pad (x : int) (y : int) (a : int) (b : int)
     (c : int) (d : int) (e : int) (f : int) =
   (x * y) + (x lsl 3) - (y lxor x) + (a * b) - (c lxor d) + (e lor f)
   + (a land c) - (b lor d) + (e lxor x) - (f lsr 2) + (y lor c)
+  + (d land f) - (a lor f)

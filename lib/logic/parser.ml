@@ -1,4 +1,8 @@
-(** Recursive-descent parser for the specification's formula syntax.
+(** The lexer of the [.ipa] language and the recursive-descent parser for
+    its formulas.  The declaration layer ({!Ipa_spec.Spec_parser}) lexes
+    a whole specification with {!tokenize} and reads argument lists,
+    [Sort:name] lists and formulas with the functions below, over the
+    same token stream.
 
     Grammar (mirroring the paper's annotation language, Figure 1):
 
@@ -15,13 +19,20 @@
     operand  ::= nexpr | term
     nexpr    ::= "#" ident "(" args ")" | int | ident "(" args ")" | ident
     term     ::= ident | "'" ident | "*"
+    args     ::= "(" ( term ( "," term )* )? ")"
     tvars    ::= tvar ( "," tvar )*
     tvar     ::= ident ":" ident | ident      (bare name inherits last sort)
     v}
 
     Variables are bare identifiers; constants are ['quoted]; [*] is the
     wildcard. An identifier followed by a comparison operator (and not by
-    an argument list) parses as a named integer constant ([NConst]). *)
+    an argument list) parses as a named integer constant ([NConst]).
+
+    Lexical rules: identifiers are [[A-Za-z_][A-Za-z0-9_]*], integers
+    are unsigned digit runs.  [//], and [#] when no identifier character
+    follows it, start a comment that runs to the end of the line; [#p]
+    is the cardinality operator.  A character the lexer cannot read
+    becomes a {!BAD} token, which the parser rejects where it stands. *)
 
 open Ast
 
@@ -39,9 +50,14 @@ type token =
   | INT of int
   | LPAREN
   | RPAREN
+  | LBRACK
+  | RBRACK
   | COMMA
   | COLON
+  | DOT
   | TURNSTILE (* :- *)
+  | ASSIGN (* := *)
+  | EQ
   | ARROW (* => *)
   | DARROW (* <=> *)
   | LE
@@ -54,107 +70,124 @@ type token =
   | PLUS
   | MINUS
   | STAR
-  | ASSIGN (* := , used by the spec-file parser *)
+  | BAD of string
   | EOF
+
+type lexeme = { tok : token; line : int; start : int; stop : int }
+
+(* the tokens spelled one way, each before its prefixes *)
+let symbols =
+  [
+    ("<=>", DARROW); (":-", TURNSTILE); (":=", ASSIGN); ("=>", ARROW);
+    ("==", EQEQ); ("!=", NEQ); ("<=", LE); (">=", GE); ("(", LPAREN);
+    (")", RPAREN); ("[", LBRACK); ("]", RBRACK); (",", COMMA); (":", COLON);
+    (".", DOT); ("=", EQ); ("<", LT); (">", GT); ("#", HASH); ("+", PLUS);
+    ("-", MINUS); ("*", STAR);
+  ]
 
 let pp_token ppf = function
   | IDENT s -> Fmt.pf ppf "identifier %S" s
   | QCONST s -> Fmt.pf ppf "constant '%s" s
   | INT n -> Fmt.pf ppf "integer %d" n
-  | LPAREN -> Fmt.string ppf "'('"
-  | RPAREN -> Fmt.string ppf "')'"
-  | COMMA -> Fmt.string ppf "','"
-  | COLON -> Fmt.string ppf "':'"
-  | TURNSTILE -> Fmt.string ppf "':-'"
-  | ARROW -> Fmt.string ppf "'=>'"
-  | DARROW -> Fmt.string ppf "'<=>'"
-  | LE -> Fmt.string ppf "'<='"
-  | LT -> Fmt.string ppf "'<'"
-  | GE -> Fmt.string ppf "'>='"
-  | GT -> Fmt.string ppf "'>'"
-  | EQEQ -> Fmt.string ppf "'=='"
-  | NEQ -> Fmt.string ppf "'!='"
-  | HASH -> Fmt.string ppf "'#'"
-  | PLUS -> Fmt.string ppf "'+'"
-  | MINUS -> Fmt.string ppf "'-'"
-  | STAR -> Fmt.string ppf "'*'"
-  | ASSIGN -> Fmt.string ppf "':='"
+  | BAD s -> Fmt.pf ppf "unreadable %S" s
   | EOF -> Fmt.string ppf "end of input"
+  | t -> Fmt.pf ppf "'%s'" (fst (List.find (fun (_, u) -> u = t) symbols))
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
+let is_ident_char c = is_ident_start c || is_digit c
 
-(** Tokenize a whole string. *)
-let tokenize (s : string) : token list =
+(* [sym] is spelled at offset [i] of [s], from its [j]th character on *)
+let rec spelled s i sym j =
+  j = String.length sym
+  || i + j < String.length s
+     && s.[i + j] = sym.[j]
+     && spelled s i sym (j + 1)
+
+(* the entry of [symbols] spelled at offset [i] of [s] *)
+let rec symbol s i = function
+  | [] -> None
+  | ((sym, _) as e) :: rest ->
+      if spelled s i sym 0 then Some e else symbol s i rest
+
+(* the end of the run of [p] characters of [s] from [i] *)
+let rec scan s p i =
+  if i < String.length s && p s.[i] then scan s p (i + 1) else i
+
+(* a comment starts at offset [i] of [s]: [//], or [#] with no
+   identifier character after it *)
+let comment s i =
+  spelled s i "//" 0
+  || s.[i] = '#'
+     && not (i + 1 < String.length s && is_ident_char s.[i + 1])
+
+(* the token at offset [i] of [s] (not a blank or a comment), and its end *)
+let token s i =
+  let c = s.[i] in
+  if c = '\'' then
+    let j = scan s is_ident_char (i + 1) in
+    let text = String.sub s (i + 1) (j - i - 1) in
+    (j, if text = "" then BAD "'" else QCONST text)
+  else if is_ident_start c then
+    let j = scan s is_ident_char i in
+    (j, IDENT (String.sub s i (j - i)))
+  else if is_digit c then
+    let j = scan s is_digit i in
+    let text = String.sub s i (j - i) in
+    (j, match int_of_string_opt text with Some k -> INT k | None -> BAD text)
+  else
+    match symbol s i symbols with
+    | Some (sym, tok) -> (i + String.length sym, tok)
+    | None -> (i + 1, BAD (String.make 1 c))
+
+(** Lex a whole source text; lines count from 1. *)
+let tokenize (s : string) : lexeme list =
   let n = String.length s in
-  let rec go i acc =
-    if i >= n then List.rev (EOF :: acc)
+  let rec go i line acc =
+    if i >= n then List.rev acc
     else
-      let c = s.[i] in
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then go (i + 1) acc
-      else if is_ident_start c then (
-        let j = ref i in
-        while !j < n && is_ident_char s.[!j] do
-          incr j
-        done;
-        go !j (IDENT (String.sub s i (!j - i)) :: acc))
-      else if is_digit c then (
-        let j = ref i in
-        while !j < n && is_digit s.[!j] do
-          incr j
-        done;
-        go !j (INT (int_of_string (String.sub s i (!j - i))) :: acc))
-      else
-        let two = if i + 1 < n then String.sub s i 2 else "" in
-        match two with
-        | ":-" -> go (i + 2) (TURNSTILE :: acc)
-        | ":=" -> go (i + 2) (ASSIGN :: acc)
-        | "=>" -> go (i + 2) (ARROW :: acc)
-        | "==" -> go (i + 2) (EQEQ :: acc)
-        | "!=" -> go (i + 2) (NEQ :: acc)
-        | ">=" -> go (i + 2) (GE :: acc)
-        | "<=" ->
-            if i + 2 < n && s.[i + 2] = '>' then go (i + 3) (DARROW :: acc)
-            else go (i + 2) (LE :: acc)
-        | _ -> (
-            match c with
-            | '(' -> go (i + 1) (LPAREN :: acc)
-            | ')' -> go (i + 1) (RPAREN :: acc)
-            | ',' -> go (i + 1) (COMMA :: acc)
-            | ':' -> go (i + 1) (COLON :: acc)
-            | '<' -> go (i + 1) (LT :: acc)
-            | '>' -> go (i + 1) (GT :: acc)
-            | '#' -> go (i + 1) (HASH :: acc)
-            | '+' -> go (i + 1) (PLUS :: acc)
-            | '-' -> go (i + 1) (MINUS :: acc)
-            | '*' -> go (i + 1) (STAR :: acc)
-            | '\'' ->
-                let j = ref (i + 1) in
-                while !j < n && is_ident_char s.[!j] do
-                  incr j
-                done;
-                if !j = i + 1 then fail "empty quoted constant at offset %d" i;
-                go !j (QCONST (String.sub s (i + 1) (!j - i - 1)) :: acc)
-            | _ -> fail "unexpected character %C at offset %d" c i)
+      match s.[i] with
+      | '\n' -> go (i + 1) (line + 1) acc
+      | ' ' | '\t' | '\r' -> go (i + 1) line acc
+      | _ when comment s i -> go (scan s (fun c -> c <> '\n') i) line acc
+      | _ ->
+          let stop, tok = token s i in
+          go stop line ({ tok; line; start = i; stop } :: acc)
   in
-  go 0 []
+  go 0 1 []
 
 (* ------------------------------------------------------------------ *)
 (* Token stream                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type stream = { mutable toks : token list }
+type stream = { src : string; toks : lexeme array; mutable pos : int }
 
-let peek st = match st.toks with [] -> EOF | t :: _ -> t
+let stream src lexemes = { src; toks = Array.of_list lexemes; pos = 0 }
+
+let peek st =
+  if st.pos < Array.length st.toks then st.toks.(st.pos).tok else EOF
 
 let peek2 st =
-  match st.toks with [] | [ _ ] -> EOF | _ :: t :: _ -> t
+  if st.pos + 1 < Array.length st.toks then st.toks.(st.pos + 1).tok else EOF
 
-let advance st =
-  match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+let advance st = if st.pos < Array.length st.toks then st.pos <- st.pos + 1
+
+let line st =
+  let k = Array.length st.toks in
+  if k = 0 then 1 else st.toks.(min st.pos (k - 1)).line
+
+let until st stop =
+  let first = st.pos in
+  while peek st <> stop && peek st <> EOF do
+    advance st
+  done;
+  if st.pos = first then ([], "")
+  else
+    let a = st.toks.(first) and b = st.toks.(st.pos - 1) in
+    ( List.init (st.pos - first) (fun k -> st.toks.(first + k).tok),
+      String.sub st.src a.start (b.stop - a.start) )
 
 let expect st tok =
   let got = peek st in
@@ -185,7 +218,7 @@ let parse_term_tok st : term =
       Star
   | t -> fail "expected term, found %a" pp_token t
 
-let parse_args st : term list =
+let args st : term list =
   expect st LPAREN;
   if peek st = RPAREN then (
     advance st;
@@ -205,7 +238,7 @@ let parse_args st : term list =
     loop []
 
 (* tvars: Sort:name, name, Sort2:name2 ... *)
-let parse_tvars st : tvar list =
+let tvars st : tvar list =
   let rec loop last_sort acc =
     let first = expect_ident st in
     let v =
@@ -246,8 +279,7 @@ let rec parse_nexpr_operand st : operand =
     | HASH ->
         advance st;
         let p = expect_ident st in
-        let args = parse_args st in
-        O_num (Card (p, args))
+        O_num (Card (p, args st))
     | INT n ->
         advance st;
         O_num (Int n)
@@ -257,12 +289,9 @@ let rec parse_nexpr_operand st : operand =
     | STAR ->
         advance st;
         O_term Star
-    | IDENT s -> (
+    | IDENT s ->
         advance st;
-        if peek st = LPAREN then
-          let args = parse_args st in
-          O_atom (s, args)
-        else O_term (Var s))
+        if peek st = LPAREN then O_atom (s, args st) else O_term (Var s)
     | t -> fail "expected operand, found %a" pp_token t
   in
   match peek st with
@@ -283,24 +312,16 @@ and num_of_operand = function
   | O_term Star -> fail "wildcard cannot be used numerically"
   | O_atom (f, args) -> NFun (f, args)
 
-let rec parse_formula_prec st : formula =
+let rec formula st : formula =
   match peek st with
-  | IDENT "forall" when peek2 st = LPAREN ->
+  | IDENT (("forall" | "exists") as q) when peek2 st = LPAREN ->
       advance st;
       expect st LPAREN;
-      let vs = parse_tvars st in
+      let vs = tvars st in
       expect st RPAREN;
       expect st TURNSTILE;
-      let body = parse_formula_prec st in
-      Forall (vs, body)
-  | IDENT "exists" when peek2 st = LPAREN ->
-      advance st;
-      expect st LPAREN;
-      let vs = parse_tvars st in
-      expect st RPAREN;
-      expect st TURNSTILE;
-      let body = parse_formula_prec st in
-      Exists (vs, body)
+      let body = formula st in
+      if q = "forall" then Forall (vs, body) else Exists (vs, body)
   | _ -> parse_iff st
 
 and parse_iff st =
@@ -359,11 +380,10 @@ and parse_primary st =
   | IDENT "false" when peek2 st <> LPAREN ->
       advance st;
       False
-  | IDENT ("forall" | "exists") when peek2 st = LPAREN ->
-      parse_formula_prec st
+  | IDENT ("forall" | "exists") when peek2 st = LPAREN -> formula st
   | LPAREN ->
       advance st;
-      let f = parse_formula_prec st in
+      let f = formula st in
       expect st RPAREN;
       f
   | _ -> (
@@ -387,8 +407,8 @@ and parse_primary st =
 
 (** Parse a complete formula from a string. *)
 let parse_formula (s : string) : formula =
-  let st = { toks = tokenize s } in
-  let f = parse_formula_prec st in
+  let st = stream s (tokenize s) in
+  let f = formula st in
   (match peek st with
   | EOF -> ()
   | t -> fail "trailing input after formula: %a" pp_token t);

@@ -67,31 +67,18 @@ let merge_rules (specs : t list) : (string * conv_rule) list =
 let qualified seen (s : t) name =
   if List.mem name seen then s.app_name ^ "." ^ name else name
 
-let merge_invariants (specs : t list) : invariant list =
-  let _, invs =
-    List.fold_left
-      (fun (seen, acc) (s : t) ->
-        List.fold_left
-          (fun (seen, acc) (i : invariant) ->
-            let name = qualified seen s i.iname in
-            (name :: seen, acc @ [ { i with iname = name } ]))
-          (seen, acc) s.invariants)
-      ([], []) specs
-  in
-  invs
-
-let merge_operations (specs : t list) : operation list =
-  let _, ops =
-    List.fold_left
-      (fun (seen, acc) (s : t) ->
-        List.fold_left
-          (fun (seen, acc) (o : operation) ->
-            let name = qualified seen s o.oname in
-            (name :: seen, acc @ [ { o with oname = name } ]))
-          (seen, acc) s.operations)
-      ([], []) specs
-  in
-  ops
+(* every spec's [items] in order, renamed by [rename] with their
+   [name] qualified where it clashes with an earlier one *)
+let merge_named (specs : t list) items name rename =
+  List.fold_left
+    (fun (seen, acc) (s : t) ->
+      List.fold_left
+        (fun (seen, acc) x ->
+          let n = qualified seen s (name x) in
+          (n :: seen, acc @ [ rename x n ]))
+        (seen, acc) (items s))
+    ([], []) specs
+  |> snd
 
 (** Merge several application specifications into one, for a combined
     analysis over the shared database.  Raises {!Incompatible} on
@@ -110,7 +97,15 @@ let merge ?(name = "combined") (specs : t list) : t =
       sorts;
       preds = merge_preds specs;
       consts = merge_consts specs;
-      invariants = merge_invariants specs;
-      operations = merge_operations specs;
+      invariants =
+        merge_named specs
+          (fun s -> s.invariants)
+          (fun i -> i.iname)
+          (fun i iname -> { i with iname });
+      operations =
+        merge_named specs
+          (fun s -> s.operations)
+          (fun o -> o.oname)
+          (fun o oname -> { o with oname });
       rules = merge_rules specs;
     }

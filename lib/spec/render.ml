@@ -29,26 +29,12 @@ let pp_invariant ppf (i : invariant) =
   Fmt.pf ppf "invariant %s%s: %a" tag i.iname Pp.pp_formula i.iformula
 
 let pp_effect ppf (ae : annotated_effect) =
-  let e = ae.eff in
-  let lhs =
-    Fmt.str "%s(%a)" e.epred Fmt.(list ~sep:(any ", ") Pp.pp_term) e.eargs
-  in
-  let base =
-    match e.evalue with
-    | Set true -> Fmt.str "%s := true" lhs
-    | Set false -> Fmt.str "%s := false" lhs
-    | Delta d when d >= 0 -> Fmt.str "%s += %d" lhs d
-    | Delta d -> Fmt.str "%s -= %d" lhs (-d)
-  in
-  match ae.mode with
-  | Write -> Fmt.string ppf base
-  | Touch -> Fmt.pf ppf "%s touch" base
-
-let pp_param ppf (p : Ast.tvar) = Fmt.pf ppf "%s:%s" p.Ast.vsort p.Ast.vname
+  Fmt.pf ppf "%a%s" Types.pp_effect ae.eff
+    (match ae.mode with Write -> "" | Touch -> " touch")
 
 let pp_operation ppf (op : operation) =
   Fmt.pf ppf "operation %s(%a)" op.oname
-    Fmt.(list ~sep:(any ", ") pp_param)
+    Fmt.(list ~sep:(any ", ") Pp.pp_tvar)
     op.oparams;
   List.iter (fun e -> Fmt.pf ppf "@\n  %a" pp_effect e) op.oeffects
 

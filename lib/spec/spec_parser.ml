@@ -1,37 +1,37 @@
-(** Parser for the [.ipa] specification DSL.
+(** Parser for the [.ipa] specification DSL: a declaration layer over
+    {!Ipa_logic.Parser}, which lexes the whole text and parses every
+    argument list, parameter list and formula.
 
-    The textual format carries the same information as the paper's
-    annotated Java interfaces (Figure 1):
+    The format carries the same information as the paper's annotated
+    Java interfaces (Figure 1); [docs/SPEC_LANGUAGE.md] describes it
+    with examples.
+
+    Declaration grammar, one declaration per logical line ([formula],
+    [args] and [tvars] are {!Ipa_logic.Parser}'s):
 
     {v
-    app Tournament
-
-    sort Player
-    sort Tournament
-
-    const Capacity = 8
-
-    predicate player(Player)
-    predicate enrolled(Player, Tournament)
-    numeric stock(Item) in [0, 16]
-
-    invariant ref_int: forall(Player:p, Tournament:t) :-
-        enrolled(p,t) => player(p) and tournament(t)
-    invariant [unique] ids: forall(Player:p, q) :- p == q
-
-    rule player: add-wins
-    rule enrolled: rem-wins
-
-    operation enroll(Player:p, Tournament:t)
-      enrolled(p, t) := true
-
-    operation buy(Item:i)
-      stock(i) -= 1
+    decl   ::= "app" text                       (the rest of the line)
+             | "sort" ident
+             | "const" ident "=" int
+             | "predicate" ident "(" sorts ")"
+             | "numeric" ident "(" sorts ")" ( "in" "[" int "," int "]" )?
+             | "invariant" tag? name ":" formula
+             | "rule" ident ":" ( "add-wins" | "rem-wins" | "lww" )
+             | "operation" name "(" tvars? ")"
+             | effect                           (under an operation)
+    tag    ::= "[" ( "unique" | "sequential" ) "]"
+    effect ::= ident args value "touch"?
+    value  ::= ":=" ( "true" | "false" ) | ( "+" | "-" ) "=" int
+    sorts  ::= ( ident ( "," ident )* )?
+    name   ::= ident | text "." ident           (Compose's App.name)
+    int    ::= "-"? digits
     v}
 
-    Lines starting with [#] or [//] are comments.  An invariant may span
-    multiple lines; continuation lines are those that cannot start a new
-    declaration.  Effects may carry a [touch] suffix to request the
+    A line whose first token is a keyword not applied as a predicate
+    ([rule(x)] is not a head) starts a declaration; any other line
+    directly after an invariant continues that invariant's formula.
+    Comments ([//], or [#] without an identifier character after it)
+    run to the end of their line.  A [touch] suffix requests the
     payload-preserving add (§4.2.1): [player(p) := true touch]. *)
 
 open Ipa_logic
@@ -39,308 +39,214 @@ open Types
 
 exception Syntax_error of { line : int; msg : string }
 
-let fail line fmt =
-  Fmt.kstr (fun msg -> raise (Syntax_error { line; msg })) fmt
+(* declaration errors surface as the lexer's and formula parser's do,
+   and are located at the stream's position once, in [parse_string] *)
+let fail fmt = Fmt.kstr (fun s -> raise (Parser.Parse_error s)) fmt
 
-let strip s = String.trim s
+let keywords =
+  [
+    "app"; "sort"; "const"; "predicate"; "numeric"; "invariant"; "rule";
+    "operation";
+  ]
 
-let is_comment s =
-  s = ""
-  || String.length s >= 1
-     && (s.[0] = '#' || (String.length s >= 2 && s.[0] = '/' && s.[1] = '/'))
+(* the keyword a physical line's tokens start a declaration with *)
+let head : Parser.lexeme list -> string option = function
+  | { tok = IDENT k; _ } :: rest when List.mem k keywords -> (
+      match rest with { tok = LPAREN; _ } :: _ -> None | _ -> Some k)
+  | _ -> None
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+(* physical lines (those holding tokens), then logical ones: a line
+   that starts no declaration continues an invariant right above it *)
+let logical_lines (lexemes : Parser.lexeme list) : Parser.lexeme list list =
+  let physical =
+    List.fold_left
+      (fun acc (l : Parser.lexeme) ->
+        match acc with
+        | (m :: _ as cur) :: tl when m.Parser.line = l.line -> (l :: cur) :: tl
+        | _ -> [ l ] :: acc)
+      [] lexemes
+    |> List.rev_map List.rev
+  in
+  List.fold_left
+    (fun acc l ->
+      match acc with
+      | cur :: tl when head cur = Some "invariant" && head l = None ->
+          (cur @ l) :: tl
+      | _ -> l :: acc)
+    [] physical
+  |> List.rev
 
-let split_on_first c s =
-  match String.index_opt s c with
-  | None -> None
-  | Some i ->
-      Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+let int st =
+  let sign =
+    if Parser.peek st = MINUS then (
+      Parser.advance st;
+      -1)
+    else 1
+  in
+  match Parser.peek st with
+  | INT k ->
+      Parser.advance st;
+      sign * k
+  | t -> fail "expected an integer, found %a" Parser.pp_token t
 
-(* "name(Player:p, Tournament:t)" -> name, params *)
-let parse_op_header lineno s =
-  match split_on_first '(' s with
-  | None -> fail lineno "expected operation header with parameter list"
-  | Some (name, rest) ->
-      let name = strip name in
-      let rest = strip rest in
-      if rest = "" || rest.[String.length rest - 1] <> ')' then
-        fail lineno "unterminated parameter list";
-      let inner = strip (String.sub rest 0 (String.length rest - 1)) in
-      if inner = "" then (name, [])
-      else
-        let parts = String.split_on_char ',' inner in
-        let params =
-          List.map
-            (fun p ->
-              match String.split_on_char ':' (strip p) with
-              | [ sort; v ] -> { Ast.vname = strip v; vsort = strip sort }
-              | _ -> fail lineno "parameter must be Sort:name, got %S" p)
-            parts
-        in
-        (name, params)
+(* the sort names of a predicate declaration *)
+let sorts st =
+  List.map
+    (function Ast.Var s -> s | _ -> fail "expected sort names")
+    (Parser.args st)
 
-(* parse the left-hand side "pred(a, b, *)" of an effect *)
-let parse_effect_lhs lineno s =
-  match split_on_first '(' (strip s) with
-  | None -> fail lineno "expected predicate application in effect"
-  | Some (name, rest) ->
-      let rest = strip rest in
-      if rest = "" || rest.[String.length rest - 1] <> ')' then
-        fail lineno "unterminated argument list in effect";
-      let inner = strip (String.sub rest 0 (String.length rest - 1)) in
-      let args =
-        if inner = "" then []
-        else
-          List.map
-            (fun a ->
-              let a = strip a in
-              if a = "*" then Ast.Star
-              else if String.length a > 0 && a.[0] = '\'' then
-                Ast.Const (String.sub a 1 (String.length a - 1))
-              else Ast.Var a)
-            (String.split_on_char ',' inner)
+(* a declared name before [stop]: an identifier, or Compose's qualified
+   [App.name], the app name as written on its app line *)
+let name st ~stop ~form =
+  match Parser.until st stop with
+  | [ IDENT _ ], text -> text
+  | toks, text -> (
+      match List.rev toks with
+      | IDENT _ :: DOT :: _ :: _ -> text
+      | _ -> fail "expected '%s'" form)
+
+let effect st : annotated_effect =
+  let epred = Parser.expect_ident st in
+  let eargs = Parser.args st in
+  let evalue =
+    match Parser.peek st with
+    | ASSIGN -> (
+        Parser.advance st;
+        match Parser.expect_ident st with
+        | "true" -> Set true
+        | "false" -> Set false
+        | other -> fail "expected true or false, got %S" other)
+    | (PLUS | MINUS) as t ->
+        Parser.advance st;
+        Parser.expect st EQ;
+        Delta (if t = PLUS then int st else -int st)
+    | _ -> fail "effect must use :=, += or -="
+  in
+  let mode =
+    if Parser.peek st = IDENT "touch" then (
+      Parser.advance st;
+      Touch)
+    else Write
+  in
+  { eff = { epred; eargs; evalue }; mode }
+
+(* the declaration after keyword [k], added to [s] (lists newest first) *)
+let declaration (s : t) st = function
+  | "app" -> (
+      match Parser.until st EOF with
+      | [], _ -> fail "expected 'app Name'"
+      | _, app_name -> { s with app_name })
+  | "sort" -> { s with sorts = Parser.expect_ident st :: s.sorts }
+  | "const" ->
+      let name = Parser.expect_ident st in
+      Parser.expect st EQ;
+      { s with consts = (name, int st) :: s.consts }
+  | "predicate" ->
+      let pname = Parser.expect_ident st in
+      { s with preds = { pname; psorts = sorts st; pkind = Bool } :: s.preds }
+  | "numeric" ->
+      let pname = Parser.expect_ident st in
+      let psorts = sorts st in
+      let lo, hi =
+        if Parser.peek st = IDENT "in" then (
+          Parser.advance st;
+          Parser.expect st LBRACK;
+          let lo = int st in
+          Parser.expect st COMMA;
+          let hi = int st in
+          Parser.expect st RBRACK;
+          (lo, hi))
+        else (0, 16)
       in
-      (strip name, args)
-
-let find_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let split_on_substring hay needle =
-  match find_substring hay needle with
-  | None -> None
-  | Some i ->
-      Some
-        ( String.sub hay 0 i,
-          String.sub hay
-            (i + String.length needle)
-            (String.length hay - i - String.length needle) )
-
-let parse_effect lineno s : annotated_effect =
-  let s = strip s in
-  let s, mode =
-    match split_on_substring s " touch" with
-    | Some (before, rest) when strip rest = "" -> (strip before, Touch)
-    | _ -> (s, Write)
-  in
-  let mk lhs value =
-    let epred, eargs = parse_effect_lhs lineno lhs in
-    { eff = { epred; eargs; evalue = value }; mode }
-  in
-  match split_on_substring s ":=" with
-  | Some (lhs, rhs) -> (
-      match strip rhs with
-      | "true" -> mk lhs (Set true)
-      | "false" -> mk lhs (Set false)
-      | other -> fail lineno "expected true or false, got %S" other)
-  | None -> (
-      match split_on_substring s "+=" with
-      | Some (lhs, rhs) -> (
-          match int_of_string_opt (strip rhs) with
-          | Some d -> mk lhs (Delta d)
-          | None -> fail lineno "expected integer delta, got %S" (strip rhs))
-      | None -> (
-          match split_on_substring s "-=" with
-          | Some (lhs, rhs) -> (
-              match int_of_string_opt (strip rhs) with
-              | Some d -> mk lhs (Delta (-d))
-              | None ->
-                  fail lineno "expected integer delta, got %S" (strip rhs))
-          | None -> fail lineno "effect must use :=, += or -="))
-
-type accum = {
-  mutable app_name : string;
-  mutable sorts : string list;
-  mutable preds : pred_decl list;
-  mutable consts : (string * int) list;
-  mutable invariants : invariant list;
-  mutable rules : (string * conv_rule) list;
-  mutable operations : operation list;
-  mutable cur_op : (string * Ast.tvar list * annotated_effect list) option;
-}
-
-let flush_op acc =
-  match acc.cur_op with
-  | None -> ()
-  | Some (name, params, effs) ->
-      acc.operations <-
-        { oname = name; oparams = params; oeffects = List.rev effs }
-        :: acc.operations;
-      acc.cur_op <- None
-
-let keyword_line s =
-  List.exists
-    (fun k -> starts_with (k ^ " ") s || s = k)
-    [
-      "app"; "sort"; "const"; "predicate"; "numeric"; "invariant"; "rule";
-      "operation";
-    ]
+      let p = { pname; psorts; pkind = Numeric { lo; hi } } in
+      { s with preds = p :: s.preds }
+  | "invariant" ->
+      let itag =
+        if Parser.peek st = LBRACK then (
+          Parser.advance st;
+          let tag =
+            match Parser.expect_ident st with
+            | "unique" -> Tag_unique_id
+            | "sequential" -> Tag_sequential_id
+            | other -> fail "unknown invariant tag [%s]" other
+          in
+          Parser.expect st RBRACK;
+          Some tag)
+        else None
+      in
+      let iname = name st ~stop:COLON ~form:"invariant name: formula" in
+      Parser.expect st COLON;
+      let i = { iname; iformula = Parser.formula st; itag } in
+      { s with invariants = i :: s.invariants }
+  | "rule" ->
+      let p = Parser.expect_ident st in
+      Parser.expect st COLON;
+      let rule =
+        match snd (Parser.until st EOF) with
+        | "add-wins" -> Add_wins
+        | "rem-wins" -> Rem_wins
+        | "lww" -> Lww
+        | other -> fail "unknown convergence rule %S" other
+      in
+      { s with rules = (p, rule) :: s.rules }
+  | _ (* operation *) ->
+      let oname =
+        name st ~stop:LPAREN ~form:"operation name(Sort:param, ...)"
+      in
+      Parser.expect st LPAREN;
+      let oparams = if Parser.peek st = RPAREN then [] else Parser.tvars st in
+      Parser.expect st RPAREN;
+      { s with operations = { oname; oparams; oeffects = [] } :: s.operations }
 
 (** Parse a full specification from source text. The result is validated
     with {!Validate.validate}. *)
 let parse_string (src : string) : t =
-  let lines = String.split_on_char '\n' src in
-  let acc =
+  let empty =
     {
       app_name = "";
       sorts = [];
       preds = [];
       consts = [];
       invariants = [];
-      rules = [];
       operations = [];
-      cur_op = None;
+      rules = [];
     }
   in
-  (* Join invariant continuation lines: a non-keyword line directly after
-     an invariant line extends that invariant's formula.  Effect lines
-     inside operation blocks are single-line and never follow an
-     invariant line, so they are not affected. *)
-  let rec join_continuations lineno acc_lines = function
-    | [] -> List.rev acc_lines
-    | raw :: rest -> (
-        let s = strip raw in
-        if is_comment s then join_continuations (lineno + 1) acc_lines rest
-        else
-          match acc_lines with
-          | (ln, prev) :: tl
-            when (not (keyword_line s)) && starts_with "invariant" prev ->
-              join_continuations (lineno + 1) ((ln, prev ^ " " ^ s) :: tl) rest
-          | _ -> join_continuations (lineno + 1) ((lineno, s) :: acc_lines) rest)
+  (* [in_op]: effect lines extend the operation declared last *)
+  let line (s, in_op) lexemes =
+    let st = Parser.stream src lexemes in
+    try
+      let next =
+        match (head lexemes, s.operations) with
+        | Some k, _ ->
+            Parser.advance st;
+            (declaration s st k, k = "operation")
+        | None, op :: ops when in_op ->
+            let op = { op with oeffects = effect st :: op.oeffects } in
+            ({ s with operations = op :: ops }, true)
+        | None, _ -> fail "unexpected line outside any declaration"
+      in
+      match Parser.peek st with
+      | EOF -> next
+      | t -> fail "expected end of line, found %a" Parser.pp_token t
+    with Parser.Parse_error msg ->
+      raise (Syntax_error { line = Parser.line st; msg })
   in
-  let numbered = join_continuations 1 [] lines in
-  List.iter
-    (fun (lineno, s) ->
-      if starts_with "app " s then begin
-        flush_op acc;
-        acc.app_name <- strip (String.sub s 4 (String.length s - 4))
-      end
-      else if starts_with "sort " s then begin
-        flush_op acc;
-        acc.sorts <- strip (String.sub s 5 (String.length s - 5)) :: acc.sorts
-      end
-      else if starts_with "const " s then begin
-        flush_op acc;
-        let body = String.sub s 6 (String.length s - 6) in
-        match split_on_first '=' body with
-        | Some (name, v) -> (
-            match int_of_string_opt (strip v) with
-            | Some n -> acc.consts <- (strip name, n) :: acc.consts
-            | None -> fail lineno "const value must be an integer")
-        | None -> fail lineno "const must be 'const Name = int'"
-      end
-      else if starts_with "predicate " s then begin
-        flush_op acc;
-        let body = String.sub s 10 (String.length s - 10) in
-        let name, args = parse_effect_lhs lineno body in
-        let sorts =
-          List.map
-            (function
-              | Ast.Var v -> v
-              | _ -> fail lineno "predicate declaration expects sort names")
-            args
-        in
-        acc.preds <- { pname = name; psorts = sorts; pkind = Bool } :: acc.preds
-      end
-      else if starts_with "numeric " s then begin
-        flush_op acc;
-        let body = String.sub s 8 (String.length s - 8) in
-        let decl, bounds =
-          match split_on_substring body " in " with
-          | Some (d, b) -> (d, strip b)
-          | None -> (body, "[0, 16]")
-        in
-        let name, args = parse_effect_lhs lineno decl in
-        let sorts =
-          List.map
-            (function
-              | Ast.Var v -> v
-              | _ -> fail lineno "numeric declaration expects sort names")
-            args
-        in
-        let lo, hi =
-          try
-            Scanf.sscanf bounds "[%d, %d]" (fun a b -> (a, b))
-          with _ -> (
-            try Scanf.sscanf bounds "[%d,%d]" (fun a b -> (a, b))
-            with _ -> fail lineno "bounds must be [lo, hi], got %S" bounds)
-        in
-        acc.preds <-
-          { pname = name; psorts = sorts; pkind = Numeric { lo; hi } }
-          :: acc.preds
-      end
-      else if starts_with "invariant" s then begin
-        flush_op acc;
-        let body = strip (String.sub s 9 (String.length s - 9)) in
-        let tag, body =
-          if starts_with "[unique]" body then
-            (Some Tag_unique_id, strip (String.sub body 8 (String.length body - 8)))
-          else if starts_with "[sequential]" body then
-            ( Some Tag_sequential_id,
-              strip (String.sub body 12 (String.length body - 12)) )
-          else (None, body)
-        in
-        match split_on_first ':' body with
-        | Some (name, formula_src)
-          when not (starts_with "-" (strip formula_src)) -> (
-            (* 'name: formula' — but avoid splitting ':-' of a quantifier *)
-            match Parser.parse_formula (strip formula_src) with
-            | f ->
-                acc.invariants <-
-                  { iname = strip name; iformula = f; itag = tag }
-                  :: acc.invariants
-            | exception Parser.Parse_error m ->
-                fail lineno "bad invariant formula: %s" m)
-        | _ -> fail lineno "invariant must be 'invariant name: formula'"
-      end
-      else if starts_with "rule " s then begin
-        flush_op acc;
-        let body = String.sub s 5 (String.length s - 5) in
-        match split_on_first ':' body with
-        | Some (name, r) ->
-            let rule =
-              match strip r with
-              | "add-wins" -> Add_wins
-              | "rem-wins" -> Rem_wins
-              | "lww" -> Lww
-              | other -> fail lineno "unknown convergence rule %S" other
-            in
-            acc.rules <- (strip name, rule) :: acc.rules
-        | None -> fail lineno "rule must be 'rule predicate: policy'"
-      end
-      else if starts_with "operation " s then begin
-        flush_op acc;
-        let body = String.sub s 10 (String.length s - 10) in
-        let name, params = parse_op_header lineno body in
-        acc.cur_op <- Some (name, params, [])
-      end
-      else begin
-        (* effect line inside the current operation *)
-        match acc.cur_op with
-        | Some (name, params, effs) ->
-            let ae = parse_effect lineno s in
-            acc.cur_op <- Some (name, params, ae :: effs)
-        | None -> fail lineno "unexpected line outside any declaration: %S" s
-      end)
-    numbered;
-  flush_op acc;
+  let s, _ =
+    List.fold_left line (empty, false) (logical_lines (Parser.tokenize src))
+  in
   Validate.validate
     {
-      app_name = acc.app_name;
-      sorts = List.rev acc.sorts;
-      preds = List.rev acc.preds;
-      consts = List.rev acc.consts;
-      invariants = List.rev acc.invariants;
-      operations = List.rev acc.operations;
-      rules = List.rev acc.rules;
+      s with
+      sorts = List.rev s.sorts;
+      preds = List.rev s.preds;
+      consts = List.rev s.consts;
+      invariants = List.rev s.invariants;
+      operations =
+        List.rev_map
+          (fun o -> { o with oeffects = List.rev o.oeffects })
+          s.operations;
+      rules = List.rev s.rules;
     }
 
 (** Parse a specification from a file. *)
@@ -350,3 +256,14 @@ let parse_file (path : string) : t =
   let src = really_input_string ic n in
   close_in ic;
   parse_string src
+
+let error_lines ~file = function
+  | Syntax_error { line; msg } -> Some [ Fmt.str "%s:%d: %s" file line msg ]
+  | Validate.Invalid errs ->
+      Some
+        (List.map
+           (fun (e : Validate.error) ->
+             Fmt.str "%s: %s: %s" file e.where e.what)
+           errs)
+  | Sys_error msg -> Some [ msg ]
+  | _ -> None

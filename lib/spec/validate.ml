@@ -106,6 +106,13 @@ let check_invariant (spec : t) (inv : invariant) : error list =
   in
   closed_errs @ pred_errs
 
+let check_pred (spec : t) (p : pred_decl) : error list =
+  List.filter_map
+    (fun s ->
+      if List.mem s spec.sorts then None
+      else Some (err (Fmt.str "predicate %s" p.pname) "undeclared sort %s" s))
+    p.psorts
+
 let check_rules (spec : t) : error list =
   List.filter_map
     (fun (p, _) ->
@@ -129,7 +136,9 @@ let check (spec : t) : error list =
     then [ err "operations" "duplicate operation declarations" ]
     else []
   in
-  dup_pred @ dup_op @ check_rules spec
+  dup_pred @ dup_op
+  @ List.concat_map (check_pred spec) spec.preds
+  @ check_rules spec
   @ List.concat_map (check_invariant spec) spec.invariants
   @ List.concat_map (check_operation spec) spec.operations
 

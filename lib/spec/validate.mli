@@ -1,6 +1,6 @@
-(** Well-formedness checks: arity and sort correctness of effects,
-    declared predicates in invariants, closed invariant formulas,
-    no duplicate declarations. *)
+(** Well-formedness checks: predicates over declared sorts, arity and
+    sort correctness of effects, declared predicates in invariants,
+    closed invariant formulas, no duplicate declarations. *)
 
 type error = { where : string; what : string }
 

@@ -1161,7 +1161,28 @@ let test_serve_roundtrip () =
   (* analyze without a spec is an error, not a crash *)
   Alcotest.(check bool) "analyze without spec" true
     (List.exists (has "err analyze")
-       (Serve.run_lines [ "analyze"; "quit" ]))
+       (Serve.run_lines [ "analyze"; "quit" ]));
+  (* an invalid spec answers one err line naming each fault, and the
+     session goes on *)
+  let out =
+    Serve.run_lines
+      [
+        "spec 4"; "app A"; "sort S"; "operation o(T:x)"; "  p(x) := true";
+        "load ticket"; "quit";
+      ]
+  in
+  Alcotest.(check (list string)) "invalid spec rejected, session alive"
+    [
+      "err spec -: operation o: parameter x has undeclared sort T; -: \
+       operation o, effect p: references undeclared predicate p";
+      "ok load name=ticket ops=4 invariants=2 ctx=kept";
+      "ok quit";
+    ]
+    out;
+  Alcotest.(check bool) "syntax error located" true
+    (List.exists
+       (has "err spec -:3: ")
+       (Serve.run_lines [ "spec 3"; "app A"; "sort S"; "sort S T"; "quit" ]))
 
 let test_serve_spec_edit () =
   let has affix l = Astring.String.is_infix ~affix l in

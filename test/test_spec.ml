@@ -40,6 +40,7 @@ sort B
 predicate p(A)
 predicate q(A, B)
 numeric n(A) in [0, 8]
+numeric m(B) in [ 0, 4 ]
 invariant t: forall(A:a) :- p(a) => p(a)
 operation o(A:a, B:b)
   p(a) := true
@@ -60,7 +61,10 @@ operation o(A:a, B:b)
     (List.hd (eff 2).eff.eargs = Ast.Star);
   Alcotest.(check bool) "delta +2" true ((eff 3).eff.evalue = Types.Delta 2);
   Alcotest.(check bool) "delta -1" true ((eff 4).eff.evalue = Types.Delta (-1));
-  Alcotest.(check bool) "touch mode" true ((eff 5).mode = Types.Touch)
+  Alcotest.(check bool) "touch mode" true ((eff 5).mode = Types.Touch);
+  Alcotest.(check bool) "spaced bounds" true
+    ((Option.get (Types.find_pred s "m")).pkind
+    = Types.Numeric { lo = 0; hi = 4 })
 
 let test_parse_multiline_invariant () =
   let src =
@@ -79,7 +83,33 @@ operation o(A:a)
   let s = parse src in
   let inv = List.hd s.Types.invariants in
   Alcotest.(check string) "joined formula" "forall(A:a) :- p(a) => q(a)"
-    (Pp.formula_to_string inv.iformula)
+    (Pp.formula_to_string inv.iformula);
+  (* a continuation line may start with a cardinality [#p]; only [#]
+     without an identifier character after it starts a comment, on its
+     own line or after a declaration *)
+  let capacity split =
+    parse
+      (Fmt.str
+         {|
+app C
+sort P
+sort T  # entity types
+const Capacity = 3 // seats
+predicate enrolled(P, T)
+invariant capacity: forall(T:t) :-%s#enrolled(*, t) <= Capacity
+# a comment line
+operation enroll(P:p, T:t)
+  enrolled(p, t) := true
+|}
+         split)
+  in
+  let one_line = capacity " " and two_lines = capacity "\n" in
+  Alcotest.(check bool) "split capacity = one-line capacity" true
+    (one_line = two_lines);
+  Alcotest.(check (list string)) "comments stripped from names"
+    [ "P"; "T" ] one_line.Types.sorts;
+  Alcotest.(check (list (pair string int))) "comment after a const"
+    [ ("Capacity", 3) ] one_line.Types.consts
 
 let test_parse_tags () =
   let src =
@@ -112,7 +142,18 @@ let test_parse_errors () =
   expect_syntax_error "app X\nconst Capacity = many\n";
   expect_syntax_error "app X\nsort A\noperation o(A)\n" (* param w/o name *);
   expect_syntax_error
-    "app X\nsort A\npredicate p(A)\noperation o(A:a)\n  p(a) = true\n"
+    "app X\nsort A\npredicate p(A)\noperation o(A:a)\n  p(a) = true\n";
+  (* an unnamed invariant names the form it lacks, at its line *)
+  match
+    parse "app X\nsort A\npredicate p(A)\ninvariant forall(A:a) :- p(a)\n"
+  with
+  | exception Spec_parser.Syntax_error { line; msg } ->
+      Alcotest.(check int) "error line" 4 line;
+      Alcotest.(check bool)
+        ("names the invariant form: " ^ msg)
+        true
+        (Astring.String.is_infix ~affix:"invariant name: formula" msg)
+  | _ -> Alcotest.fail "an unnamed invariant must be rejected"
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -183,6 +224,15 @@ invariant t: p(x)
 operation o(A:a)
   p(a) := true
 |}
+
+let test_validate_undeclared_sort () =
+  List.iter
+    (fun decl ->
+      match parse (Fmt.str "app V\nsort A\n%s\n" decl) with
+      | exception Validate.Invalid [ { what; _ } ] ->
+          Alcotest.(check string) decl "undeclared sort Ghost" what
+      | _ -> Alcotest.failf "%s must be rejected" decl)
+    [ "predicate p(A, Ghost)"; "numeric n(Ghost) in [0, 4]" ]
 
 let test_validate_named_const_ok () =
   (* free variables that are declared consts are fine *)
@@ -373,7 +423,24 @@ let check_roundtrip (name : string) (spec : Types.t) =
         (Printexc.to_string e) rendered
 
 let test_roundtrip_catalog () =
-  List.iter (fun (name, spec) -> check_roundtrip name spec) (catalog_specs ())
+  List.iter (fun (name, spec) -> check_roundtrip name spec) (catalog_specs ());
+  (* Compose's qualified names [App.name] and a raw app name *)
+  let album = parse album_src in
+  let twice = Compose.merge ~name:"Album+Again" [ album; album ] in
+  let rendered = Render.to_string twice in
+  List.iter
+    (fun affix ->
+      Alcotest.(check bool) ("renders " ^ affix) true
+        (Astring.String.is_infix ~affix rendered))
+    [
+      "app Album+Again";
+      "invariant Album.owner_ref:";
+      "operation Album.upload(";
+    ];
+  check_roundtrip "Album+Again" twice;
+  (* qualifiers spelled with tokens of their own: TPC-C.add_item *)
+  check_roundtrip "tpcw+tpcc"
+    (Compose.merge [ Catalog.tpcw (); Catalog.tpcc () ])
 
 (* the identity must hold on a whole neighbourhood of mutated specs,
    not just the hand-written catalog (negative deltas, toggled touch
@@ -460,6 +527,8 @@ let () =
             test_validate_numeric_mismatch;
           Alcotest.test_case "free var invariant" `Quick
             test_validate_free_var_invariant;
+          Alcotest.test_case "undeclared sort" `Quick
+            test_validate_undeclared_sort;
           Alcotest.test_case "named const" `Quick test_validate_named_const_ok;
         ] );
       ( "catalog",

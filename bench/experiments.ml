@@ -1345,15 +1345,13 @@ let durability ?(quick = false) () =
   if Replica.state_digest west <> d_ref then
     failwith "durability: op-application reference diverged";
   let snap = Cluster.snapshot c in
-  let metrics = Metrics.create () in
-  let run_mode name repair kind =
+  let run_mode name repair =
     Cluster.restore c snap;
     let eu = Cluster.replica c "dc-eu" in
     let s = Sync.create ~base_backoff_ms:1.0 c in
     let t0 = Unix.gettimeofday () in
     let st = repair s ~src:east ~dst:eu in
     let wall = Unix.gettimeofday () -. t0 in
-    Metrics.record_sync_bytes metrics ~kind st.Sync.r_bytes;
     if Replica.state_digest eu <> d_ref then
       failwith ("durability: " ^ name ^ " repair failed to converge");
     pr "repair %-10s %9d bytes  %5d units  (%.2fms)@." name st.Sync.r_bytes
@@ -1372,11 +1370,11 @@ let durability ?(quick = false) () =
     st.Sync.r_bytes
   in
   let sync mode s ~src ~dst = Sync.repair s ~mode ~src ~dst in
-  let b_batches = run_mode "batches" (sync Sync.Batches) `Batch in
+  let b_batches = run_mode "batches" (sync Sync.Batches) in
   let b_state =
-    run_mode "full_state" (fun _ ~src ~dst -> Full_state.repair ~src ~dst) `State
+    run_mode "full_state" (fun _ ~src ~dst -> Full_state.repair ~src ~dst)
   in
-  let b_delta = run_mode "deltas" (sync Sync.Deltas) `Delta in
+  let b_delta = run_mode "deltas" (sync Sync.Deltas) in
   if b_delta * 2 > b_state then
     failwith
       (Fmt.str
@@ -1386,14 +1384,13 @@ let durability ?(quick = false) () =
       batches)@."
     (float_of_int b_state /. float_of_int b_delta)
     (float_of_int b_batches /. float_of_int b_delta);
-  let dv = metrics.Metrics.delivery in
   push
     (bench_row ~experiment:"durability"
        [
          ("phase", S "metrics");
-         ("sync_bytes_batch", I dv.Metrics.sync_bytes_batch);
-         ("sync_bytes_state", I dv.Metrics.sync_bytes_state);
-         ("sync_bytes_delta", I dv.Metrics.sync_bytes_delta);
+         ("sync_bytes_batch", I b_batches);
+         ("sync_bytes_state", I b_state);
+         ("sync_bytes_delta", I b_delta);
          ("state_over_delta",
           Fd (float_of_int b_state /. float_of_int b_delta, 2));
        ]);
@@ -1458,12 +1455,17 @@ let durability ?(quick = false) () =
   let rc = Wal.recover ws.(0) reps2.(0) in
   let recover_s = Unix.gettimeofday () -. t0 in
   let identical = Replica.state_digest reps2.(0) = d_before in
+  let snapshot_bytes =
+    let path = Wal.snap_path ~dir:wal_dir ~id:reps2.(0).Replica.id in
+    In_channel.with_open_bin path In_channel.length |> Int64.to_int
+  in
   if not identical then
     failwith "durability: WAL recovery digest not bit-identical";
   pr "recovery: %d ops + %d healed by delta repair (%d flushes, %.2fs \
-      ingest) -> snapshot=%b + %d replayed in %.2fms, digest bit-identical@."
+      ingest) -> snapshot=%b (%d B) + %d replayed in %.2fms, digest \
+      bit-identical@."
     n_ops n_heal ws.(0).Wal.flushes ingest_s rc.Wal.rec_snapshot
-    rc.Wal.rec_replayed (recover_s *. 1000.);
+    snapshot_bytes rc.Wal.rec_replayed (recover_s *. 1000.);
   push
     (bench_row ~experiment:"durability"
        [
@@ -1474,6 +1476,7 @@ let durability ?(quick = false) () =
          ("replayed", I rc.Wal.rec_replayed);
          ("skipped", I rc.Wal.rec_skipped);
          ("valid_bytes", I rc.Wal.rec_valid_bytes);
+         ("snapshot_bytes", I snapshot_bytes);
          ("recover_ms", Fd (recover_s *. 1000., 2));
          ("digest_identical", B identical);
        ]);

@@ -28,17 +28,21 @@ open Cmdliner
 open Ipa_spec
 open Ipa_core
 
-(* a spec that does not load ends the command: its located faults on
-   stderr, exit 1 *)
+(* a spec fault ends the command: [Spec_parser.error_lines] on stderr,
+   exit 1 *)
+let exit_on_fault ~file e =
+  match Spec_parser.error_lines ~file e with
+  | Some lines ->
+      List.iter prerr_endline lines;
+      exit 1
+  | None -> raise e
+
+(* a request the loaded specs cannot serve ends the same way *)
+let exit_invalid ~file ~where what =
+  exit_on_fault ~file (Validate.Invalid [ { where; what } ])
+
 let load_spec path =
-  match Serve.load_spec path with
-  | spec -> spec
-  | exception e -> (
-      match Spec_parser.error_lines ~file:path e with
-      | Some lines ->
-          List.iter prerr_endline lines;
-          exit 1
-      | None -> raise e)
+  try Serve.load_spec path with e -> exit_on_fault ~file:path e
 
 (* the shared [--jobs N] option: CLI flag beats IPA_JOBS beats the
    machine's recommended domain count; the pool clamps it to its cap *)
@@ -152,7 +156,9 @@ let wp_cmd =
       | Some n -> (
           match Ipa_spec.Types.find_op spec n with
           | Some o -> [ o ]
-          | None -> Fmt.failwith "unknown operation %s" n)
+          | None ->
+              exit_invalid ~file:spec_path ~where:("operation " ^ n)
+                "not declared")
       | None -> spec.Ipa_spec.Types.operations
     in
     let noop = Ipa_spec.Types.operation "__noop" [] [] in
@@ -236,7 +242,12 @@ let compose_cmd =
   in
   let run spec_paths analyze_flag =
     let specs = List.map load_spec spec_paths in
-    let merged = Ipa_spec.Compose.merge specs in
+    let merged =
+      try Ipa_spec.Compose.merge specs
+      with Ipa_spec.Compose.Incompatible msg ->
+        exit_invalid ~file:(String.concat " + " spec_paths) ~where:"compose"
+          msg
+    in
     Fmt.pr "merged %d specification(s): %d operations, %d invariants@.@."
       (List.length specs)
       (List.length merged.Ipa_spec.Types.operations)

@@ -60,15 +60,13 @@ let rem_user (app : t) ~(n_users : int) (u : string) : Config.op_exec =
       | Rem_wins ->
           (* purge u's tweets from all follower timelines *)
           let suffix = ":" ^ u in
+          let by_u e = Filename.check_suffix e suffix in
           List.iter
             (fun f ->
               let key = k_timeline f in
               let s = aw_get tx key in
               Txn.update tx key
-                (Obj.Op_awset
-                   (Awset.prepare_remove_where s
-                      (Awset.Matching
-                         (fun e -> Filename.check_suffix e suffix)))))
+                (Obj.Op_awset (Awset.prepare_remove_where s by_u)))
             (followers app ~n_users
                (int_of_string (String.sub u 1 (String.length u - 1))))
       | Causal | Add_wins -> ());

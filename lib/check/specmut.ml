@@ -167,4 +167,5 @@ let edit_stream (rng : Rng.t) (spec : t) (k : int) : (t * string) list =
    with [nm -n] on the perfbench executable against the parent commit
    and resize or drop the pad whenever it moves. *)
 let[@warning "-32"] layout_pad (x : int) (y : int) =
-  (x * y) + (x lsl 3) - (y lxor x) + (x land y) - (y lsr 2)
+  (x * y) + (x lsl 3) - (y lxor x) + (x land y) - (y lsr 2) + (x lor y)
+  - (x lsr 1) + (y lsl 2)

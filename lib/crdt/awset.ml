@@ -37,18 +37,14 @@ type entry = { dots : DS.t; cc : DS.t; pl : payload }
 
 type t = entry EM.t
 
-(** Wildcard selectors for predicate-scoped removes
-    ([enrolled( *, t) := false]). *)
-type selector = All | Matching of (string -> bool)
-
 type op =
   | Add of { elt : string; dot : Vclock.dot; payload : string option }
   | Touch of { elt : string; dot : Vclock.dot }
   | Remove of { elt : string; observed : DS.t }
-  | Remove_where of { sel : selector; observed : (string * DS.t) list }
-      (** wildcard remove: per-element observed dots at the source, plus
-          the selector so it also cancels nothing it did not observe
-          (add-wins) *)
+  | Remove_where of { observed : (string * DS.t) list }
+      (** wildcard remove: the observed dots of every member the
+          source's predicate selected, so it cancels nothing the source
+          did not observe (add-wins) *)
 
 let empty : t = EM.empty
 
@@ -98,11 +94,9 @@ let prepare_remove (s : t) (e : string) : op =
   Remove { elt = e; observed = (entry_of s e).dots }
 
 (** Prepare a wildcard remove: collects the observed dots of every
-    currently-matching member. *)
-let prepare_remove_where (s : t) (sel : selector) : op =
-  let matches e =
-    match sel with All -> true | Matching f -> f e
-  in
+    member [matches] selects.  The predicate runs here only; the op
+    carries the collected dots. *)
+let prepare_remove_where (s : t) (matches : string -> bool) : op =
   let observed =
     EM.fold
       (fun e en acc ->
@@ -110,11 +104,18 @@ let prepare_remove_where (s : t) (sel : selector) : op =
         else acc)
       s []
   in
-  Remove_where { sel; observed }
+  Remove_where { observed }
 
 (* ------------------------------------------------------------------ *)
 (* Effect (at every replica, causally delivered)                       *)
 (* ------------------------------------------------------------------ *)
+
+(* cancel the [observed] add-dots of [elt] *)
+let remove_observed (s : t) (elt : string) (observed : DS.t) : t =
+  let en = entry_of s elt in
+  EM.add elt
+    { en with dots = DS.diff en.dots observed; cc = DS.union en.cc observed }
+    s
 
 let apply (s : t) (o : op) : t =
   match o with
@@ -131,18 +132,10 @@ let apply (s : t) (o : op) : t =
       EM.add elt
         { en with dots = DS.add dot en.dots; cc = DS.add dot en.cc }
         s
-  | Remove { elt; observed } ->
-      let en = entry_of s elt in
-      EM.add elt
-        { en with dots = DS.diff en.dots observed; cc = DS.union en.cc observed }
-        s
-  | Remove_where { sel = _; observed } ->
+  | Remove { elt; observed } -> remove_observed s elt observed
+  | Remove_where { observed } ->
       List.fold_left
-        (fun s (elt, dots) ->
-          let en = entry_of s elt in
-          EM.add elt
-            { en with dots = DS.diff en.dots dots; cc = DS.union en.cc dots }
-            s)
+        (fun s (elt, dots) -> remove_observed s elt dots)
         s observed
 
 (** The elements an op names, each once — the only ones whose
@@ -150,7 +143,7 @@ let apply (s : t) (o : op) : t =
 let touched (o : op) : string list =
   match o with
   | Add { elt; _ } | Touch { elt; _ } | Remove { elt; _ } -> [ elt ]
-  | Remove_where { observed; _ } -> List.map fst observed
+  | Remove_where { observed } -> List.map fst observed
 
 (* ------------------------------------------------------------------ *)
 (* Delta-state view (optimized OR-set join, Bieniusa et al.)           *)
@@ -186,7 +179,7 @@ let delta_of_op (o : op) : t =
         { dots = DS.singleton dot; cc = DS.singleton dot; pl = None }
   | Remove { elt; observed } ->
       EM.singleton elt { dots = DS.empty; cc = observed; pl = None }
-  | Remove_where { sel = _; observed } ->
+  | Remove_where { observed } ->
       List.fold_left
         (fun s (elt, dots) ->
           EM.add elt { dots = DS.empty; cc = dots; pl = None } s)

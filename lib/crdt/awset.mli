@@ -15,10 +15,6 @@
 
 type t
 
-(** Wildcard selectors for predicate-scoped removes
-    ([enrolled( *, t) := false]). *)
-type selector = All | Matching of (string -> bool)
-
 (** Downstream effects (commute under causal delivery). *)
 type op
 
@@ -51,9 +47,11 @@ val prepare_touch : t -> dot:Vclock.dot -> string -> op
     survive: add-wins). *)
 val prepare_remove : t -> string -> op
 
-(** Wildcard remove: collects the observed dots of every matching
-    member. *)
-val prepare_remove_where : t -> selector -> op
+(** Wildcard remove ([enrolled( *, t) := false] under add-wins): the
+    predicate selects members at the source only, and the op carries
+    their observed add-dots — plain data, like every other op.
+    Concurrent adds the source did not observe survive (add-wins). *)
+val prepare_remove_where : t -> (string -> bool) -> op
 
 (** {1 Effect (at every replica)} *)
 

@@ -3,10 +3,11 @@
     Dual of {!Awset}: when an add and a remove of the same element are
     concurrent, the remove wins.  An add is visible only if every remove
     of the element happened strictly before it (the add's source had
-    observed the remove).  Wildcard removes install a {e barrier} that
-    also cancels adds the source had not observed — including adds
-    performed concurrently at other replicas — which is exactly the
-    semantics needed for [enrolled( *, t) := false] (Figure 2c).
+    observed the remove).  The wildcard remove clears the whole object:
+    it installs a {e barrier} that cancels every add it does not
+    causally follow — including adds performed concurrently at other
+    replicas — which is exactly the semantics needed for
+    [enrolled( *, t) := false] on the object keyed by [t] (Figure 2c).
 
     Metadata (remove barriers) grows with removes; {!gc} prunes it with
     causal-stability information (SwiftCloud's mechanism): once a remove
@@ -24,35 +25,31 @@ type entry = {
   pl : (Vclock.dot * string) option;
 }
 
-type selector = All | Matching of (string -> bool)
-
 type t = {
   entries : entry EM.t;
-  wild : (selector * Vclock.t) list;  (** wildcard remove barriers *)
+  clears : Vclock.t list;  (** whole-object remove barriers *)
 }
 
 type op =
   | Add of { elt : string; dot : Vclock.dot; vv : Vclock.t; payload : string option }
   | Remove of { elt : string; vv : Vclock.t }
-  | Remove_where of { sel : selector; vv : Vclock.t }
+  | Remove_all of { vv : Vclock.t }
 
-let empty : t = { entries = EM.empty; wild = [] }
+let empty : t = { entries = EM.empty; clears = [] }
 
 let entry_of (s : t) e =
   match EM.find_opt e s.entries with
   | Some en -> en
   | None -> { adds = []; removes = []; pl = None }
 
-let matches sel e = match sel with All -> true | Matching f -> f e
-
 (* an add survives iff every remove barrier affecting the element
    happened-before the add *)
+let rec all_before avv = function
+  | [] -> true
+  | rvv :: rest -> Vclock.leq rvv avv && all_before avv rest
+
 let visible (s : t) (e : string) (a : add_rec) : bool =
-  let en = entry_of s e in
-  List.for_all (fun rvv -> Vclock.leq rvv a.avv) en.removes
-  && List.for_all
-       (fun (sel, rvv) -> (not (matches sel e)) || Vclock.leq rvv a.avv)
-       s.wild
+  all_before a.avv (entry_of s e).removes && all_before a.avv s.clears
 
 let mem (e : string) (s : t) : bool =
   List.exists (visible s e) (entry_of s e).adds
@@ -86,8 +83,7 @@ let prepare_add ?payload (_ : t) ~(dot : Vclock.dot) ~(vv : Vclock.t)
 let prepare_remove (_ : t) ~(vv : Vclock.t) (e : string) : op =
   Remove { elt = e; vv }
 
-let prepare_remove_where (_ : t) ~(vv : Vclock.t) (sel : selector) : op =
-  Remove_where { sel; vv }
+let prepare_remove_all (_ : t) ~(vv : Vclock.t) : op = Remove_all { vv }
 
 (* ------------------------------------------------------------------ *)
 (* Effect                                                              *)
@@ -120,26 +116,27 @@ let apply (s : t) (o : op) : t =
         s with
         entries = EM.add elt { en with removes = vv :: en.removes } s.entries;
       }
-  | Remove_where { sel; vv } -> { s with wild = (sel, vv) :: s.wild }
+  | Remove_all { vv } -> { s with clears = vv :: s.clears }
 
 (** The element an op names — the only one whose membership applying
-    it can change — or [None] for a wildcard remove, whose barrier can
-    hide any element. *)
+    it can change — or [None] for a clear, whose barrier can hide any
+    element. *)
 let touched (o : op) : string list option =
   match o with
   | Add { elt; _ } | Remove { elt; _ } -> Some [ elt ]
-  | Remove_where _ -> None
+  | Remove_all _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Delta-state view                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The state already carries full causal metadata (per-add source
-   clocks, explicit barriers), so the join is a deduplicating union.
-   Selectors are closures: dedup is by physical equality, which holds
-   in-process because the simulator delivers the same op value to every
-   replica; a missed duplicate is harmless (visibility is a for_all over
-   barriers). *)
+   clocks, explicit barriers), so the join is a deduplicating union. *)
+
+let union_vvs (a : Vclock.t list) (b : Vclock.t list) : Vclock.t list =
+  List.fold_left
+    (fun acc vv -> if List.exists (Vclock.equal vv) acc then acc else vv :: acc)
+    a b
 
 let merge_entry (ea : entry) (eb : entry) : entry =
   let adds =
@@ -150,32 +147,19 @@ let merge_entry (ea : entry) (eb : entry) : entry =
         else a :: acc)
       ea.adds eb.adds
   in
-  let removes =
-    List.fold_left
-      (fun acc vv ->
-        if List.exists (Vclock.equal vv) acc then acc else vv :: acc)
-      ea.removes eb.removes
-  in
-  { adds; removes; pl = merge_payload ea.pl eb.pl }
+  {
+    adds;
+    removes = union_vvs ea.removes eb.removes;
+    pl = merge_payload ea.pl eb.pl;
+  }
 
-(** Join two states — commutative, associative, idempotent (up to
-    barrier duplicates, which do not affect visibility). *)
+(** Join two states — commutative, associative, idempotent. *)
 let merge (a : t) (b : t) : t =
-  let entries =
-    EM.union (fun _ ea eb -> Some (merge_entry ea eb)) a.entries b.entries
-  in
-  let wild =
-    List.fold_left
-      (fun acc (sel, vv) ->
-        if
-          List.exists
-            (fun (sel', vv') -> sel' == sel && Vclock.equal vv vv')
-            acc
-        then acc
-        else (sel, vv) :: acc)
-      a.wild b.wild
-  in
-  { entries; wild }
+  {
+    entries =
+      EM.union (fun _ ea eb -> Some (merge_entry ea eb)) a.entries b.entries;
+    clears = union_vvs a.clears b.clears;
+  }
 
 (** The state fragment carrying exactly one op's effect:
     [apply s o = merge s (delta_of_op o)] for any [s] that has not yet
@@ -188,20 +172,20 @@ let delta_of_op (o : op) : t =
         entries =
           EM.singleton elt
             { adds = [ { adot = dot; avv = vv } ]; removes = []; pl };
-        wild = [];
+        clears = [];
       }
   | Remove { elt; vv } ->
       {
         entries = EM.singleton elt { adds = []; removes = [ vv ]; pl = None };
-        wild = [];
+        clears = [];
       }
-  | Remove_where { sel; vv } -> { entries = EM.empty; wild = [ (sel, vv) ] }
+  | Remove_all { vv } -> { entries = EM.empty; clears = [ vv ] }
 
 (** The elements a state fragment holds entries for — the only ones
     whose membership merging it can change — or [None] when it carries
-    a wildcard barrier. *)
+    a clear barrier. *)
 let keys (s : t) : string list option =
-  if s.wild <> [] then None
+  if s.clears <> [] then None
   else Some (EM.fold (fun e _ acc -> e :: acc) s.entries [])
 
 let pp ppf (s : t) =
@@ -215,7 +199,7 @@ let pp ppf (s : t) =
 let metadata_size (s : t) : int =
   EM.fold
     (fun _ en acc -> acc + List.length en.adds + List.length en.removes)
-    s.entries (List.length s.wild)
+    s.entries (List.length s.clears)
 
 (** [gc ~stable s] discards remove barriers that are causally stable
     (every replica has seen them) together with the add records they
@@ -223,28 +207,22 @@ let metadata_size (s : t) : int =
     must be causally after a stable barrier, hence unaffected by it;
     visibility of every element is unchanged. *)
 let gc ~(stable : Vclock.t) (s : t) : t =
-  let stable_barrier vv = Vclock.leq vv stable in
-  (* wild barriers that remain *)
-  let wild_live, wild_stable =
-    List.partition (fun (_, vv) -> not (stable_barrier vv)) s.wild
-  in
+  let unstable vv = not (Vclock.leq vv stable) in
+  let clears_live, clears_stable = List.partition unstable s.clears in
   let entries =
     EM.filter_map
-      (fun e en ->
-        let removes_live, removes_stable =
-          List.partition (fun vv -> not (stable_barrier vv)) en.removes
-        in
+      (fun _ en ->
+        let removes_live, removes_stable = List.partition unstable en.removes in
         (* an add masked by a stable barrier is permanently invisible *)
-        let masked a =
-          List.exists (fun vv -> not (Vclock.leq vv a.avv)) removes_stable
-          || List.exists
-               (fun (sel, vv) ->
-                 matches sel e && not (Vclock.leq vv a.avv))
-               wild_stable
+        let adds =
+          List.filter
+            (fun a ->
+              all_before a.avv removes_stable
+              && all_before a.avv clears_stable)
+            en.adds
         in
-        let adds = List.filter (fun a -> not (masked a)) en.adds in
         if adds = [] && removes_live = [] && en.pl = None then None
         else Some { en with adds; removes = removes_live })
       s.entries
   in
-  { entries; wild = wild_live }
+  { entries; clears = clears_live }

@@ -2,14 +2,13 @@
 
     Dual of {!Awset}: when an add and a remove of the same element are
     concurrent, the remove wins.  An add is visible only if every remove
-    of the element happened strictly before it.  Wildcard removes
-    install a barrier that also cancels adds the source had not
-    observed — including concurrent adds at other replicas — the
-    semantics of [enrolled( *, t) := false] (Figure 2c). *)
+    of the element happened strictly before it.  The wildcard remove is
+    a whole-object clear: its barrier cancels every add it does not
+    causally follow — including concurrent adds at other replicas — the
+    semantics of [enrolled( *, t) := false] on the object keyed by [t]
+    (Figure 2c).  Ops and states are plain data. *)
 
 type t
-
-type selector = All | Matching of (string -> bool)
 
 (** Downstream effects (commute under causal delivery). *)
 type op
@@ -32,15 +31,18 @@ val prepare_add :
   ?payload:string -> t -> dot:Vclock.dot -> vv:Vclock.t -> string -> op
 
 val prepare_remove : t -> vv:Vclock.t -> string -> op
-val prepare_remove_where : t -> vv:Vclock.t -> selector -> op
+
+(** Clear the whole object ([p( *, t) := false] on the object keyed by
+    [t]): a barrier hiding every add that does not causally follow it. *)
+val prepare_remove_all : t -> vv:Vclock.t -> op
 
 (** {1 Effect} *)
 
 val apply : t -> op -> t
 
 (** The element an op names — the only one whose membership applying
-    it can change — or [None] for a wildcard remove, whose barrier can
-    hide any element. *)
+    it can change — or [None] for a clear, whose barrier can hide any
+    element. *)
 val touched : op -> string list option
 
 (** {1 Delta-state view}
@@ -48,8 +50,8 @@ val touched : op -> string list option
     The state already carries full causal metadata (per-add source
     clocks, explicit barriers), so the join is a deduplicating union. *)
 
-(** Join two states — commutative, associative, idempotent (up to
-    barrier duplicates, which do not affect visibility). *)
+(** Join two states — commutative, associative, idempotent; barriers
+    deduplicate by clock equality. *)
 val merge : t -> t -> t
 
 (** The state fragment carrying exactly one op's effect:
@@ -59,7 +61,7 @@ val delta_of_op : op -> t
 
 (** The elements a state fragment holds entries for — the only ones
     whose membership merging it can change — or [None] when it carries
-    a wildcard barrier. *)
+    a clear barrier. *)
 val keys : t -> string list option
 
 (** {1 Maintenance} *)

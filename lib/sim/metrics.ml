@@ -17,11 +17,6 @@ type delivery = {
       (** per-application visibility latency: commit at the origin →
           apply at a remote replica (ms) *)
   mutable visibility_n : int;
-  mutable sync_bytes_batch : int;
-      (** anti-entropy bytes on the wire shipping raw batches *)
-  mutable sync_bytes_state : int;
-      (** bytes shipping full rendered state of divergent keys *)
-  mutable sync_bytes_delta : int;  (** bytes shipping compacted batches *)
 }
 
 (** Escrow/reservation-path observability: how often decrements were
@@ -80,9 +75,6 @@ let create () =
         pending_hwm = 0;
         visibility = [];
         visibility_n = 0;
-        sync_bytes_batch = 0;
-        sync_bytes_state = 0;
-        sync_bytes_delta = 0;
       };
     escrow =
       {
@@ -120,18 +112,6 @@ let record_failure (m : t) : unit = m.failures <- m.failures + 1
 let record_visibility (m : t) (latency : float) : unit =
   m.delivery.visibility <- latency :: m.delivery.visibility;
   m.delivery.visibility_n <- m.delivery.visibility_n + 1
-
-(** Account anti-entropy bytes on the wire, bucketed by what was
-    shipped: raw batches, full rendered state, or compacted batches.  The
-    store layer cannot depend on this library, so callers holding a
-    [Sync.repair_stats] bump these after each repair. *)
-let record_sync_bytes (m : t) ~(kind : [ `Batch | `State | `Delta ])
-    (bytes : int) : unit =
-  let d = m.delivery in
-  match kind with
-  | `Batch -> d.sync_bytes_batch <- d.sync_bytes_batch + bytes
-  | `State -> d.sync_bytes_state <- d.sync_bytes_state + bytes
-  | `Delta -> d.sync_bytes_delta <- d.sync_bytes_delta + bytes
 
 (** Record the outcome of one escrow-guarded decrement attempt: covered
     locally ([`Hit]) or blocked on a synchronous rights fetch of [n]
@@ -237,10 +217,7 @@ let pp_delivery ppf (m : t) =
          pending-hwm %d  visibility p50/p95/p99 %.0f/%.0f/%.0f ms"
         d.batches_sent d.batches_dropped d.batches_duplicated
         d.batches_retransmitted d.duplicates_suppressed d.pending_hwm p50 p95
-        p99;
-      if d.sync_bytes_batch + d.sync_bytes_state + d.sync_bytes_delta > 0 then
-        Fmt.pf ppf "  sync-bytes batch/state/delta %d/%d/%d"
-          d.sync_bytes_batch d.sync_bytes_state d.sync_bytes_delta
+        p99
   | _ -> ()
 
 (** One-line escrow/reservation-path summary: blocking misses vs local

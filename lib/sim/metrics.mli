@@ -13,11 +13,6 @@ type delivery = {
   mutable visibility : float list;
       (** origin commit → remote apply latencies (ms) *)
   mutable visibility_n : int;
-  mutable sync_bytes_batch : int;
-      (** anti-entropy bytes on the wire shipping raw batches *)
-  mutable sync_bytes_state : int;
-      (** bytes shipping full rendered state of divergent keys *)
-  mutable sync_bytes_delta : int;  (** bytes shipping compacted batches *)
 }
 
 (** Escrow/reservation-path observability (the escrow bench and the
@@ -64,9 +59,6 @@ val record_failure : t -> unit
 
 (** Record one batch's visibility latency (commit → remote apply). *)
 val record_visibility : t -> float -> unit
-
-(** Account anti-entropy wire bytes, bucketed by repair strategy. *)
-val record_sync_bytes : t -> kind:[ `Batch | `State | `Delta ] -> int -> unit
 
 (** Record one escrow-guarded decrement attempt: covered locally
     ([`Hit]) or blocked on a synchronous fetch of [n] rights

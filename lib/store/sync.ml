@@ -192,13 +192,11 @@ type repair_stats = {
   r_accepted : int;  (** units the destination accepted *)
 }
 
-(** Serialized size of a value — the simulator's wire model.  [Closures]
-    because rem-wins and wildcard ops carry selector closures; the
+(** Serialized size of a value — the simulator's wire model.  The
     encoding is the in-process one, but relative sizes (full state vs
     batches vs compacted batches) are what the durability experiment
     measures. *)
-let wire_bytes (v : 'a) : int =
-  String.length (Marshal.to_string v [ Marshal.Closures ])
+let wire_bytes (v : 'a) : int = String.length (Marshal.to_string v [])
 
 (* the compacted batch of [origin]'s commits [dst] lacks, served from
    the per-peer interval buffer when [dst]'s clock has not moved and the

@@ -72,7 +72,9 @@ type repair_stats = {
   r_accepted : int;  (** units the destination accepted *)
 }
 
-(** Serialized size of a value — the simulator's wire model. *)
+(** Serialized size of a value — the simulator's wire model: its
+    [Marshal] encoding with no flags, so a value holding a closure
+    raises instead of being measured. *)
 val wire_bytes : 'a -> int
 
 (** Repair [dst] from [src] directly over the reliable control channel.

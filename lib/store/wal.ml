@@ -23,13 +23,16 @@
       covered by the durable prefix.
 
     Record framing: [[len:u32le][crc32:u32le][payload]], payload a
-    [Marshal] encoding (with closures: rem-wins selectors) of the
-    {!record} — an in-process crash-recovery format, like the rest of
-    the simulation substrate.  The snapshot file is written to a temp
-    name and renamed into place, so a crash mid-checkpoint leaves the
-    previous snapshot intact; the WAL is truncated {e after} the rename,
-    and a crash between the two leaves snapshot + full WAL, which replay
-    deduplicates.
+    [Marshal] encoding of the {!record} — plain data, no closures (a
+    closure reaching a batch or snapshot fails at the marshal) — and an
+    in-process crash-recovery format, like the rest of the simulation
+    substrate: batches and snapshots carry interned key and replica ids
+    ({!Replica.batch}'s [b_kids], {!Ipa_crdt.Vclock}), which only the
+    process that interned them can read back.  The snapshot file is
+    written to a temp name and renamed into place, so a crash
+    mid-checkpoint leaves the previous snapshot intact; the WAL is
+    truncated {e after} the rename, and a crash between the two leaves
+    snapshot + full WAL, which replay deduplicates.
 
     Every remote delivery is one [R_apply] record, whether its batch
     holds one commit or a compacted log interval shipped by delta
@@ -122,7 +125,7 @@ let flush (t : t) : unit =
   end
 
 let frame (t : t) (r : record) : unit =
-  let payload = Marshal.to_string r [ Marshal.Closures ] in
+  let payload = Marshal.to_string r [] in
   let len = String.length payload in
   let hdr = Bytes.create 8 in
   Bytes.set_int32_le hdr 0 (Int32.of_int len);
@@ -192,7 +195,7 @@ let checkpoint ?(gc = true) (t : t) (r : Replica.t) : unit =
   let snap = Replica.snapshot r in
   write_file_atomic
     (snap_path ~dir:t.dir ~id:t.rid)
-    (Marshal.to_string snap [ Marshal.Closures ]);
+    (Marshal.to_string snap []);
   (match t.oc with Some oc -> close_out_noerr oc | None -> ());
   t.oc <- Some (open_channel ~trunc:true t)
 

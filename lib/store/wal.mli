@@ -9,7 +9,15 @@
     applied cursor regresses consistently with the state and
     anti-entropy ({!Sync}) re-delivers them.  Every applied batch is
     logged, a compacted interval from delta repair included, so the
-    recovered cursor never claims effects the state lacks. *)
+    recovered cursor never claims effects the state lacks.
+
+    Records and snapshots are [Marshal]ed plain data (no closures), an
+    in-process format: batches and snapshots carry process-local
+    interned ids ({!Replica.batch}'s [b_kids], the replica ids inside
+    every {!Ipa_crdt.Vclock}), so only the process that wrote a log can
+    {!recover} it: a fresh process reads those ids as unknown
+    ([Invalid_argument "Intern.name: unknown id"] at the first lookup)
+    or as whatever it interned under the same number. *)
 
 (** A logged replication event: a batch the replica committed locally,
     or one it applied from a remote origin (one commit or a compacted

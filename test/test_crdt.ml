@@ -152,8 +152,9 @@ let test_awset_wildcard_remove () =
   let add d e s = Awset.apply s (Awset.prepare_add s ~dot:d e) in
   let s = Awset.empty |> add (dot "r1" 1) "a:t1" |> add (dot "r1" 2) "b:t1"
           |> add (dot "r1" 3) "c:t2" in
-  let sel = Awset.Matching (fun e -> Filename.check_suffix e ":t1") in
-  let rm = Awset.prepare_remove_where s sel in
+  let rm =
+    Awset.prepare_remove_where s (fun e -> Filename.check_suffix e ":t1")
+  in
   let s = Awset.apply s rm in
   Alcotest.(check (list string)) "only t2 entry left" [ "c:t2" ]
     (Awset.elements s)
@@ -164,7 +165,7 @@ let test_awset_wildcard_add_wins () =
     Awset.apply Awset.empty
       (Awset.prepare_add Awset.empty ~dot:(dot "r1" 1) "a:t1")
   in
-  let rm = Awset.prepare_remove_where s0 Awset.All in
+  let rm = Awset.prepare_remove_where s0 (fun _ -> true) in
   (* concurrently, r2 adds b:t1 (not observed by the remove) *)
   let add_b = Awset.prepare_add s0 ~dot:(dot "r2" 1) "b:t1" in
   let s = Awset.apply (Awset.apply s0 rm) add_b in
@@ -212,7 +213,7 @@ let test_rwset_wildcard_kills_concurrent_adds () =
   (* the Figure 2c semantics: enrolled( *, t) := false cancels enrolls the
      source never saw *)
   let base = Rwset.empty in
-  let rm_all = Rwset.prepare_remove_where base ~vv:(vv [ ("r1", 1) ]) Rwset.All in
+  let rm_all = Rwset.prepare_remove_all base ~vv:(vv [ ("r1", 1) ]) in
   let concurrent_add =
     Rwset.prepare_add base ~dot:(dot "r2" 1) ~vv:(vv [ ("r2", 1) ]) "p:t1"
   in
@@ -554,6 +555,35 @@ let prop_rwset_concurrent_convergence =
       let s2 = List.fold_left Rwset.apply base (List.rev ops) in
       Rwset.elements s1 = Rwset.elements s2)
 
+(* states are plain data: a marshal round trip rebuilds the same state,
+   so joining it back deduplicates every add record and barrier *)
+let prop_rwset_merge_roundtrip =
+  QCheck.Test.make ~name:"rwset: merge with a marshal round trip" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 12)
+            (triple (int_bound 2) (oneofl [ "a"; "b"; "c" ]) (int_range 1 3))))
+    (fun script ->
+      let s, _ =
+        List.fold_left
+          (fun (s, n) (kind, e, r) ->
+            let rep = Printf.sprintf "r%d" r in
+            let opvv = vv [ (rep, n) ] in
+            let op =
+              match kind with
+              | 0 -> Rwset.prepare_add s ~dot:(dot rep n) ~vv:opvv e
+              | 1 -> Rwset.prepare_remove s ~vv:opvv e
+              | _ -> Rwset.prepare_remove_all s ~vv:opvv
+            in
+            (Rwset.apply s op, n + 1))
+          (Rwset.empty, 1) script
+      in
+      let rt : Rwset.t = Marshal.from_string (Marshal.to_string s []) 0 in
+      let m = Rwset.merge s rt in
+      Rwset.metadata_size m = Rwset.metadata_size s
+      && Rwset.elements m = Rwset.elements s)
+
 (* ------------------------------------------------------------------ *)
 (* Garbage collection at the CRDT level                                *)
 (* ------------------------------------------------------------------ *)
@@ -603,6 +633,7 @@ let qcheck_tests =
       prop_pncounter_order_independent; prop_pncounter_quick_value;
       prop_bcounter_quick_value; prop_bcounter_conservation;
       prop_awset_concurrent_convergence; prop_rwset_concurrent_convergence;
+      prop_rwset_merge_roundtrip;
     ]
 
 let () =

@@ -2020,11 +2020,11 @@ let prop_weak_converges_at_quiescence =
 (* Incremental set digests                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rw_remove_where (rep : Replica.t) (key : string) sel : Replica.batch =
+let rw_remove_all (rep : Replica.t) (key : string) : Replica.batch =
   let tx = Txn.begin_ rep in
   let s = Obj.as_rwset (Txn.get tx key Obj.T_rwset) in
   Txn.update tx key
-    (Obj.Op_rwset (Rwset.prepare_remove_where s ~vv:(Txn.fresh_vv tx) sel));
+    (Obj.Op_rwset (Rwset.prepare_remove_all s ~vv:(Txn.fresh_vv tx)));
   Option.get (Txn.commit tx)
 
 let aw_op (rep : Replica.t) (key : string) prep : Replica.batch =
@@ -2039,8 +2039,6 @@ let cs_op (rep : Replica.t) (key : string) prep : Replica.batch =
   Txn.update tx key (Obj.Op_compset (prep tx s));
   Option.get (Txn.commit tx)
 
-let low_elts = Awset.Matching (fun e -> e <= "b")
-
 (* one scripted commit at [rep]: kind × element over the three set
    types, wildcard removes included *)
 let set_commit (rep : Replica.t) (kind : int) (e : string) : Replica.batch =
@@ -2052,12 +2050,10 @@ let set_commit (rep : Replica.t) (kind : int) (e : string) : Replica.batch =
   | 2 -> aw_op rep "aw" (fun _ s -> Awset.prepare_remove s e)
   | 3 ->
       aw_op rep "aw" (fun _ s ->
-          Awset.prepare_remove_where s (if e = "a" then Awset.All else low_elts))
+          Awset.prepare_remove_where s (fun x -> e = "a" || x <= "b"))
   | 4 -> rw_add rep "rw" e
   | 5 -> rw_remove rep "rw" e
-  | 6 ->
-      rw_remove_where rep "rw"
-        (if e = "a" then Rwset.All else Rwset.Matching (fun x -> x <= "b"))
+  | 6 -> rw_remove_all rep "rw"
   | 7 -> cs_op rep "cs" (fun tx s -> Compset.prepare_add s ~dot:(Txn.fresh_dot tx) e)
   | 8 -> cs_op rep "cs" (fun tx s -> Compset.prepare_touch s ~dot:(Txn.fresh_dot tx) e)
   | _ -> cs_op rep "cs" (fun _ s -> Compset.prepare_remove s e)
@@ -2222,7 +2218,7 @@ let test_rwset_wildcard_rehash () =
   ignore (Replica.quick_digest east);
   (* west's add is concurrent with east's wildcard: the barrier hides it *)
   let concurrent = rw_add west "rw" "x" in
-  let wild = rw_remove_where east "rw" Rwset.All in
+  let wild = rw_remove_all east "rw" in
   Alcotest.(check bool) "the barrier marks the cell stale" true
     ((cell_of east "rw").Replica.c_n < 0);
   bcast wild;
@@ -2242,6 +2238,72 @@ let test_rwset_wildcard_rehash () =
   Alcotest.(check int) "same member count" 1 ce.Replica.c_n;
   Alcotest.(check (result unit string)) "oracle agrees" (Ok ())
     (check_set_cells ~refreshed:true east)
+
+(* ------------------------------------------------------------------ *)
+(* Plain data: what the WAL and the wire marshal holds no closure      *)
+(* ------------------------------------------------------------------ *)
+
+(* every argument tuple over per-position domains *)
+let rec tuples = function
+  | [] -> [ [] ]
+  | d :: ds ->
+      let rest = tuples ds in
+      List.concat_map (fun a -> List.map (fun t -> a :: t) rest) d
+
+(* every fuzz-harness operation of the four apps, both variants, over
+   its whole argument domain: each committed batch, the origin's
+   snapshot and a compacted interval marshal without [Closures] *)
+let test_batches_plain_data () =
+  let plain what v =
+    match Marshal.to_string v [] with
+    | _ -> ()
+    | exception Invalid_argument m -> Alcotest.failf "%s: %s" what m
+  in
+  List.iter
+    (fun app ->
+      List.iter
+        (fun repaired ->
+          let h = Ipa_check.Harness.make ~app ~repaired in
+          let c = three () in
+          let r0 = List.hd c.Cluster.replicas in
+          let lag = List.nth c.Cluster.replicas 2 in
+          let run (name, args) =
+            let what =
+              Fmt.str "%s (repaired=%b) %s(%s)" app repaired name
+                (String.concat ", " args)
+            in
+            match h.Ipa_check.Harness.exec ~name ~args with
+            | None -> Alcotest.failf "%s: unknown operation" what
+            | Some op ->
+                let o = op.Ipa_runtime.Config.run r0 in
+                Option.map
+                  (fun b ->
+                    plain what b;
+                    ignore (Sync.wire_bytes b);
+                    b)
+                  o.Ipa_runtime.Config.batch
+          in
+          (* seeded everywhere; the fuzz operations stay at the origin *)
+          List.iter
+            (fun o -> Option.iter (Cluster.broadcast_now c) (run o))
+            h.Ipa_check.Harness.seed_ops;
+          List.iter
+            (fun (o : Ipa_check.Harness.opspec) ->
+              List.iter
+                (fun args -> ignore (run (o.Ipa_check.Harness.opname, args)))
+                (tuples o.Ipa_check.Harness.argdoms))
+            h.Ipa_check.Harness.ops;
+          let where = Fmt.str "%s (repaired=%b)" app repaired in
+          plain (where ^ " snapshot") (Replica.snapshot r0);
+          match
+            Replica.compact_after r0 ~origin:r0.Replica.id ~have:lag.Replica.vv
+          with
+          | None -> Alcotest.failf "%s: nothing to compact" where
+          | Some b ->
+              plain (where ^ " compacted batch") b;
+              ignore (Sync.wire_bytes b))
+        [ true; false ])
+    Ipa_check.Harness.app_names
 
 (* generator seed from IPA_TEST_SEED (printed on failure) *)
 let qcheck_tests =
@@ -2368,6 +2430,8 @@ let () =
             test_wal_group_commit_loses_unflushed_applies;
           Alcotest.test_case "checkpoint captures a buffered batch" `Quick
             test_wal_checkpoint_captures_pending;
+          Alcotest.test_case "batches and snapshots are plain data" `Quick
+            test_batches_plain_data;
         ] );
       ( "delta repair",
         [

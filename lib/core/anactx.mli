@@ -16,6 +16,7 @@
     assumes signature and constants are fixed. *)
 
 open Ipa_logic
+open Ipa_spec
 
 type stats = {
   mutable sat_calls : int;  (** [Encode.solve] invocations *)
@@ -29,11 +30,20 @@ type stats = {
   mutable cands_generated : int;  (** repair candidates consumed *)
   mutable cands_pruned : int;  (** (candidate, rules) checks skipped *)
   mutable cands_checked : int;  (** (candidate, rules) full SAT checks *)
-  mutable pairs_checked : int;  (** [Detect.check_pair] invocations *)
+  mutable pairs_checked : int;
+      (** pair verdicts concluded, step-memo hits included *)
   mutable oblig_hits : int;  (** clause obligations answered from cache *)
   mutable oblig_misses : int;  (** clause obligations discharged by SAT *)
   mutable case_hits : int;  (** witness extractions answered from cache *)
   mutable case_misses : int;  (** witness extractions solved *)
+  mutable pair_hits : int;  (** scan pair verdicts answered by the memo *)
+  mutable pair_misses : int;  (** scan pair verdicts concluded afresh *)
+  mutable repair_hits : int;  (** repair searches answered by the memo *)
+  mutable repair_misses : int;  (** repair searches run *)
+  mutable scan_seconds : float;  (** wall time of the conflict scans *)
+  mutable repair_seconds : float;  (** wall time of the repair searches *)
+  mutable seq_seconds : float;
+      (** the part of [repair_seconds] spent on sequential safety *)
   pair_seconds : (string * string, float) Hashtbl.t;
   mutable total_seconds : float;
 }
@@ -67,12 +77,11 @@ val stats : t -> stats
 (** The [create ~cache] switch: caches kept and witness pruning on. *)
 val cache_enabled : t -> bool
 
-(** The hash of every memo table: [Hashtbl.hash_param 256 256], the
-    widest the runtime allows.  [Hashtbl.hash] reads only the first 10
-    meaningful values of a key, which the keys here share. *)
+(** {!Oblig.hash}: the hash every memo key is hashed with, once. *)
 val hash : 'a -> int
 
-(** A hash table over obligation and frame keys, hashed by {!hash}. *)
+(** A hash table over obligation and frame keys, hashed in O(1) by
+    {!Oblig.key_hash}. *)
 module Key_tbl : Hashtbl.S with type key = Oblig.key
 
 (** Memoizing wrapper around {!Ground.ground}, keyed by
@@ -107,6 +116,59 @@ val oblig_cached : t -> Oblig.key -> bool
 val case_lookup :
   t -> Oblig.key -> (unit -> Oblig.witness option) ->
   Oblig.witness option
+
+(** {2 Step memo}
+
+    Whole analysis steps, memoised by content: a conflict scan's pair
+    verdict and a pair's repair search.  The key is the step's kind
+    (with the repair search's [max_size] and [search_rules]), the
+    interned environment the step reads — the specification without
+    its operations ({!env_id}) — and both operations' base and current
+    definitions ({!side}).  Structural equality of two keys implies
+    the steps' results coincide: a pair verdict and a repair search
+    are deterministic functions of those inputs, and every cache they
+    consult is exact.  One table under one bound ({!step_max}) holds
+    both kinds; with caching off every lookup misses. *)
+
+type step_kind =
+  | Pair_verdict
+  | Repair_search of { max_size : int; search_rules : bool }
+
+(** One operation of a step's pair, with its content hash computed
+    once ({!side}), so a pair key hashes in O(1). *)
+type side = private {
+  base : Types.operation;
+  cur : Types.operation;
+  s_hash : int;
+}
+
+val side : base:Types.operation -> cur:Types.operation -> side
+
+type step_key
+
+val step_key : step_kind -> env:int -> side -> side -> step_key
+
+(** [env_id t spec] — a small id for [spec] without its operations,
+    equal for equal environments while [t] keeps them interned. *)
+val env_id : t -> Types.t -> int
+
+(** A memoised step's result; {!Ipa} and {!Repair} add a constructor
+    each, and the key's kind fixes which one an entry holds. *)
+type step = ..
+
+(** [step t key f] — the stored result of [key]'s step, else [f ()],
+    stored when caching is on.  Counts a hit or a miss of [key]'s
+    kind. *)
+val step : t -> step_key -> (unit -> step) -> step
+
+(** Is [key]'s result stored?  A pure query: no counter moves. *)
+val step_cached : t -> step_key -> bool
+
+(** The bound on the step memo's entries (DESIGN.md §2). *)
+val step_max : int
+
+(** Step-memo entries held now: at most {!step_max}. *)
+val step_entries : t -> int
 
 (** A verdict-only analysis frame: one incremental solver asserting a
     unification case's relevant clauses and the weakest preconditions
@@ -146,6 +208,12 @@ val record_solve :
 (** Time a computation, attributing elapsed wall time to the pair. *)
 val time : t -> string * string -> (unit -> 'a) -> 'a
 
+(** The analysis phases whose wall time the statistics split out. *)
+type phase = Scan | Repair | Sequential
+
+(** Time a computation, adding its wall time to the phase's total. *)
+val phase : t -> phase -> (unit -> 'a) -> 'a
+
 val ground_hit_rate : stats -> float
 val oblig_hit_rate : stats -> float
 val case_hit_rate : stats -> float
@@ -155,10 +223,18 @@ val case_hit_rate : stats -> float
 val prune_rate : stats -> float
 
 (** Fraction of obligations and witness extractions answered without
-    solver work — the figure of merit of an incremental re-analysis.
-    All rates are guarded: a zero-solve (cache-only or empty) run
-    reports 0, never nan. *)
+    solver work, step-memo hits counted as answered — the figure of
+    merit of an incremental re-analysis.  A step-memo miss counts
+    through the obligations and extractions it looks up.  All rates
+    are guarded: an empty run reports 0, never nan. *)
 val reuse_rate : stats -> float
+
+(** [diff a b] — [a]'s counters and phase times minus [b]'s (per-pair
+    times left out): what a context did since [b = snapshot a]. *)
+val diff : stats -> stats -> stats
+
+(** A copy of the counters, for a later {!diff}. *)
+val snapshot : stats -> stats
 
 (** Per-pair accumulated wall time, slowest first. *)
 val pair_times : stats -> ((string * string) * float) list

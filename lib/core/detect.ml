@@ -32,6 +32,9 @@ type aop = { base : Types.operation; cur : Types.operation }
 
 let aop_of (op : Types.operation) : aop = { base = op; cur = op }
 
+(** The operation as a step-memo key holds it ({!Anactx.side}). *)
+let side (o : aop) : Anactx.side = Anactx.side ~base:o.base ~cur:o.cur
+
 (** A concrete counterexample execution, in the style of Figure 2: a
     valid initial state, per-operation writes, the merged outcome, and
     the invariants that the merged state violates.  (Defined in

@@ -17,6 +17,10 @@ type aop = { base : Types.operation; cur : Types.operation }
 
 val aop_of : Types.operation -> aop
 
+(** The operation as a step-memo key holds it: both definitions and
+    their content hash, computed here once ({!Anactx.side}). *)
+val side : aop -> Anactx.side
+
 (** A Figure 2–style counterexample: valid initial state, the two
     operations' writes, the merged outcome, the violated invariants.
     (Defined in {!Oblig} so {!Anactx} can cache witnesses.) *)

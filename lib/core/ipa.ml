@@ -90,11 +90,23 @@ let rec pairs = function
 let names ((o1, o2) : Detect.aop * Detect.aop) =
   (o1.Detect.cur.oname, o2.Detect.cur.oname)
 
+(* an operation with its step-memo side, hashed once per scan *)
+let sided (o : Detect.aop) = (o, Detect.side o)
+
+(* a scan's pair verdict, as the step memo holds it *)
+type Anactx.step += Verdict of Detect.verdict
+
 (** The conflict search of Algorithm 1 ([isConflicting] over [cands]):
     each pair's verdict, in order, concluded by [Detect.check_pair] on
     [ctx].  The sequence is lazy: a consumer that stops at the first
     [Conflict] ({!run}) checks nothing past it, one that reads to the
     end ({!diagnose}) checks every pair.
+
+    A pair's verdict, witness included, is memoised in [ctx]'s step
+    memo under the pair's two operations and the environment [env]
+    ({!Anactx.env_id} of [spec]): [check_pair] is a deterministic
+    function of those, so a pair whose operations an iteration (or an
+    edit) left alone is concluded by one lookup.
 
     Without workers nothing is prefetched.  With workers, the search
     fans out per-clause proof obligations, not whole pairs (pairs
@@ -115,25 +127,40 @@ let names ((o1, o2) : Detect.aop * Detect.aop) =
     An obligation's verdict is a function of its content-addressed key,
     so solving a block's tail past the first conflict changes no
     verdict, only cost, and caching it is sound.  Speculation is bounded
-    by one block; a warm re-scan whose pairs are all cached forms no
-    block and solves nothing. *)
-let verdicts ~(ctx : Anactx.t) (workers : workers option) (spec : Types.t)
-    (cands : (Detect.aop * Detect.aop) list) :
-    ((Detect.aop * Detect.aop) * Detect.verdict) Seq.t =
-  let conclude ((o1, o2) as p) =
-    ( p,
-      Anactx.time ctx (names p) (fun () -> Detect.check_pair ~ctx spec o1 o2)
-    )
+    by one block.  A pair whose verdict the step memo holds has no fresh
+    obligation and is not even enumerated, so a warm re-scan forms no
+    block, keys no obligation and solves nothing. *)
+let verdicts ~(ctx : Anactx.t) ~(env : int) (workers : workers option)
+    (spec : Types.t)
+    (cands : ((Detect.aop * Anactx.side) * (Detect.aop * Anactx.side)) list)
+    : ((Detect.aop * Detect.aop) * Detect.verdict) Seq.t =
+  let cands =
+    List.map
+      (fun ((o1, s1), (o2, s2)) ->
+        ((o1, o2), Anactx.step_key Pair_verdict ~env s1 s2))
+      cands
+  in
+  let conclude (((o1, o2) as p), key) =
+    match
+      Anactx.step ctx key (fun () ->
+          Verdict
+            (Anactx.time ctx (names p) (fun () ->
+                 Detect.check_pair ~ctx spec o1 o2)))
+    with
+    | Verdict v -> (p, v)
+    | _ -> assert false (* a [Pair_verdict] key holds a [Verdict] *)
   in
   match workers with
   | None -> Seq.map conclude (List.to_seq cands)
   | Some { pool; wctxs } ->
       let jobs = Ipa_par.Pool.jobs pool in
-      let fresh (o1, o2) =
-        List.filter
-          (fun (ob : Detect.oblig) ->
-            not (Anactx.oblig_cached ctx ob.Detect.ob_key))
-          (Detect.obligations spec o1 o2)
+      let fresh ((o1, o2), key) =
+        if Anactx.step_cached ctx key then []
+        else
+          List.filter
+            (fun (ob : Detect.oblig) ->
+              not (Anactx.oblig_cached ctx ob.Detect.ob_key))
+            (Detect.obligations spec o1 o2)
       in
       let solve c (ob : Detect.oblig) =
         Anactx.time c
@@ -223,21 +250,16 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
   let rules = ref spec.rules in
   let resolutions = ref [] in
   let ignored : (string * string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* pairs already proven safe; invalidated when an operation of the pair
-     is modified or the convergence rules change *)
-  let known_safe : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
   let invalidate name =
-    (* modifying an operation stales every cached verdict about it: the
-       safe cache, but also the [ignored] table and any compensation or
-       flag recorded for a pair involving it — the conflict that
-       motivated them may no longer exist (or may now be repairable). *)
-    let drop tbl =
-      Hashtbl.iter
-        (fun (a, b) () -> if a = name || b = name then Hashtbl.remove tbl (a, b))
-        (Hashtbl.copy tbl)
-    in
-    drop known_safe;
-    drop ignored;
+    (* modifying an operation stales what was decided about it: the
+       [ignored] table and any compensation or flag recorded for a pair
+       involving it — the conflict that motivated them may no longer
+       exist (or may now be repairable).  Pair verdicts need no
+       invalidation: the step memo keys them by content. *)
+    Hashtbl.iter
+      (fun (a, b) () ->
+        if a = name || b = name then Hashtbl.remove ignored (a, b))
+      (Hashtbl.copy ignored);
     resolutions :=
       List.filter
         (fun r ->
@@ -251,25 +273,26 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
   while !continue_ && !iterations < max_iterations do
     incr iterations;
     let spec_now = { spec with rules = !rules } in
+    let env = Anactx.env_id ctx spec_now in
     (* the first conflicting pair that is not already handled *)
-    let unhandled p =
-      (not (Hashtbl.mem ignored (names p)))
-      && not (Hashtbl.mem known_safe (names p))
+    let unhandled ((o1, _), (o2, _)) =
+      not (Hashtbl.mem ignored (names (o1, o2)))
     in
     let conflict =
-      verdicts ~ctx workers spec_now (List.filter unhandled (pairs !ops))
-      |> Seq.find_map (fun (((o1, o2) as p), v) ->
+      Anactx.phase ctx Scan @@ fun () ->
+      verdicts ~ctx ~env workers spec_now
+        (List.filter unhandled (pairs (List.map sided !ops)))
+      |> Seq.find_map (fun ((o1, o2), v) ->
              match v with
              | Detect.Conflict w -> Some (o1, o2, w)
-             | Detect.Safe ->
-                 Hashtbl.replace known_safe (names p) ();
-                 None)
+             | Detect.Safe -> None)
     in
     match conflict with
     | None -> continue_ := false
     | Some (o1, o2, w) -> (
         let name1 = o1.Detect.cur.oname and name2 = o2.Detect.cur.oname in
         let sols =
+          Anactx.phase ctx Repair @@ fun () ->
           Anactx.time ctx (name1, name2) (fun () ->
               Repair.repair_conflicts ~max_size ~search_rules ~ctx ~witness:w
                 spec_now (o1, o2))
@@ -287,10 +310,6 @@ let run ?(policy = Repair.Fewest_effects) ?(search_rules = false)
                 !ops;
             invalidate name1;
             invalidate name2;
-            (* compare rule assignments as sets: enumeration order must
-               not force a spurious full invalidation *)
-            if not (Types.rules_equal sol.Repair.s_rules !rules) then
-              Hashtbl.reset known_safe;
             rules := sol.Repair.s_rules;
             resolutions :=
               {
@@ -340,7 +359,8 @@ let diagnose ?jobs (spec : Types.t) :
     (string * string * Detect.witness) list =
   let ctx = Anactx.create () in
   with_workers ?jobs ctx @@ fun workers ->
-  verdicts ~ctx workers spec (pairs (List.map Detect.aop_of spec.operations))
+  verdicts ~ctx ~env:(Anactx.env_id ctx spec) workers spec
+    (pairs (List.map (fun o -> sided (Detect.aop_of o)) spec.operations))
   |> Seq.filter_map (fun (p, v) ->
          match v with
          | Detect.Conflict w ->

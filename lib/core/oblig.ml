@@ -67,7 +67,19 @@ type key = {
   k_clause : int;
       (** index into [k_frame] of the violation target, or [-1] for the
           whole-case witness query (all clauses at once) *)
+  k_hash : int;  (** {!hash} of the fields above but [k_clause] *)
+  k_frame_hash : int;  (** [k_hash] of [frame_of] this key *)
 }
+
+(** The hash of every memo table: [Hashtbl.hash_param 256 256], the
+    widest the runtime allows (it reads at most 256 values of a key,
+    breadth first).  [Hashtbl.hash] stops after 10 meaningful values,
+    which for these keys — effect lists, domains, clause formulas — is
+    the structure they share: a cold tournament run files its 898
+    obligation keys under 162 hashes (largest bucket 34) and its 186
+    frame keys under 10; with this hash every one of them gets its own
+    (test [anactx keys hash apart]). *)
+let hash x = Hashtbl.hash_param 256 256 x
 
 (** The key of one unification case, minus the clause choice. *)
 let case_key (spec : Types.t) ~(base1 : Types.operation)
@@ -79,6 +91,19 @@ let case_key (spec : Types.t) ~(base1 : Types.operation)
     let w2 = Types.written_preds cur2 in
     List.filter (fun p -> List.mem p w2) (Types.written_preds cur1)
   in
+  let k_frame =
+    List.map (fun (i : Types.invariant) -> (i.iname, i.iformula)) frame
+  and k_rules =
+    List.filter
+      (fun (p, _) -> List.mem p both_written)
+      (Types.canonical_rules spec.rules)
+  in
+  (* the key is hashed here, once: the frame's fields, then the rest
+     folded in, so [frame_of] and [with_clause] re-hash nothing *)
+  let k_frame_hash =
+    hash (base1.oeffects, base2.oeffects, binding1, binding2, dom, k_frame,
+          spec.consts)
+  in
   {
     k_base1 = base1.oeffects;
     k_cur1 = cur1.oeffects;
@@ -87,14 +112,12 @@ let case_key (spec : Types.t) ~(base1 : Types.operation)
     k_binding1 = binding1;
     k_binding2 = binding2;
     k_dom = dom;
-    k_frame =
-      List.map (fun (i : Types.invariant) -> (i.iname, i.iformula)) frame;
-    k_rules =
-      List.filter
-        (fun (p, _) -> List.mem p both_written)
-        (Types.canonical_rules spec.rules);
+    k_frame;
+    k_rules;
     k_consts = spec.consts;
     k_clause = -1;
+    k_hash = hash (k_frame_hash, hash (cur1.oeffects, cur2.oeffects, k_rules));
+    k_frame_hash;
   }
 
 let with_clause (k : key) (i : int) : key = { k with k_clause = i }
@@ -106,4 +129,14 @@ let with_clause (k : key) (i : int) : key = { k with k_clause = i }
     repair candidate of a pair, which only extends the current effects,
     shares its case's frame. *)
 let frame_of (k : key) : key =
-  { k with k_cur1 = []; k_cur2 = []; k_rules = []; k_clause = -1 }
+  {
+    k with
+    k_cur1 = [];
+    k_cur2 = [];
+    k_rules = [];
+    k_clause = -1;
+    k_hash = k.k_frame_hash;
+  }
+
+(* the clause index is the one field [k_hash] leaves out *)
+let key_hash (k : key) : int = Hashtbl.hash (k.k_hash, k.k_clause)

@@ -39,9 +39,17 @@ type key = {
   k_rules : (string * Types.conv_rule) list;
   k_consts : (string * int) list;
   k_clause : int;  (** frame index of the violation target; -1 = case *)
+  k_hash : int;  (** {!hash} of the other fields, computed once *)
+  k_frame_hash : int;  (** [k_hash] of {!frame_of} the key *)
 }
 
-(** The key of one unification case ([k_clause = -1]). *)
+(** The hash of every memo table: [Hashtbl.hash_param 256 256], the
+    widest the runtime allows.  [Hashtbl.hash] reads only the first 10
+    meaningful values of a key, which the keys here share. *)
+val hash : 'a -> int
+
+(** The key of one unification case ([k_clause = -1]), hashed once:
+    {!with_clause} and {!frame_of} derive their keys' hashes from it. *)
 val case_key :
   Types.t ->
   base1:Types.operation ->
@@ -61,3 +69,7 @@ val with_clause : key -> int -> key
     weakest preconditions): [k] with the current effects, the rules and
     the clause choice blanked. *)
 val frame_of : key -> key
+
+(** A key's hash in O(1): its stored [k_hash] with the clause index
+    folded in. *)
+val key_hash : key -> int

@@ -320,25 +320,12 @@ let rule_choices ~search_rules (spec : Types.t) (preds : string list) :
 let is_subset_of added sol_added =
   List.for_all (fun e -> List.mem e added) sol_added
 
-(** Search for minimal sets of extra effects that make the pair safe.
+(* a repair search's solutions, as the step memo holds them *)
+type Anactx.step += Solutions of solution list
 
-    Returns every minimal solution found (the caller — tool or policy —
-    picks one, paper line 21).  When [search_rules] is set, solutions may
-    override convergence rules; [s_rules] records the rules under which
-    the solution was validated.
-
-    [witness] — the counterexample that triggered the repair — enables
-    witness-guided pruning when [ctx] has caching on: a candidate
-    (under a given rule choice) that does not even fix the stored
-    counterexample is rejected by concrete re-evaluation
-    ({!Detect.witness_refutes}) without touching the solver.  The
-    search furthermore accumulates the counterexamples produced by
-    failed candidates (CEGIS-style) and screens against all of them:
-    every witness came from a pair sharing the same base operations, so
-    the exactness argument applies to each one individually and the
-    solution set is unchanged. *)
-let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx ?witness
-    (spec : Types.t) ((o1, o2) : Detect.aop * Detect.aop) : solution list =
+(* the repair search proper; see [repair_conflicts] *)
+let search ~max_size ~search_rules ~ctx ?witness (spec : Types.t)
+    ((o1, o2) : Detect.aop * Detect.aop) : solution list =
   let clauses = relevant_clauses spec o1.Detect.cur o2.Detect.cur in
   let pool1 = pool_for spec clauses o1.Detect.cur in
   let pool2 = pool_for spec clauses o2.Detect.cur in
@@ -407,8 +394,9 @@ let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx ?witness
               else begin
                 st.Anactx.cands_checked <- st.Anactx.cands_checked + 1;
                 if
-                  Detect.sequentially_safe ~ctx spec' p1
-                  && Detect.sequentially_safe ~ctx spec' p2
+                  Anactx.phase ctx Sequential (fun () ->
+                      Detect.sequentially_safe ~ctx spec' p1
+                      && Detect.sequentially_safe ~ctx spec' p2)
                 then
                   match Detect.check_pair ~ctx spec' p1 p2 with
                   | Detect.Safe ->
@@ -432,6 +420,47 @@ let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx ?witness
       end)
     candidates;
   List.rev !sols
+
+(** Search for minimal sets of extra effects that make the pair safe.
+
+    Returns every minimal solution found (the caller — tool or policy —
+    picks one, paper line 21).  When [search_rules] is set, solutions may
+    override convergence rules; [s_rules] records the rules under which
+    the solution was validated.
+
+    [witness] — the counterexample that triggered the repair — enables
+    witness-guided pruning when [ctx] has caching on: a candidate
+    (under a given rule choice) that does not even fix the stored
+    counterexample is rejected by concrete re-evaluation
+    ({!Detect.witness_refutes}) without touching the solver.  The
+    search furthermore accumulates the counterexamples produced by
+    failed candidates (CEGIS-style) and screens against all of them:
+    every witness came from a pair sharing the same base operations, so
+    the exactness argument applies to each one individually and the
+    solution set is unchanged.
+
+    The search is memoised in [ctx]'s step memo under the pair's two
+    operations, the specification without its operations (invariants,
+    [spec.rules] — copied verbatim into [s_rules] — and the rest),
+    [max_size] and [search_rules].  The witness stays out of the key:
+    pruning on a stored counterexample only skips (candidate, rules)
+    checks whose full check answers [Conflict] (pruning on [Some true]
+    loses no solutions, {!Detect.witness_refutes}), so the solution
+    list, in order, does not depend on it. *)
+let repair_conflicts ?(max_size = 3) ?(search_rules = false) ~ctx
+    ?witness (spec : Types.t) ((o1, o2) : Detect.aop * Detect.aop) :
+    solution list =
+  let key =
+    Anactx.step_key
+      (Repair_search { max_size; search_rules })
+      ~env:(Anactx.env_id ctx spec) (Detect.side o1) (Detect.side o2)
+  in
+  match
+    Anactx.step ctx key (fun () ->
+        Solutions (search ~max_size ~search_rules ~ctx ?witness spec (o1, o2)))
+  with
+  | Solutions sols -> sols
+  | _ -> assert false (* a [Repair_search] key holds [Solutions] *)
 
 (* ------------------------------------------------------------------ *)
 (* Resolution policies (paper: [pickResolution])                       *)

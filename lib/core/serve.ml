@@ -24,7 +24,8 @@
     Replies: [load]/[spec] answer
     [ok <cmd> name=<n> ops=<k> invariants=<k> ctx=<kept|reset>] — the
     context is reset only when the edit changed the sort/predicate
-    signature or the constants, which the grounding cache assumes fixed;
+    declarations (numeric bounds included) or the constants, which the
+    grounding cache and the obligation keys assume fixed;
     any other edit keeps every cache entry it does not invalidate.  A
     spec that does not load answers [err <cmd> <faults>], its faults
     located as [ipa_tool] prints them ([<name>:<line>: <msg>] or
@@ -33,10 +34,13 @@
     previous spec.  [analyze] answers [report <k>] followed by [k]
     report lines, then
     [ok analyze iterations=<i> solves=<d> obligations=<hits>/<misses>
-    cases=<hits>/<misses> reuse=<pct>%% changed=<bool> seconds=<s>]
-    where the counters are {e deltas} for this analysis alone and
-    [changed] says whether the report text differs from the previous
-    analysis's. *)
+    cases=<hits>/<misses> reuse=<pct>%% changed=<bool> seconds=<s>
+    pairs=<hits>/<misses> repairs=<hits>/<misses>]
+    where the counters are {e deltas} for this analysis alone, [pairs]
+    and [repairs] are the step memo's pair verdicts and repair searches
+    ({!Anactx.step}), [reuse] counts the memo's hits as reuse
+    ({!Anactx.reuse_rate}), and [changed] says whether the report text
+    differs from the previous analysis's. *)
 
 open Ipa_logic
 open Ipa_spec
@@ -45,7 +49,8 @@ type t = {
   mutable spec : Types.t option;
   mutable name : string;
   mutable ctx : Anactx.t;
-  mutable sig_key : (Ground.signature * (string * int) list) option;
+  mutable sig_key :
+    (Ast.sort list * Types.pred_decl list * (string * int) list) option;
   mutable last_report : string option;
   mutable jobs : int;
 }
@@ -74,12 +79,14 @@ let load_spec (path : string) : Types.t =
   | Some s -> s
   | None -> Spec_parser.parse_file path
 
-(* install a (re-)loaded spec; the context survives unless the
-   signature or constants changed (the grounding cache assumes both
-   fixed — operation, rule and invariant edits are safe to keep) *)
+(* install a (re-)loaded spec; the context survives unless the sort
+   or predicate declarations or the constants changed (the grounding
+   cache assumes them fixed, and the obligation keys leave out the
+   numeric predicates' bounds, which the solver's integer encoding
+   reads — operation, rule and invariant edits are safe to keep) *)
 let install (t : t) ~(verb : string) ~(name : string) (spec : Types.t) :
     string =
-  let key = (Types.signature spec, spec.consts) in
+  let key = (spec.sorts, spec.preds, spec.consts) in
   let reset = match t.sig_key with Some k -> k <> key | None -> false in
   if reset then t.ctx <- Anactx.create ();
   t.sig_key <- Some key;
@@ -99,12 +106,7 @@ let analyze (t : t) : string list =
   match t.spec with
   | None -> [ "err analyze no specification loaded" ]
   | Some spec ->
-      let s = Anactx.stats t.ctx in
-      let solves0 = s.sat_calls
-      and oh0 = s.oblig_hits
-      and om0 = s.oblig_misses
-      and ch0 = s.case_hits
-      and cm0 = s.case_misses in
+      let s0 = Anactx.snapshot (Anactx.stats t.ctx) in
       let t0 = Unix.gettimeofday () in
       let report = Ipa.run ~ctx:t.ctx ~jobs:t.jobs spec in
       let dt = Unix.gettimeofday () -. t0 in
@@ -113,25 +115,22 @@ let analyze (t : t) : string list =
         match t.last_report with None -> true | Some p -> p <> str
       in
       t.last_report <- Some str;
-      let s = Anactx.stats t.ctx in
-      let oh = s.oblig_hits - oh0
-      and om = s.oblig_misses - om0
-      and ch = s.case_hits - ch0
-      and cm = s.case_misses - cm0 in
-      let total = oh + om + ch + cm in
-      let reuse =
-        if total = 0 then 0.0
-        else 100.0 *. float_of_int (oh + ch) /. float_of_int total
-      in
+      let d = Anactx.diff (Anactx.stats t.ctx) s0 in
       let lines = split_lines str in
       (Fmt.str "report %d" (List.length lines) :: lines)
       @ [
           Fmt.str
             "ok analyze iterations=%d solves=%d obligations=%d/%d \
              cases=%d/%d reuse=%.1f%% changed=%b seconds=%.3f"
-            report.Ipa.iterations
-            (s.sat_calls - solves0)
-            oh om ch cm reuse changed dt;
+            report.Ipa.iterations d.sat_calls d.oblig_hits d.oblig_misses
+            d.case_hits d.case_misses
+            (100.0 *. Anactx.reuse_rate d)
+            changed dt
+          (* a second call, not a longer format: an application of 13
+             arguments would add a startup helper ([caml_apply13]) and
+             move the code linked after it (ROADMAP (g)) *)
+          ^ Fmt.str " pairs=%d/%d repairs=%d/%d" d.pair_hits d.pair_misses
+              d.repair_hits d.repair_misses;
         ]
 
 let stats_reply (t : t) : string list =

@@ -10,7 +10,8 @@
     length-prefixed ([report <k>], [stats <k>]).  [analyze]'s [ok] line
     carries {e delta} counters for that analysis alone (solves,
     obligation and case hits/misses, reuse rate) plus [changed=<bool>]
-    against the previous report.  The context is dropped automatically
+    against the previous report, the wall time, and last the step
+    memo's pair-verdict and repair-search hits/misses.  The context is dropped automatically
     only when an edit changes the sort/predicate signature or the
     constants (which the grounding cache assumes fixed). *)
 

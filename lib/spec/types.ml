@@ -119,8 +119,6 @@ let canonical_rules (rules : (string * conv_rule) list) :
     rules
   |> List.sort compare
 
-let rules_equal r1 r2 = canonical_rules r1 = canonical_rules r2
-
 (** The conjunction of all invariants. *)
 let invariant_formula (spec : t) : Ast.formula =
   Ast.conj_l (List.map (fun i -> i.iformula) spec.invariants)

@@ -71,10 +71,6 @@ val conv_rule_of : t -> string -> conv_rule
     semantically interchangeable under {!conv_rule_of}. *)
 val canonical_rules : (string * conv_rule) list -> (string * conv_rule) list
 
-(** Set-style semantic equality of rule lists (order-insensitive). *)
-val rules_equal :
-  (string * conv_rule) list -> (string * conv_rule) list -> bool
-
 (** Conjunction of all invariants. *)
 val invariant_formula : t -> Ast.formula
 

@@ -854,7 +854,8 @@ let test_rule_choices_dedupe () =
     (List.length (List.sort_uniq compare canon));
   (* spec's own rules always come first *)
   Alcotest.(check bool) "spec rules first" true
-    (Types.rules_equal (List.hd choices) spec.Types.rules);
+    (Types.canonical_rules (List.hd choices)
+    = Types.canonical_rules spec.Types.rules);
   (* two opposing predicates: 4 assignments, one equal to the spec's *)
   Alcotest.(check int) "two preds: 4 distinct choices" 4
     (List.length (Repair.rule_choices ~search_rules:true spec [ "e"; "p" ]));
@@ -862,17 +863,19 @@ let test_rule_choices_dedupe () =
   Alcotest.(check int) "no search: 1 choice" 1
     (List.length (Repair.rule_choices ~search_rules:false spec [ "e" ]))
 
-let test_rules_equal () =
+(* equal canonical forms are set-style equality of rule lists *)
+let test_canonical_rules () =
   let aw = Types.Add_wins and rw = Types.Rem_wins in
+  let same a b = Types.canonical_rules a = Types.canonical_rules b in
   Alcotest.(check bool) "order-insensitive" true
-    (Types.rules_equal [ ("a", aw); ("b", rw) ] [ ("b", rw); ("a", aw) ]);
+    (same [ ("a", aw); ("b", rw) ] [ ("b", rw); ("a", aw) ]);
   Alcotest.(check bool) "different assignment" false
-    (Types.rules_equal [ ("a", aw) ] [ ("a", rw) ]);
+    (same [ ("a", aw) ] [ ("a", rw) ]);
   (* first binding wins, as in [Types.conv_rule_of] *)
   Alcotest.(check bool) "duplicate pred uses first binding" false
-    (Types.rules_equal [ ("a", aw); ("a", rw) ] [ ("a", rw); ("a", aw) ]);
+    (same [ ("a", aw); ("a", rw) ] [ ("a", rw); ("a", aw) ]);
   Alcotest.(check bool) "redundant duplicate is harmless" true
-    (Types.rules_equal [ ("a", aw); ("a", rw) ] [ ("a", aw) ])
+    (same [ ("a", aw); ("a", rw) ] [ ("a", aw) ])
 
 (* ------------------------------------------------------------------ *)
 (* Incremental analysis: per-clause obligations, serve protocol        *)
@@ -1131,6 +1134,106 @@ let prop_incremental_equivalence =
           warm = cold)
         (Ipa_check.Specmut.edit_stream rng (Catalog.twitter ()) 3))
 
+(* A warm re-run of an unedited spec is answered by the step memo
+   alone: every pair verdict and every repair search hits, no SAT call
+   is made and the report is bit-identical, at jobs 1 and 2 (the
+   parallel scan looks the memo up before it enumerates a pair's
+   obligations). *)
+let test_warm_no_edit () =
+  let spec =
+    Ipa_check.Specmut.grow (Ipa_sim.Rng.create 0) (Catalog.twitter ()) 12
+  in
+  List.iter
+    (fun jobs ->
+      let ctx = Anactx.create () in
+      let cold = Report.report_to_string (Ipa.run ~jobs ~ctx spec) in
+      let s0 = Anactx.snapshot (Anactx.stats ctx) in
+      let warm = Report.report_to_string (Ipa.run ~jobs ~ctx spec) in
+      let d = Anactx.diff (Anactx.stats ctx) s0 in
+      let what = Fmt.str "jobs=%d: " jobs in
+      Alcotest.(check string) (what ^ "bit-identical report") cold warm;
+      Alcotest.(check (list int))
+        (what ^ "SAT calls, pair-memo and repair-memo misses")
+        [ 0; 0; 0 ]
+        [ d.Anactx.sat_calls; d.pair_misses; d.repair_misses ];
+      Alcotest.(check bool) (what ^ "every step hit") true
+        (d.pair_hits > 100 && d.repair_hits > 0
+        && d.pairs_checked = d.pair_hits
+        && Anactx.reuse_rate d = 1.0))
+    [ 1; 2 ]
+
+(* A long edit session on one context: 100 cumulative edits of Twitter
+   grown to 27 operations store more step-memo entries than the bound
+   holds, so the memo turns over (its entry count falls) and never
+   holds more than [Anactx.step_max]; warm reports still equal cold
+   ones (checked every 20th edit, the last included). *)
+let test_step_memo_bound () =
+  let rng = Ipa_sim.Rng.create 0 in
+  let spec = Ipa_check.Specmut.grow rng (Catalog.twitter ()) 20 in
+  let ctx = Anactx.create () in
+  ignore (Ipa.run ~jobs:1 ~ctx spec);
+  let prev = ref 0 and turnovers = ref 0 in
+  List.iteri
+    (fun i (espec, name) ->
+      let warm = Report.report_to_string (Ipa.run ~jobs:1 ~ctx espec) in
+      if i mod 20 = 19 then
+        Alcotest.(check string)
+          (Fmt.str "edit %d (%s): warm = cold" i name)
+          (Report.report_to_string (Ipa.run ~jobs:1 espec))
+          warm;
+      let n = Anactx.step_entries ctx in
+      if n < !prev then incr turnovers;
+      prev := n;
+      if n > Anactx.step_max then
+        Alcotest.failf "edit %d: %d step-memo entries, bound %d" i n
+          Anactx.step_max)
+    (Ipa_check.Specmut.edit_stream rng spec 100);
+  Alcotest.(check bool) "the memo turned over" true (!turnovers > 0)
+
+(* The step memo's key holds every input a pair verdict or a repair
+   search reads.  Each session runs one context through specs (or
+   search settings) that differ in one input only — the convergence
+   rules, an invariant, the base effects (a spec then its patched
+   spec, whose operations keep their current effects), the repair
+   search's [max_size] — and each warm report must equal a cold one.
+   The sessions' cold reports differ, so a key that drops the input
+   answers a later run from an earlier one's entries. *)
+let test_step_memo_keys () =
+  let mini_with ~old ~by = Spec_parser.parse_string
+      (String.concat by (Astring.String.cuts ~sep:old mini_src)) in
+  let rem_wins = mini_with ~old:"rule e: add-wins" ~by:"rule e: rem-wins" in
+  let no_t =
+    mini_with ~old:"e(x,y) => p(x) and t(y)" ~by:"e(x,y) => p(x)"
+  in
+  let tpcw = Catalog.tpcw () in
+  let patched = Ipa.patched_spec (Ipa.run ~jobs:1 tpcw) in
+  let stale = Spec_parser.parse_string stale_src in
+  let sessions =
+    [
+      ("rules", [ (mini (), 3); (rem_wins, 3) ]);
+      ("invariants", [ (mini (), 3); (no_t, 3) ]);
+      ("base effects", [ (tpcw, 3); (patched, 3) ]);
+      ("max_size", [ (stale, 2); (stale, 1) ]);
+    ]
+  in
+  List.iter
+    (fun (what, runs) ->
+      let ctx = Anactx.create () in
+      let colds =
+        List.map
+          (fun (spec, max_size) ->
+            let cold = Report.report_to_string (Ipa.run ~jobs:1 ~max_size spec) in
+            let warm =
+              Report.report_to_string (Ipa.run ~jobs:1 ~max_size ~ctx spec)
+            in
+            Alcotest.(check string) (what ^ ": warm = cold") cold warm;
+            cold)
+          runs
+      in
+      Alcotest.(check bool) (what ^ ": the runs' reports differ") true
+        (List.length (List.sort_uniq compare colds) = List.length colds))
+    sessions
+
 let test_serve_roundtrip () =
   let has affix l = Astring.String.is_infix ~affix l in
   let out =
@@ -1211,6 +1314,49 @@ let test_serve_spec_edit () =
       Alcotest.(check bool) "re-analysis reuses cache" true
         (has "obligations=" second && not (has "reuse=0.0%" second))
   | _ -> Alcotest.fail "expected two analyze replies"
+
+(* an edit of a numeric predicate's bounds changes verdicts (the
+   solver's integer encoding reads them) though no obligation key
+   holds them, so the server drops the context: two concurrent sells
+   from a stock of at least 1 can drive it below 0, from a stock of at
+   least 3 they cannot *)
+let test_serve_bounds_edit () =
+  let src lo =
+    Fmt.str
+      "app Stock\nsort I\nnumeric stock(I) in [%d, 10]\ninvariant nonneg: \
+       forall(I:i) :- stock(i) >= 0\noperation sell(I:i)\n  stock(i) -= 1"
+      lo
+  in
+  let spec_cmd src =
+    let lines = String.split_on_char '\n' src in
+    Fmt.str "spec %d" (List.length lines) :: lines
+  in
+  let out =
+    Serve.run_lines
+      (spec_cmd (src 0) @ [ "analyze" ] @ spec_cmd (src 3) @ [ "analyze"; "quit" ])
+  in
+  Alcotest.(check bool) "bounds edit resets the context" true
+    (List.exists (Astring.String.is_infix ~affix:"ctx=reset") out);
+  let reports =
+    List.filter (Astring.String.is_prefix ~affix:"report ") out
+    |> List.map (fun hd ->
+           let rec from = function
+             | l :: rest when l == hd -> rest
+             | _ :: rest -> from rest
+             | [] -> []
+           in
+           let k = int_of_string (String.sub hd 7 (String.length hd - 7)) in
+           List.filteri (fun i _ -> i < k) (from out))
+  in
+  let cold lo =
+    String.split_on_char '\n'
+      (Report.report_to_string (Ipa.run (Spec_parser.parse_string (src lo))))
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list (list string))) "warm reports = cold"
+    [ cold 0; cold 3 ]
+    (List.map (List.filter (fun l -> l <> "")) reports);
+  Alcotest.(check bool) "the bounds change the report" true (cold 0 <> cold 3)
 
 (* a zero-solve run renders finite rates everywhere (guarded
    divisions): no nan in stats output *)
@@ -1537,8 +1683,8 @@ let () =
           Alcotest.test_case "keys hash apart" `Quick test_keys_hash_apart;
           Alcotest.test_case "rule choices deduplicated" `Quick
             test_rule_choices_dedupe;
-          Alcotest.test_case "rules_equal is set equality" `Quick
-            test_rules_equal;
+          Alcotest.test_case "canonical_rules is set equality" `Quick
+            test_canonical_rules;
         ] );
       ( "incremental",
         [
@@ -1556,6 +1702,14 @@ let () =
             test_oracle_crafted;
           Alcotest.test_case "edits invalidate only reached obligations"
             `Quick test_incremental_invalidation;
+          Alcotest.test_case "warm no-edit re-run hits the step memo" `Quick
+            test_warm_no_edit;
+          Alcotest.test_case "step memo stays within its bound" `Quick
+            test_step_memo_bound;
+          Alcotest.test_case "step memo keys every input" `Quick
+            test_step_memo_keys;
+          Alcotest.test_case "serve resets on a bounds edit" `Quick
+            test_serve_bounds_edit;
           Alcotest.test_case "serve round-trip" `Quick test_serve_roundtrip;
           Alcotest.test_case "serve spec edit keeps context" `Quick
             test_serve_spec_edit;
